@@ -124,6 +124,10 @@ def _cmd_psd_analytic(args: argparse.Namespace) -> int:
     elif args.waveform == "ofdm":
         curve = ofdm_psd(profile, config.sample_interval, filt, freqs)
     else:
+        if not 0 <= args.delay_index < profile.num_delay:
+            raise ConfigurationError(
+                f"--delay-index must be in [0, {profile.num_delay}), got {args.delay_index}"
+            )
         curve = cep_ofdm_psd(profile, args.delay_index, config.sample_interval, filt, freqs)
     path = fileio.write_psd_curve(args.out, curve, {"config_hash": config.hash()})
     print(f"wrote {args.waveform} analytic PSD ({freqs.size} points) to {path}")

@@ -12,6 +12,7 @@ the files byte for byte, and every file embeds the configuration hash.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -57,6 +58,19 @@ _SECTION_KEYS = {
     "output": {"directory"},
 }
 _TOP_KEYS = set(_SECTION_KEYS) | {"preset", "seed"}
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer; ``True``/``False`` are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    """A finite JSON number (not a bool, not +-Infinity or NaN)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -156,28 +170,26 @@ class ScenarioConfig:
         seed = raw.get("seed")
         if seed is None:
             problems.append("a 'seed' field is required (wall-clock seeding is not supported)")
-        elif not isinstance(seed, int) or isinstance(seed, bool):
+        elif not _is_int(seed):
             problems.append(f"'seed' must be an integer, got {seed!r}")
 
         num_delay = grid.get("num_delay")
         num_doppler = grid.get("num_doppler")
         for label, value in (("grid.num_delay", num_delay), ("grid.num_doppler", num_doppler)):
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 problems.append(f"{label} must be an integer >= 1, got {value!r}")
 
         interval, rate = grid.get("sample_interval"), grid.get("sample_rate")
         if interval is None and rate is None:
             problems.append("grid needs sample_interval or sample_rate")
         else:
-            if interval is not None and not (isinstance(interval, (int, float)) and interval > 0):
-                problems.append(f"grid.sample_interval must be positive, got {interval!r}")
-            if rate is not None and not (isinstance(rate, (int, float)) and rate > 0):
-                problems.append(f"grid.sample_rate must be positive, got {rate!r}")
+            if interval is not None and not (_is_real(interval) and interval > 0):
+                problems.append(f"grid.sample_interval must be a finite positive number, got {interval!r}")
+            if rate is not None and not (_is_real(rate) and rate > 0):
+                problems.append(f"grid.sample_rate must be a finite positive number, got {rate!r}")
             if (
-                interval is not None
-                and rate is not None
-                and isinstance(interval, (int, float))
-                and isinstance(rate, (int, float))
+                _is_real(interval)
+                and _is_real(rate)
                 and interval > 0
                 and rate > 0
                 and not np.isclose(interval * rate, 1.0, rtol=1e-9, atol=0.0)
@@ -186,9 +198,9 @@ class ScenarioConfig:
                     f"grid.sample_interval and grid.sample_rate are inconsistent: "
                     f"their product is {interval * rate!r}, expected 1"
                 )
-        if interval is None and isinstance(rate, (int, float)) and rate > 0:
+        if interval is None and _is_real(rate) and rate > 0:
             interval = 1.0 / rate
-        if rate is None and isinstance(interval, (int, float)) and interval > 0:
+        if rate is None and _is_real(interval) and interval > 0:
             rate = 1.0 / interval
 
         sources = [key for key in ("pattern", "columns", "uniform", "sigma2") if key in prof]
@@ -200,21 +212,31 @@ class ScenarioConfig:
             problems.append(f"unknown profile pattern {prof['pattern']!r}; expected one of {PATTERN_NAMES}")
         if "budget" in prof and "pattern" not in prof:
             problems.append("profile.budget is only meaningful together with profile.pattern")
+        if "sigma2" in prof:
+            try:
+                shape = np.asarray(prof["sigma2"], dtype=np.float64).shape
+            except (TypeError, ValueError):
+                problems.append("profile.sigma2 must be a 2-D array of numbers")
+            else:
+                if _is_int(num_delay) and _is_int(num_doppler) and shape != (num_delay, num_doppler):
+                    problems.append(
+                        f"profile.sigma2 has shape {shape}, but the grid is {num_delay}x{num_doppler}"
+                    )
 
         kind = filt.get("kind", "dirac_delta")
         if kind not in FILTER_KINDS:
             problems.append(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
         order = filt.get("order", 50)
-        if not isinstance(order, int) or order < 1:
+        if not _is_int(order) or order < 1:
             problems.append(f"filter.order must be an integer >= 1, got {order!r}")
         oversampling = filt.get("oversampling", 1)
-        if not isinstance(oversampling, int) or oversampling < 1:
+        if not _is_int(oversampling) or oversampling < 1:
             problems.append(f"filter.oversampling must be an integer >= 1, got {oversampling!r}")
         elif kind == "dirac_delta" and oversampling != 1:
             problems.append("filter.oversampling must be 1 for the dirac_delta filter")
 
         num_frames = stream.get("num_frames", 256)
-        if not isinstance(num_frames, int) or num_frames < 1:
+        if not _is_int(num_frames) or num_frames < 1:
             problems.append(f"stream.num_frames must be an integer >= 1, got {num_frames!r}")
         constellation = stream.get("constellation", "qpsk")
         if constellation not in ("qpsk", "qam16"):
@@ -224,7 +246,7 @@ class ScenarioConfig:
             if (
                 not isinstance(frame_counts, (list, tuple))
                 or len(frame_counts) < 2
-                or not all(isinstance(c, int) and c >= 1 for c in frame_counts)
+                or not all(_is_int(c) and c >= 1 for c in frame_counts)
                 or sorted(frame_counts) != list(frame_counts)
             ):
                 problems.append(
@@ -232,20 +254,20 @@ class ScenarioConfig:
                 )
 
         psd_points = psd_sec.get("num_points", 4096)
-        if not isinstance(psd_points, int) or psd_points < 2:
+        if not _is_int(psd_points) or psd_points < 2:
             problems.append(f"psd.num_points must be an integer >= 2, got {psd_points!r}")
         band = psd_sec.get("band")
         if band is not None:
             ok = (
                 isinstance(band, (list, tuple))
                 and len(band) == 2
-                and all(isinstance(x, (int, float)) for x in band)
+                and all(_is_real(x) for x in band)
                 and band[0] < band[1]
             )
             if not ok:
-                problems.append(f"psd.band must be [lo, hi] with lo < hi, got {band!r}")
+                problems.append(f"psd.band must be [lo, hi] of finite numbers with lo < hi, got {band!r}")
         segment_frames = psd_sec.get("segment_frames", 1)
-        if not isinstance(segment_frames, int) or segment_frames < 1:
+        if not _is_int(segment_frames) or segment_frames < 1:
             problems.append(f"psd.segment_frames must be an integer >= 1, got {segment_frames!r}")
 
         mask_spec = raw.get("mask")
@@ -425,9 +447,6 @@ def precoded_stream(
 _LTE_RATE = 30.72e6
 _LTE_OCCUPIED = 1201
 
-_FILTER_LABELS = ("dirac_delta", "truncated_sinc", "rect")
-
-
 def _write_curve(outdir: Path, name: str, curve: PsdCurve, cfg_hash: str) -> Path:
     return fileio.write_psd_curve(outdir / name, curve, extra_header={"config_hash": cfg_hash})
 
@@ -447,7 +466,7 @@ def _run_analytic_family(
     cfg_hash = config.hash()
     freqs = config.freq_grid()
     files = {}
-    for kind in _FILTER_LABELS:
+    for kind in FILTER_KINDS:
         filt = InterpolationFilter(kind, config.sample_interval, config.filter_order)
         if waveform == "otfs":
             curve = otfs_psd(profile, config.sample_interval, filt, freqs)

@@ -11,6 +11,18 @@ for OFDM it is ``k - f*N*T`` with the same weights; CEP component ``l``
 uses the OTFS argument with weights ``sigma2[l, k] / (M*T)``, so the M
 component curves sum exactly to the OTFS curve.  With the Dirac-delta
 filter the OTFS curve is periodic in ``f`` with period ``1/(M*T)``.
+
+The comb ``S(x) = sum_k w_k D2_N(k - x)`` is a trigonometric polynomial of
+degree ``N - 1`` in ``x/N`` with coefficients ``c_d = (N - |d|)/N^2 * W_d``,
+``W = N * ifft(w)``.  On a uniform grid ``x_i = x_0 + i*step`` it is evaluated
+as one chirp-z transform (Rabiner, Schafer & Rader 1969; Bluestein 1970):
+three FFTs of length ``>= F + N - 1``, so O((F + N) log(F + N)) time and
+O(F + N) memory for F grid points.  Every phase is reduced exactly modulo a
+full turn before it is multiplied out, so the comb at ``x_0 + i*step`` is
+exact to a few ulps of its peak at any offset; the grid points themselves
+differ from ``x_0 + i*step`` by rounding only.  Grids that are not uniform up
+to rounding, which only direct callers pass, fall back to the O(N*F) sum of
+the explicit Dirichlet matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +46,10 @@ __all__ = [
 
 #: |x mod N| below this counts as the removable singularity -> value 1.
 _SINGULARITY_EPS = 1e-9
+
+#: A grid within this many ulps of its largest endpoint of ``x[0] + i*step`` is
+#: uniform; the rounding of ``linspace`` and of the frequency scaling stays inside it.
+_UNIFORM_ULPS = 8
 
 
 def dirichlet_sq(num_doppler: int, x) -> np.ndarray:
@@ -123,24 +139,93 @@ def _check_filter(filt: InterpolationFilter, sample_interval: float) -> None:
         )
 
 
+def _dense_comb(weights: np.ndarray, kernel_size: int, scaled_freqs: np.ndarray) -> np.ndarray:
+    """The comb as an explicit (weights x grid) Dirichlet matrix: O(N*F) time and memory."""
+    k = np.arange(weights.size)[:, None]
+    return (weights[:, None] * dirichlet_sq(kernel_size, k - scaled_freqs[None, :])).sum(axis=0)
+
+
+def _affine_fit(x: np.ndarray):
+    """``(x[0], step)`` if the 1-D ``x`` equals ``x[0] + i*step`` up to rounding, else ``None``."""
+    if x.ndim != 1 or x.size == 0:
+        return None
+    step = (x[-1] - x[0]) / (x.size - 1) if x.size > 1 else 0.0
+    tol = _UNIFORM_ULPS * np.finfo(np.float64).eps * max(abs(x[0]), abs(x[-1]))
+    uniform = (
+        np.isfinite([tol, step]).all()
+        and np.max(np.abs(x - (x[0] + step * np.arange(x.size)))) <= tol
+    )
+    return (float(x[0]), float(step)) if uniform else None
+
+
+def _turns(t: float, m: np.ndarray, period: float) -> np.ndarray:
+    """``(t*m mod period) / period`` for finite ``t`` and integer-valued ``0 <= m < 2**52``.
+
+    ``t`` is cut into limbs short enough that every ``limb * m`` is exact, so
+    the only rounding is in summing the reduced limbs (about 1 ulp of a turn).
+    """
+    bits = max(1, 53 - int(m.max()).bit_length())
+    acc = np.zeros_like(m)
+    while t:
+        mantissa, exponent = np.frexp(t)
+        limb = float(np.ldexp(np.trunc(np.ldexp(mantissa, bits)), exponent - bits))
+        acc += np.fmod(limb * m, period)
+        t -= limb
+    return np.mod(acc, period) / period
+
+
+def _chirp_z_comb(weights: np.ndarray, n: int, x0: float, step: float, count: int) -> np.ndarray:
+    """The comb at ``x0 + i*step``, ``i < count``, as one chirp-z transform.
+
+    The comb is ``2 Re sum_{d<n} a_d z**(d*i)`` with ``a_d = c_d exp(-2j pi d x0/n)``
+    (``a_0`` halved) and ``z = exp(-2j pi step/n)``.  Bluestein's identity
+    ``d*i = (d^2 + i^2 - (i-d)^2)/2`` turns the sum into one linear convolution
+    with the chirp ``exp(-1j pi (step/n) m^2)``.
+    """
+    d = np.arange(n, dtype=np.float64)
+    coeffs = (n - d) / n * np.fft.ifft(weights, n)
+    coeffs[0] *= 0.5
+    coeffs *= np.exp(-2j * np.pi * _turns(x0, d, n))
+    m = np.arange(max(count, n), dtype=np.float64)
+    chirp = np.exp(-2j * np.pi * _turns(step, m * m, 2 * n))
+    size = 1 << (count + n - 2).bit_length()  # no wrap-around in the circular convolution
+    kernel = np.concatenate([chirp[:count], np.zeros(size - count - n + 1), chirp[n - 1 : 0 : -1]])
+    conv = np.fft.ifft(np.fft.fft(coeffs * chirp[:n], size) * np.fft.fft(kernel.conj()))
+    return 2.0 * (chirp[:count] * conv[:count]).real
+
+
 def _comb(
     weights: np.ndarray,
     kernel_size: int,
     scaled_freqs: np.ndarray,
     response: np.ndarray,
 ) -> np.ndarray:
-    k = np.arange(weights.size)[:, None]
-    kernels = dirichlet_sq(kernel_size, k - scaled_freqs[None, :])
-    return (weights[:, None] * kernels).sum(axis=0) * response
+    """``sum_k weights[k] * D2_N(k - x) * response`` on the grid ``x = scaled_freqs``."""
+    grid = _affine_fit(scaled_freqs)
+    if grid is None:
+        comb = _dense_comb(weights, kernel_size, scaled_freqs)
+    else:
+        comb = _chirp_z_comb(weights, kernel_size, *grid, scaled_freqs.size)
+    return np.maximum(comb, 0.0) * response  # rounding near the comb's zeros has either sign
 
 
-def _meta(profile: VarianceProfile, sample_interval: float, filt: InterpolationFilter) -> dict:
-    return {
-        "num_delay": profile.num_delay,
-        "num_doppler": profile.num_doppler,
-        "sample_interval": sample_interval,
-        "filter": filt.describe(),
-    }
+def _analytic_psd(
+    profile: VarianceProfile,
+    sample_interval: float,
+    filt: InterpolationFilter,
+    freqs: np.ndarray,
+    power: np.ndarray,
+    rows: int,
+    **meta: object,
+) -> PsdCurve:
+    """Comb with weights ``power / T`` and kernel argument ``k - f*rows*N*T``."""
+    _check_filter(filt, sample_interval)
+    freqs = np.asarray(freqs, dtype=np.float64)
+    scaled = freqs * (rows * profile.num_doppler * sample_interval)
+    values = _comb(power / sample_interval, profile.num_doppler, scaled, filter_response_sq(filt, freqs))
+    shape = {"num_delay": profile.num_delay, "num_doppler": profile.num_doppler}
+    meta = {**shape, "sample_interval": sample_interval, "filter": filt.describe(), **meta}
+    return PsdCurve(freqs, values, "absolute", meta)
 
 
 def otfs_psd(
@@ -153,12 +238,8 @@ def otfs_psd(
 
     Value at f: sum_k (mean_l sigma2[l,k] / T) * D2_N(k - f*M*N*T) * |G(f)|^2.
     """
-    _check_filter(filt, sample_interval)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    scale = profile.num_delay * profile.num_doppler * sample_interval
-    weights = profile.per_subcarrier_power() / sample_interval
-    values = _comb(weights, profile.num_doppler, freqs * scale, filter_response_sq(filt, freqs))
-    return PsdCurve(freqs, values, "absolute", {**_meta(profile, sample_interval, filt), "waveform": "otfs"})
+    power = profile.per_subcarrier_power()
+    return _analytic_psd(profile, sample_interval, filt, freqs, power, profile.num_delay, waveform="otfs")
 
 
 def ofdm_psd(
@@ -168,12 +249,8 @@ def ofdm_psd(
     freqs: np.ndarray,
 ) -> PsdCurve:
     """Analytic PSD of the OFDM stream: sum_k (mean_l sigma2[l,k]/T) * D2_N(k - f*N*T) * |G(f)|^2."""
-    _check_filter(filt, sample_interval)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    scale = profile.num_doppler * sample_interval
-    weights = profile.per_subcarrier_power() / sample_interval
-    values = _comb(weights, profile.num_doppler, freqs * scale, filter_response_sq(filt, freqs))
-    return PsdCurve(freqs, values, "absolute", {**_meta(profile, sample_interval, filt), "waveform": "ofdm"})
+    power = profile.per_subcarrier_power()
+    return _analytic_psd(profile, sample_interval, filt, freqs, power, 1, waveform="ofdm")
 
 
 def cep_ofdm_psd(
@@ -191,10 +268,8 @@ def cep_ofdm_psd(
         raise IndexError(
             f"delay_index must be in [0, {profile.num_delay}), got {delay_index}"
         )
-    _check_filter(filt, sample_interval)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    scale = profile.num_delay * profile.num_doppler * sample_interval
-    weights = profile.sigma2[delay_index] / (profile.num_delay * sample_interval)
-    values = _comb(weights, profile.num_doppler, freqs * scale, filter_response_sq(filt, freqs))
-    meta = {**_meta(profile, sample_interval, filt), "waveform": "cep_ofdm", "delay_index": delay_index}
-    return PsdCurve(freqs, values, "absolute", meta)
+    power = profile.sigma2[delay_index] / profile.num_delay
+    return _analytic_psd(
+        profile, sample_interval, filt, freqs, power, profile.num_delay,
+        waveform="cep_ofdm", delay_index=delay_index,
+    )

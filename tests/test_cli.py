@@ -203,3 +203,29 @@ def test_scenario_rerun_is_byte_identical(tmp_path):
 def test_version_flag(capsys):
     assert run("--version") == 0
     assert "otfspectrum" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("index", [9, -1])
+def test_cep_delay_index_out_of_range_is_exit_2(tmp_path, capsys, index):
+    out = tmp_path / "cep.csv"
+    code = run(
+        "psd-analytic", "--seed", 1, "--num-delay", 4, "--num-doppler", 8,
+        "--sample-interval", 1.0, "--uniform", 1.0,
+        "--waveform", "cep-ofdm", "--delay-index", index, "--out", out,
+    )
+    assert code == 2
+    assert "--delay-index must be in [0, 4)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sigma2_shape_mismatch_is_exit_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "seed": 1,
+        "grid": {"num_delay": 4, "num_doppler": 8, "sample_interval": 1.0},
+        "profile": {"sigma2": [[1.0, 1.0], [1.0, 1.0]]},
+    }))
+    out = tmp_path / "psd.csv"
+    assert run("psd-analytic", "--config", config, "--out", out) == 2
+    assert "sigma2 has shape (2, 2), but the grid is 4x8" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from otfspectrum import psd
 from otfspectrum.dac import InterpolationFilter
 from otfspectrum.errors import ConfigurationError
+from otfspectrum.patterns import column_support_profile
+from otfspectrum.presets import preset_config
 from otfspectrum.psd import PsdCurve, cep_ofdm_psd, dirichlet_sq, ofdm_psd, otfs_psd
 from otfspectrum.waveform import VarianceProfile
 
@@ -205,3 +208,66 @@ def test_resample_stays_inside_span():
     assert_allclose(mid.values, [0.5, 1.5])
     with pytest.raises(ValueError):
         curve.resampled_onto(np.array([-0.1]))
+
+
+# ---------------------------------------------------------------------------
+# chirp-z comb against the dense Dirichlet matrix
+# ---------------------------------------------------------------------------
+
+
+def _dense_values(weights, kernel_size, scaled):
+    return np.maximum(psd._dense_comb(weights, kernel_size, scaled), 0.0)
+
+
+def _dense_gap(curve, weights, scaled):
+    dense = _dense_values(weights, curve.meta["num_doppler"], scaled)
+    return np.max(np.abs(curve.values - dense))
+
+
+def test_chirp_z_matches_dense_on_lte_ofdm_grid():
+    config = preset_config("lte-ofdm")  # N = 2048, F = 4096
+    profile, freqs, t = config.profile(), config.freq_grid(), config.sample_interval
+    curve = ofdm_psd(profile, t, InterpolationFilter.dirac(t), freqs)
+    weights = profile.per_subcarrier_power() / t
+    assert _dense_gap(curve, weights, freqs * (profile.num_doppler * t)) <= 1e-12 * curve.values.max()
+
+
+def test_chirp_z_matches_dense_on_gate_grids():
+    prof = column_support_profile([0, 1, 2, 6, 7], 4, 8)
+    scale = 4 * 8 * 1.0
+    gate2 = np.linspace(-0.5, 0.5, 4096, endpoint=False)
+    cell = np.linspace(-0.5, -0.25, 1024, endpoint=False)
+    for freqs in [gate2] + [cell + j * 0.25 for j in range(4)]:
+        whole = otfs_psd(prof, 1.0, _dirac(), freqs)
+        peak = whole.values.max()
+        assert _dense_gap(whole, prof.per_subcarrier_power(), freqs * scale) <= 1e-12 * peak
+        for l in range(4):
+            part = cep_ofdm_psd(prof, l, 1.0, _dirac(), freqs)
+            assert _dense_gap(part, prof.sigma2[l] / 4, freqs * scale) <= 1e-12 * peak
+
+
+def test_dense_fallback_runs_only_for_non_uniform_grids(monkeypatch):
+    calls = []
+    dense = psd._dense_comb
+
+    def recording_dense(*args):
+        calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(psd, "_dense_comb", recording_dense)
+    prof = VarianceProfile(np.random.default_rng(3).uniform(0, 1, size=(3, 16)))
+    uniform_grids = [
+        np.array([0.1]),
+        np.array([-0.2, 0.3]),
+        np.linspace(-1.5, 1.5, 301),
+        np.arange(-64, 64) * (1 / 48) + 0.01,  # centered periodogram-style grid
+    ]
+    for freqs in uniform_grids:
+        otfs_psd(prof, 1.0, _dirac(), freqs)
+        ofdm_psd(prof, 1.0, _dirac(), freqs)
+        cep_ofdm_psd(prof, 2, 1.0, _dirac(), freqs)
+    assert calls == []
+    ragged = np.array([0.1, 0.2, 0.4])
+    curve = otfs_psd(prof, 1.0, _dirac(), ragged)
+    assert len(calls) == 1
+    assert_array_equal(curve.values, _dense_values(prof.per_subcarrier_power(), 16, ragged * 48))
