@@ -10,7 +10,11 @@ are estimated from:
 * ``truncated_sinc`` - sin(pi*t/T)/(pi*t/T) hard-truncated to
   ``order`` sample intervals on each side (no taper); its *model*
   response is the ideal brick wall, so the truncation error is exactly
-  what empirical-vs-analytic comparisons measure;
+  what empirical-vs-analytic comparisons measure.  It is applied as a
+  polyphase FFT convolution (Crochiere & Rabiner, *Multirate Digital
+  Signal Processing*, 1983): output phase p of the dense grid is the
+  input convolved with the sub-filter ``kernel[p::L]``, so the L-fold
+  zero-stuffed stream is never built;
 * ``rect`` - zero-order hold (each sample repeated L times), response
   |sinc(f*T)|^2, which is 3.92 dB down at half the sample rate.
 """
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.signal import upfirdn
+from scipy.signal import oaconvolve
 
 from .errors import ConfigurationError
 from .waveform import BasebandFrame, FrameStream
@@ -148,10 +152,13 @@ def reconstruct(
 
     ``dirac_delta`` requires ``oversampling == 1`` and returns the samples
     unchanged.  ``rect`` holds each sample for L dense steps.
-    ``truncated_sinc`` evaluates the hard-truncated kernel directly on the
-    dense grid (polyphase time-domain convolution, not FFT based); samples
-    outside the stream are treated as zero, so the output grows by the
-    kernel tail ``2*order*L`` and starts at ``origin_time = -order*T``.
+    ``truncated_sinc`` convolves the zero-stuffed stream with the
+    hard-truncated kernel, computed phase by phase: dense sample
+    ``q*L + p`` is ``sum_i x[i] * kernel[(q - i)*L + p]``, the input
+    convolved (overlap-add FFT, ``scipy.signal.oaconvolve``) with the
+    sub-filter ``kernel[p::L]``.  Samples outside the stream are treated
+    as zero, so the output grows by the kernel tail ``2*order*L`` and
+    starts at ``origin_time = -order*T``.
     """
     if int(oversampling) != oversampling or oversampling < 1:
         raise ConfigurationError(f"oversampling must be an integer >= 1, got {oversampling}")
@@ -189,12 +196,13 @@ def reconstruct(
     # truncated_sinc
     order = int(filt.order)
     kernel = sinc_kernel(oversampling, order)
-    dense = upfirdn(kernel, samples, up=oversampling)
-    # Match the full zero-stuffed convolution length L*n + 2*order*L (the
-    # last L-1 dense positions carry only zeros from beyond the kernel tail).
-    target = samples.size * oversampling + 2 * order * oversampling
-    if dense.size < target:
-        dense = np.concatenate([dense, np.zeros(target - dense.size, dtype=dense.dtype)])
+    # Full zero-stuffed convolution length L*n + 2*order*L: each phase holds
+    # n + 2*order samples, of which the sub-filters of phases p >= 1 (one tap
+    # shorter) leave the last at zero.
+    dense = np.zeros(samples.size * oversampling + 2 * order * oversampling, dtype=np.complex128)
+    for phase in range(oversampling):
+        part = oaconvolve(samples, kernel[phase::oversampling])
+        dense[phase::oversampling][: part.size] = part
     return OversampledSignal(
         samples=dense,
         sample_rate=rate,

@@ -32,6 +32,9 @@ __all__ = [
 #: Reported when two curves are numerically identical (the true value is -inf).
 NMSE_FLOOR_DB = -300.0
 
+#: Samples per batch of segment spectra in ``PeriodogramAverager.add``.
+_BATCH_SAMPLES = 2**20
+
 
 def _signal_parts(signal: Union[OversampledSignal, FrameStream, np.ndarray], sample_rate: Optional[float]):
     if isinstance(signal, OversampledSignal):
@@ -93,11 +96,13 @@ class PeriodogramAverager:
     """Running averaged periodogram for streams processed in chunks.
 
     Chunks are concatenated logically: leftover samples that do not fill a
-    segment are carried into the next ``add`` call.  Segment periodograms
-    are accumulated strictly one at a time, so every chunking of the same
-    sample stream performs the identical sequence of additions and the
-    result is bit-identical to the one-shot ``periodogram`` (which is this
-    class fed a single chunk).
+    segment are carried into the next ``add`` call.  Segment spectra are
+    taken in batches of about ``_BATCH_SAMPLES`` samples, and each batch is
+    folded in by one axis-0 sum whose row 0 is the running total.  That sum
+    adds the rows strictly in order, so every chunking of the same sample
+    stream performs the identical sequence of additions and the result is
+    bit-identical to the one-shot ``periodogram`` (which is this class fed
+    a single chunk).
     """
 
     def __init__(self, segment_len: int, sample_rate: float) -> None:
@@ -116,13 +121,20 @@ class PeriodogramAverager:
         if self._carry.size:
             samples = np.concatenate([self._carry, samples])
         full = samples.size // self.segment_len
-        if full:
-            segs = samples[: full * self.segment_len].reshape(full, self.segment_len)
-            spectra = np.fft.fft(segs, axis=1)
-            power = spectra.real**2 + spectra.imag**2
-            for row in power:  # one at a time: addition order is chunking-invariant
-                self._acc += row
-            self.num_segments += full
+        segs = samples[: full * self.segment_len].reshape(full, self.segment_len)
+        batch = max(1, _BATCH_SAMPLES // self.segment_len)
+        for lo in range(0, full, batch):
+            spectra = np.fft.fft(segs[lo : lo + batch], axis=1)
+            rows = np.empty((spectra.shape[0] + 1, self.segment_len))
+            rows[0] = self._acc
+            # re*re + im*im, squared in place: no further block-sized temporaries.
+            np.multiply(spectra.real, spectra.real, out=rows[1:])
+            np.multiply(spectra.imag, spectra.imag, out=spectra.imag)
+            rows[1:] += spectra.imag
+            # Summing along axis 0 adds row after row, except that a lone
+            # column is summed pairwise: accumulate that one explicitly.
+            self._acc = rows.sum(axis=0) if self.segment_len > 1 else np.cumsum(rows[:, 0])[-1:]
+        self.num_segments += full
         self._carry = samples[full * self.segment_len :].copy()
 
     def result(self) -> PsdCurve:

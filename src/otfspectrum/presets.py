@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -212,6 +212,10 @@ class ScenarioConfig:
             problems.append(f"unknown profile pattern {prof['pattern']!r}; expected one of {PATTERN_NAMES}")
         if "budget" in prof and "pattern" not in prof:
             problems.append("profile.budget is only meaningful together with profile.pattern")
+        elif "budget" in prof and not _is_int(prof["budget"]):
+            problems.append(f"profile.budget must be an integer, got {prof['budget']!r}")
+        if "uniform" in prof and not (_is_real(prof["uniform"]) and prof["uniform"] >= 0):
+            problems.append(f"profile.uniform must be a finite number >= 0, got {prof['uniform']!r}")
         if "sigma2" in prof:
             try:
                 shape = np.asarray(prof["sigma2"], dtype=np.float64).shape
@@ -271,7 +275,7 @@ class ScenarioConfig:
             problems.append(f"psd.segment_frames must be an integer >= 1, got {segment_frames!r}")
 
         mask_spec = raw.get("mask")
-        if mask_spec is not None:
+        if isinstance(mask_spec, dict):  # a non-table mask is reported with the sections
             keys = [k for k in ("null_bins", "pass_bands_hz", "path") if k in mask_spec]
             if len(keys) != 1:
                 problems.append(
@@ -349,6 +353,44 @@ def load_config(
 # ---------------------------------------------------------------------------
 
 
+#: Dense (reconstructed) samples per block of ``estimated_psd``; a block
+#: holds whole frames, at least one.  Counted on the dense grid, so a
+#: block's memory does not grow with the oversampling factor.
+_BLOCK_SAMPLES = 2**18
+
+
+def _reconstructed_pieces(
+    chunks: Iterable[FrameStream], filt: InterpolationFilter, oversampling: int
+) -> Iterator[np.ndarray]:
+    """``reconstruct`` of the concatenated chunks from time zero on, piece by piece.
+
+    Each chunk is cut into blocks of whole frames of about
+    ``_BLOCK_SAMPLES`` dense samples, and each block is reconstructed on
+    its own.  What a block rings past its end (the ``2*order*L`` sinc tail;
+    nothing for rect and dirac_delta) is overlap-added onto the next block,
+    the samples before time zero (the ``order*L`` pre-ring) are dropped
+    once, and the final tail is flushed at the end.  The pieces concatenate
+    to ``reconstruct(whole_stream).samples[order*L:]`` up to rounding.
+    """
+    tail = np.zeros(0, dtype=np.complex128)
+    skip = None
+    for chunk in chunks:
+        block_frames = max(1, _BLOCK_SAMPLES // (chunk.samples_per_frame * oversampling))
+        for lo in range(0, chunk.num_frames, block_frames):
+            block = replace(chunk, frames=chunk.frames[lo : lo + block_frames])
+            signal = reconstruct(block, filt, oversampling)
+            dense = signal.samples
+            dense[: tail.size] += tail
+            body = block.frames.size * oversampling
+            tail = dense[body:]
+            if skip is None:
+                skip = int(round(-signal.origin_time * signal.sample_rate))
+            drop = min(skip, body)
+            skip -= drop
+            yield dense[drop:body]
+    yield tail[skip:]
+
+
 def estimated_psd(
     profile: VarianceProfile,
     num_frames: int,
@@ -361,23 +403,21 @@ def estimated_psd(
 ) -> PsdCurve:
     """Generate, reconstruct, and periodogram-average an OTFS stream.
 
-    Memoryless filters (dirac_delta, rect) stream through fixed generation
-    chunks, which is bit-identical to the one-shot path; the truncated
-    sinc smears across chunk boundaries, so it materializes the stream.
+    Every filter takes one streamed path: the generation chunks are
+    reconstructed in blocks of whole frames (``_reconstructed_pieces``)
+    and fed to one ``PeriodogramAverager``, so memory is bounded by the
+    chunk size, not by ``num_frames``.  The samples fed are those of
+    ``periodogram(reconstruct(generate_random_stream(...)))`` from time
+    zero on, the truncated sinc's post-ring included, so the segmentation
+    matches the one-shot estimate; dirac_delta and rect match it bit for
+    bit, the truncated sinc to rounding.
     """
-    per_frame = profile.num_delay * profile.num_doppler * oversampling
-    segment_len = per_frame * segment_frames
-    if filt.kind == "truncated_sinc":
-        stream = generate_random_stream(
-            profile, num_frames, seed, sample_interval, constellation
-        )
-        signal = reconstruct(stream, filt, oversampling)
-        curve = periodogram(signal, segment_len)
-    else:
-        averager = PeriodogramAverager(segment_len, oversampling / sample_interval)
-        for chunk in stream_chunks(profile, num_frames, seed, sample_interval, constellation):
-            averager.add(reconstruct(chunk, filt, oversampling).samples)
-        curve = averager.result()
+    segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
+    averager = PeriodogramAverager(segment_len, oversampling / sample_interval)
+    chunks = stream_chunks(profile, num_frames, seed, sample_interval, constellation)
+    for piece in _reconstructed_pieces(chunks, filt, oversampling):
+        averager.add(piece)
+    curve = averager.result()
     meta = dict(curve.meta)
     meta.update(
         {
@@ -421,7 +461,7 @@ def precoded_stream(
         lo = chunk_index * _CHUNK_FRAMES
         hi = min(lo + _CHUNK_FRAMES, num_frames)
         rng = _chunk_rng(seed, chunk_index)
-        u = rng.random((_CHUNK_FRAMES, total))[: hi - lo]
+        u = rng.random((hi - lo, total))
         payload = points[(u * points.size).astype(np.intp)]
         norms[lo:hi] = np.linalg.norm(payload, axis=1)
         entries = np.zeros((hi - lo, mask.num_delay, mask.num_doppler), dtype=np.complex128)

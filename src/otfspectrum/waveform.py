@@ -327,11 +327,13 @@ def _draw_grid_symbols(
     sigma: np.ndarray,
     points: np.ndarray,
 ) -> np.ndarray:
-    # One uniform double per bin, consumed in (frame, delay, doppler) C-order.
-    # Index construction from doubles keeps consumption independent of the
-    # constellation size; sigma == 0 bins still consume a draw but emit exact 0.
+    # One uniform double per bin, consumed in (frame, delay, doppler) C-order,
+    # so drawing only this chunk's frames gives the leading rows of a full
+    # 4096-frame draw.  Index construction from doubles keeps consumption
+    # independent of the constellation size; sigma == 0 bins still consume a
+    # draw but emit exact 0.
     num_delay, num_doppler = sigma.shape
-    u = rng.random((_CHUNK_FRAMES, num_delay, num_doppler))[:frames_in_chunk]
+    u = rng.random((frames_in_chunk, num_delay, num_doppler))
     idx = (u * points.size).astype(np.intp)
     return points[idx] * sigma[None, :, :]
 

@@ -229,3 +229,33 @@ def test_sigma2_shape_mismatch_is_exit_2(tmp_path, capsys):
     assert run("psd-analytic", "--config", config, "--out", out) == 2
     assert "sigma2 has shape (2, 2), but the grid is 4x8" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _analytic_exit_code(tmp_path, **overrides):
+    raw = {
+        "seed": 1,
+        "grid": {"num_delay": 4, "num_doppler": 8, "sample_interval": 1.0},
+        "profile": {"uniform": 1.0},
+    }
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**raw, **overrides}))
+    out = tmp_path / "psd.csv"
+    code = run("psd-analytic", "--config", config, "--out", out)
+    assert not out.exists()
+    return code
+
+
+def test_non_table_mask_is_exit_2(tmp_path, capsys):
+    assert _analytic_exit_code(tmp_path, mask=5) == 2
+    assert "section 'mask' must be a table" in capsys.readouterr().err
+
+
+def test_bool_uniform_power_is_exit_2(tmp_path, capsys):
+    assert _analytic_exit_code(tmp_path, profile={"uniform": True}) == 2
+    assert "profile.uniform must be a finite number" in capsys.readouterr().err
+
+
+def test_bool_pattern_budget_is_exit_2(tmp_path, capsys):
+    profile = {"pattern": "head_tail_columns", "budget": True}
+    assert _analytic_exit_code(tmp_path, profile=profile) == 2
+    assert "profile.budget must be an integer" in capsys.readouterr().err

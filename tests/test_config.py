@@ -62,3 +62,21 @@ def test_sample_interval_rejects_bools_and_infinity():
     for value in (True, float("inf")):
         message = _problems(_raw() | {"grid": {**grid, "sample_interval": value}})
         assert "grid.sample_interval must be a finite positive number" in message
+
+
+@pytest.mark.parametrize("mask", [5, "null", [1, 2], True])
+def test_mask_must_be_a_table(mask):
+    assert "section 'mask' must be a table" in _problems(_raw() | {"mask": mask})
+
+
+@pytest.mark.parametrize("value", [True, "1.0", None, float("inf"), -1.0, [1.0]])
+def test_uniform_power_must_be_a_non_negative_number(value):
+    assert "profile.uniform must be a finite number >= 0" in _problems(
+        _raw() | {"profile": {"uniform": value}}
+    )
+
+
+@pytest.mark.parametrize("budget", [True, 1201.0, "1201", None])
+def test_pattern_budget_must_be_an_integer(budget):
+    raw = _raw() | {"profile": {"pattern": "head_tail_columns", "budget": budget}}
+    assert "profile.budget must be an integer" in _problems(raw)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.signal import upfirdn
 
 from otfspectrum.dac import (
     InterpolationFilter,
@@ -10,6 +13,7 @@ from otfspectrum.dac import (
 )
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.waveform import DelayDopplerGrid, VarianceProfile, generate_random_stream, otfs_modulate
+from test_psd_properties import DETERMINISTIC
 
 
 def test_filter_kind_validation():
@@ -110,6 +114,32 @@ def test_sinc_interpolation_passes_through_input_samples():
     # dense index of input sample i: order*L + i*L
     taps = out.samples[order * L : order * L + 16 * L : L]
     assert_allclose(taps, x, atol=1e-12)
+
+
+@DETERMINISTIC
+@given(
+    length=st.integers(1, 3000),
+    oversampling=st.integers(1, 12),
+    order=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(length=1, oversampling=7, order=60, seed=0)
+@example(length=20, oversampling=2, order=50, seed=1)
+def test_polyphase_sinc_matches_zero_stuffed_oracle(length, oversampling, order, seed):
+    """The polyphase FFT path equals upfirdn's zero-stuffed direct convolution.
+
+    upfirdn ends at the last tap that touches an input sample; the L - 1
+    dense positions after it are exactly zero in the reconstruction.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=length) + 1j * rng.normal(size=length)
+    out = reconstruct(x, InterpolationFilter.truncated_sinc(1.0, order), oversampling)
+    oracle = upfirdn(sinc_kernel(oversampling, order), x, up=oversampling)
+    assert out.samples.size == (length + 2 * order) * oversampling
+    assert oracle.size == out.samples.size - (oversampling - 1)
+    assert_array_equal(out.samples[oracle.size :], 0.0)
+    error = np.abs(out.samples[: oracle.size] - oracle).max() / np.abs(oracle).max()
+    assert error <= 1e-12
 
 
 def test_sinc_output_length_and_frame_scaling():

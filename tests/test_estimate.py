@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from otfspectrum import estimate
 from otfspectrum.dac import InterpolationFilter, reconstruct
 from otfspectrum.estimate import (
     NMSE_FLOOR_DB,
@@ -104,6 +105,24 @@ def test_averager_equals_one_shot_for_any_chunking():
     chunked = avg.result()
     assert_array_equal(chunked.values, whole.values)
     assert chunked.meta["num_segments"] == 8
+
+
+@pytest.mark.parametrize("segment_len", [1, 2, 8])
+def test_batched_averager_adds_segments_in_stream_order(monkeypatch, segment_len):
+    """Batches of sixteen segments fold in exactly like a row-by-row loop."""
+    monkeypatch.setattr(estimate, "_BATCH_SAMPLES", 16 * segment_len)
+    count = 256
+    rng = np.random.default_rng(segment_len)
+    x = rng.normal(size=count * segment_len) + 1j * rng.normal(size=count * segment_len)
+    x *= 10.0 ** rng.uniform(-3, 3, x.size)  # a wide range makes the addition order visible
+    looped = np.zeros(segment_len)
+    for row in np.fft.fft(x.reshape(count, segment_len), axis=1):
+        looped += row.real**2 + row.imag**2
+    avg = PeriodogramAverager(segment_len, sample_rate=1.0)
+    for cut in np.array_split(x, [5, 6, 7 * segment_len + 1, 151 * segment_len]):
+        avg.add(cut)
+    assert avg.num_segments == count
+    assert_array_equal(avg.result().values, np.fft.fftshift(looped / (count * segment_len)))
 
 
 def test_averager_requires_a_segment():

@@ -272,3 +272,15 @@ def test_precoder_set_validation():
         PrecoderSet(mask=mask, form="null_space", matrices=(np.eye(2),))  # needs 2
     with pytest.raises(ValueError):
         PrecoderSet(mask=mask, form="weird", matrices=(np.eye(2), np.eye(2)))
+
+
+def test_precoded_stream_is_prefix_stable_across_a_full_chunk():
+    """A partial chunk draws only its frames, and those are a full chunk's first rows."""
+    from otfspectrum.presets import precoded_stream
+    from otfspectrum.waveform import _CHUNK_FRAMES
+
+    precoders = build_precoders(mask_from_pass_bands([(-0.25, 0.25)], 2, 4, 1.0))
+    short, short_norms = precoded_stream(precoders, 7, seed=3)
+    full, full_norms = precoded_stream(precoders, _CHUNK_FRAMES + 1, seed=3)
+    assert_array_equal(short.frames, full.frames[:7])
+    assert_array_equal(short_norms, full_norms[:7])

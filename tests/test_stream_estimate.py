@@ -1,0 +1,131 @@
+"""The streamed ``estimated_psd`` against the one-shot reconstruct-and-periodogram.
+
+``estimated_psd`` reconstructs the stream in blocks of whole frames and
+overlap-adds the truncated sinc's ring across block and chunk boundaries.
+Its estimate must be that of the whole stream reconstructed at once:
+bit for bit for the memoryless filters, to rounding for the sinc.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+from otfspectrum import presets
+from otfspectrum.dac import InterpolationFilter, reconstruct
+from otfspectrum.errors import ConfigurationError
+from otfspectrum.estimate import periodogram
+from otfspectrum.patterns import column_support_profile
+from otfspectrum.presets import estimated_psd
+from otfspectrum.waveform import VarianceProfile, generate_random_stream, stream_chunks
+from test_psd_properties import DETERMINISTIC
+
+SEED = 11
+
+FILTERS = {
+    "dirac_delta": (InterpolationFilter.dirac(1.0), 1),
+    "rect": (InterpolationFilter.rect(1.0), 3),
+    "truncated_sinc": (InterpolationFilter.truncated_sinc(1.0, 6), 2),
+}
+
+# name -> (profile, frames, segment_frames)
+CASES = {
+    # 4100 frames: two generation chunks, the second holding 4 frames.
+    "multi_chunk": (VarianceProfile.uniform(2, 2), 4100, 1),
+    # 4096-sample frames: a block holds 2**18 // (4096 * L) frames, so 70
+    # frames cross a block boundary inside the first chunk; three-frame
+    # segments straddle it.
+    "block_boundary": (VarianceProfile.uniform(64, 64), 70, 3),
+}
+
+
+def _one_shot(profile, frames, filt, oversampling, segment_frames):
+    stream = generate_random_stream(profile, frames, SEED, 1.0)
+    segment_len = stream.samples_per_frame * oversampling * segment_frames
+    return periodogram(reconstruct(stream, filt, oversampling), segment_len)
+
+
+def _assert_matches_one_shot(streamed, one_shot, exact):
+    assert streamed.meta["num_segments"] == one_shot.meta["num_segments"]
+    assert_array_equal(streamed.freqs, one_shot.freqs)
+    if exact:
+        assert_array_equal(streamed.values, one_shot.values)
+    else:
+        error = np.abs(streamed.values - one_shot.values).max() / one_shot.values.max()
+        assert error <= 1e-12
+
+
+@pytest.mark.parametrize("kind", FILTERS)
+@pytest.mark.parametrize("case", CASES)
+def test_streamed_estimate_equals_one_shot(case, kind):
+    profile, frames, segment_frames = CASES[case]
+    filt, oversampling = FILTERS[kind]
+    if case == "block_boundary":
+        per_frame = profile.num_delay * profile.num_doppler * oversampling
+        assert frames > presets._BLOCK_SAMPLES // per_frame
+    streamed = estimated_psd(profile, frames, SEED, 1.0, filt, oversampling, segment_frames)
+    one_shot = _one_shot(profile, frames, filt, oversampling, segment_frames)
+    _assert_matches_one_shot(streamed, one_shot, exact=kind != "truncated_sinc")
+
+
+def test_streamed_sinc_keeps_the_post_ring_segment():
+    """Gate 4's sinc geometry: order*L = 5000 dense samples >= a 3200-sample frame.
+
+    The post-ring after the last frame is long enough to form a segment of
+    its own, so 1000 frames give 1001 segments, as in the one-shot estimate.
+    """
+    profile = column_support_profile([0, 1, 2, 6, 7], 4, 8)
+    filt = InterpolationFilter.truncated_sinc(1.0, 50)
+    streamed = estimated_psd(profile, 1000, SEED, 1.0, filt, 100)
+    one_shot = _one_shot(profile, 1000, filt, 100, 1)
+    assert streamed.meta["num_segments"] == 1001
+    _assert_matches_one_shot(streamed, one_shot, exact=False)
+
+
+@DETERMINISTIC
+@given(
+    delays=st.integers(1, 3),
+    dopplers=st.integers(1, 4),
+    frames=st.integers(1, 40),
+    oversampling=st.integers(1, 4),
+    order=st.integers(1, 12),
+    block=st.integers(1, 200),
+)
+def test_pieces_concatenate_to_the_one_shot_reconstruction(
+    delays, dopplers, frames, oversampling, order, block
+):
+    """Any block size, down to blocks far shorter than the sinc's ring."""
+    profile = VarianceProfile.uniform(delays, dopplers)
+    filt = InterpolationFilter.truncated_sinc(1.0, order)
+    with mock.patch.object(presets, "_BLOCK_SAMPLES", block):
+        chunks = stream_chunks(profile, frames, SEED, 1.0)
+        pieces = np.concatenate(list(presets._reconstructed_pieces(chunks, filt, oversampling)))
+    whole = reconstruct(generate_random_stream(profile, frames, SEED, 1.0), filt, oversampling)
+    expected = whole.samples[order * oversampling :]
+    assert pieces.size == expected.size
+    assert np.abs(pieces - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_streamed_estimate_checks_the_filter_interval():
+    with pytest.raises(ConfigurationError):
+        estimated_psd(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, InterpolationFilter.rect(2.0), 2)
+
+
+def _peak_bytes(frames):
+    profile = VarianceProfile.uniform(2, 4)
+    filt = InterpolationFilter.truncated_sinc(1.0, 4)
+    tracemalloc.start()
+    try:
+        estimated_psd(profile, frames, SEED, 1.0, filt, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_estimate_memory_does_not_grow_with_frames():
+    """Two and four generation chunks peak alike: nothing holds the whole stream."""
+    assert _peak_bytes(16384) <= 1.05 * _peak_bytes(8192)

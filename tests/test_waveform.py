@@ -9,7 +9,9 @@ from otfspectrum.waveform import (
     FrameStream,
     VarianceProfile,
     _CHUNK_FRAMES,
+    _QPSK,
     _chunk_rng,
+    _draw_grid_symbols,
     cep_component_stream,
     cep_ofdm_component,
     constellation_points,
@@ -312,3 +314,10 @@ def test_frame_stream_accessors():
 def test_frame_stream_shape_mismatch():
     with pytest.raises(ValueError):
         FrameStream(frames=np.ones((2, 5)), num_delay=2, num_doppler=3, sample_interval=1.0)
+
+
+def test_partial_chunk_draw_is_the_prefix_of_a_full_chunk_draw():
+    """Philox fills in C order: drawing k frames equals the first k of 4096."""
+    sigma = np.sqrt(np.arange(15.0).reshape(3, 5))
+    full = _draw_grid_symbols(_chunk_rng(9, 2), _CHUNK_FRAMES, sigma, _QPSK)
+    assert_array_equal(_draw_grid_symbols(_chunk_rng(9, 2), 7, sigma, _QPSK), full[:7])
