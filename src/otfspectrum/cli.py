@@ -19,13 +19,17 @@ from typing import List, Optional
 
 from . import __version__
 from . import io as fileio
+from .dac import FILTER_KINDS
 from .errors import ConfigurationError, SystematicInfeasibleError
 from .estimate import compare_curves
-from .precoding import build_precoders
+from .patterns import PATTERN_NAMES
+from .precoding import PRECODER_FORMS, build_precoders
 from .presets import (
     PRESETS,
     PRESET_NAMES,
     ScenarioConfig,
+    _deep_merge,
+    _read_config,
     estimated_psd,
     load_config,
     precoded_stream,
@@ -34,65 +38,48 @@ from .presets import (
     run_scenario,
 )
 from .psd import cep_ofdm_psd, ofdm_psd, otfs_psd
-from .waveform import generate_random_stream
+from .waveform import CONSTELLATIONS, generate_random_stream
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags that override keys of the JSON config file."""
+    """Flags that override keys of the JSON config file.
+
+    An override flag's ``dest`` is the key it sets, ``section.key`` (or
+    ``seed`` at the top level); ``_overrides`` reads them back.
+    """
     parser.add_argument("--config", metavar="FILE", help="JSON scenario configuration")
     group = parser.add_argument_group("config overrides")
-    group.add_argument("--seed", type=int, help="RNG seed (required here or in the config)")
-    group.add_argument("--num-delay", type=int, metavar="M", help="delay bins per frame")
-    group.add_argument("--num-doppler", type=int, metavar="N", help="Doppler bins / subcarriers")
-    group.add_argument("--sample-interval", type=float, metavar="SEC")
-    group.add_argument("--sample-rate", type=float, metavar="HZ")
-    group.add_argument("--filter", dest="filter_kind", choices=("dirac_delta", "truncated_sinc", "rect"))
-    group.add_argument("--order", type=int, help="truncated-sinc half-width in input samples")
-    group.add_argument("--oversampling", type=int, metavar="L", help="DAC oversampling factor")
-    group.add_argument("--frames", type=int, help="number of random frames")
-    group.add_argument("--constellation", choices=("qpsk", "qam16"))
-    group.add_argument("--uniform", type=float, metavar="POWER", help="uniform variance profile")
-    group.add_argument("--columns", type=int, nargs="+", metavar="K", help="active subcarrier columns")
-    group.add_argument("--pattern", choices=("block_diag_x1", "head_tail_columns", "head_tail_rows"))
-    group.add_argument("--budget", type=int, help="active-bin budget for --pattern")
-    group.add_argument("--points", type=int, help="analytic PSD grid size")
-    group.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"), help="frequency band in Hz")
-    group.add_argument("--segment-frames", type=int, help="frames per periodogram segment")
-    group.add_argument("--mask-file", metavar="FILE", help="JSON spectrum mask")
-    group.add_argument("--precoder-form", choices=("null_space", "systematic"))
+    add = group.add_argument
+    add("--seed", type=int, help="RNG seed (required here or in the config)")
+    add("--num-delay", dest="grid.num_delay", type=int, metavar="M", help="delay bins per frame")
+    add("--num-doppler", dest="grid.num_doppler", type=int, metavar="N", help="Doppler bins / subcarriers")
+    add("--sample-interval", dest="grid.sample_interval", type=float, metavar="SEC")
+    add("--sample-rate", dest="grid.sample_rate", type=float, metavar="HZ")
+    add("--filter", dest="filter.kind", choices=FILTER_KINDS)
+    add("--order", dest="filter.order", type=int, metavar="ORDER",
+        help="truncated-sinc half-width in input samples")
+    add("--oversampling", dest="filter.oversampling", type=int, metavar="L", help="DAC oversampling factor")
+    add("--frames", dest="stream.num_frames", type=int, metavar="FRAMES", help="number of random frames")
+    add("--constellation", dest="stream.constellation", choices=CONSTELLATIONS)
+    add("--uniform", dest="profile.uniform", type=float, metavar="POWER", help="uniform variance profile")
+    add("--columns", dest="profile.columns", type=int, nargs="+", metavar="K",
+        help="active subcarrier columns")
+    add("--pattern", dest="profile.pattern", choices=PATTERN_NAMES)
+    add("--budget", dest="profile.budget", type=int, metavar="BUDGET", help="active-bin budget for --pattern")
+    add("--points", dest="psd.num_points", type=int, metavar="POINTS", help="analytic PSD grid size")
+    add("--band", dest="psd.band", type=float, nargs=2, metavar=("LO", "HI"), help="frequency band in Hz")
+    add("--segment-frames", dest="psd.segment_frames", type=int, metavar="SEGMENT_FRAMES",
+        help="frames per periodogram segment")
+    add("--mask-file", dest="mask.path", metavar="FILE", help="JSON spectrum mask")
+    add("--precoder-form", dest="precoder.form", choices=PRECODER_FORMS)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    out: dict = {}
-
-    def put(section: Optional[str], key: str, value) -> None:
-        if value is None:
-            return
-        if section is None:
-            out[key] = value
-        else:
+    out: dict = {} if args.seed is None else {"seed": args.seed}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
             out.setdefault(section, {})[key] = value
-
-    put(None, "seed", getattr(args, "seed", None))
-    put("grid", "num_delay", getattr(args, "num_delay", None))
-    put("grid", "num_doppler", getattr(args, "num_doppler", None))
-    put("grid", "sample_interval", getattr(args, "sample_interval", None))
-    put("grid", "sample_rate", getattr(args, "sample_rate", None))
-    put("filter", "kind", getattr(args, "filter_kind", None))
-    put("filter", "order", getattr(args, "order", None))
-    put("filter", "oversampling", getattr(args, "oversampling", None))
-    put("stream", "num_frames", getattr(args, "frames", None))
-    put("stream", "constellation", getattr(args, "constellation", None))
-    put("profile", "uniform", getattr(args, "uniform", None))
-    put("profile", "columns", getattr(args, "columns", None))
-    put("profile", "pattern", getattr(args, "pattern", None))
-    put("profile", "budget", getattr(args, "budget", None))
-    put("psd", "num_points", getattr(args, "points", None))
-    band = getattr(args, "band", None)
-    put("psd", "band", None if band is None else list(band))
-    put("psd", "segment_frames", getattr(args, "segment_frames", None))
-    put("mask", "path", getattr(args, "mask_file", None))
-    put("precoder", "form", getattr(args, "precoder_form", None))
     return out
 
 
@@ -136,16 +123,7 @@ def _cmd_psd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_psd_estimate(args: argparse.Namespace) -> int:
     config = _load(args)
-    curve = estimated_psd(
-        config.profile(),
-        config.num_frames,
-        config.seed,
-        config.sample_interval,
-        config.interpolation_filter(),
-        config.oversampling,
-        config.segment_frames,
-        config.constellation,
-    )
+    curve = estimated_psd(*config.estimate_args())
     path = fileio.write_psd_curve(args.out, curve, {"config_hash": config.hash()})
     print(f"wrote averaged periodogram ({curve.freqs.size} bins) to {path}")
     if args.reference:
@@ -217,18 +195,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         for name in PRESET_NAMES:
             print(f"{name:18s} {PRESETS[name].description}")
         return 0
-    file_overrides: dict = {}
-    if args.config:
-        file_overrides = json.loads(Path(args.config).read_text())
-        if not isinstance(file_overrides, dict):
-            raise ConfigurationError(f"config file {args.config} must hold a JSON object")
-    merged: dict = {}
-    for source in (file_overrides, _overrides(args)):
-        for key, value in source.items():
-            if isinstance(value, dict):
-                merged.setdefault(key, {}).update(value)
-            else:
-                merged[key] = value
+    merged = _deep_merge(_read_config(args.config), _overrides(args))
     if args.all:
         names = list(PRESET_NAMES)
     elif args.preset:

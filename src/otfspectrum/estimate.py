@@ -81,12 +81,6 @@ def periodogram(
         if per_frame is None:
             raise ValueError("segment_len is required when the input has no frame size")
         segment_len = int(per_frame)
-    if segment_len < 1:
-        raise ValueError(f"segment_len must be >= 1, got {segment_len}")
-    if samples.size // segment_len < 1:
-        raise ValueError(
-            f"need at least one full segment of {segment_len} samples, got {samples.size}"
-        )
     averager = PeriodogramAverager(segment_len, rate)
     averager.add(samples)
     return averager.result()
@@ -139,7 +133,9 @@ class PeriodogramAverager:
 
     def result(self) -> PsdCurve:
         if self.num_segments < 1:
-            raise ValueError("no full segment accumulated yet")
+            raise ValueError(
+                f"need at least one full segment of {self.segment_len} samples, got {self._carry.size}"
+            )
         power = self._acc / (self.num_segments * self.segment_len * self.sample_rate)
         return PsdCurve(
             freqs=_centered_grid(self.segment_len, self.sample_rate),

@@ -25,6 +25,7 @@ from .errors import ConfigurationError, SystematicInfeasibleError
 from .waveform import BasebandFrame, DelayDopplerGrid, dft_matrix
 
 __all__ = [
+    "PRECODER_FORMS",
     "SpectrumMask",
     "PrecoderSet",
     "discrete_spectrum",
@@ -36,6 +37,9 @@ __all__ = [
     "build_precoders",
     "precode_grid",
 ]
+
+#: Precoder forms ``build_precoders`` can construct.
+PRECODER_FORMS = ("null_space", "systematic")
 
 #: Condition-number limit beyond which the systematic form is refused.
 SYSTEMATIC_COND_LIMIT = 1e12
@@ -214,7 +218,7 @@ class PrecoderSet:
     matrices: Tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if self.form not in ("null_space", "systematic"):
+        if self.form not in PRECODER_FORMS:
             raise ValueError(f"unknown precoder form {self.form!r}")
         if len(self.matrices) != self.mask.num_doppler:
             raise ValueError(

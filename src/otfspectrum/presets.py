@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -24,16 +26,16 @@ from .dac import FILTER_KINDS, InterpolationFilter, reconstruct
 from .errors import ConfigurationError
 from .estimate import PeriodogramAverager, compare_curves, periodogram
 from .patterns import PATTERN_NAMES, builtin_pattern, column_support_profile
-from .precoding import PrecoderSet, SpectrumMask, build_precoders
+from .precoding import PRECODER_FORMS, PrecoderSet, SpectrumMask, build_precoders
 from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
+    CONSTELLATIONS,
     FrameStream,
     VarianceProfile,
     _chunk_rng,
     _CHUNK_FRAMES,
     cep_component_stream,
     constellation_points,
-    generate_random_stream,
     stream_chunks,
 )
 
@@ -114,6 +116,13 @@ class ScenarioConfig:
 
     def interpolation_filter(self) -> InterpolationFilter:
         return InterpolationFilter(self.filter_kind, self.sample_interval, self.filter_order)
+
+    def estimate_args(self) -> tuple:
+        """The positional arguments of ``estimated_psd`` (and of the CEP split) for this scenario."""
+        return (
+            self.profile(), self.num_frames, self.seed, self.sample_interval,
+            self.interpolation_filter(), self.oversampling, self.segment_frames, self.constellation,
+        )
 
     def mask(self) -> Optional[SpectrumMask]:
         if self.mask_spec is None:
@@ -243,8 +252,8 @@ class ScenarioConfig:
         if not _is_int(num_frames) or num_frames < 1:
             problems.append(f"stream.num_frames must be an integer >= 1, got {num_frames!r}")
         constellation = stream.get("constellation", "qpsk")
-        if constellation not in ("qpsk", "qam16"):
-            problems.append(f"stream.constellation must be 'qpsk' or 'qam16', got {constellation!r}")
+        if constellation not in CONSTELLATIONS:
+            problems.append(f"stream.constellation must be one of {CONSTELLATIONS}, got {constellation!r}")
         frame_counts = stream.get("frame_counts")
         if frame_counts is not None:
             if (
@@ -283,8 +292,8 @@ class ScenarioConfig:
                 )
 
         form = section("precoder").get("form", "null_space")
-        if form not in ("null_space", "systematic"):
-            problems.append(f"precoder.form must be 'null_space' or 'systematic', got {form!r}")
+        if form not in PRECODER_FORMS:
+            problems.append(f"precoder.form must be one of {PRECODER_FORMS}, got {form!r}")
 
         preset = raw.get("preset")
         if preset is not None and preset not in PRESETS:
@@ -322,30 +331,36 @@ class ScenarioConfig:
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
+    """``override`` merged into ``base`` table by table; a table cannot land on a non-table."""
     merged = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
+        current = merged.get(key)
+        if isinstance(value, dict) and current is not None:
+            if not isinstance(current, dict):
+                raise ConfigurationError(f"section {key!r} must be a table")
+            value = _deep_merge(current, value)
+        merged[key] = value
     return merged
+
+
+def _read_config(path: Optional[Union[str, Path]]) -> dict:
+    """The JSON object in a config file; no file is an empty config."""
+    if path is None:
+        return {}
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"config file {path} is not valid JSON: {err}") from None
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    return raw
 
 
 def load_config(
     path: Optional[Union[str, Path]] = None, overrides: Optional[dict] = None
 ) -> ScenarioConfig:
     """Read a JSON config file and apply flag overrides on top."""
-    raw: dict = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {err}") from None
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"config file {path} must hold a JSON object")
-    if overrides:
-        raw = _deep_merge(raw, overrides)
-    return ScenarioConfig.from_dict(raw)
+    return ScenarioConfig.from_dict(_deep_merge(_read_config(path), overrides or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -359,36 +374,103 @@ def load_config(
 _BLOCK_SAMPLES = 2**18
 
 
+def _frame_blocks(chunks: Iterable[FrameStream], oversampling: int) -> Iterator[FrameStream]:
+    """The chunks cut into blocks of whole frames of about ``_BLOCK_SAMPLES`` dense samples."""
+    for chunk in chunks:
+        block_frames = max(1, _BLOCK_SAMPLES // (chunk.samples_per_frame * oversampling))
+        for lo in range(0, chunk.num_frames, block_frames):
+            yield replace(chunk, frames=chunk.frames[lo : lo + block_frames])
+
+
 def _reconstructed_pieces(
     chunks: Iterable[FrameStream], filt: InterpolationFilter, oversampling: int
 ) -> Iterator[np.ndarray]:
     """``reconstruct`` of the concatenated chunks from time zero on, piece by piece.
 
-    Each chunk is cut into blocks of whole frames of about
-    ``_BLOCK_SAMPLES`` dense samples, and each block is reconstructed on
-    its own.  What a block rings past its end (the ``2*order*L`` sinc tail;
-    nothing for rect and dirac_delta) is overlap-added onto the next block,
-    the samples before time zero (the ``order*L`` pre-ring) are dropped
-    once, and the final tail is flushed at the end.  The pieces concatenate
-    to ``reconstruct(whole_stream).samples[order*L:]`` up to rounding.
+    Each chunk is cut into blocks (``_frame_blocks``), and each block is
+    reconstructed on its own.  What a block rings past its end (the
+    ``2*order*L`` sinc tail; nothing for rect and dirac_delta) is
+    overlap-added onto the next block, the samples before time zero (the
+    ``order*L`` pre-ring) are dropped once, and the final tail is flushed at
+    the end.  The pieces concatenate to
+    ``reconstruct(whole_stream).samples[order*L:]`` up to rounding.
     """
     tail = np.zeros(0, dtype=np.complex128)
     skip = None
-    for chunk in chunks:
-        block_frames = max(1, _BLOCK_SAMPLES // (chunk.samples_per_frame * oversampling))
-        for lo in range(0, chunk.num_frames, block_frames):
-            block = replace(chunk, frames=chunk.frames[lo : lo + block_frames])
-            signal = reconstruct(block, filt, oversampling)
-            dense = signal.samples
-            dense[: tail.size] += tail
-            body = block.frames.size * oversampling
-            tail = dense[body:]
-            if skip is None:
-                skip = int(round(-signal.origin_time * signal.sample_rate))
-            drop = min(skip, body)
-            skip -= drop
-            yield dense[drop:body]
+    for block in _frame_blocks(chunks, oversampling):
+        signal = reconstruct(block, filt, oversampling)
+        dense = signal.samples
+        dense[: tail.size] += tail
+        body = block.frames.size * oversampling
+        tail = dense[body:]
+        if skip is None:
+            skip = int(round(-signal.origin_time * signal.sample_rate))
+        drop = min(skip, body)
+        skip -= drop
+        yield dense[drop:body]
     yield tail[skip:]
+
+
+def _fan_out(source: Iterable[FrameStream], count: int) -> List[Iterator[FrameStream]]:
+    """``count`` iterators over ``source``; an item is dropped once every one has taken it.
+
+    Meant for iterators that advance in lockstep, so each queue holds at
+    most one item (``itertools.tee`` keeps items alive in links of 57).
+    """
+    source = iter(source)
+    queues: List[deque] = [deque() for _ in range(count)]
+
+    def view(queue: deque) -> Iterator[FrameStream]:
+        while queue or (item := next(source, None)) is not None:
+            if not queue:  # this view leads: hand the new item to every queue
+                for q in queues:
+                    q.append(item)
+            yield queue.popleft()
+
+    return [view(q) for q in queues]
+
+
+def _streamed_estimates(
+    profile: VarianceProfile,
+    num_frames: int,
+    seed: int,
+    sample_interval: float,
+    filt: InterpolationFilter,
+    oversampling: int,
+    segment_frames: int,
+    constellation: str,
+    views: Sequence[Optional[int]] = (None,),
+) -> List[PsdCurve]:
+    """Averaged periodograms of views of one random OTFS stream, in one pass.
+
+    A view is ``None`` for the stream itself or a delay index ``l`` for its
+    CEP component ``cep_component_stream(stream, l)``.  Each generation
+    chunk is drawn once and cut into blocks (``_frame_blocks``); each block
+    is fanned out to every view, and each view is reconstructed
+    (``_reconstructed_pieces``) into its own ``PeriodogramAverager``, all
+    in lockstep.  Memory is bounded by one chunk plus a block per view,
+    not by ``num_frames``.  The samples fed are those of
+    ``periodogram(reconstruct(view))`` from time zero on, the truncated
+    sinc's post-ring included, so the segmentation matches the one-shot
+    estimate; dirac_delta and rect match it bit for bit, the sinc to rounding.
+    """
+    segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
+    averagers = [PeriodogramAverager(segment_len, oversampling / sample_interval) for _ in views]
+    chunks = stream_chunks(profile, num_frames, seed, sample_interval, constellation)
+    blocks = _frame_blocks(chunks, oversampling)
+    pieces = [
+        _reconstructed_pieces(
+            source if l is None else map(partial(cep_component_stream, delay_index=l), source),
+            filt,
+            oversampling,
+        )
+        for l, source in zip(views, _fan_out(blocks, len(views)))
+    ]
+    for step in zip(*pieces, strict=True):
+        for averager, piece in zip(averagers, step):
+            averager.add(piece)
+        del step  # zip then refills its one tuple instead of keeping the first step's pieces
+    return [averager.result() for averager in averagers]
 
 
 def estimated_psd(
@@ -403,21 +485,13 @@ def estimated_psd(
 ) -> PsdCurve:
     """Generate, reconstruct, and periodogram-average an OTFS stream.
 
-    Every filter takes one streamed path: the generation chunks are
-    reconstructed in blocks of whole frames (``_reconstructed_pieces``)
-    and fed to one ``PeriodogramAverager``, so memory is bounded by the
-    chunk size, not by ``num_frames``.  The samples fed are those of
-    ``periodogram(reconstruct(generate_random_stream(...)))`` from time
-    zero on, the truncated sinc's post-ring included, so the segmentation
-    matches the one-shot estimate; dirac_delta and rect match it bit for
-    bit, the truncated sinc to rounding.
+    The one-view case of ``_streamed_estimates`` (the CEP split adds the
+    M component views): memory is bounded by the generation chunk, and the
+    estimate is that of ``periodogram(reconstruct(generate_random_stream(...)))``.
     """
-    segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
-    averager = PeriodogramAverager(segment_len, oversampling / sample_interval)
-    chunks = stream_chunks(profile, num_frames, seed, sample_interval, constellation)
-    for piece in _reconstructed_pieces(chunks, filt, oversampling):
-        averager.add(piece)
-    curve = averager.result()
+    (curve,) = _streamed_estimates(
+        profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames, constellation
+    )
     meta = dict(curve.meta)
     meta.update(
         {
@@ -430,6 +504,35 @@ def estimated_psd(
         }
     )
     return PsdCurve(curve.freqs, curve.values, curve.normalization, meta)
+
+
+def _cep_split(
+    profile: VarianceProfile,
+    num_frames: int,
+    seed: int,
+    sample_interval: float,
+    filt: InterpolationFilter,
+    oversampling: int,
+    segment_frames: int,
+    constellation: str,
+) -> Tuple[PsdCurve, List[PsdCurve], PsdCurve, Dict[str, float]]:
+    """Estimated PSDs of an OTFS stream and of its M per-delay CEP components.
+
+    One pass of ``_streamed_estimates`` over the stream and its M component
+    views.  Returns the whole-stream curve, the component curves, their
+    sum, and the NMSE/cosine of the sum against the whole over the Nyquist
+    band.
+    """
+    whole, *parts = _streamed_estimates(
+        profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames,
+        constellation, views=(None, *range(profile.num_delay)),
+    )
+    summed = np.zeros_like(whole.values)
+    for part in parts:
+        summed += part.values
+    sum_curve = PsdCurve(whole.freqs, summed, "absolute", dict(whole.meta))
+    nyquist = 0.5 / sample_interval
+    return whole, parts, sum_curve, compare_curves(sum_curve, whole, band=(-nyquist, nyquist))
 
 
 def precoded_stream(
@@ -516,14 +619,6 @@ def _run_analytic_family(
     return {"files": {k: str(v) for k, v in files.items()}, "metrics": []}
 
 
-def _run_example1(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
-    return _run_analytic_family(config, outdir, "otfs")
-
-
-def _run_example2(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
-    return _run_analytic_family(config, outdir, "ofdm")
-
-
 def _run_lte_ofdm(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     profile = config.profile()
     cfg_hash = config.hash()
@@ -555,16 +650,7 @@ def _run_lte_pattern(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     filt = config.interpolation_filter()
     freqs = config.freq_grid()
     analytic = otfs_psd(profile, config.sample_interval, filt, freqs)
-    estimated = estimated_psd(
-        profile,
-        config.num_frames,
-        config.seed,
-        config.sample_interval,
-        filt,
-        config.oversampling,
-        config.segment_frames,
-        config.constellation,
-    )
+    estimated = estimated_psd(*config.estimate_args())
     comparison = compare_curves(estimated, analytic)
     files = {
         "analytic": str(_write_curve(outdir, f"{config.preset}_analytic.csv", analytic, cfg_hash)),
@@ -577,32 +663,13 @@ def _run_lte_pattern(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
 
 
 def _run_cep_split(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
-    profile = config.profile()
     cfg_hash = config.hash()
-    filt = config.interpolation_filter()
-    oversampling = config.oversampling
-    stream = generate_random_stream(
-        profile, config.num_frames, config.seed, config.sample_interval, config.constellation
-    )
-    segment_len = stream.samples_per_frame * oversampling * config.segment_frames
-    whole = periodogram(reconstruct(stream, filt, oversampling), segment_len)
+    whole, parts, sum_curve, comparison = _cep_split(*config.estimate_args())
     files = {"otfs": str(_write_curve(outdir, "cep_split_otfs.csv", whole, cfg_hash))}
-    summed = np.zeros_like(whole.values)
-    for l in range(profile.num_delay):
-        part = periodogram(
-            reconstruct(cep_component_stream(stream, l), filt, oversampling), segment_len
-        )
-        summed += part.values
-        files[f"component_{l}"] = str(
-            _write_curve(outdir, f"cep_split_component_{l}.csv", part, cfg_hash)
-        )
-    sum_curve = PsdCurve(whole.freqs, summed, "absolute", dict(whole.meta))
+    for l, part in enumerate(parts):
+        files[f"component_{l}"] = str(_write_curve(outdir, f"cep_split_component_{l}.csv", part, cfg_hash))
     files["component_sum"] = str(_write_curve(outdir, "cep_split_sum.csv", sum_curve, cfg_hash))
-    nyquist = 0.5 / config.sample_interval
-    comparison = compare_curves(sum_curve, whole, band=(-nyquist, nyquist))
-    metrics = _metric_records(
-        {f"sum_vs_whole_{k}": v for k, v in comparison.items()}, cfg_hash
-    )
+    metrics = _metric_records({f"sum_vs_whole_{k}": v for k, v in comparison.items()}, cfg_hash)
     fileio.write_metrics(outdir / "cep_split_metrics.json", metrics)
     files["metrics"] = str(outdir / "cep_split_metrics.json")
     return {"files": files, "metrics": metrics}
@@ -618,34 +685,18 @@ def cep_sum_match(
     constellation: str = "qpsk",
 ) -> Dict[str, float]:
     """NMSE/cosine between the whole-stream PSD and the summed component PSDs."""
-    stream = generate_random_stream(profile, num_frames, seed, sample_interval, constellation)
-    segment_len = stream.samples_per_frame * oversampling
-    whole = periodogram(reconstruct(stream, filt, oversampling), segment_len)
-    summed = np.zeros_like(whole.values)
-    for l in range(profile.num_delay):
-        part = periodogram(
-            reconstruct(cep_component_stream(stream, l), filt, oversampling), segment_len
-        )
-        summed += part.values
-    sum_curve = PsdCurve(whole.freqs, summed, "absolute", dict(whole.meta))
-    nyquist = 0.5 / sample_interval
-    return compare_curves(sum_curve, whole, band=(-nyquist, nyquist))
+    split = _cep_split(profile, num_frames, seed, sample_interval, filt, oversampling, 1, constellation)
+    return split[3]
 
 
 def _run_cep_convergence(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     profile = config.profile()
     cfg_hash = config.hash()
     filt = config.interpolation_filter()
-    counts = config.frame_counts or (100, 1000, 10000)
     rows = []
-    for count in counts:
+    for count in config.frame_counts or (100, 1000, 10000):
         result = cep_sum_match(
-            profile,
-            count,
-            config.seed,
-            config.sample_interval,
-            filt,
-            config.oversampling,
+            profile, count, config.seed, config.sample_interval, filt, config.oversampling,
             config.constellation,
         )
         rows.append((count, result["nmse_db"], result["cosine_similarity"]))
@@ -655,12 +706,11 @@ def _run_cep_convergence(config: ScenarioConfig, outdir: Path) -> Dict[str, obje
         handle.write("num_frames,nmse_db,cosine_similarity\n")
         for count, nmse, cosine in rows:
             handle.write(f"{count},{float(nmse)!r},{float(cosine)!r}\n")
-    metrics = []
-    for count, nmse, cosine in rows:
-        metrics.append({"metric": f"nmse_db_at_{count}", "value": nmse, "config_hash": cfg_hash})
-        metrics.append(
-            {"metric": f"cosine_at_{count}", "value": cosine, "config_hash": cfg_hash}
-        )
+    metrics = [
+        {"metric": f"{name}_at_{count}", "value": value, "config_hash": cfg_hash}
+        for count, nmse, cosine in rows
+        for name, value in (("nmse_db", nmse), ("cosine", cosine))
+    ]
     fileio.write_metrics(outdir / "cep_convergence_metrics.json", metrics)
     return {
         "files": {"table": str(table_path), "metrics": str(outdir / "cep_convergence_metrics.json")},
@@ -730,136 +780,111 @@ def _example_grid(points: int = 4096) -> Dict[str, object]:
     }
 
 
-PRESETS: Dict[str, _Preset] = {}
-
-
-def _register(preset: _Preset) -> None:
-    PRESETS[preset.name] = preset
-
-
-_register(
-    _Preset(
-        "example1",
-        "analytic OTFS PSDs (all three filters) on the five-active-subcarrier demo grid",
-        _deep_merge(
-            _example_grid(),
+PRESETS: Dict[str, _Preset] = {
+    preset.name: preset
+    for preset in (
+        _Preset(
+            "example1",
+            "analytic OTFS PSDs (all three filters) on the five-active-subcarrier demo grid",
+            _deep_merge(
+                _example_grid(),
+                {
+                    "seed": 1,
+                    "profile": {"columns": [0, 1, 2, 6, 7]},
+                },
+            ),
+            partial(_run_analytic_family, waveform="otfs"),
+        ),
+        _Preset(
+            "example2",
+            "analytic OFDM PSDs (all three filters) on a 32-subcarrier band-gap profile",
             {
                 "seed": 1,
-                "profile": {"columns": [0, 1, 2, 6, 7]},
+                "grid": {"num_delay": 1, "num_doppler": 32, "sample_interval": 1.0},
+                "psd": {"num_points": 4096, "band": [-1.5, 1.5]},
+                "profile": {"columns": list(range(0, 10)) + list(range(22, 32))},
             },
+            partial(_run_analytic_family, waveform="ofdm"),
         ),
-        _run_example1,
-    )
-)
-
-_register(
-    _Preset(
-        "example2",
-        "analytic OFDM PSDs (all three filters) on a 32-subcarrier band-gap profile",
-        {
-            "seed": 1,
-            "grid": {"num_delay": 1, "num_doppler": 32, "sample_interval": 1.0},
-            "psd": {"num_points": 4096, "band": [-1.5, 1.5]},
-            "profile": {"columns": list(range(0, 10)) + list(range(22, 32))},
-        },
-        _run_example2,
-    )
-)
-
-_register(
-    _Preset(
-        "lte-ofdm",
-        "LTE 20 MHz OFDM occupancy: 1201 of 2048 subcarriers at 15 kHz",
-        {
-            "seed": 1,
-            "grid": {"num_delay": 1, "num_doppler": 2048, "sample_rate": _LTE_RATE},
-            "profile": {"pattern": "head_tail_columns", "budget": _LTE_OCCUPIED},
-            "psd": {"num_points": 4096},
-        },
-        _run_lte_ofdm,
-    )
-)
-
-_register(
-    _Preset(
-        "lte-otfs-columns",
-        "OTFS 16x128 grid with the 1201-bin head/tail-columns zero setting",
-        {
-            "seed": 1,
-            "grid": {"num_delay": 16, "num_doppler": 128, "sample_rate": _LTE_RATE},
-            "profile": {"pattern": "head_tail_columns", "budget": _LTE_OCCUPIED},
-            "stream": {"num_frames": 256},
-            "psd": {"num_points": 4096},
-        },
-        _run_lte_pattern,
-    )
-)
-
-_register(
-    _Preset(
-        "lte-otfs-rows",
-        "OTFS 16x128 grid with the 1201-bin head/tail-rows zero setting",
-        {
-            "seed": 1,
-            "grid": {"num_delay": 16, "num_doppler": 128, "sample_rate": _LTE_RATE},
-            "profile": {"pattern": "head_tail_rows", "budget": _LTE_OCCUPIED},
-            "stream": {"num_frames": 256},
-            "psd": {"num_points": 4096},
-        },
-        _run_lte_pattern,
-    )
-)
-
-_register(
-    _Preset(
-        "cep-split",
-        "estimated OTFS PSD vs its per-delay CEP components on the block-diagonal grid",
-        _deep_merge(
-            _example_grid(),
+        _Preset(
+            "lte-ofdm",
+            "LTE 20 MHz OFDM occupancy: 1201 of 2048 subcarriers at 15 kHz",
             {
                 "seed": 1,
-                "profile": {"pattern": "block_diag_x1"},
-                "filter": {"kind": "truncated_sinc", "order": 50, "oversampling": 2},
-                "stream": {"num_frames": 512},
+                "grid": {"num_delay": 1, "num_doppler": 2048, "sample_rate": _LTE_RATE},
+                "profile": {"pattern": "head_tail_columns", "budget": _LTE_OCCUPIED},
+                "psd": {"num_points": 4096},
             },
+            _run_lte_ofdm,
         ),
-        _run_cep_split,
-    )
-)
-
-_register(
-    _Preset(
-        "cep-convergence",
-        "whole-vs-summed-component PSD mismatch shrinking with the frame count",
-        _deep_merge(
-            _example_grid(),
+        _Preset(
+            "lte-otfs-columns",
+            "OTFS 16x128 grid with the 1201-bin head/tail-columns zero setting",
             {
                 "seed": 1,
-                "profile": {"pattern": "block_diag_x1"},
-                "filter": {"kind": "truncated_sinc", "order": 50, "oversampling": 2},
-                "stream": {"num_frames": 10000, "frame_counts": [100, 1000, 10000]},
+                "grid": {"num_delay": 16, "num_doppler": 128, "sample_rate": _LTE_RATE},
+                "profile": {"pattern": "head_tail_columns", "budget": _LTE_OCCUPIED},
+                "stream": {"num_frames": 256},
+                "psd": {"num_points": 4096},
             },
+            _run_lte_pattern,
         ),
-        _run_cep_convergence,
+        _Preset(
+            "lte-otfs-rows",
+            "OTFS 16x128 grid with the 1201-bin head/tail-rows zero setting",
+            {
+                "seed": 1,
+                "grid": {"num_delay": 16, "num_doppler": 128, "sample_rate": _LTE_RATE},
+                "profile": {"pattern": "head_tail_rows", "budget": _LTE_OCCUPIED},
+                "stream": {"num_frames": 256},
+                "psd": {"num_points": 4096},
+            },
+            _run_lte_pattern,
+        ),
+        _Preset(
+            "cep-split",
+            "estimated OTFS PSD vs its per-delay CEP components on the block-diagonal grid",
+            _deep_merge(
+                _example_grid(),
+                {
+                    "seed": 1,
+                    "profile": {"pattern": "block_diag_x1"},
+                    "filter": {"kind": "truncated_sinc", "order": 50, "oversampling": 2},
+                    "stream": {"num_frames": 512},
+                },
+            ),
+            _run_cep_split,
+        ),
+        _Preset(
+            "cep-convergence",
+            "whole-vs-summed-component PSD mismatch shrinking with the frame count",
+            _deep_merge(
+                _example_grid(),
+                {
+                    "seed": 1,
+                    "profile": {"pattern": "block_diag_x1"},
+                    "filter": {"kind": "truncated_sinc", "order": 50, "oversampling": 2},
+                    "stream": {"num_frames": 10000, "frame_counts": [100, 1000, 10000]},
+                },
+            ),
+            _run_cep_convergence,
+        ),
+        _Preset(
+            "lte-otfs-nslp",
+            "null-space precoding confining the OTFS spectrum to +/-9 MHz",
+            {
+                "seed": 1,
+                "grid": {"num_delay": 16, "num_doppler": 128, "sample_rate": _LTE_RATE},
+                "profile": {"uniform": 1.0},
+                "stream": {"num_frames": 256},
+                "mask": {"pass_bands_hz": [[-9e6, 9e6]]},
+                "precoder": {"form": "null_space"},
+                "psd": {"num_points": 2048},
+            },
+            _run_lte_nslp,
+        ),
     )
-)
-
-_register(
-    _Preset(
-        "lte-otfs-nslp",
-        "null-space precoding confining the OTFS spectrum to +/-9 MHz",
-        {
-            "seed": 1,
-            "grid": {"num_delay": 16, "num_doppler": 128, "sample_rate": _LTE_RATE},
-            "profile": {"uniform": 1.0},
-            "stream": {"num_frames": 256},
-            "mask": {"pass_bands_hz": [[-9e6, 9e6]]},
-            "precoder": {"form": "null_space"},
-            "psd": {"num_points": 2048},
-        },
-        _run_lte_nslp,
-    )
-)
+}
 
 PRESET_NAMES = tuple(sorted(PRESETS))
 

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
+    "CONSTELLATIONS",
     "DelayDopplerGrid",
     "VarianceProfile",
     "BasebandFrame",
@@ -52,6 +53,9 @@ __all__ = [
 #: Frames per generation chunk.  Fixed: it is part of the reproducibility
 #: contract (chunk c of a given seed always holds frames [c*4096, (c+1)*4096)).
 _CHUNK_FRAMES = 4096
+
+#: Built-in constellations, selectable by name in a scenario config.
+CONSTELLATIONS = ("qpsk", "qam16")
 
 _QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])

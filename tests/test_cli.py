@@ -6,9 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otfspectrum.cli import main
+from otfspectrum.cli import _overrides, build_parser, main
+from otfspectrum.dac import FILTER_KINDS
 from otfspectrum.io import read_frame_stream, read_metrics, read_psd_curve
+from otfspectrum.patterns import PATTERN_NAMES
+from otfspectrum.precoding import PRECODER_FORMS
 from otfspectrum.presets import PRESET_NAMES
+from otfspectrum.waveform import CONSTELLATIONS
 
 
 def run(*argv):
@@ -259,3 +263,67 @@ def test_bool_pattern_budget_is_exit_2(tmp_path, capsys):
     profile = {"pattern": "head_tail_columns", "budget": True}
     assert _analytic_exit_code(tmp_path, profile=profile) == 2
     assert "profile.budget must be an integer" in capsys.readouterr().err
+
+
+def test_flag_onto_a_non_table_section_is_exit_2_for_scenario(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"grid": 5}))
+    code = run(
+        "scenario", "--preset", "example1", "--config", config, "--num-delay", 4,
+        "--outdir", tmp_path / "run",
+    )
+    assert code == 2
+    assert "section 'grid' must be a table" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_flag_onto_a_non_table_section_is_exit_2_for_psd_analytic(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "grid": 5, "profile": {"uniform": 1}}))
+    out = tmp_path / "psd.csv"
+    code = run(
+        "psd-analytic", "--config", config, "--num-delay", 4, "--num-doppler", 8,
+        "--sample-interval", 1, "--out", out,
+    )
+    assert code == 2
+    assert "section 'grid' must be a table" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dest, choices",
+    [
+        ("filter.kind", FILTER_KINDS),
+        ("profile.pattern", PATTERN_NAMES),
+        ("stream.constellation", CONSTELLATIONS),
+        ("precoder.form", PRECODER_FORMS),
+    ],
+)
+def test_flag_choices_are_the_module_tuples(dest, choices):
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    for name in ("generate", "psd-analytic", "psd-estimate", "precode", "scenario"):
+        (flag,) = [a for a in subparsers.choices[name]._actions if a.dest == dest]
+        assert flag.choices == choices, name
+
+
+def test_every_override_flag_sets_its_config_key():
+    args = build_parser().parse_args([
+        "psd-estimate", "--out", "psd.csv", "--seed", "3", "--num-delay", "2", "--num-doppler", "4",
+        "--sample-interval", "0.5", "--sample-rate", "2", "--filter", "rect", "--order", "7",
+        "--oversampling", "3", "--frames", "9", "--constellation", "qam16", "--uniform", "1.5",
+        "--columns", "0", "1", "--pattern", "head_tail_rows", "--budget", "5", "--points", "64",
+        "--band", "-1", "1", "--segment-frames", "2", "--mask-file", "mask.json",
+        "--precoder-form", "systematic",
+    ])
+    assert _overrides(args) == {
+        "seed": 3,
+        "grid": {"num_delay": 2, "num_doppler": 4, "sample_interval": 0.5, "sample_rate": 2.0},
+        "filter": {"kind": "rect", "order": 7, "oversampling": 3},
+        "stream": {"num_frames": 9, "constellation": "qam16"},
+        "profile": {"uniform": 1.5, "columns": [0, 1], "pattern": "head_tail_rows", "budget": 5},
+        "psd": {"num_points": 64, "band": [-1.0, 1.0], "segment_frames": 2},
+        "mask": {"path": "mask.json"},
+        "precoder": {"form": "systematic"},
+    }
+    no_flags = build_parser().parse_args(["psd-estimate", "--out", "psd.csv"])
+    assert _overrides(no_flags) == {}

@@ -1,9 +1,10 @@
-"""The streamed ``estimated_psd`` against the one-shot reconstruct-and-periodogram.
+"""The streamed estimates against the one-shot reconstruct-and-periodogram.
 
-``estimated_psd`` reconstructs the stream in blocks of whole frames and
-overlap-adds the truncated sinc's ring across block and chunk boundaries.
-Its estimate must be that of the whole stream reconstructed at once:
-bit for bit for the memoryless filters, to rounding for the sinc.
+``estimated_psd`` and the CEP split reconstruct the stream (and its CEP
+component views) in blocks of whole frames and overlap-add the truncated
+sinc's ring across block and chunk boundaries.  Each estimate must be
+that of the whole view reconstructed at once: bit for bit for the
+memoryless filters, to rounding for the sinc.
 """
 
 import tracemalloc
@@ -20,8 +21,13 @@ from otfspectrum.dac import InterpolationFilter, reconstruct
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.estimate import periodogram
 from otfspectrum.patterns import column_support_profile
-from otfspectrum.presets import estimated_psd
-from otfspectrum.waveform import VarianceProfile, generate_random_stream, stream_chunks
+from otfspectrum.presets import cep_sum_match, estimated_psd
+from otfspectrum.waveform import (
+    VarianceProfile,
+    cep_component_stream,
+    generate_random_stream,
+    stream_chunks,
+)
 from test_psd_properties import DETERMINISTIC
 
 SEED = 11
@@ -43,8 +49,8 @@ CASES = {
 }
 
 
-def _one_shot(profile, frames, filt, oversampling, segment_frames):
-    stream = generate_random_stream(profile, frames, SEED, 1.0)
+def _one_shot(profile, frames, filt, oversampling, segment_frames, view=lambda s: s):
+    stream = view(generate_random_stream(profile, frames, SEED, 1.0))
     segment_len = stream.samples_per_frame * oversampling * segment_frames
     return periodogram(reconstruct(stream, filt, oversampling), segment_len)
 
@@ -115,12 +121,12 @@ def test_streamed_estimate_checks_the_filter_interval():
         estimated_psd(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, InterpolationFilter.rect(2.0), 2)
 
 
-def _peak_bytes(frames):
+def _peak_bytes(frames, estimate=estimated_psd):
     profile = VarianceProfile.uniform(2, 4)
     filt = InterpolationFilter.truncated_sinc(1.0, 4)
     tracemalloc.start()
     try:
-        estimated_psd(profile, frames, SEED, 1.0, filt, 2)
+        estimate(profile, frames, SEED, 1.0, filt, 2)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -129,3 +135,52 @@ def _peak_bytes(frames):
 def test_streamed_estimate_memory_does_not_grow_with_frames():
     """Two and four generation chunks peak alike: nothing holds the whole stream."""
     assert _peak_bytes(16384) <= 1.05 * _peak_bytes(8192)
+
+
+# A 3x2 grid with unequal variances: every CEP component has its own spectrum.
+CEP_PROFILE = VarianceProfile(np.array([[1.0, 0.5], [0.25, 2.0], [0.0, 1.5]]))
+
+
+@pytest.mark.parametrize("kind", FILTERS)
+def test_streamed_cep_split_equals_one_shot(kind):
+    """4100 frames in blocks of about 2**10 dense samples: two generation chunks, many blocks.
+
+    Each block feeds the whole stream and all three components.
+    """
+    filt, oversampling = FILTERS[kind]
+    with mock.patch.object(presets, "_BLOCK_SAMPLES", 2**10):
+        whole, parts, summed, metrics = presets._cep_split(
+            CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling, 1, "qpsk"
+        )
+        assert metrics == cep_sum_match(CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling)
+    exact = kind != "truncated_sinc"
+    _assert_matches_one_shot(whole, _one_shot(CEP_PROFILE, 4100, filt, oversampling, 1), exact)
+    assert len(parts) == CEP_PROFILE.num_delay
+    for l, part in enumerate(parts):
+        view = lambda stream, l=l: cep_component_stream(stream, l)
+        one_shot = _one_shot(CEP_PROFILE, 4100, filt, oversampling, 1, view)
+        _assert_matches_one_shot(part, one_shot, exact)
+    assert_array_equal(summed.values, parts[0].values + parts[1].values + parts[2].values)
+
+
+def test_cep_sum_match_memory_does_not_grow_with_frames():
+    """Four and sixteen generation chunks peak alike: blocks are dropped once every view took them."""
+    assert _peak_bytes(65536, cep_sum_match) <= 1.05 * _peak_bytes(16384, cep_sum_match)
+
+
+def test_cep_views_copy_blocks_not_chunks():
+    """Eight component views of 16-frame blocks: the views never copy a whole generation chunk.
+
+    Drawing a chunk alone peaks at about three chunk sizes; a chunk copied
+    per view would add eight more.
+    """
+    profile = VarianceProfile.uniform(8, 4)
+    chunk_bytes = 4096 * profile.num_delay * profile.num_doppler * 16
+    with mock.patch.object(presets, "_BLOCK_SAMPLES", 512):
+        tracemalloc.start()
+        try:
+            cep_sum_match(profile, 4096, SEED, 1.0, InterpolationFilter.rect(1.0), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 5 * chunk_bytes

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfspectrum.errors import ConfigurationError
@@ -21,6 +23,7 @@ from otfspectrum.waveform import (
     otfs_modulate,
     stream_chunks,
 )
+from test_psd_properties import DETERMINISTIC
 
 RTWO = np.sqrt(2.0)
 
@@ -321,3 +324,20 @@ def test_partial_chunk_draw_is_the_prefix_of_a_full_chunk_draw():
     sigma = np.sqrt(np.arange(15.0).reshape(3, 5))
     full = _draw_grid_symbols(_chunk_rng(9, 2), _CHUNK_FRAMES, sigma, _QPSK)
     assert_array_equal(_draw_grid_symbols(_chunk_rng(9, 2), 7, sigma, _QPSK), full[:7])
+
+
+@DETERMINISTIC
+@example(delays=3, dopplers=2, frames=_CHUNK_FRAMES + 4, seed=0)
+@given(
+    delays=st.integers(1, 5),
+    dopplers=st.integers(1, 5),
+    frames=st.one_of(st.integers(1, 64), st.integers(_CHUNK_FRAMES + 1, 2 * _CHUNK_FRAMES + 64)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cep_components_sum_to_the_stream_bit_for_bit(delays, dopplers, frames, seed):
+    """Each sample lies on exactly one comb, so the sum adds only exact zeros."""
+    stream = generate_random_stream(VarianceProfile.uniform(delays, dopplers), frames, seed)
+    total = np.zeros_like(stream.frames)
+    for l in range(delays):
+        total += cep_component_stream(stream, l).frames
+    assert_array_equal(total, stream.frames)
