@@ -19,12 +19,11 @@ from typing import List, Optional
 
 from . import __version__
 from . import io as fileio
-from .dac import FILTER_KINDS
 from .errors import ConfigurationError, SystematicInfeasibleError
 from .estimate import compare_curves
-from .patterns import PATTERN_NAMES
-from .precoding import PRECODER_FORMS, build_precoders
+from .precoding import build_precoders
 from .presets import (
+    CONFIG_KEYS,
     PRESETS,
     PRESET_NAMES,
     ScenarioConfig,
@@ -38,40 +37,21 @@ from .presets import (
     run_scenario,
 )
 from .psd import cep_ofdm_psd, ofdm_psd, otfs_psd
-from .waveform import CONSTELLATIONS, generate_random_stream
+from .waveform import generate_random_stream
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags that override keys of the JSON config file.
+    """Flags that override keys of the JSON config file, one per ``CONFIG_KEYS`` row with a flag.
 
     An override flag's ``dest`` is the key it sets, ``section.key`` (or
     ``seed`` at the top level); ``_overrides`` reads them back.
     """
     parser.add_argument("--config", metavar="FILE", help="JSON scenario configuration")
     group = parser.add_argument_group("config overrides")
-    add = group.add_argument
-    add("--seed", type=int, help="RNG seed (required here or in the config)")
-    add("--num-delay", dest="grid.num_delay", type=int, metavar="M", help="delay bins per frame")
-    add("--num-doppler", dest="grid.num_doppler", type=int, metavar="N", help="Doppler bins / subcarriers")
-    add("--sample-interval", dest="grid.sample_interval", type=float, metavar="SEC")
-    add("--sample-rate", dest="grid.sample_rate", type=float, metavar="HZ")
-    add("--filter", dest="filter.kind", choices=FILTER_KINDS)
-    add("--order", dest="filter.order", type=int, metavar="ORDER",
-        help="truncated-sinc half-width in input samples")
-    add("--oversampling", dest="filter.oversampling", type=int, metavar="L", help="DAC oversampling factor")
-    add("--frames", dest="stream.num_frames", type=int, metavar="FRAMES", help="number of random frames")
-    add("--constellation", dest="stream.constellation", choices=CONSTELLATIONS)
-    add("--uniform", dest="profile.uniform", type=float, metavar="POWER", help="uniform variance profile")
-    add("--columns", dest="profile.columns", type=int, nargs="+", metavar="K",
-        help="active subcarrier columns")
-    add("--pattern", dest="profile.pattern", choices=PATTERN_NAMES)
-    add("--budget", dest="profile.budget", type=int, metavar="BUDGET", help="active-bin budget for --pattern")
-    add("--points", dest="psd.num_points", type=int, metavar="POINTS", help="analytic PSD grid size")
-    add("--band", dest="psd.band", type=float, nargs=2, metavar=("LO", "HI"), help="frequency band in Hz")
-    add("--segment-frames", dest="psd.segment_frames", type=int, metavar="SEGMENT_FRAMES",
-        help="frames per periodogram segment")
-    add("--mask-file", dest="mask.path", metavar="FILE", help="JSON spectrum mask")
-    add("--precoder-form", dest="precoder.form", choices=PRECODER_FORMS)
+    for key in CONFIG_KEYS:
+        if key.flag:
+            flag, kwargs = key.flag
+            group.add_argument(flag, dest=key.name, **kwargs)
 
 
 def _overrides(args: argparse.Namespace) -> dict:

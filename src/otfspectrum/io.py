@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -169,7 +170,59 @@ def read_metrics(path: Union[str, Path]) -> List[dict]:
     return json.loads(Path(path).read_text())
 
 
+#: A rule for a JSON value: a predicate, and the words that complete
+#: "<name> must be <words>, got <value>".  Configs and mask files share them.
+Rule = Tuple[Callable[[object], bool], str]
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer; ``True``/``False`` are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    """A finite JSON number (not a bool, not +-Infinity or NaN)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _is_band(value: object) -> bool:
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    return pair and all(map(_is_real, value)) and value[0] < value[1]
+
+
+POSITIVE_INT: Rule = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+POSITIVE_REAL: Rule = (lambda v: _is_real(v) and v > 0, "a finite positive number")
+INT_LIST: Rule = (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers")
+BAND: Rule = (_is_band, "[lo, hi] of finite numbers with lo < hi")
+BAND_LIST: Rule = (
+    lambda v: isinstance(v, (list, tuple)) and all(map(_is_band, v)),
+    "a list of [lo, hi] pairs of finite numbers with lo < hi",
+)
+
+
+def rule_problem(name: str, rule: Rule, value: object) -> List[str]:
+    """``[]`` when ``value`` keeps ``rule``, else the one-line complaint about ``name``."""
+    return [] if rule[0](value) else [f"{name} must be {rule[1]}, got {value!r}"]
+
+
+def read_json_object(source: Union[str, Path, dict], what: str) -> dict:
+    """A copy of ``source``, or of the JSON object in the file it names."""
+    if isinstance(source, (str, Path)):
+        try:
+            source = json.loads(Path(source).read_text())
+        except json.JSONDecodeError as err:
+            raise ConfigurationError(f"{what} is not valid JSON: {err}") from None
+    if not isinstance(source, dict):
+        raise ConfigurationError(f"{what} must hold a JSON object, got {source!r}")
+    return dict(source)
+
+
 _MASK_ALIASES = {"M": "num_delay", "N": "num_doppler", "T_s": "sample_interval"}
+_MASK_RULES = {"num_delay": POSITIVE_INT, "num_doppler": POSITIVE_INT, "sample_interval": POSITIVE_REAL,
+               "null_bins": INT_LIST, "pass_bands_hz": BAND_LIST}
 
 
 def load_mask(source: Union[str, Path, dict]) -> SpectrumMask:
@@ -177,28 +230,27 @@ def load_mask(source: Union[str, Path, dict]) -> SpectrumMask:
 
     Accepts ``{"null_bins": [...]}`` or ``{"pass_bands_hz": [[lo, hi], ...]}``
     plus the grid geometry (descriptive keys, with M/N/T_s accepted as
-    aliases).
+    aliases).  Every problem is reported in one ``ConfigurationError``.
     """
-    if isinstance(source, (str, Path)):
-        spec = json.loads(Path(source).read_text())
-    else:
-        spec = dict(source)
+    where = f"mask file {source}" if isinstance(source, (str, Path)) else "mask"
+    spec = read_json_object(source, where)
     for alias, canonical in _MASK_ALIASES.items():
         if alias in spec and canonical not in spec:
             spec[canonical] = spec.pop(alias)
-    try:
-        num_delay = int(spec["num_delay"])
-        num_doppler = int(spec["num_doppler"])
-    except KeyError as missing:
-        raise ConfigurationError(f"mask is missing grid field {missing}") from None
+    problems = [f"grid field {key!r} is missing" for key in ("num_delay", "num_doppler") if key not in spec]
+    for key, rule in _MASK_RULES.items():
+        problems += rule_problem(key, rule, spec[key]) if key in spec else []
+    sources = [key for key in ("null_bins", "pass_bands_hz") if key in spec]
+    if len(sources) != 1:
+        problems.append(f"it must name exactly one of null_bins/pass_bands_hz, got {sources}")
+    elif "pass_bands_hz" in spec and "sample_interval" not in spec:
+        problems.append("a pass-band mask needs sample_interval (or T_s)")
+    if problems:
+        raise ConfigurationError(f"invalid {where}: " + "; ".join(problems))
     if "null_bins" in spec:
-        return decompose_mask(spec["null_bins"], num_delay, num_doppler)
-    if "pass_bands_hz" in spec:
-        if "sample_interval" not in spec:
-            raise ConfigurationError("a pass-band mask needs sample_interval (or T_s)")
-        bands = [tuple(band) for band in spec["pass_bands_hz"]]
-        return mask_from_pass_bands(bands, num_delay, num_doppler, float(spec["sample_interval"]))
-    raise ConfigurationError("mask needs either 'null_bins' or 'pass_bands_hz'")
+        return decompose_mask(spec["null_bins"], spec["num_delay"], spec["num_doppler"])
+    bands = [tuple(band) for band in spec["pass_bands_hz"]]
+    return mask_from_pass_bands(bands, spec["num_delay"], spec["num_doppler"], float(spec["sample_interval"]))
 
 
 def write_mask(path: Union[str, Path], mask: SpectrumMask, sample_interval: Optional[float] = None) -> Path:

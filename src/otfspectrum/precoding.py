@@ -133,8 +133,9 @@ def mask_from_pass_bands(
     for lo_hz, hi_hz in pass_bands_hz:
         if not (hi_hz > lo_hz):
             raise ConfigurationError(f"empty pass band [{lo_hz}, {hi_hz})")
-        lo = int(np.ceil(lo_hz / spacing - 0.5))  # nearest bin, ties toward -inf
-        hi = int(np.ceil(hi_hz / spacing - 0.5))
+        # nearest bin, ties toward -inf; an edge far off the grid (even +-inf) is clipped to it
+        with np.errstate(over="ignore"):
+            lo, hi = np.clip(np.ceil(np.array([lo_hz, hi_hz]) / spacing - 0.5), -total, total)
         passed |= (centered >= lo) & (centered < hi)
     null_centered = centered[~passed]
     null_natural = np.mod(null_centered, total)

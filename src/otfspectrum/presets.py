@@ -12,12 +12,11 @@ the files byte for byte, and every file embeds the configuration hash.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from . import io as fileio
 from .dac import FILTER_KINDS, InterpolationFilter, reconstruct
 from .errors import ConfigurationError
 from .estimate import PeriodogramAverager, compare_curves, periodogram
+from .io import BAND, BAND_LIST, INT_LIST, POSITIVE_INT, POSITIVE_REAL, Rule, _is_int, _is_real, rule_problem
 from .patterns import PATTERN_NAMES, builtin_pattern, column_support_profile
 from .precoding import PRECODER_FORMS, PrecoderSet, SpectrumMask, build_precoders
 from .psd import PsdCurve, ofdm_psd, otfs_psd
@@ -32,8 +32,8 @@ from .waveform import (
     CONSTELLATIONS,
     FrameStream,
     VarianceProfile,
-    _chunk_rng,
-    _CHUNK_FRAMES,
+    _chunked_frames,
+    _draw_symbols,
     cep_component_stream,
     constellation_points,
     stream_chunks,
@@ -49,35 +49,102 @@ __all__ = [
     "precoded_stream",
 ]
 
-_SECTION_KEYS = {
-    "grid": {"num_delay", "num_doppler", "sample_interval", "sample_rate"},
-    "profile": {"pattern", "budget", "columns", "uniform", "sigma2"},
-    "filter": {"kind", "order", "oversampling"},
-    "stream": {"num_frames", "constellation", "frame_counts"},
-    "psd": {"num_points", "band", "segment_frames"},
-    "mask": {"null_bins", "pass_bands_hz", "path"},
-    "precoder": {"form"},
-    "output": {"directory"},
-}
-_TOP_KEYS = set(_SECTION_KEYS) | {"preset", "seed"}
+_REQUIRED = "required"  #: default of a key that must be given
+_ABSENT = "absent"  #: default of a profile/mask key: it may be left out
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer; ``True``/``False`` are not numbers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+class _Key(NamedTuple):
+    """One config key: its dotted name, ``ScenarioConfig`` field, rule, default and override flag.
+
+    Profile and mask keys have no field: they stay in the section's spec.  A
+    ``None`` default lets an explicit null mean "unset" too.  ``flag`` holds
+    the flag and its ``add_argument`` keywords (its ``dest`` is the name).
+    """
+
+    name: str
+    field: Optional[str]
+    rule: Rule
+    default: object = _ABSENT
+    flag: Tuple = ()
+    parse: Callable[[object], object] = lambda value: value
 
 
-def _is_real(value: object) -> bool:
-    """A finite JSON number (not a bool, not +-Infinity or NaN)."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
+def _one_of(choices: Tuple[str, ...]) -> Rule:
+    return (lambda value: isinstance(value, str) and value in choices, f"one of {choices}")
+
+
+def _is_counts(value: object) -> bool:
+    counts = INT_LIST[0](value) and len(value) >= 2 and all(c >= 1 for c in value)
+    return counts and sorted(value) == list(value)
+
+
+def _is_matrix(value: object) -> bool:
+    rows = isinstance(value, (list, tuple)) and len(value) > 0
+    rows = rows and all(isinstance(r, (list, tuple)) and len(r) == len(value[0]) > 0 for r in value)
+    return rows and all(_is_real(x) and x >= 0 for r in value for x in r)
+
+
+_STRING: Rule = (lambda value: isinstance(value, str), "a string")
+
+#: Every scenario config key, in override-flag order.
+CONFIG_KEYS: Tuple[_Key, ...] = (
+    _Key("seed", "seed", (_is_int, "an integer"), _REQUIRED,
+         ("--seed", dict(type=int, help="RNG seed (required here or in the config)"))),
+    _Key("grid.num_delay", "num_delay", POSITIVE_INT, _REQUIRED,
+         ("--num-delay", dict(type=int, metavar="M", help="delay bins per frame"))),
+    _Key("grid.num_doppler", "num_doppler", POSITIVE_INT, _REQUIRED,
+         ("--num-doppler", dict(type=int, metavar="N", help="Doppler bins / subcarriers"))),
+    _Key("grid.sample_interval", "sample_interval", POSITIVE_REAL, None,
+         ("--sample-interval", dict(type=float, metavar="SEC"))),
+    _Key("grid.sample_rate", "sample_rate", POSITIVE_REAL, None,
+         ("--sample-rate", dict(type=float, metavar="HZ"))),
+    _Key("filter.kind", "filter_kind", _one_of(FILTER_KINDS), "dirac_delta",
+         ("--filter", dict(choices=FILTER_KINDS))),
+    _Key("filter.order", "filter_order", POSITIVE_INT, 50,
+         ("--order", dict(type=int, metavar="ORDER", help="truncated-sinc half-width in input samples"))),
+    _Key("filter.oversampling", "oversampling", POSITIVE_INT, 1,
+         ("--oversampling", dict(type=int, metavar="L", help="DAC oversampling factor"))),
+    _Key("stream.num_frames", "num_frames", POSITIVE_INT, 256,
+         ("--frames", dict(type=int, metavar="FRAMES", help="number of random frames"))),
+    _Key("stream.constellation", "constellation", _one_of(CONSTELLATIONS), "qpsk",
+         ("--constellation", dict(choices=CONSTELLATIONS))),
+    _Key("stream.frame_counts", "frame_counts",
+         (_is_counts, "an increasing list of two or more integers >= 1"), None, parse=tuple),
+    _Key("profile.uniform", None, (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
+         flag=("--uniform", dict(type=float, metavar="POWER", help="uniform variance profile"))),
+    _Key("profile.columns", None, INT_LIST,
+         flag=("--columns", dict(type=int, nargs="+", metavar="K", help="active subcarrier columns"))),
+    _Key("profile.pattern", None, _one_of(PATTERN_NAMES), flag=("--pattern", dict(choices=PATTERN_NAMES))),
+    _Key("profile.budget", None, (_is_int, "an integer"),
+         flag=("--budget", dict(type=int, metavar="BUDGET", help="active-bin budget for --pattern"))),
+    _Key("profile.sigma2", None, (_is_matrix, "a 2-D array of numbers >= 0")),
+    _Key("psd.num_points", "psd_points", (lambda v: _is_int(v) and v >= 2, "an integer >= 2"), 4096,
+         ("--points", dict(type=int, metavar="POINTS", help="analytic PSD grid size"))),
+    _Key("psd.band", "band", BAND, None,
+         ("--band", dict(type=float, nargs=2, metavar=("LO", "HI"), help="frequency band in Hz")),
+         parse=lambda band: (float(band[0]), float(band[1]))),
+    _Key("psd.segment_frames", "segment_frames", POSITIVE_INT, 1,
+         ("--segment-frames",
+          dict(type=int, metavar="SEGMENT_FRAMES", help="frames per periodogram segment"))),
+    _Key("mask.null_bins", None, INT_LIST),
+    _Key("mask.pass_bands_hz", None, BAND_LIST),
+    _Key("mask.path", None, _STRING, flag=("--mask-file", dict(metavar="FILE", help="JSON spectrum mask"))),
+    _Key("precoder.form", "precoder_form", _one_of(PRECODER_FORMS), "null_space",
+         ("--precoder-form", dict(choices=PRECODER_FORMS))),
+    _Key("output.directory", "output_dir", _STRING, "otfspectrum-out"),
+    _Key("preset", "preset", (lambda v: isinstance(v, str) and v in PRESETS, "the name of a preset"), None),
+)
+
+#: The keys of each section in table order, and the keys allowed at the top level.
+_SECTIONS: Dict[str, List[str]] = {}
+for _where, _, _name in (key.name.rpartition(".") for key in CONFIG_KEYS):
+    _SECTIONS.setdefault(_where, []).append(_name)
+_TOP_KEYS = set(_SECTIONS.pop("")) | set(_SECTIONS)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario parameters plus the raw dict they were parsed from."""
+    """Validated scenario parameters plus the raw dict they were parsed from (see ``from_dict``)."""
 
     seed: int
     num_delay: int
@@ -85,29 +152,27 @@ class ScenarioConfig:
     sample_interval: float
     sample_rate: float
     profile_spec: Dict[str, object]
-    filter_kind: str = "dirac_delta"
-    filter_order: int = 50
-    oversampling: int = 1
-    num_frames: int = 256
-    constellation: str = "qpsk"
-    frame_counts: Optional[Tuple[int, ...]] = None
-    psd_points: int = 4096
-    band: Optional[Tuple[float, float]] = None
-    segment_frames: int = 1
-    mask_spec: Optional[Dict[str, object]] = None
-    precoder_form: str = "null_space"
-    preset: Optional[str] = None
-    output_dir: str = "otfspectrum-out"
-    raw: Dict[str, object] = field(default_factory=dict, compare=False)
+    filter_kind: str
+    filter_order: int
+    oversampling: int
+    num_frames: int
+    constellation: str
+    frame_counts: Optional[Tuple[int, ...]]
+    psd_points: int
+    band: Optional[Tuple[float, float]]
+    segment_frames: int
+    mask_spec: Optional[Dict[str, object]]
+    precoder_form: str
+    preset: Optional[str]
+    output_dir: str
+    raw: Dict[str, object] = field(compare=False)
 
     # -- resolution helpers -------------------------------------------------
 
     def profile(self) -> VarianceProfile:
         spec = self.profile_spec
         if "pattern" in spec:
-            return builtin_pattern(
-                str(spec["pattern"]), self.num_delay, self.num_doppler, spec.get("budget")
-            )
+            return builtin_pattern(spec["pattern"], self.num_delay, self.num_doppler, spec.get("budget"))
         if "columns" in spec:
             return column_support_profile(spec["columns"], self.num_delay, self.num_doppler)
         if "uniform" in spec:
@@ -127,19 +192,16 @@ class ScenarioConfig:
     def mask(self) -> Optional[SpectrumMask]:
         if self.mask_spec is None:
             return None
-        spec = dict(self.mask_spec)
-        if "path" in spec:
-            mask = fileio.load_mask(spec["path"])
+        if "path" in self.mask_spec:
+            mask = fileio.load_mask(self.mask_spec["path"])
             if (mask.num_delay, mask.num_doppler) != (self.num_delay, self.num_doppler):
                 raise ConfigurationError(
                     f"mask file grid {mask.num_delay}x{mask.num_doppler} does not match "
                     f"scenario grid {self.num_delay}x{self.num_doppler}"
                 )
             return mask
-        spec.setdefault("num_delay", self.num_delay)
-        spec.setdefault("num_doppler", self.num_doppler)
-        spec.setdefault("sample_interval", self.sample_interval)
-        return fileio.load_mask(spec)
+        spec = dict(self.mask_spec, num_delay=self.num_delay, num_doppler=self.num_doppler)
+        return fileio.load_mask(dict(spec, sample_interval=self.sample_interval))
 
     def freq_grid(self) -> np.ndarray:
         lo, hi = self.band if self.band is not None else (-0.5 * self.sample_rate, 0.5 * self.sample_rate)
@@ -158,14 +220,14 @@ class ScenarioConfig:
         unknown_top = sorted(set(raw) - _TOP_KEYS)
         if unknown_top:
             problems.append(f"unknown top-level keys: {unknown_top}")
-        for section, allowed in _SECTION_KEYS.items():
+        for section, allowed in _SECTIONS.items():
             body = raw.get(section)
             if body is None:
                 continue
             if not isinstance(body, dict):
                 problems.append(f"section {section!r} must be a table of key/value pairs")
                 continue
-            unknown = sorted(set(body) - allowed)
+            unknown = sorted(set(body) - set(allowed))
             if unknown:
                 problems.append(f"unknown keys in section {section!r}: {unknown}")
 
@@ -173,161 +235,60 @@ class ScenarioConfig:
             body = raw.get(name)
             return body if isinstance(body, dict) else {}
 
-        grid, prof, filt = section("grid"), section("profile"), section("filter")
-        stream, psd_sec = section("stream"), section("psd")
+        # single-key rules: ``values`` gets each valid (or defaulted) key
+        values: Dict[str, object] = {}
+        for key in CONFIG_KEYS:
+            where, _, name = key.name.rpartition(".")
+            body = section(where) if where else raw
+            if name not in body or (body[name] is None and key.default is None):
+                if key.default is _REQUIRED:
+                    problems.append(f"{key.name} is required")
+                elif key.default is not _ABSENT:
+                    values[key.name] = key.default
+                continue
+            problem = rule_problem(key.name, key.rule, body[name])
+            problems += problem
+            if not problem:
+                values[key.name] = key.parse(body[name])
 
-        seed = raw.get("seed")
-        if seed is None:
-            problems.append("a 'seed' field is required (wall-clock seeding is not supported)")
-        elif not _is_int(seed):
-            problems.append(f"'seed' must be an integer, got {seed!r}")
-
-        num_delay = grid.get("num_delay")
-        num_doppler = grid.get("num_doppler")
-        for label, value in (("grid.num_delay", num_delay), ("grid.num_doppler", num_doppler)):
-            if not _is_int(value) or value < 1:
-                problems.append(f"{label} must be an integer >= 1, got {value!r}")
-
-        interval, rate = grid.get("sample_interval"), grid.get("sample_rate")
-        if interval is None and rate is None:
+        # rules that span keys
+        grid, prof, mask = section("grid"), section("profile"), raw.get("mask")
+        interval, rate = values.get("grid.sample_interval"), values.get("grid.sample_rate")
+        if grid.get("sample_interval") is None and grid.get("sample_rate") is None:
             problems.append("grid needs sample_interval or sample_rate")
-        else:
-            if interval is not None and not (_is_real(interval) and interval > 0):
-                problems.append(f"grid.sample_interval must be a finite positive number, got {interval!r}")
-            if rate is not None and not (_is_real(rate) and rate > 0):
-                problems.append(f"grid.sample_rate must be a finite positive number, got {rate!r}")
-            if (
-                _is_real(interval)
-                and _is_real(rate)
-                and interval > 0
-                and rate > 0
-                and not np.isclose(interval * rate, 1.0, rtol=1e-9, atol=0.0)
-            ):
-                problems.append(
-                    f"grid.sample_interval and grid.sample_rate are inconsistent: "
-                    f"their product is {interval * rate!r}, expected 1"
-                )
-        if interval is None and _is_real(rate) and rate > 0:
-            interval = 1.0 / rate
-        if rate is None and _is_real(interval) and interval > 0:
-            rate = 1.0 / interval
-
+        elif None not in (interval, rate) and not np.isclose(interval * rate, 1.0, rtol=1e-9, atol=0.0):
+            problems.append(
+                f"grid.sample_interval and grid.sample_rate are inconsistent: "
+                f"their product is {interval * rate!r}, expected 1"
+            )
         sources = [key for key in ("pattern", "columns", "uniform", "sigma2") if key in prof]
         if len(sources) != 1:
             problems.append(
                 f"profile must name exactly one of pattern/columns/uniform/sigma2, got {sources}"
             )
-        if "pattern" in prof and prof["pattern"] not in PATTERN_NAMES:
-            problems.append(f"unknown profile pattern {prof['pattern']!r}; expected one of {PATTERN_NAMES}")
         if "budget" in prof and "pattern" not in prof:
             problems.append("profile.budget is only meaningful together with profile.pattern")
-        elif "budget" in prof and not _is_int(prof["budget"]):
-            problems.append(f"profile.budget must be an integer, got {prof['budget']!r}")
-        if "uniform" in prof and not (_is_real(prof["uniform"]) and prof["uniform"] >= 0):
-            problems.append(f"profile.uniform must be a finite number >= 0, got {prof['uniform']!r}")
-        if "sigma2" in prof:
-            try:
-                shape = np.asarray(prof["sigma2"], dtype=np.float64).shape
-            except (TypeError, ValueError):
-                problems.append("profile.sigma2 must be a 2-D array of numbers")
-            else:
-                if _is_int(num_delay) and _is_int(num_doppler) and shape != (num_delay, num_doppler):
-                    problems.append(
-                        f"profile.sigma2 has shape {shape}, but the grid is {num_delay}x{num_doppler}"
-                    )
-
-        kind = filt.get("kind", "dirac_delta")
-        if kind not in FILTER_KINDS:
-            problems.append(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
-        order = filt.get("order", 50)
-        if not _is_int(order) or order < 1:
-            problems.append(f"filter.order must be an integer >= 1, got {order!r}")
-        oversampling = filt.get("oversampling", 1)
-        if not _is_int(oversampling) or oversampling < 1:
-            problems.append(f"filter.oversampling must be an integer >= 1, got {oversampling!r}")
-        elif kind == "dirac_delta" and oversampling != 1:
+        sigma2, m, n = map(values.get, ("profile.sigma2", "grid.num_delay", "grid.num_doppler"))
+        shape = sigma2 and (len(sigma2), len(sigma2[0]))
+        if shape and m and n and shape != (m, n):
+            problems.append(f"profile.sigma2 has shape {shape}, but the grid is {m}x{n}")
+        if values.get("filter.kind") == "dirac_delta" and values.get("filter.oversampling", 1) != 1:
             problems.append("filter.oversampling must be 1 for the dirac_delta filter")
-
-        num_frames = stream.get("num_frames", 256)
-        if not _is_int(num_frames) or num_frames < 1:
-            problems.append(f"stream.num_frames must be an integer >= 1, got {num_frames!r}")
-        constellation = stream.get("constellation", "qpsk")
-        if constellation not in CONSTELLATIONS:
-            problems.append(f"stream.constellation must be one of {CONSTELLATIONS}, got {constellation!r}")
-        frame_counts = stream.get("frame_counts")
-        if frame_counts is not None:
-            if (
-                not isinstance(frame_counts, (list, tuple))
-                or len(frame_counts) < 2
-                or not all(_is_int(c) and c >= 1 for c in frame_counts)
-                or sorted(frame_counts) != list(frame_counts)
-            ):
-                problems.append(
-                    f"stream.frame_counts must be an increasing list of integers >= 1, got {frame_counts!r}"
-                )
-
-        psd_points = psd_sec.get("num_points", 4096)
-        if not _is_int(psd_points) or psd_points < 2:
-            problems.append(f"psd.num_points must be an integer >= 2, got {psd_points!r}")
-        band = psd_sec.get("band")
-        if band is not None:
-            ok = (
-                isinstance(band, (list, tuple))
-                and len(band) == 2
-                and all(_is_real(x) for x in band)
-                and band[0] < band[1]
-            )
-            if not ok:
-                problems.append(f"psd.band must be [lo, hi] of finite numbers with lo < hi, got {band!r}")
-        segment_frames = psd_sec.get("segment_frames", 1)
-        if not _is_int(segment_frames) or segment_frames < 1:
-            problems.append(f"psd.segment_frames must be an integer >= 1, got {segment_frames!r}")
-
-        mask_spec = raw.get("mask")
-        if isinstance(mask_spec, dict):  # a non-table mask is reported with the sections
-            keys = [k for k in ("null_bins", "pass_bands_hz", "path") if k in mask_spec]
-            if len(keys) != 1:
-                problems.append(
-                    f"mask must name exactly one of null_bins/pass_bands_hz/path, got {keys}"
-                )
-
-        form = section("precoder").get("form", "null_space")
-        if form not in PRECODER_FORMS:
-            problems.append(f"precoder.form must be one of {PRECODER_FORMS}, got {form!r}")
-
-        preset = raw.get("preset")
-        if preset is not None and preset not in PRESETS:
-            problems.append(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-
-        output_dir = section("output").get("directory", "otfspectrum-out")
+        if isinstance(mask, dict):  # a non-table mask is reported with the sections
+            given = [key for key in _SECTIONS["mask"] if key in mask]
+            if len(given) != 1:
+                problems.append(f"mask must name exactly one of null_bins/pass_bands_hz/path, got {given}")
 
         if problems:
             raise ConfigurationError(
                 "invalid scenario configuration:\n  - " + "\n  - ".join(problems)
             )
 
-        return cls(
-            seed=int(seed),
-            num_delay=int(num_delay),
-            num_doppler=int(num_doppler),
-            sample_interval=float(interval),
-            sample_rate=float(rate),
-            profile_spec=dict(prof),
-            filter_kind=str(kind),
-            filter_order=int(order),
-            oversampling=int(oversampling),
-            num_frames=int(num_frames),
-            constellation=str(constellation),
-            frame_counts=None if frame_counts is None else tuple(frame_counts),
-            psd_points=int(psd_points),
-            band=None if band is None else (float(band[0]), float(band[1])),
-            segment_frames=int(segment_frames),
-            mask_spec=None if mask_spec is None else dict(mask_spec),
-            precoder_form=str(form),
-            preset=preset,
-            output_dir=str(output_dir),
-            raw=dict(raw),
-        )
+        fields = {key.field: values[key.name] for key in CONFIG_KEYS if key.field}
+        fields["sample_interval"] = float(interval if interval is not None else 1.0 / rate)
+        fields["sample_rate"] = float(rate if rate is not None else 1.0 / interval)
+        mask_spec = None if mask is None else dict(mask)
+        return cls(**fields, profile_spec=dict(prof), mask_spec=mask_spec, raw=dict(raw))
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -345,15 +306,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def _read_config(path: Optional[Union[str, Path]]) -> dict:
     """The JSON object in a config file; no file is an empty config."""
-    if path is None:
-        return {}
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config file {path} must hold a JSON object")
-    return raw
+    return {} if path is None else fileio.read_json_object(path, f"config file {path}")
 
 
 def load_config(
@@ -556,23 +509,24 @@ def precoded_stream(
     total = int(sizes.sum())
     if total == 0:
         raise ConfigurationError("the mask leaves no payload dimensions at all")
-    points = constellation_points(constellation)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    frames = np.empty((num_frames, mask.num_bins), dtype=np.complex128)
-    norms = np.empty(num_frames)
-    for chunk_index in range(-(-num_frames // _CHUNK_FRAMES)):
-        lo = chunk_index * _CHUNK_FRAMES
-        hi = min(lo + _CHUNK_FRAMES, num_frames)
-        rng = _chunk_rng(seed, chunk_index)
-        u = rng.random((hi - lo, total))
-        payload = points[(u * points.size).astype(np.intp)]
-        norms[lo:hi] = np.linalg.norm(payload, axis=1)
-        entries = np.zeros((hi - lo, mask.num_delay, mask.num_doppler), dtype=np.complex128)
+
+    def to_grid(payload: np.ndarray) -> np.ndarray:
+        entries = np.zeros((len(payload), mask.num_delay, mask.num_doppler), dtype=np.complex128)
         for k, matrix in enumerate(precoders.matrices):
             if matrix.shape[1]:
                 entries[:, :, k] = payload[:, offsets[k] : offsets[k + 1]] @ matrix.T
-        time_rows = np.fft.ifft(entries, axis=2, norm="ortho")
-        frames[lo:hi] = time_rows.transpose(0, 2, 1).reshape(hi - lo, -1)
+        return entries
+
+    points = constellation_points(constellation)
+    draw = lambda rng, count: _draw_symbols(rng, (count, total), points)
+    frames = np.empty((num_frames, mask.num_bins), dtype=np.complex128)
+    norms = np.empty(num_frames)
+    lo = 0
+    for payload, chunk in _chunked_frames(num_frames, seed, draw, to_grid):
+        frames[lo : lo + len(chunk)] = chunk
+        norms[lo : lo + len(chunk)] = np.linalg.norm(payload, axis=1)
+        lo += len(chunk)
     stream = FrameStream(
         frames=frames,
         num_delay=mask.num_delay,

@@ -28,7 +28,8 @@ draw no matter how many frames are requested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -325,21 +326,36 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _draw_symbols(rng: np.random.Generator, shape: Tuple[int, ...], points: np.ndarray) -> np.ndarray:
+    # One uniform double per symbol, consumed in C order, so drawing only a
+    # chunk's frames gives the leading rows of a full 4096-frame draw.  Index
+    # construction from doubles keeps consumption independent of the
+    # constellation size.
+    return points[(rng.random(shape) * points.size).astype(np.intp)]
+
+
 def _draw_grid_symbols(
-    rng: np.random.Generator,
-    frames_in_chunk: int,
-    sigma: np.ndarray,
-    points: np.ndarray,
+    rng: np.random.Generator, frames_in_chunk: int, sigma: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    # One uniform double per bin, consumed in (frame, delay, doppler) C-order,
-    # so drawing only this chunk's frames gives the leading rows of a full
-    # 4096-frame draw.  Index construction from doubles keeps consumption
-    # independent of the constellation size; sigma == 0 bins still consume a
-    # draw but emit exact 0.
-    num_delay, num_doppler = sigma.shape
-    u = rng.random((frames_in_chunk, num_delay, num_doppler))
-    idx = (u * points.size).astype(np.intp)
-    return points[idx] * sigma[None, :, :]
+    # One draw per (frame, delay, doppler) bin; sigma == 0 bins still consume
+    # a draw but emit exact 0.
+    return _draw_symbols(rng, (frames_in_chunk, *sigma.shape), points) * sigma
+
+
+def _chunked_frames(
+    num_frames: int, seed: int, draw: Callable, to_grid: Callable = lambda symbols: symbols
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Per 4096-frame Philox chunk: the drawn symbols and the OTFS frames they make.
+
+    Chunk ``c`` holds frames ``[c*4096, (c+1)*4096)``.  ``draw(rng, frames)``
+    draws its symbols from ``_chunk_rng(seed, c)``, and ``to_grid`` maps
+    them to the ``(frames, M, N)`` delay-Doppler grids that are modulated.
+    """
+    for chunk_index in range(-(-num_frames // _CHUNK_FRAMES)):
+        count = min(_CHUNK_FRAMES, num_frames - chunk_index * _CHUNK_FRAMES)
+        symbols = draw(_chunk_rng(seed, chunk_index), count)
+        time_rows = _row_inverse_dft(to_grid(symbols))  # (F, M, N)
+        yield symbols, time_rows.transpose(0, 2, 1).reshape(count, -1)  # n*M + l layout
 
 
 def stream_chunks(
@@ -361,14 +377,8 @@ def stream_chunks(
     if seed is None:
         raise ConfigurationError("a seed is required; wall-clock seeding is not supported")
     points = constellation_points(constellation, custom_points)
-    sigma = np.sqrt(profile.sigma2)
-    for chunk_index in range((num_frames + _CHUNK_FRAMES - 1) // _CHUNK_FRAMES):
-        lo = chunk_index * _CHUNK_FRAMES
-        hi = min(lo + _CHUNK_FRAMES, num_frames)
-        rng = _chunk_rng(seed, chunk_index)
-        symbols = _draw_grid_symbols(rng, hi - lo, sigma, points)
-        time_rows = _row_inverse_dft(symbols)  # (F, M, N)
-        frames = time_rows.transpose(0, 2, 1).reshape(hi - lo, -1)  # n*M + l layout
+    draw = partial(_draw_grid_symbols, sigma=np.sqrt(profile.sigma2), points=points)
+    for _, frames in _chunked_frames(num_frames, seed, draw):
         yield FrameStream(
             frames=frames,
             num_delay=profile.num_delay,

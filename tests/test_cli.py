@@ -254,6 +254,34 @@ def test_non_table_mask_is_exit_2(tmp_path, capsys):
     assert "section 'mask' must be a table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, section, body",
+    [
+        ("precode", "mask", {"null_bins": 5}),
+        ("precode", "mask", {"pass_bands_hz": 5}),
+        ("precode", "mask", {"path": 5}),
+        ("precode", "mask", {"null_bins": [1.5]}),
+        ("psd-analytic", "profile", {"columns": 5}),
+        ("psd-analytic", "profile", {"columns": [1.7]}),
+        ("psd-analytic", "profile", {"columns": [True, 2]}),
+    ],
+)
+def test_malformed_list_key_is_exit_2(tmp_path, capsys, command, section, body):
+    raw = {
+        "seed": 1,
+        "grid": {"num_delay": 4, "num_doppler": 8, "sample_interval": 1.0},
+        "profile": {"uniform": 1.0},
+        section: body,
+    }
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    assert run(command, "--config", config, "--out", out) == 2
+    (key,) = body
+    assert f"{section}.{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bool_uniform_power_is_exit_2(tmp_path, capsys):
     assert _analytic_exit_code(tmp_path, profile={"uniform": True}) == 2
     assert "profile.uniform must be a finite number" in capsys.readouterr().err

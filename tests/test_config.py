@@ -80,3 +80,8 @@ def test_uniform_power_must_be_a_non_negative_number(value):
 def test_pattern_budget_must_be_an_integer(budget):
     raw = _raw() | {"profile": {"pattern": "head_tail_columns", "budget": budget}}
     assert "profile.budget must be an integer" in _problems(raw)
+
+
+def test_null_band_and_frame_counts_mean_unset():
+    config = ScenarioConfig.from_dict(_raw(psd={"band": None}, stream={"frame_counts": None}))
+    assert config.band is None and config.frame_counts is None

@@ -13,7 +13,6 @@ from otfspectrum.dac import (
 )
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.waveform import DelayDopplerGrid, VarianceProfile, generate_random_stream, otfs_modulate
-from test_psd_properties import DETERMINISTIC
 
 
 def test_filter_kind_validation():
@@ -116,7 +115,6 @@ def test_sinc_interpolation_passes_through_input_samples():
     assert_allclose(taps, x, atol=1e-12)
 
 
-@DETERMINISTIC
 @given(
     length=st.integers(1, 3000),
     oversampling=st.integers(1, 12),

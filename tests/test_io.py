@@ -153,6 +153,23 @@ def test_load_mask_requires_some_spec():
         load_mask({"null_bins": [0]})
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"M": 4, "N": 8, "null_bins": 5}, "null_bins"),
+        ({"M": 4, "N": 8, "null_bins": [2.5]}, "null_bins"),
+        ({"M": 4, "N": 8, "T_s": 1.0, "pass_bands_hz": [["a", "b"]]}, "pass_bands_hz"),
+        ({"M": 4.9, "N": 8, "null_bins": [1]}, "num_delay"),
+        ([{"M": 4, "N": 8, "null_bins": [1]}], "JSON object"),
+    ],
+)
+def test_malformed_mask_file_is_a_configuration_error(tmp_path, spec, key):
+    path = tmp_path / "mask.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ConfigurationError, match=key):
+        load_mask(path)
+
+
 def test_precoder_dump_lists_every_entry(tmp_path):
     mask = decompose_mask([2, 9], 3, 4)
     precoders = build_precoders(mask)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfspectrum.errors import ConfigurationError, SystematicInfeasibleError
@@ -14,6 +16,7 @@ from otfspectrum.precoding import (
     subcarrier_transform,
     systematic_precoder,
 )
+from otfspectrum.presets import precoded_stream
 from otfspectrum.waveform import DelayDopplerGrid, dft_matrix, otfs_modulate
 
 LTE_RATE = 30.72e6
@@ -107,6 +110,12 @@ def test_pass_band_mask_half_open_edges():
     assert mask.null_bins.size == 4
     natural_null = set(int(b) for b in mask.null_bins)
     assert natural_null == {2, 3, 4, 5}
+
+
+def test_pass_band_edges_far_off_the_grid_are_clipped():
+    # the edges divided by the 1e-301 Hz bin spacing overflow to +-inf
+    assert mask_from_pass_bands([(-1e300, 1e300)], 2, 4, 1e300).null_bins.size == 0
+    assert_array_equal(mask_from_pass_bands([(1e300, 2e300)], 2, 4, 1e300).null_bins, np.arange(8))
 
 
 def test_pass_band_mask_rejects_empty_band():
@@ -284,3 +293,19 @@ def test_precoded_stream_is_prefix_stable_across_a_full_chunk():
     full, full_norms = precoded_stream(precoders, _CHUNK_FRAMES + 1, seed=3)
     assert_array_equal(short.frames, full.frames[:7])
     assert_array_equal(short_norms, full_norms[:7])
+
+
+@st.composite
+def _masks(draw):
+    """A random mask on a grid of at most 4x6 that leaves at least one payload bin."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    bins = draw(st.lists(st.integers(0, m * n - 1), unique=True, max_size=m * n - 1))
+    return decompose_mask(bins, m, n)
+
+
+@given(mask=_masks(), frames=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_null_space_precoded_stream_nulls_the_masked_bins(mask, frames, seed):
+    stream, norms = precoded_stream(build_precoders(mask, "null_space"), frames, seed)
+    spectra = np.fft.fft(stream.frames, axis=1, norm="ortho")
+    leak = np.abs(spectra[:, mask.null_bins]).max(axis=1, initial=0.0)
+    assert np.all(leak <= 1e-9 * norms)

@@ -18,8 +18,6 @@ from otfspectrum.dac import FILTER_KINDS, InterpolationFilter, filter_response_s
 from otfspectrum.psd import cep_ofdm_psd, ofdm_psd, otfs_psd
 from otfspectrum.waveform import VarianceProfile
 
-DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=40)
-
 
 @st.composite
 def profiles(draw, max_doppler=2048, delays=None):
@@ -77,7 +75,6 @@ def _comb_oracle(weights, n, x):
         return float(mpmath.sin(mpmath.pi * x) ** 2 / n**2 * total)
 
 
-@DETERMINISTIC
 @given(
     profile=profiles(),
     freqs=dyadic_grids(),
@@ -98,7 +95,6 @@ def test_chirp_z_comb_matches_mpmath_oracle(profile, freqs, exponent, waveform, 
         assert abs(curve.values[i] - _comb_oracle(weights, n, scaled[i])) <= 1e-11 * weights.max()
 
 
-@DETERMINISTIC
 @given(profile=profiles(delays=st.integers(1, 16)), freqs=any_grids())
 def test_cep_components_sum_to_otfs_curve(profile, freqs):
     filt = InterpolationFilter.dirac(1.0)
@@ -107,7 +103,6 @@ def test_cep_components_sum_to_otfs_curve(profile, freqs):
     assert np.max(np.abs(parts - whole)) <= 1e-12 * max(profile.per_subcarrier_power().max(), 1e-300)
 
 
-@DETERMINISTIC
 @given(
     # a power-of-two M keeps the shift 1/(M*T) and the shifted grid exact in float64
     profile=profiles(max_doppler=1024, delays=st.sampled_from([1, 2, 4, 8, 16])),
@@ -123,7 +118,7 @@ def test_dirac_otfs_curve_repeats_every_one_over_mt(profile, freqs, exponent):
     assert np.max(np.abs(shifted - base)) <= 1e-12 * max(peak, 1e-300)
 
 
-@settings(DETERMINISTIC, max_examples=150)
+@settings(max_examples=150)
 @given(
     profile=profiles(delays=st.integers(1, 4)),
     # coarse dyadic grids land on the comb's exact zeros, where rounding has either sign
@@ -145,7 +140,6 @@ def test_curve_is_non_negative_and_zero_for_a_silent_profile(profile, freqs, kin
             assert np.all(curve.values == 0.0)
 
 
-@DETERMINISTIC
 @given(
     profile=profiles(max_doppler=256),
     count=st.integers(3, 1024),

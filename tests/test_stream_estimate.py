@@ -28,7 +28,6 @@ from otfspectrum.waveform import (
     generate_random_stream,
     stream_chunks,
 )
-from test_psd_properties import DETERMINISTIC
 
 SEED = 11
 
@@ -92,7 +91,6 @@ def test_streamed_sinc_keeps_the_post_ring_segment():
     _assert_matches_one_shot(streamed, one_shot, exact=False)
 
 
-@DETERMINISTIC
 @given(
     delays=st.integers(1, 3),
     dopplers=st.integers(1, 4),

@@ -23,7 +23,6 @@ from otfspectrum.waveform import (
     otfs_modulate,
     stream_chunks,
 )
-from test_psd_properties import DETERMINISTIC
 
 RTWO = np.sqrt(2.0)
 
@@ -326,7 +325,6 @@ def test_partial_chunk_draw_is_the_prefix_of_a_full_chunk_draw():
     assert_array_equal(_draw_grid_symbols(_chunk_rng(9, 2), 7, sigma, _QPSK), full[:7])
 
 
-@DETERMINISTIC
 @example(delays=3, dopplers=2, frames=_CHUNK_FRAMES + 4, seed=0)
 @given(
     delays=st.integers(1, 5),
