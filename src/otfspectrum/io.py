@@ -287,8 +287,9 @@ def write_precoder_set(
         _write_header(handle, header)
         handle.write("subcarrier,row,col,re,im\n")
         for k, matrix in enumerate(precoders.matrices):
-            for r in range(matrix.shape[0]):
-                for c in range(matrix.shape[1]):
-                    value = matrix[r, c]
-                    handle.write(f"{k},{r},{c},{float(value.real)!r},{float(value.imag)!r}\n")
+            rows, cols = matrix.shape
+            prefixes = [f"{k},{r},{c}," for r in range(rows) for c in range(cols)]
+            re = map(repr, matrix.real.ravel().tolist())
+            im = map(repr, matrix.imag.ravel().tolist())
+            handle.writelines(f"{p}{a},{b}\n" for p, a, b in zip(prefixes, re, im))
     return path

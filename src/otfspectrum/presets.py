@@ -23,7 +23,7 @@ import numpy as np
 from . import io as fileio
 from .dac import FILTER_KINDS, InterpolationFilter, reconstruct
 from .errors import ConfigurationError
-from .estimate import PeriodogramAverager, compare_curves, periodogram
+from .estimate import PeriodogramAverager, compare_curves
 from .io import BAND, BAND_LIST, INT_LIST, POSITIVE_INT, POSITIVE_REAL, Rule, _is_int, _is_real, rule_problem
 from .patterns import PATTERN_NAMES, builtin_pattern, column_support_profile
 from .precoding import PRECODER_FORMS, PrecoderSet, SpectrumMask, build_precoders
@@ -140,6 +140,38 @@ _SECTIONS: Dict[str, List[str]] = {}
 for _where, _, _name in (key.name.rpartition(".") for key in CONFIG_KEYS):
     _SECTIONS.setdefault(_where, []).append(_name)
 _TOP_KEYS = set(_SECTIONS.pop("")) | set(_SECTIONS)
+
+
+def _overflow_problems(values: Dict[str, object]) -> List[str]:
+    """What the valid grid and PSD keys derive must stay finite, and the PSD grid increasing.
+
+    That is the reciprocal of the sample interval or rate, the band's width,
+    its point spacing against the float64 resolution at its edges, and its
+    edges in units of the frame rate (the analytic comb's argument).
+    """
+    interval, rate = values.get("grid.sample_interval"), values.get("grid.sample_rate")
+    for name, value, derived in (
+        ("grid.sample_interval", interval, "sample rate"), ("grid.sample_rate", rate, "sample interval")
+    ):
+        if value is not None and not np.isfinite(1.0 / value):
+            return [f"{name} = {value!r} makes the derived {derived} infinite"]
+    band, points = values.get("psd.band"), values.get("psd.num_points")
+    if (interval is None and rate is None) or points is None:
+        return []
+    if band is None:
+        nyquist = 0.5 * rate if rate is not None else 0.5 / interval
+        band = (-nyquist, nyquist)
+    lo, hi = band
+    edge = max(abs(lo), abs(hi))
+    frame = values.get("grid.num_delay", 1) * values.get("grid.num_doppler", 1)
+    frame *= interval if interval is not None else 1.0 / rate
+    if not np.isfinite(hi - lo):
+        return [f"psd.band must span a finite width, got {list(band)}"]
+    if not (hi - lo) / points > 4 * np.spacing(edge):
+        return [f"psd.num_points = {points} cuts the band {list(band)} finer than float64 resolves"]
+    if not np.isfinite(edge * frame):
+        return [f"psd.band edge {edge!r} Hz times the frame length {frame!r} s overflows"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -261,6 +293,7 @@ class ScenarioConfig:
                 f"grid.sample_interval and grid.sample_rate are inconsistent: "
                 f"their product is {interval * rate!r}, expected 1"
             )
+        problems += _overflow_problems(values)
         sources = [key for key in ("pattern", "columns", "uniform", "sigma2") if key in prof]
         if len(sources) != 1:
             problems.append(
@@ -321,28 +354,13 @@ def load_config(
 # ---------------------------------------------------------------------------
 
 
-#: Dense (reconstructed) samples per block of ``estimated_psd``; a block
-#: holds whole frames, at least one.  Counted on the dense grid, so a
-#: block's memory does not grow with the oversampling factor.
-_BLOCK_SAMPLES = 2**18
-
-
-def _frame_blocks(chunks: Iterable[FrameStream], oversampling: int) -> Iterator[FrameStream]:
-    """The chunks cut into blocks of whole frames of about ``_BLOCK_SAMPLES`` dense samples."""
-    for chunk in chunks:
-        block_frames = max(1, _BLOCK_SAMPLES // (chunk.samples_per_frame * oversampling))
-        for lo in range(0, chunk.num_frames, block_frames):
-            yield replace(chunk, frames=chunk.frames[lo : lo + block_frames])
-
-
 def _reconstructed_pieces(
-    chunks: Iterable[FrameStream], filt: InterpolationFilter, oversampling: int
+    blocks: Iterable[FrameStream], filt: InterpolationFilter, oversampling: int
 ) -> Iterator[np.ndarray]:
-    """``reconstruct`` of the concatenated chunks from time zero on, piece by piece.
+    """``reconstruct`` of the concatenated frame blocks from time zero on, piece by piece.
 
-    Each chunk is cut into blocks (``_frame_blocks``), and each block is
-    reconstructed on its own.  What a block rings past its end (the
-    ``2*order*L`` sinc tail; nothing for rect and dirac_delta) is
+    Each block is reconstructed on its own.  What a block rings past its
+    end (the ``2*order*L`` sinc tail; nothing for rect and dirac_delta) is
     overlap-added onto the next block, the samples before time zero (the
     ``order*L`` pre-ring) are dropped once, and the final tail is flushed at
     the end.  The pieces concatenate to
@@ -350,7 +368,7 @@ def _reconstructed_pieces(
     """
     tail = np.zeros(0, dtype=np.complex128)
     skip = None
-    for block in _frame_blocks(chunks, oversampling):
+    for block in blocks:
         signal = reconstruct(block, filt, oversampling)
         dense = signal.samples
         dense[: tail.size] += tail
@@ -397,20 +415,21 @@ def _streamed_estimates(
     """Averaged periodograms of views of one random OTFS stream, in one pass.
 
     A view is ``None`` for the stream itself or a delay index ``l`` for its
-    CEP component ``cep_component_stream(stream, l)``.  Each generation
-    chunk is drawn once and cut into blocks (``_frame_blocks``); each block
-    is fanned out to every view, and each view is reconstructed
+    CEP component ``cep_component_stream(stream, l)``.  The stream is
+    drawn once, in ``stream_chunks`` frame blocks; each block is fanned out
+    to every view, and each view is reconstructed
     (``_reconstructed_pieces``) into its own ``PeriodogramAverager``, all
-    in lockstep.  Memory is bounded by one chunk plus a block per view,
-    not by ``num_frames``.  The samples fed are those of
+    in lockstep.  Memory is bounded by a block per view, not by
+    ``num_frames``.  The samples fed are those of
     ``periodogram(reconstruct(view))`` from time zero on, the truncated
     sinc's post-ring included, so the segmentation matches the one-shot
     estimate; dirac_delta and rect match it bit for bit, the sinc to rounding.
     """
     segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
     averagers = [PeriodogramAverager(segment_len, oversampling / sample_interval) for _ in views]
-    chunks = stream_chunks(profile, num_frames, seed, sample_interval, constellation)
-    blocks = _frame_blocks(chunks, oversampling)
+    blocks = stream_chunks(
+        profile, num_frames, seed, sample_interval, constellation, oversampling=oversampling
+    )
     pieces = [
         _reconstructed_pieces(
             source if l is None else map(partial(cep_component_stream, delay_index=l), source),
@@ -439,7 +458,7 @@ def estimated_psd(
     """Generate, reconstruct, and periodogram-average an OTFS stream.
 
     The one-view case of ``_streamed_estimates`` (the CEP split adds the
-    M component views): memory is bounded by the generation chunk, and the
+    M component views): memory is bounded by the frame block, and the
     estimate is that of ``periodogram(reconstruct(generate_random_stream(...)))``.
     """
     (curve,) = _streamed_estimates(
@@ -488,19 +507,14 @@ def _cep_split(
     return whole, parts, sum_curve, compare_curves(sum_curve, whole, band=(-nyquist, nyquist))
 
 
-def precoded_stream(
-    precoders: PrecoderSet,
-    num_frames: int,
-    seed: int,
-    sample_interval: float = 1.0,
-    constellation: str = "qpsk",
-) -> Tuple[FrameStream, np.ndarray]:
-    """Random-payload OTFS stream through a precoder set.
+def _precoded_blocks(
+    precoders: PrecoderSet, num_frames: int, seed: int, sample_interval: float, constellation: str
+) -> Iterator[Tuple[FrameStream, np.ndarray]]:
+    """Random-payload OTFS frames through a precoder set, block by block.
 
-    Returns the modulated stream and the Euclidean norm of each frame's
-    payload vector.  Payload draws follow the same fixed-chunk Philox
-    indexing as plain stream generation, so runs are reproducible and
-    prefix-stable in ``num_frames``.
+    Yields each frame block (``waveform._chunked_frames``) with the
+    Euclidean norm of each of its frames' payload vectors.  Payload draws
+    follow the same fixed-chunk Philox indexing as plain stream generation.
     """
     if num_frames < 1:
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
@@ -512,29 +526,41 @@ def precoded_stream(
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
     def to_grid(payload: np.ndarray) -> np.ndarray:
-        entries = np.zeros((len(payload), mask.num_delay, mask.num_doppler), dtype=np.complex128)
+        # A one-row product takes BLAS's matrix-vector path, which rounds
+        # differently from the matrix-matrix path of longer blocks: pad a lone
+        # frame with a zero row, so every frame is computed alike whatever
+        # block it falls in, and the stream stays prefix-stable.
+        rows = payload if len(payload) > 1 else np.vstack([payload, np.zeros_like(payload)])
+        entries = np.zeros((len(rows), mask.num_delay, mask.num_doppler), dtype=np.complex128)
         for k, matrix in enumerate(precoders.matrices):
             if matrix.shape[1]:
-                entries[:, :, k] = payload[:, offsets[k] : offsets[k + 1]] @ matrix.T
-        return entries
+                entries[:, :, k] = rows[:, offsets[k] : offsets[k + 1]] @ matrix.T
+        return entries[: len(payload)]
 
     points = constellation_points(constellation)
     draw = lambda rng, count: _draw_symbols(rng, (count, total), points)
-    frames = np.empty((num_frames, mask.num_bins), dtype=np.complex128)
-    norms = np.empty(num_frames)
-    lo = 0
-    for payload, chunk in _chunked_frames(num_frames, seed, draw, to_grid):
-        frames[lo : lo + len(chunk)] = chunk
-        norms[lo : lo + len(chunk)] = np.linalg.norm(payload, axis=1)
-        lo += len(chunk)
-    stream = FrameStream(
-        frames=frames,
-        num_delay=mask.num_delay,
-        num_doppler=mask.num_doppler,
-        sample_interval=sample_interval,
-        seed=seed,
-    )
-    return stream, norms
+    for payload, frames in _chunked_frames(num_frames, seed, draw, mask.num_bins, to_grid):
+        block = FrameStream(frames, mask.num_delay, mask.num_doppler, sample_interval, seed)
+        yield block, np.linalg.norm(payload, axis=1)
+
+
+def precoded_stream(
+    precoders: PrecoderSet,
+    num_frames: int,
+    seed: int,
+    sample_interval: float = 1.0,
+    constellation: str = "qpsk",
+) -> Tuple[FrameStream, np.ndarray]:
+    """Random-payload OTFS stream through a precoder set.
+
+    Returns the modulated stream and the Euclidean norm of each frame's
+    payload vector: the ``_precoded_blocks`` concatenated.  Payload draws
+    follow the same fixed-chunk Philox indexing as plain stream generation,
+    so runs are reproducible and prefix-stable in ``num_frames``.
+    """
+    blocks, norms = zip(*_precoded_blocks(precoders, num_frames, seed, sample_interval, constellation))
+    stream = replace(blocks[0], frames=np.concatenate([block.frames for block in blocks]))
+    return stream, np.concatenate(norms)
 
 
 # ---------------------------------------------------------------------------
@@ -678,14 +704,19 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     if mask is None:
         raise ConfigurationError("the NSLP preset needs a mask section")
     precoders = build_precoders(mask, config.precoder_form)
-    stream, payload_norms = precoded_stream(
+    # Block by block: the worst masked-bin leak, and the one-frame-segment
+    # periodogram (the averager is chunking-invariant, bit for bit).
+    averager = PeriodogramAverager(mask.num_bins, 1.0 / config.sample_interval)
+    worst_leak = 0.0
+    for block, payload_norms in _precoded_blocks(
         precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
-    )
-    spectra = np.fft.fft(stream.frames, axis=1, norm="ortho")
-    leak = np.abs(spectra[:, mask.null_bins])
-    worst_leak = float((leak.max(axis=1) / payload_norms).max()) if mask.null_bins.size else 0.0
-
-    curve = periodogram(stream)
+    ):
+        if mask.null_bins.size:
+            spectra = np.fft.fft(block.frames, axis=1, norm="ortho")
+            leak = np.abs(spectra[:, mask.null_bins]).max(axis=1) / payload_norms
+            worst_leak = max(worst_leak, float(leak.max()))
+        averager.add(block.frames)
+    curve = averager.result()
     # Periodogram bins are exactly the spectrum bins (segment = one frame):
     # reorder the natural-index null set onto the centered grid.
     half = mask.num_bins // 2

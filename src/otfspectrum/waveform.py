@@ -22,12 +22,16 @@ bin, column ``k`` a Doppler (equivalently, subcarrier) bin.  With
 Frames never carry a cyclic prefix; a frame is exactly ``M*N`` samples.
 All streams are generated from a counter-based Philox generator so a
 given ``(seed, frame, delay, doppler)`` bin always receives the same
-draw no matter how many frames are requested.
+draw no matter how many frames are requested.  The fixed 4096-frame
+chunk is only the seeding schedule (chunk ``c`` draws from one generator
+keyed by ``(seed, c)``); streams are produced in frame blocks of about
+``_BLOCK_SAMPLES`` samples, drawn one after another from their chunk's
+generator, so generation memory depends on the block, not the frame count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -54,6 +58,11 @@ __all__ = [
 #: Frames per generation chunk.  Fixed: it is part of the reproducibility
 #: contract (chunk c of a given seed always holds frames [c*4096, (c+1)*4096)).
 _CHUNK_FRAMES = 4096
+
+#: Dense (oversampled) samples per frame block; a block holds whole frames,
+#: at least one, and never crosses a chunk boundary.  Counted on the dense
+#: grid, so a block's reconstruction does not grow with the oversampling factor.
+_BLOCK_SAMPLES = 2**18
 
 #: Built-in constellations, selectable by name in a scenario config.
 CONSTELLATIONS = ("qpsk", "qam16")
@@ -327,35 +336,47 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _draw_symbols(rng: np.random.Generator, shape: Tuple[int, ...], points: np.ndarray) -> np.ndarray:
-    # One uniform double per symbol, consumed in C order, so drawing only a
-    # chunk's frames gives the leading rows of a full 4096-frame draw.  Index
+    # One uniform double per symbol, consumed in C order, so drawing a chunk
+    # block by block gives the rows of one full 4096-frame draw.  Index
     # construction from doubles keeps consumption independent of the
     # constellation size.
     return points[(rng.random(shape) * points.size).astype(np.intp)]
 
 
 def _draw_grid_symbols(
-    rng: np.random.Generator, frames_in_chunk: int, sigma: np.ndarray, points: np.ndarray
+    rng: np.random.Generator, frames: int, sigma: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
     # One draw per (frame, delay, doppler) bin; sigma == 0 bins still consume
     # a draw but emit exact 0.
-    return _draw_symbols(rng, (frames_in_chunk, *sigma.shape), points) * sigma
+    return _draw_symbols(rng, (frames, *sigma.shape), points) * sigma
 
 
 def _chunked_frames(
-    num_frames: int, seed: int, draw: Callable, to_grid: Callable = lambda symbols: symbols
+    num_frames: int,
+    seed: int,
+    draw: Callable,
+    frame_samples: int,
+    to_grid: Callable = lambda symbols: symbols,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Per 4096-frame Philox chunk: the drawn symbols and the OTFS frames they make.
+    """Per frame block: the drawn symbols and the OTFS frames they make.
 
-    Chunk ``c`` holds frames ``[c*4096, (c+1)*4096)``.  ``draw(rng, frames)``
-    draws its symbols from ``_chunk_rng(seed, c)``, and ``to_grid`` maps
-    them to the ``(frames, M, N)`` delay-Doppler grids that are modulated.
+    A block holds ``max(1, _BLOCK_SAMPLES // frame_samples)`` frames (the
+    last block of a chunk may hold fewer), with ``frame_samples`` the dense
+    samples per frame.  Chunk ``c`` holds frames ``[c*4096, (c+1)*4096)``:
+    its blocks call ``draw(rng, frames)`` one after another on the one
+    generator ``_chunk_rng(seed, c)``, which returns exactly the draws of
+    one whole-chunk call, and ``to_grid`` maps them to the ``(frames, M, N)``
+    delay-Doppler grids that are modulated.
     """
+    block_frames = max(1, _BLOCK_SAMPLES // frame_samples)
     for chunk_index in range(-(-num_frames // _CHUNK_FRAMES)):
+        rng = _chunk_rng(seed, chunk_index)
         count = min(_CHUNK_FRAMES, num_frames - chunk_index * _CHUNK_FRAMES)
-        symbols = draw(_chunk_rng(seed, chunk_index), count)
-        time_rows = _row_inverse_dft(to_grid(symbols))  # (F, M, N)
-        yield symbols, time_rows.transpose(0, 2, 1).reshape(count, -1)  # n*M + l layout
+        for lo in range(0, count, block_frames):
+            frames = min(block_frames, count - lo)
+            symbols = draw(rng, frames)
+            time_rows = _row_inverse_dft(to_grid(symbols))  # (F, M, N)
+            yield symbols, time_rows.transpose(0, 2, 1).reshape(frames, -1)  # n*M + l layout
 
 
 def stream_chunks(
@@ -365,12 +386,17 @@ def stream_chunks(
     sample_interval: float = 1.0,
     constellation: str = "qpsk",
     custom_points: Optional[Sequence[complex]] = None,
+    oversampling: int = 1,
 ) -> Iterator[FrameStream]:
-    """Yield the OTFS stream in fixed 4096-frame generation chunks.
+    """Yield the OTFS stream in frame blocks of about ``_BLOCK_SAMPLES`` dense samples.
 
-    Concatenating the chunks is bit-identical to ``generate_random_stream``
-    with the same arguments; use this to keep long oversampled runs out of
-    memory.
+    A block holds ``max(1, _BLOCK_SAMPLES // (M*N*oversampling))`` frames,
+    except the last block of a 4096-frame generation chunk, which may hold
+    fewer; no block crosses a chunk boundary.  Pass the DAC's oversampling
+    factor, so a block's reconstruction stays the same size for every L.
+    Concatenating the blocks is bit-identical to ``generate_random_stream``
+    with the same arguments; memory is bounded by one block, not by
+    ``num_frames``.
     """
     if num_frames < 1:
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
@@ -378,7 +404,8 @@ def stream_chunks(
         raise ConfigurationError("a seed is required; wall-clock seeding is not supported")
     points = constellation_points(constellation, custom_points)
     draw = partial(_draw_grid_symbols, sigma=np.sqrt(profile.sigma2), points=points)
-    for _, frames in _chunked_frames(num_frames, seed, draw):
+    frame_samples = profile.num_delay * profile.num_doppler * oversampling
+    for _, frames in _chunked_frames(num_frames, seed, draw, frame_samples):
         yield FrameStream(
             frames=frames,
             num_delay=profile.num_delay,
@@ -404,14 +431,7 @@ def generate_random_stream(
     4096-frame Philox chunks, so enlarging ``num_frames`` never changes
     earlier frames.
     """
-    chunks = list(
+    blocks = list(
         stream_chunks(profile, num_frames, seed, sample_interval, constellation, custom_points)
     )
-    frames = chunks[0].frames if len(chunks) == 1 else np.concatenate([c.frames for c in chunks])
-    return FrameStream(
-        frames=frames,
-        num_delay=profile.num_delay,
-        num_doppler=profile.num_doppler,
-        sample_interval=sample_interval,
-        seed=seed,
-    )
+    return replace(blocks[0], frames=np.concatenate([block.frames for block in blocks]))

@@ -293,6 +293,18 @@ def test_bool_pattern_budget_is_exit_2(tmp_path, capsys):
     assert "profile.budget must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"grid": {"num_delay": 4, "num_doppler": 8, "sample_interval": 5e-324}}, "grid.sample_interval"),
+        ({"psd": {"band": [-1e300, 1e308]}}, "psd.band"),
+    ],
+)
+def test_overflowing_derived_value_is_exit_2_naming_the_key(tmp_path, capsys, overrides, key):
+    assert _analytic_exit_code(tmp_path, **overrides) == 2
+    assert f"- {key}" in capsys.readouterr().err
+
+
 def test_flag_onto_a_non_table_section_is_exit_2_for_scenario(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"grid": 5}))

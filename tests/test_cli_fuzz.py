@@ -2,9 +2,11 @@
 
 Each example runs ``cli.main`` in-process on a config file, a mask file or
 two PSD CSVs whose values are arbitrary JSON (or text): nulls, bools,
-integers, floats including +-inf and NaN, strings, and nested lists and
-tables.  A valid base config is edited at a few keys, so examples reach
-past validation into the pipelines.  Sizes are drawn small so that each
+integers, floats including +-inf, NaN and the edges of the float64 range,
+strings, and nested lists and tables.  A valid base config is edited at a
+few keys, so examples reach past validation into the pipelines; a config
+that validation accepts must derive a finite sample rate and interval and
+a finite, increasing PSD grid.  Sizes are drawn small so that each
 example stays cheap; a well-formed but huge size (``psd.num_points: 1e11``,
 ``stream.num_frames: 10**9``) is a valid request for a long run and is out
 of scope here.
@@ -12,10 +14,13 @@ of scope here.
 
 import json
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from otfspectrum.cli import main
+from otfspectrum.errors import ConfigurationError
+from otfspectrum.presets import ScenarioConfig
 
 #: Every key a scenario config may hold, plus a few it may not.
 FUZZED_KEYS = (
@@ -33,14 +38,23 @@ MASK_KEYS = (
 )
 DELETE = object()
 
+#: Floats whose reciprocals, differences or products overflow float64.
+EXTREMES = st.sampled_from(
+    [float("inf"), float("-inf"), float("nan"), 1e308, 1e300, -1e300, 5e-324, 1e-300]
+)
+#: Valid-looking positive scales, and band edges, drawn from that range's ends.
+SCALES = st.sampled_from([1.0, 1e300, 1e308, 1e-300, 5e-324])
+EDGES = st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308, 5e-324])
+
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 9),
     st.floats(-3.0, 3.0),
-    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e300, -1e300, 5e-324, 1e-300]),
+    EXTREMES,
     st.sampled_from(["", "1", "qpsk", "rect", "head_tail_rows", "systematic", "example1"]),
 )
+EXTREME_PAIRS = st.lists(EXTREMES | st.floats(-3.0, 3.0), min_size=2, max_size=2)
 JSON = st.recursive(
     LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
@@ -87,18 +101,60 @@ def _assert_exit_0_or_2(argv) -> None:
     assert code in (0, 2), f"exit {code} for {argv}"
 
 
+def _assert_accepted_config_derives_finite_values(raw: dict) -> None:
+    """Sample rate and interval, the PSD grid and the comb's argument f*M*N*T: finite, grid increasing."""
+    try:
+        config = ScenarioConfig.from_dict(raw)
+    except ConfigurationError:
+        return
+    freqs = config.freq_grid()
+    with np.errstate(all="ignore"):
+        scaled = freqs * (config.num_delay * config.num_doppler * config.sample_interval)
+    assert np.isfinite([config.sample_rate, config.sample_interval]).all(), raw
+    assert np.all(np.diff(freqs) > 0) and np.isfinite(scaled).all(), raw
+
+
 @settings(FUZZ, max_examples=80)
 @given(
     command=st.sampled_from(COMMANDS),
     mask=st.sampled_from([None, {"null_bins": [1, 5]}, {"pass_bands_hz": [[-0.25, 0.25]]}]),
-    edits=st.dictionaries(st.sampled_from(FUZZED_KEYS), JSON | st.just(DELETE), min_size=1, max_size=2),
+    edits=st.dictionaries(
+        st.sampled_from(FUZZED_KEYS),
+        JSON | EXTREME_PAIRS | st.just(DELETE),
+        min_size=1,
+        max_size=2,
+    ),
 )
 def test_fuzzed_config_is_exit_0_or_2(tmp_path, command, mask, edits):
+    _check_edited_config(tmp_path, command, mask, edits)
+
+
+def _check_edited_config(tmp_path, command, mask, edits) -> None:
     raw = _edited(BASE if mask is None else {**BASE, "mask": mask}, edits)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(raw))
     stream = ["--stream-out", tmp_path / "stream.csv"] if command == ["precode"] else []
     _assert_exit_0_or_2([*command, "--config", config, "--out", tmp_path / "out.csv", *stream])
+    _assert_accepted_config_derives_finite_values(raw)
+
+
+@FUZZ
+@example(edits={"grid.sample_interval": 5e-324})
+@example(edits={"psd.band": [-1e300, 1e308]})
+@given(
+    edits=st.fixed_dictionaries(
+        {},
+        optional={
+            "grid.sample_interval": SCALES | st.just(DELETE),
+            "grid.sample_rate": SCALES,
+            "psd.band": st.lists(EDGES, min_size=2, max_size=2).map(sorted),
+            "psd.num_points": st.integers(2, 9),
+        },
+    ),
+)
+def test_fuzzed_rate_and_band_derive_finite_values(tmp_path, edits):
+    """Valid-looking values at the edges of the float64 range, in the keys that derive others."""
+    _check_edited_config(tmp_path, COMMANDS[1], None, edits)
 
 
 @FUZZ

@@ -85,3 +85,33 @@ def test_pattern_budget_must_be_an_integer(budget):
 def test_null_band_and_frame_counts_mean_unset():
     config = ScenarioConfig.from_dict(_raw(psd={"band": None}, stream={"frame_counts": None}))
     assert config.band is None and config.frame_counts is None
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"sample_interval": 5e-324}, "grid.sample_interval = 5e-324 makes the derived sample rate infinite"),
+        ({"sample_rate": 5e-324}, "grid.sample_rate = 5e-324 makes the derived sample interval infinite"),
+    ],
+)
+def test_overflowing_derived_rate_names_the_key(grid, message):
+    assert message in _problems(_raw() | {"grid": {"num_delay": 4, "num_doppler": 8, **grid}})
+
+
+@pytest.mark.parametrize(
+    "band, message",
+    [
+        ([-1e308, 1.7e308], "psd.band must span a finite width"),
+        ([-1e300, 1e308], "psd.band edge 1e+308 Hz times the frame length 32.0 s overflows"),
+        ([1e300, 1.0000000000000002e300], "psd.num_points = 4096 cuts the band"),
+        ([0.0, 1e-320], "psd.num_points = 4096 cuts the band"),
+    ],
+)
+def test_overflowing_psd_grid_names_the_key(band, message):
+    assert message in _problems(_raw(psd={"band": band}))
+
+
+def test_psd_grid_just_inside_float64_is_accepted():
+    config = ScenarioConfig.from_dict(_raw(psd={"band": [-1e306, 1e306], "num_points": 16}))
+    freqs = config.freq_grid()
+    assert np.all(np.diff(freqs) > 0) and np.isfinite(freqs * 32.0).all()

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfspectrum import estimate
@@ -123,6 +127,31 @@ def test_batched_averager_adds_segments_in_stream_order(monkeypatch, segment_len
         avg.add(cut)
     assert avg.num_segments == count
     assert_array_equal(avg.result().values, np.fft.fftshift(looped / (count * segment_len)))
+
+
+@given(
+    segment_len=st.integers(1, 64),
+    segments=st.integers(1, 40),
+    partial=st.integers(0, 63),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=8),
+    batch_segments=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_averager_is_bit_identical_under_any_chunking(
+    segment_len, segments, partial, cuts, batch_segments, seed
+):
+    """Random cut points (empty and sub-segment chunks too) and batch sizes: the same bits."""
+    rng = np.random.default_rng(seed)
+    size = segments * segment_len + partial % segment_len
+    x = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(-3, 3, size)
+    whole = periodogram(x, segment_len=segment_len, sample_rate=2.0)
+    avg = PeriodogramAverager(segment_len, sample_rate=2.0)
+    with mock.patch.object(estimate, "_BATCH_SAMPLES", batch_segments * segment_len):
+        for piece in np.split(x, sorted(int(c * size) for c in cuts)):
+            avg.add(piece)
+    chunked = avg.result()
+    assert avg.num_segments == chunked.meta["num_segments"] == whole.meta["num_segments"] == segments
+    assert_array_equal(chunked.values, whole.values)
 
 
 def test_averager_requires_a_segment():

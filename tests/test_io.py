@@ -184,3 +184,24 @@ def test_precoder_dump_lists_every_entry(tmp_path):
     k, r, c, re, im = data[0].split(",")
     assert (int(k), int(r), int(c)) == (0, 0, 0)
     float(re), float(im)
+
+
+def _entry_rows_by_loop(precoders) -> str:
+    """The precoder CSV body, one formatted entry at a time (the writer's reference)."""
+    rows = []
+    for k, matrix in enumerate(precoders.matrices):
+        for r in range(matrix.shape[0]):
+            for c in range(matrix.shape[1]):
+                value = matrix[r, c]
+                rows.append(f"{k},{r},{c},{float(value.real)!r},{float(value.imag)!r}\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("form", ["null_space", "systematic"])
+def test_precoder_dump_matches_the_per_entry_loop(tmp_path, form):
+    # subcarrier 1 is fully masked (no payload columns); the others keep 1-3 rows
+    mask = decompose_mask([1, 2, 5, 9, 11], 3, 4)
+    precoders = build_precoders(mask, form)
+    text = write_precoder_set(tmp_path / "p.csv", precoders).read_text()
+    body = text.split("subcarrier,row,col,re,im\n", 1)[1]
+    assert body == _entry_rows_by_loop(precoders)

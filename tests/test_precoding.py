@@ -295,6 +295,15 @@ def test_precoded_stream_is_prefix_stable_across_a_full_chunk():
     assert_array_equal(short_norms, full_norms[:7])
 
 
+def test_a_lone_frame_is_precoded_like_the_frames_of_a_longer_block():
+    """A one-frame block (or chunk tail) rounds like the first row of a two-frame one."""
+    precoders = build_precoders(decompose_mask([0], 2, 2))
+    one, one_norms = precoded_stream(precoders, 1, seed=0)
+    two, two_norms = precoded_stream(precoders, 2, seed=0)
+    assert_array_equal(one.frames, two.frames[:1])
+    assert_array_equal(one_norms, two_norms[:1])
+
+
 @st.composite
 def _masks(draw):
     """A random mask on a grid of at most 4x6 that leaves at least one payload bin."""

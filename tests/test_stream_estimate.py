@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from otfspectrum import presets
+from otfspectrum import presets, waveform
 from otfspectrum.dac import InterpolationFilter, reconstruct
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.estimate import periodogram
@@ -71,7 +71,7 @@ def test_streamed_estimate_equals_one_shot(case, kind):
     filt, oversampling = FILTERS[kind]
     if case == "block_boundary":
         per_frame = profile.num_delay * profile.num_doppler * oversampling
-        assert frames > presets._BLOCK_SAMPLES // per_frame
+        assert frames > waveform._BLOCK_SAMPLES // per_frame
     streamed = estimated_psd(profile, frames, SEED, 1.0, filt, oversampling, segment_frames)
     one_shot = _one_shot(profile, frames, filt, oversampling, segment_frames)
     _assert_matches_one_shot(streamed, one_shot, exact=kind != "truncated_sinc")
@@ -105,9 +105,9 @@ def test_pieces_concatenate_to_the_one_shot_reconstruction(
     """Any block size, down to blocks far shorter than the sinc's ring."""
     profile = VarianceProfile.uniform(delays, dopplers)
     filt = InterpolationFilter.truncated_sinc(1.0, order)
-    with mock.patch.object(presets, "_BLOCK_SAMPLES", block):
-        chunks = stream_chunks(profile, frames, SEED, 1.0)
-        pieces = np.concatenate(list(presets._reconstructed_pieces(chunks, filt, oversampling)))
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
+        blocks = stream_chunks(profile, frames, SEED, 1.0, oversampling=oversampling)
+        pieces = np.concatenate(list(presets._reconstructed_pieces(blocks, filt, oversampling)))
     whole = reconstruct(generate_random_stream(profile, frames, SEED, 1.0), filt, oversampling)
     expected = whole.samples[order * oversampling :]
     assert pieces.size == expected.size
@@ -146,7 +146,7 @@ def test_streamed_cep_split_equals_one_shot(kind):
     Each block feeds the whole stream and all three components.
     """
     filt, oversampling = FILTERS[kind]
-    with mock.patch.object(presets, "_BLOCK_SAMPLES", 2**10):
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**10):
         whole, parts, summed, metrics = presets._cep_split(
             CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling, 1, "qpsk"
         )
@@ -169,12 +169,11 @@ def test_cep_sum_match_memory_does_not_grow_with_frames():
 def test_cep_views_copy_blocks_not_chunks():
     """Eight component views of 16-frame blocks: the views never copy a whole generation chunk.
 
-    Drawing a chunk alone peaks at about three chunk sizes; a chunk copied
-    per view would add eight more.
+    A chunk copied per view would alone add eight chunk sizes.
     """
     profile = VarianceProfile.uniform(8, 4)
     chunk_bytes = 4096 * profile.num_delay * profile.num_doppler * 16
-    with mock.patch.object(presets, "_BLOCK_SAMPLES", 512):
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 512):
         tracemalloc.start()
         try:
             cep_sum_match(profile, 4096, SEED, 1.0, InterpolationFilter.rect(1.0), 1)
@@ -182,3 +181,21 @@ def test_cep_views_copy_blocks_not_chunks():
         finally:
             tracemalloc.stop()
     assert peak < 5 * chunk_bytes
+
+
+def _nslp_peak_bytes(tmp_path, frames):
+    config = presets.preset_config(
+        "lte-otfs-nslp", {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": frames}}
+    )
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**12):  # 16-frame blocks
+        tracemalloc.start()
+        try:
+            presets.run_scenario(config, tmp_path / str(frames))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_nslp_runner_memory_does_not_grow_with_frames(tmp_path):
+    """16 and 64 precoded blocks peak alike: the leak and the periodogram are taken block by block."""
+    assert _nslp_peak_bytes(tmp_path, 1024) <= 1.05 * _nslp_peak_bytes(tmp_path, 256)

@@ -1,10 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from otfspectrum import waveform
 from otfspectrum.errors import ConfigurationError
+from otfspectrum.precoding import build_precoders, decompose_mask
+from otfspectrum.presets import precoded_stream
 from otfspectrum.waveform import (
     BasebandFrame,
     DelayDopplerGrid,
@@ -231,13 +237,85 @@ def test_stream_prefix_stability():
     assert_array_equal(short.frames, long.frames[:10])
 
 
+def _assert_block_layout(sizes, num_frames, block_frames):
+    """Blocks tile the frames; none crosses a chunk boundary; all but a chunk's last are full."""
+    ends = np.cumsum(sizes)
+    assert ends[-1] == num_frames
+    for size, end in zip(sizes, ends):
+        assert (end - size) // _CHUNK_FRAMES == (end - 1) // _CHUNK_FRAMES
+        chunk_end = min(num_frames, ((end - 1) // _CHUNK_FRAMES + 1) * _CHUNK_FRAMES)
+        assert size == block_frames if end < chunk_end else 1 <= size <= block_frames
+
+
+def _whole_chunk_frames(profile, num_frames, seed):
+    """The stream drawn and modulated one whole 4096-frame chunk at a time (the blocks' reference)."""
+    chunks = []
+    for lo in range(0, num_frames, _CHUNK_FRAMES):
+        count = min(_CHUNK_FRAMES, num_frames - lo)
+        rng = _chunk_rng(seed, lo // _CHUNK_FRAMES)
+        symbols = _draw_grid_symbols(rng, count, np.sqrt(profile.sigma2), _QPSK)
+        rows = np.fft.ifft(symbols, axis=-1, norm="ortho")
+        chunks.append(rows.transpose(0, 2, 1).reshape(count, -1))
+    return np.concatenate(chunks)
+
+
 def test_stream_chunks_concatenate_to_one_shot():
     prof = VarianceProfile.uniform(2, 2)
     whole = generate_random_stream(prof, 9000, seed=5)  # spans three chunks
-    parts = np.concatenate([c.frames for c in stream_chunks(prof, 9000, seed=5)])
-    assert_array_equal(whole.frames, parts)
-    sizes = [c.num_frames for c in stream_chunks(prof, 9000, seed=5)]
-    assert sizes == [_CHUNK_FRAMES, _CHUNK_FRAMES, 9000 - 2 * _CHUNK_FRAMES]
+    assert_array_equal(whole.frames, _whole_chunk_frames(prof, 9000, seed=5))
+    # default blocks (a whole chunk here) and 83-frame blocks at oversampling 3
+    for block_samples, oversampling in ((waveform._BLOCK_SAMPLES, 1), (1000, 3)):
+        with mock.patch.object(waveform, "_BLOCK_SAMPLES", block_samples):
+            blocks = list(stream_chunks(prof, 9000, seed=5, oversampling=oversampling))
+        assert_array_equal(whole.frames, np.concatenate([b.frames for b in blocks]))
+        block_frames = max(1, block_samples // (4 * oversampling))
+        _assert_block_layout([b.num_frames for b in blocks], 9000, block_frames)
+
+
+@example(
+    delays=2, dopplers=3, frames=_CHUNK_FRAMES + 5, shorter_by=3, block_samples=70, oversampling=2, seed=0
+)
+@given(
+    delays=st.integers(1, 3),
+    dopplers=st.integers(1, 3),
+    frames=st.one_of(st.integers(1, 64), st.integers(_CHUNK_FRAMES - 8, 2 * _CHUNK_FRAMES + 8)),
+    shorter_by=st.integers(0, _CHUNK_FRAMES + 64),
+    block_samples=st.integers(8, 4096),
+    oversampling=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streams_are_prefix_stable_across_chunk_boundaries(
+    delays, dopplers, frames, shorter_by, block_samples, oversampling, seed
+):
+    """Small blocks: every prefix of a longer stream is the shorter stream, plain and precoded."""
+    prof = VarianceProfile(np.arange(1.0, delays * dopplers + 1).reshape(delays, dopplers))
+    prefix = max(1, frames - shorter_by)
+    precoders = build_precoders(decompose_mask([0] if delays * dopplers > 1 else [], delays, dopplers))
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block_samples):
+        blocks = list(stream_chunks(prof, frames, seed, oversampling=oversampling))
+        short = generate_random_stream(prof, prefix, seed)
+        precoded, norms = precoded_stream(precoders, frames, seed)
+        short_precoded, short_norms = precoded_stream(precoders, prefix, seed)
+    block_frames = max(1, block_samples // (delays * dopplers * oversampling))
+    _assert_block_layout([b.num_frames for b in blocks], frames, block_frames)
+    stream = np.concatenate([b.frames for b in blocks])
+    assert_array_equal(stream, _whole_chunk_frames(prof, frames, seed))
+    assert_array_equal(stream[:prefix], short.frames)
+    assert_array_equal(precoded.frames[:prefix], short_precoded.frames)
+    assert_array_equal(norms[:prefix], short_norms)
+
+
+def test_a_stream_block_stays_far_below_a_chunk():
+    """16x128 grid: one 4096-frame chunk array is 134 MB, one 2**18-sample block 4 MB."""
+    prof = VarianceProfile.uniform(16, 128)
+    tracemalloc.start()
+    try:
+        block = next(stream_chunks(prof, _CHUNK_FRAMES, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.num_frames == waveform._BLOCK_SAMPLES // (16 * 128)
+    assert peak < 32 * 2**20
 
 
 def test_zero_variance_bins_are_exactly_zero():
