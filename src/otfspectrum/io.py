@@ -283,13 +283,18 @@ def write_precoder_set(
     }
     if extra_header:
         header.update(extra_header)
+    cells: Dict[Tuple[int, int], List[str]] = {}  # "r,c," of each entry, per matrix shape
     with path.open("w") as handle:
         _write_header(handle, header)
         handle.write("subcarrier,row,col,re,im\n")
         for k, matrix in enumerate(precoders.matrices):
             rows, cols = matrix.shape
-            prefixes = [f"{k},{r},{c}," for r in range(rows) for c in range(cols)]
-            re = map(repr, matrix.real.ravel().tolist())
-            im = map(repr, matrix.imag.ravel().tolist())
-            handle.writelines(f"{p}{a},{b}\n" for p, a, b in zip(prefixes, re, im))
+            if matrix.shape not in cells:
+                cells[matrix.shape] = [f"{r},{c}," for r in range(rows) for c in range(cols)]
+            # one subcarrier's rows "k,r,c,re,im\n", six parts an entry, joined once
+            parts = [f"{k},", "", "", ",", "", "\n"] * matrix.size
+            parts[1::6] = cells[matrix.shape]
+            parts[2::6] = map(float.__repr__, matrix.real.ravel().tolist())
+            parts[4::6] = map(float.__repr__, matrix.imag.ravel().tolist())
+            handle.write("".join(parts))
     return path

@@ -12,11 +12,19 @@ kept rows times an optional mixing matrix - always feasible, orthonormal
 columns) and ``systematic_precoder`` (payload appears verbatim in the
 first entries of the column; needs an invertible leading block and is
 power-normalized afterwards, which preserves the nulls).
+
+Without mixing the null-space form has a closed form: ``nslp_precoder(k)``
+is ``T_k[kept]^H`` for the unitary subcarrier transform ``T_k``, so a
+precoded frame's unitary spectrum is the payload itself, placed on the kept
+bins ``m*N + k`` in (k, then m) order, with exact zeros on the masked bins.
+``build_precoders`` records those bins, and ``presets.precoded_stream``
+synthesizes such a set with one inverse FFT per frame instead of N matrix
+products; every other set goes through its matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -217,6 +225,11 @@ class PrecoderSet:
     mask: SpectrumMask
     form: str
     matrices: Tuple[np.ndarray, ...]
+    #: The spectrum bin of each payload entry, in (subcarrier, then row) order,
+    #: when the precoded spectrum is exactly the payload on those bins and zero
+    #: elsewhere.  Only ``build_precoders`` sets it (null-space form, no
+    #: mixing); it is ``None`` for every other set, hand-built ones included.
+    spectral_bins: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.form not in PRECODER_FORMS:
@@ -241,12 +254,15 @@ def build_precoders(
     form: str = "null_space",
     mixing: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> PrecoderSet:
-    """Construct the per-subcarrier precoders for a whole mask."""
+    """Construct the per-subcarrier precoders for a whole mask.
+
+    The null-space form without mixing also records its ``spectral_bins``,
+    which lets ``precoded_stream`` synthesize it in closed form.
+    """
+    if form == "null_space" and mixing is None:
+        return _identity_null_space_precoders(mask)
     if form == "null_space":
-        mats = [
-            nslp_precoder(k, mask, None if mixing is None else mixing[k])
-            for k in range(mask.num_doppler)
-        ]
+        mats = [nslp_precoder(k, mask, mixing[k]) for k in range(mask.num_doppler)]
     elif form == "systematic":
         if mixing is not None:
             raise ConfigurationError("the systematic form takes no mixing matrices")
@@ -254,6 +270,31 @@ def build_precoders(
     else:
         raise ConfigurationError(f"unknown precoder form {form!r}")
     return PrecoderSet(mask=mask, form=form, matrices=tuple(mats))
+
+
+def _identity_null_space_precoders(mask: SpectrumMask) -> PrecoderSet:
+    """``nslp_precoder(k, mask)`` for every k, bit for bit, from one DFT and one phase table.
+
+    The kept rows come from one pass over the null set.  Each matrix is
+    formed with the same elementwise operations as ``subcarrier_transform``
+    and the same trailing product with the identity, which settles the
+    signs of zeros exactly as ``nslp_precoder`` does.
+    """
+    num_delay, num_doppler, total = mask.num_delay, mask.num_doppler, mask.num_bins
+    kept = np.ones((num_doppler, num_delay), dtype=bool)  # [k, m]: bin m*N + k is usable
+    kept[mask.null_bins % num_doppler, mask.null_bins // num_doppler] = False
+    dft = dft_matrix(num_delay)
+    l, k = np.arange(num_delay), np.arange(num_doppler)[:, None]
+    phases = np.exp(-2j * np.pi * l * k / total)  # row k: subcarrier_transform's phase
+    matrices = []
+    for subcarrier in range(num_doppler):
+        rows = np.flatnonzero(kept[subcarrier])
+        base = (dft[rows] * phases[subcarrier]).conj().T  # M x |J_k|
+        matrices.append(base @ np.eye(rows.size))
+    precoders = PrecoderSet(mask=mask, form="null_space", matrices=tuple(matrices))
+    subcarrier, row = np.nonzero(kept)  # in (subcarrier, then row) order: the payload's
+    object.__setattr__(precoders, "spectral_bins", row * num_doppler + subcarrier)
+    return precoders
 
 
 def precode_grid(payloads: Sequence[np.ndarray], precoders: PrecoderSet) -> DelayDopplerGrid:

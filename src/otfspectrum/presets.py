@@ -142,12 +142,19 @@ for _where, _, _name in (key.name.rpartition(".") for key in CONFIG_KEYS):
 _TOP_KEYS = set(_SECTIONS.pop("")) | set(_SECTIONS)
 
 
-def _overflow_problems(values: Dict[str, object]) -> List[str]:
-    """What the valid grid and PSD keys derive must stay finite, and the PSD grid increasing.
+#: How far below the float64 maximum the PSD level must stay: the PSD paths
+#: sum products of sums over up to 2**32 terms of it (periodograms, the comb's FFTs).
+_PSD_LEVEL_HEADROOM = 2.0**64
 
-    That is the reciprocal of the sample interval or rate, the band's width,
-    its point spacing against the float64 resolution at its edges, and its
-    edges in units of the frame rate (the analytic comb's argument).
+
+def _overflow_problems(values: Dict[str, object]) -> List[str]:
+    """What the valid grid, profile and PSD keys derive must stay finite, and the PSD grid increasing.
+
+    That is the reciprocal of the sample interval or rate, the PSD level (the
+    largest variance times the sample rate) with ``_PSD_LEVEL_HEADROOM`` to
+    spare, the band's width, its point spacing against the float64
+    resolution at its edges, and its edges in units of the frame rate (the
+    analytic comb's argument).
     """
     interval, rate = values.get("grid.sample_interval"), values.get("grid.sample_rate")
     for name, value, derived in (
@@ -155,8 +162,25 @@ def _overflow_problems(values: Dict[str, object]) -> List[str]:
     ):
         if value is not None and not np.isfinite(1.0 / value):
             return [f"{name} = {value!r} makes the derived {derived} infinite"]
+    if interval is None and rate is None:
+        return []
+    rate_key = "grid.sample_rate" if rate is not None else "grid.sample_interval"
+    fs = rate if rate is not None else 1.0 / interval
+    variance_key, variance = None, 1.0  # pattern and column profiles have unit variance
+    if "profile.uniform" in values:
+        variance_key, variance = "profile.uniform", values["profile.uniform"]
+    elif "profile.sigma2" in values:
+        variance_key, variance = "profile.sigma2", max(max(row) for row in values["profile.sigma2"])
+    if not np.isfinite(variance * fs * _PSD_LEVEL_HEADROOM):
+        key, value = rate_key, values[rate_key]
+        if variance_key and not np.isfinite(variance * _PSD_LEVEL_HEADROOM):
+            key, value = variance_key, variance
+        return [
+            f"{key} = {value!r} puts the PSD level, largest variance {variance!r} times sample rate "
+            f"{fs!r} Hz, within 2**64 of float64 overflow"
+        ]
     band, points = values.get("psd.band"), values.get("psd.num_points")
-    if (interval is None and rate is None) or points is None:
+    if points is None:
         return []
     if band is None:
         nyquist = 0.5 * rate if rate is not None else 0.5 / interval
@@ -515,6 +539,9 @@ def _precoded_blocks(
     Yields each frame block (``waveform._chunked_frames``) with the
     Euclidean norm of each of its frames' payload vectors.  Payload draws
     follow the same fixed-chunk Philox indexing as plain stream generation.
+    A set with ``spectral_bins`` is synthesized in closed form: the payload
+    placed on those bins is the frame's unitary spectrum, so one inverse FFT
+    makes the frame.  Any other set goes through its matrices.
     """
     if num_frames < 1:
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
@@ -525,7 +552,7 @@ def _precoded_blocks(
         raise ConfigurationError("the mask leaves no payload dimensions at all")
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
-    def to_grid(payload: np.ndarray) -> np.ndarray:
+    def through_matrices(payload: np.ndarray) -> np.ndarray:
         # A one-row product takes BLAS's matrix-vector path, which rounds
         # differently from the matrix-matrix path of longer blocks: pad a lone
         # frame with a zero row, so every frame is computed alike whatever
@@ -537,6 +564,14 @@ def _precoded_blocks(
                 entries[:, :, k] = rows[:, offsets[k] : offsets[k + 1]] @ matrix.T
         return entries[: len(payload)]
 
+    def scattered(payload: np.ndarray) -> np.ndarray:
+        # The spectra as one-row grids: OTFS-modulating a 1 x MN grid is the
+        # inverse DFT of its row, so ``_chunked_frames`` makes the frames.
+        spectra = np.zeros((len(payload), 1, mask.num_bins), dtype=np.complex128)
+        spectra[:, 0, precoders.spectral_bins] = payload
+        return spectra
+
+    to_grid = through_matrices if precoders.spectral_bins is None else scattered
     points = constellation_points(constellation)
     draw = lambda rng, count: _draw_symbols(rng, (count, total), points)
     for payload, frames in _chunked_frames(num_frames, seed, draw, mask.num_bins, to_grid):

@@ -298,6 +298,8 @@ def test_bool_pattern_budget_is_exit_2(tmp_path, capsys):
     [
         ({"grid": {"num_delay": 4, "num_doppler": 8, "sample_interval": 5e-324}}, "grid.sample_interval"),
         ({"psd": {"band": [-1e300, 1e308]}}, "psd.band"),
+        ({"profile": {"uniform": 1e308}}, "profile.uniform"),
+        ({"grid": {"num_delay": 4, "num_doppler": 8, "sample_rate": 1e308}}, "grid.sample_rate"),
     ],
 )
 def test_overflowing_derived_value_is_exit_2_naming_the_key(tmp_path, capsys, overrides, key):

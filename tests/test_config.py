@@ -111,6 +111,27 @@ def test_overflowing_psd_grid_names_the_key(band, message):
     assert message in _problems(_raw(psd={"band": band}))
 
 
+@pytest.mark.parametrize(
+    "profile, grid, message",
+    [
+        ({"uniform": 1e308}, {}, "profile.uniform = 1e+308 puts the PSD level"),
+        ({"sigma2": [[1.0] * 8] * 3 + [[0.0] * 7 + [1e300]]}, {}, "profile.sigma2 = 1e+300 puts"),
+        ({"uniform": 1.0}, {"sample_interval": None, "sample_rate": 1e308}, "grid.sample_rate = 1e+308 puts"),
+        ({"uniform": 1.0}, {"sample_interval": 1e-300}, "grid.sample_interval = 1e-300 puts the PSD level"),
+        ({"pattern": "head_tail_columns", "budget": 8}, {"sample_interval": 1e-300},
+         "largest variance 1.0 times sample rate 9.999999999999999e+299 Hz, within 2**64 of float64 overflow"),
+    ],
+)
+def test_overflowing_psd_level_names_the_key(profile, grid, message):
+    raw = _raw(grid=grid) | {"profile": profile}
+    assert message in _problems(raw)
+
+
+def test_psd_level_just_inside_float64_is_accepted():
+    config = ScenarioConfig.from_dict(_raw(profile={"uniform": 1e280}, grid={"sample_interval": 1e-8}))
+    assert config.sample_rate == 1e8
+
+
 def test_psd_grid_just_inside_float64_is_accepted():
     config = ScenarioConfig.from_dict(_raw(psd={"band": [-1e306, 1e306], "num_points": 16}))
     freqs = config.freq_grid()

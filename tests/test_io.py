@@ -17,7 +17,7 @@ from otfspectrum.io import (
     write_psd_curve,
     write_precoder_set,
 )
-from otfspectrum.precoding import build_precoders, decompose_mask
+from otfspectrum.precoding import PrecoderSet, build_precoders, decompose_mask
 from otfspectrum.psd import PsdCurve
 from otfspectrum.waveform import VarianceProfile, generate_random_stream
 
@@ -205,3 +205,26 @@ def test_precoder_dump_matches_the_per_entry_loop(tmp_path, form):
     text = write_precoder_set(tmp_path / "p.csv", precoders).read_text()
     body = text.split("subcarrier,row,col,re,im\n", 1)[1]
     assert body == _entry_rows_by_loop(precoders)
+
+
+_ODD_ENTRIES = np.array(
+    [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, -np.inf), complex(np.inf, np.nan),
+     complex(5e-324, -2.5e-310), complex(-1e-320, 1.0), complex(1e300, -1.5), complex(-0.1, 0.1)]
+)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(3, 2), (3, 2), (3, 0), (3, 1)], [(2, 4), (2, 1), (2, 4), (2, 2)], [(2, 2)] * 4],
+)
+def test_precoder_dump_of_signed_zeros_nan_inf_and_subnormals(tmp_path, shapes):
+    """Hand-built matrices, shapes repeated, so the writer's per-shape cell prefixes are reused."""
+    matrices = []
+    for i, shape in enumerate(shapes):
+        size = shape[0] * shape[1]
+        matrices.append(_ODD_ENTRIES[(np.arange(size) + 2 * i) % _ODD_ENTRIES.size].reshape(shape))
+    precoders = PrecoderSet(mask=decompose_mask([], shapes[0][0], 4), form="systematic", matrices=matrices)
+    text = write_precoder_set(tmp_path / "p.csv", precoders).read_text()
+    body = text.split("subcarrier,row,col,re,im\n", 1)[1]
+    assert body == _entry_rows_by_loop(precoders)
+    assert "-0.0," in body and "nan," in body and "-inf\n" in body and "5e-324," in body

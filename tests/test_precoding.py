@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+
+from otfspectrum import presets
 
 from otfspectrum.errors import ConfigurationError, SystematicInfeasibleError
 from otfspectrum.precoding import (
@@ -16,8 +18,8 @@ from otfspectrum.precoding import (
     subcarrier_transform,
     systematic_precoder,
 )
-from otfspectrum.presets import precoded_stream
-from otfspectrum.waveform import DelayDopplerGrid, dft_matrix, otfs_modulate
+from otfspectrum.presets import precoded_stream, preset_config
+from otfspectrum.waveform import _CHUNK_FRAMES, CONSTELLATIONS, DelayDopplerGrid, dft_matrix, otfs_modulate
 
 LTE_RATE = 30.72e6
 
@@ -281,27 +283,37 @@ def test_precoder_set_validation():
         PrecoderSet(mask=mask, form="null_space", matrices=(np.eye(2),))  # needs 2
     with pytest.raises(ValueError):
         PrecoderSet(mask=mask, form="weird", matrices=(np.eye(2), np.eye(2)))
+    with pytest.raises(TypeError):  # only build_precoders may claim the closed form
+        PrecoderSet(mask=mask, form="null_space", matrices=(np.eye(2), np.eye(2)), spectral_bins=np.arange(3))
 
 
-def test_precoded_stream_is_prefix_stable_across_a_full_chunk():
+@pytest.mark.parametrize("form", ["null_space", "systematic"])
+def test_precoded_stream_is_prefix_stable_across_a_full_chunk(form):
     """A partial chunk draws only its frames, and those are a full chunk's first rows."""
-    from otfspectrum.presets import precoded_stream
-    from otfspectrum.waveform import _CHUNK_FRAMES
-
-    precoders = build_precoders(mask_from_pass_bands([(-0.25, 0.25)], 2, 4, 1.0))
+    precoders = build_precoders(mask_from_pass_bands([(-0.25, 0.25)], 2, 4, 1.0), form)
     short, short_norms = precoded_stream(precoders, 7, seed=3)
     full, full_norms = precoded_stream(precoders, _CHUNK_FRAMES + 1, seed=3)
     assert_array_equal(short.frames, full.frames[:7])
     assert_array_equal(short_norms, full_norms[:7])
 
 
-def test_a_lone_frame_is_precoded_like_the_frames_of_a_longer_block():
+@pytest.mark.parametrize("form", ["null_space", "systematic"])
+def test_a_lone_frame_is_precoded_like_the_frames_of_a_longer_block(form):
     """A one-frame block (or chunk tail) rounds like the first row of a two-frame one."""
-    precoders = build_precoders(decompose_mask([0], 2, 2))
+    precoders = build_precoders(decompose_mask([1, 6], 4, 4), form)
     one, one_norms = precoded_stream(precoders, 1, seed=0)
     two, two_norms = precoded_stream(precoders, 2, seed=0)
     assert_array_equal(one.frames, two.frames[:1])
     assert_array_equal(one_norms, two_norms[:1])
+
+
+def test_a_lone_lte_frame_is_synthesized_like_the_first_of_nine():
+    mask = preset_config("lte-otfs-nslp", {"grid": {"num_delay": 16, "num_doppler": 128}}).mask()
+    precoders = build_precoders(mask)
+    assert precoders.spectral_bins is not None  # the closed-form path
+    one, _ = precoded_stream(precoders, 1, seed=5)
+    nine, _ = precoded_stream(precoders, 9, seed=5)
+    assert_array_equal(one.frames, nine.frames[:1])
 
 
 @st.composite
@@ -318,3 +330,35 @@ def test_null_space_precoded_stream_nulls_the_masked_bins(mask, frames, seed):
     spectra = np.fft.fft(stream.frames, axis=1, norm="ortho")
     leak = np.abs(spectra[:, mask.null_bins]).max(axis=1, initial=0.0)
     assert np.all(leak <= 1e-9 * norms)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes: unlike ``array_equal``, this tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@example(mask=decompose_mask([], 4, 6), frames=7, seed=0, constellation="qpsk")
+@example(mask=decompose_mask([0, 6, 12, 18], 4, 6), frames=_CHUNK_FRAMES + 1, seed=1, constellation="qam16")
+@given(
+    mask=_masks(),
+    frames=st.integers(1, 9) | st.just(_CHUNK_FRAMES + 2),
+    seed=st.integers(0, 2**32 - 1),
+    constellation=st.sampled_from(CONSTELLATIONS),
+)
+def test_closed_form_synthesis_matches_the_matrix_path(mask, frames, seed, constellation):
+    """The spectral scatter against the matrix path run on the same matrices."""
+    built = build_precoders(mask, "null_space")
+    for k, matrix in enumerate(built.matrices):
+        assert _same_bits(matrix, nslp_precoder(k, mask))
+    hand_built = PrecoderSet(mask=mask, form="null_space", matrices=built.matrices)
+    assert hand_built.spectral_bins is None
+    scattered, norms = precoded_stream(built, frames, seed, constellation=constellation)
+    reference, reference_norms = precoded_stream(hand_built, frames, seed, constellation=constellation)
+    assert _same_bits(norms, reference_norms)
+    error = np.abs(scattered.frames - reference.frames).max(axis=1)
+    assert np.all(error <= 1e-12 * reference_norms)
+    # Hand-built sets take the matrix path: doubled matrices double its frames
+    # exactly (a power-of-two scale), where the scatter would ignore them.
+    doubled = PrecoderSet(mask=mask, form="null_space", matrices=[2 * m for m in built.matrices])
+    assert_array_equal(precoded_stream(doubled, frames, seed, constellation=constellation)[0].frames,
+                       2 * reference.frames)
