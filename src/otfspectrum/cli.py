@@ -103,12 +103,13 @@ def _cmd_psd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_psd_estimate(args: argparse.Namespace) -> int:
     config = _load(args)
+    # Read and compare the reference before writing, so a bad one leaves no --out file.
+    reference = fileio.read_psd_curve(args.reference) if args.reference else None
     curve = estimated_psd(*config.estimate_args())
+    metrics = compare_curves(curve, reference, band=config.band) if reference is not None else None
     path = fileio.write_psd_curve(args.out, curve, {"config_hash": config.hash()})
     print(f"wrote averaged periodogram ({curve.freqs.size} bins) to {path}")
-    if args.reference:
-        reference = fileio.read_psd_curve(args.reference)
-        metrics = compare_curves(curve, reference, band=config.band)
+    if metrics is not None:
         records = [
             {"metric": k, "value": v, "config_hash": config.hash()}
             for k, v in sorted(metrics.items())

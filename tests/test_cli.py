@@ -120,6 +120,25 @@ def test_psd_analytic_then_estimate_and_compare(tmp_path, capsys):
     assert {r["metric"] for r in cmp_records} == {"nmse_db", "cosine_similarity"}
 
 
+@pytest.mark.parametrize(
+    "body",
+    [None, "freq_hz,psd\n0.0,oops\n", "freq_hz,psd\n10.0,1.0\n11.0,1.0\n"],
+    ids=["missing", "malformed", "disjoint_span"],
+)
+def test_bad_estimate_reference_is_exit_2_and_writes_nothing(tmp_path, capsys, body):
+    ref = tmp_path / "ref.csv"
+    if body is not None:
+        ref.write_text(body)
+    est = tmp_path / "est.csv"
+    code = run(
+        "psd-estimate", "--seed", 1, "--num-delay", 4, "--num-doppler", 8,
+        "--sample-interval", 1, "--uniform", 1, "--frames", 3, "--reference", ref, "--out", est,
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not est.exists()
+
+
 def test_precode_requires_mask(tmp_path, capsys):
     code = run(
         "precode", "--seed", 1, "--num-delay", 2, "--num-doppler", 4,

@@ -1,0 +1,19 @@
+"""Every script in ``demos/`` runs to completion against the public API."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # anything a demo writes lands in a scratch directory
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -1,10 +1,12 @@
 """The streamed estimates against the one-shot reconstruct-and-periodogram.
 
-``estimated_psd`` and the CEP split reconstruct the stream (and its CEP
-component views) in blocks of whole frames and overlap-add the truncated
-sinc's ring across block and chunk boundaries.  Each estimate must be
-that of the whole view reconstructed at once: bit for bit for the
-memoryless filters, to rounding for the sinc.
+``estimated_psd`` and the CEP split push each frame block of the stream
+(and of its CEP component views) through one ``presets._BlockDac`` per
+view, which overlap-adds the truncated sinc's ring across block and chunk
+boundaries.  Each estimate must be that of the whole view reconstructed
+at once: bit for bit for the memoryless filters, to rounding for the
+sinc.  Memory must stay flat in the frame count, and the CEP split must
+hold one reconstruction per view, no more.
 """
 
 import tracemalloc
@@ -105,13 +107,34 @@ def test_pieces_concatenate_to_the_one_shot_reconstruction(
     """Any block size, down to blocks far shorter than the sinc's ring."""
     profile = VarianceProfile.uniform(delays, dopplers)
     filt = InterpolationFilter.truncated_sinc(1.0, order)
+    dac = presets._BlockDac(filt, oversampling)
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
         blocks = stream_chunks(profile, frames, SEED, 1.0, oversampling=oversampling)
-        pieces = np.concatenate(list(presets._reconstructed_pieces(blocks, filt, oversampling)))
+        pieces = np.concatenate([*map(dac.push, blocks), dac.flush()])
     whole = reconstruct(generate_random_stream(profile, frames, SEED, 1.0), filt, oversampling)
     expected = whole.samples[order * oversampling :]
     assert pieces.size == expected.size
     assert np.abs(pieces - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_block_dac_tail_is_a_view_of_the_last_reconstruction():
+    """The tail pins its reconstruction: a copied tail sextupled a long rect stream's page faults."""
+    profile = VarianceProfile.uniform(2, 4)
+    dac = presets._BlockDac(InterpolationFilter.truncated_sinc(1.0, 4), 2)
+    reconstructions = []
+
+    def recording(*args):
+        reconstructions.append(reconstruct(*args))
+        return reconstructions[-1]
+
+    with mock.patch.object(presets, "reconstruct", recording), mock.patch.object(
+        waveform, "_BLOCK_SAMPLES", 16
+    ):
+        for block in stream_chunks(profile, 3, SEED, 1.0, oversampling=2):
+            dac.push(block)
+            assert dac.tail.size == 2 * 4 * 2
+            assert np.shares_memory(dac.tail, reconstructions[-1].samples)
+    assert len(reconstructions) == 3
 
 
 def test_streamed_estimate_checks_the_filter_interval():
@@ -164,6 +187,28 @@ def test_streamed_cep_split_equals_one_shot(kind):
 def test_cep_sum_match_memory_does_not_grow_with_frames():
     """Four and sixteen generation chunks peak alike: blocks are dropped once every view took them."""
     assert _peak_bytes(65536, cep_sum_match) <= 1.05 * _peak_bytes(16384, cep_sum_match)
+
+
+def test_cep_split_holds_one_reconstruction_per_view():
+    """16 delays, rect at L=1: 2**18-sample dense blocks, eight of them.
+
+    Above the one-view estimate, the 17 views may hold at most 17 more
+    reconstructions: no view keeps a second block alive beside its DAC's.
+    """
+    profile = VarianceProfile.uniform(16, 16)
+    filt = InterpolationFilter.rect(1.0)
+    block_bytes = waveform._BLOCK_SAMPLES * 16
+
+    def peak(estimate):
+        tracemalloc.start()
+        try:
+            estimate(profile, 8192, SEED, 1.0, filt, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra = peak(cep_sum_match) - peak(estimated_psd)
+    assert extra <= (profile.num_delay + 1) * block_bytes
 
 
 def test_cep_views_copy_blocks_not_chunks():
