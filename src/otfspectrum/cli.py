@@ -12,7 +12,6 @@ rerun reproduces its outputs exactly.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -67,6 +66,15 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     return load_config(args.config, _overrides(args))
 
 
+def _write_or_print_metrics(metrics: dict, out: Optional[str], cfg_hash: str) -> None:
+    """Write ``metrics`` as records to ``out``, or print them as one JSON object when there is none."""
+    if out:
+        fileio.write_metrics(out, fileio.metric_records(sorted(metrics.items()), cfg_hash))
+        print(f"wrote comparison metrics to {out}")
+    else:
+        print(fileio.json_text(metrics), end="")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = _load(args)
     stream = generate_random_stream(
@@ -110,15 +118,7 @@ def _cmd_psd_estimate(args: argparse.Namespace) -> int:
     path = fileio.write_psd_curve(args.out, curve, {"config_hash": config.hash()})
     print(f"wrote averaged periodogram ({curve.freqs.size} bins) to {path}")
     if metrics is not None:
-        records = [
-            {"metric": k, "value": v, "config_hash": config.hash()}
-            for k, v in sorted(metrics.items())
-        ]
-        if args.metrics_out:
-            fileio.write_metrics(args.metrics_out, records)
-            print(f"wrote comparison metrics to {args.metrics_out}")
-        else:
-            print(json.dumps(metrics, indent=2, sort_keys=True))
+        _write_or_print_metrics(metrics, args.metrics_out, config.hash())
     return 0
 
 
@@ -152,22 +152,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     reference = fileio.read_psd_curve(args.reference)
     band = None if args.band is None else (args.band[0], args.band[1])
     metrics = compare_curves(estimated, reference, band=band)
-    if args.out:
-        run_hash = fileio.config_hash(
-            {
-                "estimated": Path(args.estimated).name,
-                "reference": Path(args.reference).name,
-                "band": band,
-            }
-        )
-        records = [
-            {"metric": k, "value": v, "config_hash": run_hash}
-            for k, v in sorted(metrics.items())
-        ]
-        fileio.write_metrics(args.out, records)
-        print(f"wrote comparison metrics to {args.out}")
-    else:
-        print(json.dumps(metrics, indent=2, sort_keys=True))
+    run_hash = fileio.config_hash(
+        {"estimated": Path(args.estimated).name, "reference": Path(args.reference).name, "band": band}
+    )
+    _write_or_print_metrics(metrics, args.out, run_hash)
     return 0
 
 

@@ -1,10 +1,15 @@
-"""File formats: CSV sample streams and PSD curves, JSON metrics and masks.
+"""File formats: every artifact's bytes are laid out here, and only here.
 
-All CSV files open with ``# key=value`` header lines followed by one
-column-name row; floats are written with ``repr`` so re-ingesting a file
-reproduces the exact same doubles (and therefore byte-identical metric
-records).  Every file written by a scenario embeds the scenario's config
-hash.
+A CSV table (frame streams, PSD curves, precoder dumps, the CEP convergence
+table) is ``# key=value`` header lines, the first naming the format, one
+column-name row, then comma-separated rows.  Integers are written with
+``str`` and floats with ``float.__repr__``, so re-reading a file reproduces
+the exact doubles (and so byte-identical metric records).
+
+A JSON record (metric records, masks, the LTE bandwidth report, scenario
+manifests) is one JSON value with sorted keys, a two-space indent and a
+final newline; a value that is not JSON is rejected, never stringified.
+Every file written by a scenario embeds the scenario's config hash.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,16 +53,81 @@ def _write_header(handle, fields: Dict[str, object]) -> None:
             handle.write(f"# {key}={value}\n")
 
 
-def _read_header(lines: List[str]) -> Tuple[Dict[str, str], int]:
+#: Rows per ``str.join``: about one 64x512 precoder subcarrier, so a block's strings stay small.
+_ROW_BLOCK = 4096
+
+
+def _write_table(
+    path: Union[str, Path], header: Dict[str, object], names: Sequence[str], blocks: Iterable[Sequence]
+) -> Path:
+    """Write a CSV table: the header, the ``names`` row, then each block's rows.
+
+    A block is a sequence of equal-length columns, one per name: numpy
+    arrays, or cells already formatted as strings, which may fill several
+    fields (``"r,c"``).  Its rows are formatted and written ``_ROW_BLOCK``
+    at a time, so memory is bounded by that, not by the table.
+    """
+    path = Path(path)
+    with path.open("w") as handle:
+        _write_header(handle, header)
+        handle.write(",".join(names) + "\n")
+        for columns in blocks:
+            row = ["", ","] * len(columns)  # cell, separator, ..., cell, newline
+            row[-1] = "\n"
+            size = len(columns[0])
+            for start in range(0, size, _ROW_BLOCK):
+                stop = min(start + _ROW_BLOCK, size)
+                parts = row * (stop - start)
+                for j, column in enumerate(columns):
+                    cells = column if size <= _ROW_BLOCK else column[start:stop]  # a list slice is a copy
+                    if isinstance(cells, np.ndarray):
+                        cells = map(float.__repr__ if cells.dtype.kind == "f" else str, cells.tolist())
+                    parts[2 * j :: len(row)] = cells
+                handle.write("".join(parts))
+    return path
+
+
+def _read_table(path: Union[str, Path], what: str, width: int) -> Tuple[Dict[str, str], np.ndarray]:
+    """The header fields and the ``(rows, width)`` float array of a CSV table.
+
+    The line after the header is the column-name row; blank lines are skipped.
+    An empty or ragged body, or a cell that is not a number, raises
+    ``ConfigurationError`` naming the file.
+    """
+    lines = Path(path).read_text().splitlines()
+    start = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
     fields: Dict[str, str] = {}
-    i = 0
-    while i < len(lines) and lines[i].startswith("#"):
-        body = lines[i][1:].strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
+    for key, equals, value in (line[1:].partition("=") for line in lines[:start]):
+        if equals:
             fields[key.strip()] = value.strip()
-        i += 1
-    return fields, i
+    body = [line for line in lines[start + 1 :] if line]
+    if not body:
+        raise ConfigurationError(f"{what} file {path} holds no samples")
+    ragged = [number for number, line in enumerate(body, start=1) if line.count(",") != width - 1]
+    if ragged:
+        raise ConfigurationError(f"{what} file {path}: data row {ragged[0]} does not hold {width} fields")
+    try:
+        values = [float(cell) for line in body for cell in line.split(",")]
+    except ValueError as err:
+        raise ConfigurationError(f"{what} file {path}: {err}") from None
+    return fields, np.array(values).reshape(len(body), width)
+
+
+def json_text(payload: object) -> str:
+    """The JSON record layout: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: Union[str, Path], payload: object) -> Path:
+    """Write ``payload`` as a JSON record; a value that is not JSON raises ``TypeError``, writing nothing."""
+    path = Path(path)
+    path.write_text(json_text(payload))
+    return path
+
+
+def metric_records(metrics: Iterable[Tuple[str, object]], config_hash: str) -> List[dict]:
+    """``{metric, value, config_hash}`` records of ``(name, value)`` pairs, in the order given."""
+    return [{"metric": name, "value": value, "config_hash": config_hash} for name, value in metrics]
 
 
 def write_frame_stream(
@@ -66,7 +136,6 @@ def write_frame_stream(
     extra_header: Optional[Dict[str, object]] = None,
 ) -> Path:
     """Interleaved re/im CSV, one sample per row, grid geometry in the header."""
-    path = Path(path)
     header: Dict[str, object] = {
         "format": "otfspectrum-framestream-v1",
         "num_delay": stream.num_delay,
@@ -74,21 +143,14 @@ def write_frame_stream(
         "sample_interval": repr(stream.sample_interval),
         "num_frames": stream.num_frames,
         "seed": stream.seed,
+        **(extra_header or {}),
     }
-    if extra_header:
-        header.update(extra_header)
     flat = stream.concatenated()
-    with path.open("w") as handle:
-        _write_header(handle, header)
-        handle.write("re,im\n")
-        for value in flat:
-            handle.write(f"{float(value.real)!r},{float(value.imag)!r}\n")
-    return path
+    return _write_table(path, header, ("re", "im"), [(flat.real, flat.imag)])
 
 
 def read_frame_stream(path: Union[str, Path]) -> FrameStream:
-    lines = Path(path).read_text().splitlines()
-    fields, start = _read_header(lines)
+    fields, data = _read_table(path, "frame-stream", 2)
     try:
         num_delay = int(fields["num_delay"])
         num_doppler = int(fields["num_doppler"])
@@ -97,10 +159,6 @@ def read_frame_stream(path: Union[str, Path]) -> FrameStream:
     except KeyError as missing:
         raise ConfigurationError(f"frame-stream file {path} lacks header field {missing}") from None
     seed = None if fields.get("seed") in (None, "None") else int(fields["seed"])
-    rows = lines[start + 1 :]  # skip the column-name row
-    data = np.array(
-        [[float(a), float(b)] for a, b in (row.split(",") for row in rows if row)],
-    )
     samples = data[:, 0] + 1j * data[:, 1]
     per_frame = num_delay * num_doppler
     if samples.size != num_frames * per_frame:
@@ -123,29 +181,17 @@ def write_psd_curve(
     extra_header: Optional[Dict[str, object]] = None,
 ) -> Path:
     """freq_hz,psd_value CSV with normalization and provenance headers."""
-    path = Path(path)
     header: Dict[str, object] = {"format": "otfspectrum-psd-v1", "normalization": curve.normalization}
     for key in ("num_delay", "num_doppler", "sample_interval", "filter", "waveform",
                 "segment_len", "sample_rate", "num_segments", "delay_index"):
         if key in curve.meta:
             header[key] = curve.meta[key]
-    if extra_header:
-        header.update(extra_header)
-    with path.open("w") as handle:
-        _write_header(handle, header)
-        handle.write("freq_hz,psd_value\n")
-        for f, v in zip(curve.freqs, curve.values):
-            handle.write(f"{float(f)!r},{float(v)!r}\n")
-    return path
+    header.update(extra_header or {})
+    return _write_table(path, header, ("freq_hz", "psd_value"), [(curve.freqs, curve.values)])
 
 
 def read_psd_curve(path: Union[str, Path]) -> PsdCurve:
-    lines = Path(path).read_text().splitlines()
-    fields, start = _read_header(lines)
-    rows = lines[start + 1 :]
-    data = np.array([[float(a), float(b)] for a, b in (row.split(",") for row in rows if row)])
-    if data.size == 0:
-        raise ConfigurationError(f"PSD file {path} holds no samples")
+    fields, data = _read_table(path, "PSD", 2)
     meta: Dict[str, object] = {k: v for k, v in fields.items() if k not in ("format", "normalization")}
     return PsdCurve(
         freqs=data[:, 0],
@@ -157,13 +203,11 @@ def read_psd_curve(path: Union[str, Path]) -> PsdCurve:
 
 def write_metrics(path: Union[str, Path], records: List[dict]) -> Path:
     """JSON list of {metric, value, config_hash} records."""
-    path = Path(path)
     for record in records:
         missing = {"metric", "value", "config_hash"} - set(record)
         if missing:
             raise ConfigurationError(f"metric record {record!r} lacks fields {sorted(missing)}")
-    path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, records)
 
 
 def read_metrics(path: Union[str, Path]) -> List[dict]:
@@ -254,7 +298,6 @@ def load_mask(source: Union[str, Path, dict]) -> SpectrumMask:
 
 
 def write_mask(path: Union[str, Path], mask: SpectrumMask, sample_interval: Optional[float] = None) -> Path:
-    path = Path(path)
     payload: Dict[str, object] = {
         "num_delay": mask.num_delay,
         "num_doppler": mask.num_doppler,
@@ -262,8 +305,7 @@ def write_mask(path: Union[str, Path], mask: SpectrumMask, sample_interval: Opti
     }
     if sample_interval is not None:
         payload["sample_interval"] = sample_interval
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, payload)
 
 
 def write_precoder_set(
@@ -272,7 +314,6 @@ def write_precoder_set(
     extra_header: Optional[Dict[str, object]] = None,
 ) -> Path:
     """Per-subcarrier complex matrix dump: rows of subcarrier,row,col,re,im."""
-    path = Path(path)
     mask = precoders.mask
     header: Dict[str, object] = {
         "format": "otfspectrum-precoders-v1",
@@ -280,21 +321,27 @@ def write_precoder_set(
         "num_delay": mask.num_delay,
         "num_doppler": mask.num_doppler,
         "null_bins": ",".join(str(int(b)) for b in mask.null_bins),
+        **(extra_header or {}),
     }
-    if extra_header:
-        header.update(extra_header)
-    cells: Dict[Tuple[int, int], List[str]] = {}  # "r,c," of each entry, per matrix shape
-    with path.open("w") as handle:
-        _write_header(handle, header)
-        handle.write("subcarrier,row,col,re,im\n")
+    cells: Dict[Tuple[int, int], List[str]] = {}  # the "r,c" cells of each matrix shape
+
+    def subcarriers() -> Iterable[Sequence]:
         for k, matrix in enumerate(precoders.matrices):
-            rows, cols = matrix.shape
             if matrix.shape not in cells:
-                cells[matrix.shape] = [f"{r},{c}," for r in range(rows) for c in range(cols)]
-            # one subcarrier's rows "k,r,c,re,im\n", six parts an entry, joined once
-            parts = [f"{k},", "", "", ",", "", "\n"] * matrix.size
-            parts[1::6] = cells[matrix.shape]
-            parts[2::6] = map(float.__repr__, matrix.real.ravel().tolist())
-            parts[4::6] = map(float.__repr__, matrix.imag.ravel().tolist())
-            handle.write("".join(parts))
-    return path
+                rows, cols = matrix.shape
+                cells[matrix.shape] = [f"{r},{c}" for r in range(rows) for c in range(cols)]
+            yield [str(k)] * matrix.size, cells[matrix.shape], matrix.real.ravel(), matrix.imag.ravel()
+
+    return _write_table(path, header, ("subcarrier", "row", "col", "re", "im"), subcarriers())
+
+
+def write_convergence_table(
+    path: Union[str, Path],
+    rows: Sequence[Tuple[int, float, float]],
+    extra_header: Optional[Dict[str, object]] = None,
+) -> Path:
+    """num_frames,nmse_db,cosine_similarity CSV: the CEP sum-vs-whole match per frame count."""
+    counts, nmse, cosine = zip(*rows)
+    columns = (np.asarray(counts), np.asarray(nmse, dtype=float), np.asarray(cosine, dtype=float))
+    header = {"format": "otfspectrum-convergence-v1", **(extra_header or {})}
+    return _write_table(path, header, ("num_frames", "nmse_db", "cosine_similarity"), [columns])

@@ -35,27 +35,8 @@ def column_support_profile(
 
 
 def _fill_columns(sigma2: np.ndarray, budget: int, from_tail: bool) -> None:
-    num_delay, num_doppler = sigma2.shape
-    cols = range(num_doppler - 1, -1, -1) if from_tail else range(num_doppler)
-    remaining = budget
-    for k in cols:
-        if remaining <= 0:
-            break
-        take = min(num_delay, remaining)
-        sigma2[:take, k] = 1.0
-        remaining -= take
-
-
-def _fill_rows(sigma2: np.ndarray, budget: int, from_tail: bool) -> None:
-    num_delay, num_doppler = sigma2.shape
-    rows = range(num_delay - 1, -1, -1) if from_tail else range(num_delay)
-    remaining = budget
-    for l in rows:
-        if remaining <= 0:
-            break
-        take = min(num_doppler, remaining)
-        sigma2[l, :take] = 1.0
-        remaining -= take
+    """Activate ``budget`` bins column by column from the first (or last) column, each from row 0."""
+    (sigma2[:, ::-1] if from_tail else sigma2).T.flat[:budget] = 1.0
 
 
 def builtin_pattern(
@@ -97,12 +78,10 @@ def builtin_pattern(
     head = (budget + 1) // 2  # odd budgets favour the head
     tail = budget - head
     sigma2 = np.zeros((num_delay, num_doppler))
-    if name == "head_tail_columns":
-        _fill_columns(sigma2, head, from_tail=False)
-        _fill_columns(sigma2, tail, from_tail=True)
-    else:  # head_tail_rows
-        _fill_rows(sigma2, head, from_tail=False)
-        _fill_rows(sigma2, tail, from_tail=True)
+    # head_tail_rows fills the rows of sigma2 as head_tail_columns fills columns
+    filled = sigma2 if name == "head_tail_columns" else sigma2.T
+    _fill_columns(filled, head, from_tail=False)
+    _fill_columns(filled, tail, from_tail=True)
     if int(sigma2.sum()) != budget:
         raise ConfigurationError(
             f"budget {budget} makes the head and tail regions overlap on a "

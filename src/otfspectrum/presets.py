@@ -11,7 +11,6 @@ the files byte for byte, and every file embeds the configuration hash.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -590,15 +589,15 @@ def precoded_stream(
 _LTE_RATE = 30.72e6
 _LTE_OCCUPIED = 1201
 
+#: The most out-of-band suppression the NSLP preset reports: 10*log10(1/eps), 156.5 dB.
+#: An exactly nulled bin holds FFT rounding residue, about eps**2 of the in-band
+#: power times a factor growing with the frame length, which reads 280-313 dB
+#: and moves with any change in rounding; this ceiling stays below it.
+_SUPPRESSION_CEILING_DB = float(10 * np.log10(1 / np.finfo(np.float64).eps))
+
+
 def _write_curve(outdir: Path, name: str, curve: PsdCurve, cfg_hash: str) -> Path:
     return fileio.write_psd_curve(outdir / name, curve, extra_header={"config_hash": cfg_hash})
-
-
-def _metric_records(metrics: Dict[str, float], cfg_hash: str) -> List[dict]:
-    return [
-        {"metric": key, "value": value, "config_hash": cfg_hash}
-        for key, value in sorted(metrics.items())
-    ]
 
 
 def _run_analytic_family(
@@ -632,14 +631,13 @@ def _run_lte_ofdm(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
         "sample_rate_hz": config.sample_rate,
         "config_hash": cfg_hash,
     }
-    report_path = outdir / "lte_ofdm_bandwidth.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path = fileio.write_json(outdir / "lte_ofdm_bandwidth.json", report)
     filt = InterpolationFilter("dirac_delta", config.sample_interval)
     curve = ofdm_psd(profile, config.sample_interval, filt, config.freq_grid())
     curve_path = _write_curve(outdir, "lte_ofdm_psd.csv", curve, cfg_hash)
     return {
         "files": {"bandwidth_report": str(report_path), "psd": str(curve_path)},
-        "metrics": _metric_records({"occupied_bandwidth_hz": occupied * spacing}, cfg_hash),
+        "metrics": fileio.metric_records([("occupied_bandwidth_hz", occupied * spacing)], cfg_hash),
         "report": report,
     }
 
@@ -656,9 +654,8 @@ def _run_lte_pattern(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
         "analytic": str(_write_curve(outdir, f"{config.preset}_analytic.csv", analytic, cfg_hash)),
         "estimated": str(_write_curve(outdir, f"{config.preset}_estimated.csv", estimated, cfg_hash)),
     }
-    metrics = _metric_records(comparison, cfg_hash)
-    fileio.write_metrics(outdir / f"{config.preset}_metrics.json", metrics)
-    files["metrics"] = str(outdir / f"{config.preset}_metrics.json")
+    metrics = fileio.metric_records(sorted(comparison.items()), cfg_hash)
+    files["metrics"] = str(fileio.write_metrics(outdir / f"{config.preset}_metrics.json", metrics))
     return {"files": files, "metrics": metrics}
 
 
@@ -669,9 +666,8 @@ def _run_cep_split(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     for l, part in enumerate(parts):
         files[f"component_{l}"] = str(_write_curve(outdir, f"cep_split_component_{l}.csv", part, cfg_hash))
     files["component_sum"] = str(_write_curve(outdir, "cep_split_sum.csv", sum_curve, cfg_hash))
-    metrics = _metric_records({f"sum_vs_whole_{k}": v for k, v in comparison.items()}, cfg_hash)
-    fileio.write_metrics(outdir / "cep_split_metrics.json", metrics)
-    files["metrics"] = str(outdir / "cep_split_metrics.json")
+    metrics = fileio.metric_records(sorted((f"sum_vs_whole_{k}", v) for k, v in comparison.items()), cfg_hash)
+    files["metrics"] = str(fileio.write_metrics(outdir / "cep_split_metrics.json", metrics))
     return {"files": files, "metrics": metrics}
 
 
@@ -700,22 +696,14 @@ def _run_cep_convergence(config: ScenarioConfig, outdir: Path) -> Dict[str, obje
             config.constellation,
         )
         rows.append((count, result["nmse_db"], result["cosine_similarity"]))
-    table_path = outdir / "cep_convergence.csv"
-    with table_path.open("w") as handle:
-        handle.write(f"# format=otfspectrum-convergence-v1\n# config_hash={cfg_hash}\n")
-        handle.write("num_frames,nmse_db,cosine_similarity\n")
-        for count, nmse, cosine in rows:
-            handle.write(f"{count},{float(nmse)!r},{float(cosine)!r}\n")
-    metrics = [
-        {"metric": f"{name}_at_{count}", "value": value, "config_hash": cfg_hash}
-        for count, nmse, cosine in rows
-        for name, value in (("nmse_db", nmse), ("cosine", cosine))
-    ]
-    fileio.write_metrics(outdir / "cep_convergence_metrics.json", metrics)
-    return {
-        "files": {"table": str(table_path), "metrics": str(outdir / "cep_convergence_metrics.json")},
-        "metrics": metrics,
-    }
+    table = fileio.write_convergence_table(outdir / "cep_convergence.csv", rows, {"config_hash": cfg_hash})
+    metrics = fileio.metric_records(
+        [(f"{name}_at_{count}", value) for count, nmse, cosine in rows
+         for name, value in (("nmse_db", nmse), ("cosine", cosine))],
+        cfg_hash,
+    )
+    metrics_path = fileio.write_metrics(outdir / "cep_convergence_metrics.json", metrics)
+    return {"files": {"table": str(table), "metrics": str(metrics_path)}, "metrics": metrics}
 
 
 def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
@@ -742,11 +730,10 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     half = mask.num_bins // 2
     natural = np.mod(np.arange(mask.num_bins) - half, mask.num_bins)
     nulled_centered = np.isin(natural, mask.null_bins)
-    in_band = curve.values[~nulled_centered]
-    out_band = curve.values[nulled_centered]
-    in_mean = float(in_band.mean())
-    out_max = float(out_band.max()) if out_band.size else 0.0
-    suppression_db = 300.0 if out_max == 0.0 else float(10 * np.log10(in_mean / out_max))
+    in_mean = float(curve.values[~nulled_centered].mean())
+    out_max = float(curve.values[nulled_centered].max(initial=0.0))
+    ratio = in_mean / out_max if out_max > 0.0 else np.inf
+    suppression_db = min(float(10 * np.log10(ratio)), _SUPPRESSION_CEILING_DB)
 
     files = {
         "psd": str(_write_curve(outdir, "lte_nslp_psd.csv", curve, cfg_hash)),
@@ -757,16 +744,15 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
         ),
         "mask": str(fileio.write_mask(outdir / "lte_nslp_mask.json", mask, config.sample_interval)),
     }
-    metrics = _metric_records(
-        {
-            "worst_null_bin_leak": worst_leak,
-            "suppression_db": suppression_db,
-            "payload_dimensions": float(precoders.total_payload),
-        },
+    metrics = fileio.metric_records(
+        [
+            ("payload_dimensions", float(precoders.total_payload)),
+            ("suppression_db", suppression_db),
+            ("worst_null_bin_leak", worst_leak),
+        ],
         cfg_hash,
     )
-    fileio.write_metrics(outdir / "lte_nslp_metrics.json", metrics)
-    files["metrics"] = str(outdir / "lte_nslp_metrics.json")
+    files["metrics"] = str(fileio.write_metrics(outdir / "lte_nslp_metrics.json", metrics))
     return {"files": files, "metrics": metrics}
 
 
@@ -923,9 +909,7 @@ def run_scenario(config: ScenarioConfig, output_dir: Optional[Union[str, Path]] 
         "config_hash": config.hash(),
         **result,
     }
-    (outdir / f"{config.preset}_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
-    )
+    fileio.write_json(outdir / f"{config.preset}_manifest.json", manifest)
     return manifest
 
 

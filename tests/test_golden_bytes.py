@@ -1,0 +1,102 @@
+"""The bytes of each public writer's output, pinned by sha256 on small fixed inputs.
+
+Byte-identical reruns are a contract of every artifact, so a change to how
+any of them is laid out (header order, float formatting, row layout, JSON
+indentation) must show here.  The digests were recorded before the CSV and
+JSON writers were merged into one table writer and one JSON writer.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from otfspectrum import io as fileio
+from otfspectrum.precoding import build_precoders, decompose_mask
+from otfspectrum.presets import preset_config, run_scenario
+from otfspectrum.psd import PsdCurve
+from otfspectrum.waveform import VarianceProfile, generate_random_stream
+
+HASH = "0123456789ab"
+
+
+def _frame_stream(path):
+    profile = VarianceProfile(np.array([[1.0, 0.5, 0.0, 2.0], [0.25, 1.0, 1.0, 0.0]]))
+    stream = generate_random_stream(profile, num_frames=3, seed=7, sample_interval=0.5)
+    return fileio.write_frame_stream(path, stream, {"config_hash": HASH})
+
+
+def _psd_curve(path):
+    """Signed zeros, subnormals and exponents at both ends of the float64 range."""
+    freqs = [-1e300, -2.5, -5e-324, -0.0, 1e-310, 0.1, 7.0, 1.7976931348623157e308]
+    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0 / 3.0, 6.02e23, 1.7976931348623157e308]
+    meta = {"waveform": "otfs", "sample_rate": 2.0, "num_segments": 4, "not_a_header_key": 1}
+    return fileio.write_psd_curve(path, PsdCurve(freqs, values, meta=meta), {"config_hash": HASH})
+
+
+def _precoders(form):
+    def write(path):
+        precoders = build_precoders(decompose_mask([1, 2, 5, 9, 11], 3, 4), form)
+        return fileio.write_precoder_set(path, precoders, {"config_hash": HASH})
+
+    return write
+
+
+def _metrics(path):
+    records = [
+        {"metric": "nmse_db", "value": -41.5, "config_hash": HASH},
+        {"metric": "cosine_similarity", "value": 0.1 + 0.2, "config_hash": HASH},
+        {"metric": "payload_dimensions", "value": 3, "config_hash": HASH},
+        {"metric": "tiny", "value": 5e-324, "config_hash": HASH},
+    ]
+    return fileio.write_metrics(path, records)
+
+
+def _mask(path):
+    return fileio.write_mask(path, decompose_mask([3, 11, 19], 4, 8), sample_interval=0.25)
+
+
+def _cep_convergence(path):
+    """The table of ``scenario --preset cep-convergence --frames 64``."""
+    manifest = run_scenario(preset_config("cep-convergence", {"stream": {"num_frames": 64}}), path.parent)
+    return manifest["files"]["table"]
+
+
+GOLDEN = {
+    "frame_stream": (
+        _frame_stream,
+        "3a34acbbf96ce41f5e56144e9cf684310441ade9b28c2e05ab99fb8c89b5ef29",
+    ),
+    "psd_curve": (
+        _psd_curve,
+        "4ed8d07a456c2a48ae290a54b5eef1c8565cdac87a30e81d031e14555b64ee97",
+    ),
+    "precoders_null_space": (
+        _precoders("null_space"),
+        "ded0aeef379fd8e185742e29aa28a091264bbe5c843e954cec776d6164e48e16",
+    ),
+    "precoders_systematic": (
+        _precoders("systematic"),
+        "9f5cb3674627efff21cc0427924b38445de8965534f12183769f78de3568abcc",
+    ),
+    "metrics": (
+        _metrics,
+        "40006b717de2bd11c5ba939d46c61f60b53673889e867c0ae760c9b8718177e7",
+    ),
+    "mask": (
+        _mask,
+        "afa484fd37733c14cb775b6dfabb9946808f024ac753520ebfac57a4736f6aaa",
+    ),
+    "cep_convergence": (
+        _cep_convergence,
+        "ef1463cb00f58a0a9171e9a8a9f85b65357f7b647e192eb90db7ffa3475a77fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("artifact", GOLDEN)
+def test_writer_bytes_are_pinned(tmp_path, artifact):
+    write, digest = GOLDEN[artifact]
+    path = write(tmp_path / "artifact")
+    with open(path, "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == digest

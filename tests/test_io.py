@@ -1,9 +1,12 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from otfspectrum import io as fileio
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.io import (
     config_hash,
@@ -88,6 +91,34 @@ def test_frame_stream_missing_header(tmp_path):
         read_frame_stream(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [("", "holds no samples"), ("0.5\n", "row 1 does not hold 2 fields"), ("0.5,x\n", "could not convert")],
+)
+def test_malformed_frame_stream_body_names_the_file(tmp_path, body, message):
+    """A header-only file, a one-field row and a cell that is not a number."""
+    path = tmp_path / "s.csv"
+    path.write_text("# num_delay=1\n# num_doppler=1\n# sample_interval=1.0\n# num_frames=1\nre,im\n" + body)
+    with pytest.raises(ConfigurationError, match=message) as err:
+        read_frame_stream(path)
+    assert str(path) in str(err.value)
+
+
+def _write_peak_bytes(path, frames):
+    stream = generate_random_stream(VarianceProfile(np.ones((8, 64))), num_frames=frames, seed=0)
+    tracemalloc.start()
+    try:
+        write_frame_stream(path, stream)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frame_stream_writer_memory_does_not_grow_with_rows(tmp_path):
+    """16384 and 65536 rows peak alike: rows are formatted a bounded block at a time."""
+    assert _write_peak_bytes(tmp_path / "4x.csv", 128) <= 1.05 * _write_peak_bytes(tmp_path / "1x.csv", 32)
+
+
 def test_psd_curve_roundtrip(tmp_path):
     curve = PsdCurve(
         freqs=np.linspace(-2.0, 2.0, 9),
@@ -119,6 +150,14 @@ def test_metrics_roundtrip_and_validation(tmp_path):
     assert read_metrics(path) == records
     with pytest.raises(ConfigurationError, match="config_hash"):
         write_metrics(tmp_path / "bad.json", [{"metric": "x", "value": 1.0}])
+
+
+@pytest.mark.parametrize("value", [1j, np.int64(3), {1.5}])
+def test_metrics_with_a_value_that_is_not_json_are_rejected_unwritten(tmp_path, value):
+    path = tmp_path / "m.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_metrics(path, [{"metric": "x", "value": value, "config_hash": "h"}])
+    assert not path.exists()
 
 
 def test_mask_roundtrip(tmp_path):
@@ -205,6 +244,18 @@ def test_precoder_dump_matches_the_per_entry_loop(tmp_path, form):
     text = write_precoder_set(tmp_path / "p.csv", precoders).read_text()
     body = text.split("subcarrier,row,col,re,im\n", 1)[1]
     assert body == _entry_rows_by_loop(precoders)
+
+
+@pytest.mark.parametrize("row_block", [1, 5])
+def test_tables_split_into_row_blocks_write_the_same_rows(tmp_path, row_block):
+    """Row blocks that cut through subcarriers and through the stream change no byte."""
+    precoders = build_precoders(decompose_mask([1, 2, 5, 9, 11], 3, 4), "systematic")
+    stream = generate_random_stream(VarianceProfile(np.ones((3, 4))), num_frames=5, seed=11)
+    with mock.patch.object(fileio, "_ROW_BLOCK", row_block):
+        text = write_precoder_set(tmp_path / "p.csv", precoders).read_text()
+        stream_path = write_frame_stream(tmp_path / "s.csv", stream)
+    assert text.split("subcarrier,row,col,re,im\n", 1)[1] == _entry_rows_by_loop(precoders)
+    assert_array_equal(read_frame_stream(stream_path).frames, stream.frames)
 
 
 _ODD_ENTRIES = np.array(

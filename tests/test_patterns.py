@@ -101,3 +101,30 @@ def test_head_tail_budget_bounds():
 def test_unknown_pattern():
     with pytest.raises(ConfigurationError):
         builtin_pattern("checkerboard", 2, 4)
+
+
+def _head_tail_columns_by_loop(num_delay, num_doppler, budget):
+    """The head/tail-columns layout filled one column at a time (the pattern's reference)."""
+    sigma2 = np.zeros((num_delay, num_doppler))
+    head = (budget + 1) // 2
+    for remaining, cols in ((head, range(num_doppler)), (budget - head, range(num_doppler - 1, -1, -1))):
+        for k in cols:
+            take = min(num_delay, remaining)
+            sigma2[:take, k] = 1.0
+            remaining -= take
+    return sigma2
+
+
+def test_head_tail_rows_is_the_transpose_of_head_tail_columns():
+    """Every budget on every grid up to 8x8: the loop's layout and its transpose, or both overlap."""
+    for m in range(1, 9):
+        for n in range(1, 9):
+            for budget in range(1, m * n + 1):
+                expected = _head_tail_columns_by_loop(n, m, budget)
+                if expected.sum() != budget:  # the head and tail regions overlap
+                    for name, shape in (("head_tail_columns", (n, m)), ("head_tail_rows", (m, n))):
+                        with pytest.raises(ConfigurationError, match="overlap"):
+                            builtin_pattern(name, *shape, budget)
+                    continue
+                assert_array_equal(builtin_pattern("head_tail_columns", n, m, budget).sigma2, expected)
+                assert_array_equal(builtin_pattern("head_tail_rows", m, n, budget).sigma2, expected.T)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from otfspectrum import presets
+from otfspectrum.io import load_mask, read_metrics, read_psd_curve
 
 from otfspectrum.errors import ConfigurationError, SystematicInfeasibleError
 from otfspectrum.precoding import (
@@ -362,3 +365,41 @@ def test_closed_form_synthesis_matches_the_matrix_path(mask, frames, seed, const
     doubled = PrecoderSet(mask=mask, form="null_space", matrices=[2 * m for m in built.matrices])
     assert_array_equal(precoded_stream(doubled, frames, seed, constellation=constellation)[0].frames,
                        2 * reference.frames)
+
+
+def _nslp_run(outdir, swap):
+    """Metrics of a small ``lte-otfs-nslp`` run whose precoder set is ``swap(build_precoders(...))``."""
+    config = preset_config(
+        "lte-otfs-nslp", {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 16}}
+    )
+    with mock.patch.object(presets, "build_precoders", lambda mask, form: swap(build_precoders(mask, form))):
+        presets.run_scenario(config, outdir)
+    return {record["metric"]: record["value"] for record in read_metrics(outdir / "lte_nslp_metrics.json")}
+
+
+def test_nslp_suppression_of_exact_nulls_is_the_same_on_both_synthesis_paths(tmp_path):
+    """Both paths null exactly, so both read rounding residue: the metric must not tell them apart."""
+    scattered = _nslp_run(tmp_path / "scatter", lambda built: built)
+    hand_built = lambda built: PrecoderSet(mask=built.mask, form=built.form, matrices=built.matrices)
+    through_matrices = _nslp_run(tmp_path / "matrices", hand_built)
+    assert scattered["suppression_db"] == through_matrices["suppression_db"]
+    assert scattered["suppression_db"] == presets._SUPPRESSION_CEILING_DB
+
+
+def test_nslp_suppression_of_a_leaking_set_is_reported_uncapped(tmp_path):
+    """Precoders perturbed by about 1e-6 leak that much into the nulls: the metric reads the leak."""
+    rng = np.random.default_rng(5)
+
+    def leaking(built):
+        matrices = [m + 1e-6 * rng.standard_normal(m.shape) for m in built.matrices]
+        return PrecoderSet(mask=built.mask, form=built.form, matrices=matrices)
+
+    metrics = _nslp_run(tmp_path, leaking)
+    curve = read_psd_curve(tmp_path / "lte_nslp_psd.csv")
+    mask = load_mask(tmp_path / "lte_nslp_mask.json")
+    natural = np.mod(np.arange(mask.num_bins) - mask.num_bins // 2, mask.num_bins)
+    nulled = np.isin(natural, mask.null_bins)
+    expected = 10 * np.log10(curve.values[~nulled].mean() / curve.values[nulled].max())
+    assert 40.0 < expected < presets._SUPPRESSION_CEILING_DB
+    assert metrics["suppression_db"] == pytest.approx(expected, rel=1e-12)
+    assert 1e-8 < metrics["worst_null_bin_leak"] < 1e-4
