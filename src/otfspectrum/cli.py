@@ -164,6 +164,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         for name in PRESET_NAMES:
             print(f"{name:18s} {PRESETS[name].description}")
         return 0
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be an integer >= 1, got {args.jobs}")
     merged = _deep_merge(_read_config(args.config), _overrides(args))
     if args.all:
         names = list(PRESET_NAMES)

@@ -4,7 +4,11 @@ A CSV table (frame streams, PSD curves, precoder dumps, the CEP convergence
 table) is ``# key=value`` header lines, the first naming the format, one
 column-name row, then comma-separated rows.  Integers are written with
 ``str`` and floats with ``float.__repr__``, so re-reading a file reproduces
-the exact doubles (and so byte-identical metric records).
+the exact doubles (and so byte-identical metric records).  A large table
+(at least 16 row blocks of 4096 rows per process, so never a PSD curve) is
+formatted by contiguous row range across processes, one per CPU, and the
+ranges are joined in order: the bytes are those one process would write.
+Tables are read a row block at a time into one preallocated array.
 
 A JSON record (metric records, masks, the LTE bandwidth report, scenario
 manifests) is one JSON value with sorted keys, a two-space indent and a
@@ -15,10 +19,17 @@ Every file written by a scenario embeds the scenario's config hash.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import os
+import shutil
+import signal
+import sys
+import tempfile
+import traceback
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,35 +67,150 @@ def _write_header(handle, fields: Dict[str, object]) -> None:
 #: Rows per ``str.join``: about one 64x512 precoder subcarrier, so a block's strings stay small.
 _ROW_BLOCK = 4096
 
+#: Row blocks each process must get before a table is split across processes.  Formatting
+#: costs about 1 us per float, so 16 blocks of two-float rows take about 0.13 s, well over
+#: the 10-20 ms of a fork and wait; PSD curves (at most 16384 rows) are never split.
+_SPLIT_ROW_BLOCKS = 16
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_ranges(rows: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(start, stop)`` row ranges, one per writing process.
+
+    There are at most one per CPU, and only as many as give each process
+    ``_SPLIT_ROW_BLOCKS`` row blocks; there is one where ``os.fork`` is missing.
+    """
+    share = _SPLIT_ROW_BLOCKS * _ROW_BLOCK
+    parts = max(1, min(_cpu_count(), rows // share)) if hasattr(os, "fork") else 1
+    bounds = [rows * part // parts for part in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _write_rows(
+    handle: IO[str], sizes: Sequence[int], block: Callable[[int], Sequence], start: int, stop: int
+) -> None:
+    """Write rows ``start`` to ``stop`` of the table, ``_ROW_BLOCK`` at a time.
+
+    Only the blocks holding some of those rows are built.  numpy columns
+    become ``str`` ints and ``float.__repr__`` floats; string cells pass through.
+    """
+    end = 0
+    for index, size in enumerate(sizes):
+        begin, end = end, end + size
+        first, last = max(start, begin) - begin, min(stop, end) - begin  # the block's rows in range
+        if first >= last:
+            continue
+        columns = block(index)
+        row = ["", ","] * len(columns)  # cell, separator, ..., cell, newline
+        row[-1] = "\n"
+        for lo in range(first, last, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, last)
+            parts = row * (hi - lo)
+            for j, column in enumerate(columns):
+                cells = column if hi - lo == size else column[lo:hi]  # a list slice is a copy
+                if isinstance(cells, np.ndarray):
+                    cells = map(float.__repr__ if cells.dtype.kind == "f" else str, cells.tolist())
+                parts[2 * j :: len(row)] = cells
+            handle.write("".join(parts))
+
+
+def _fork_rows(
+    directory: Path, sizes: Sequence[int], block: Callable[[int], Sequence], start: int, stop: int
+) -> Tuple[int, IO[str]]:
+    """Fork a child that writes rows ``start`` to ``stop`` into a new unnamed temporary file.
+
+    Returns the child's pid and the file.  The child leaves by ``os._exit``,
+    status 0 once every row is flushed, 1 on any error, so it runs none of
+    this process's cleanup.  It only formats rows and writes its own file, so
+    it takes no lock that another thread of this process (a BLAS pool) may
+    have held at the fork.
+    """
+    spill = tempfile.TemporaryFile("w+", dir=directory)
+    try:
+        pid = os.fork()
+    except BaseException:
+        spill.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            _write_rows(spill, sizes, block, start, stop)
+            spill.flush()
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    return pid, spill
+
 
 def _write_table(
-    path: Union[str, Path], header: Dict[str, object], names: Sequence[str], blocks: Iterable[Sequence]
+    path: Union[str, Path],
+    header: Dict[str, object],
+    names: Sequence[str],
+    sizes: Sequence[int],
+    block: Callable[[int], Sequence],
 ) -> Path:
-    """Write a CSV table: the header, the ``names`` row, then each block's rows.
+    """Write a CSV table: the header, the ``names`` row, then the rows of ``block(0)``, ``block(1)``, ...
 
-    A block is a sequence of equal-length columns, one per name: numpy
+    Block ``i`` is a sequence of ``sizes[i]``-row columns, one per name: numpy
     arrays, or cells already formatted as strings, which may fill several
-    fields (``"r,c"``).  Its rows are formatted and written ``_ROW_BLOCK``
-    at a time, so memory is bounded by that, not by the table.
+    fields (``"r,c"``).  It is built only when its rows are written, and rows
+    are formatted ``_ROW_BLOCK`` at a time, so memory is bounded by that, not
+    by the table.  A large table is cut into contiguous row ranges, one per
+    CPU (see ``_row_ranges``): this process writes the first into ``path``,
+    a forked child writes each other range into a temporary file beside it,
+    and the children's files are appended in order.  The bytes are those of
+    one process writing every row.  Every child has exited and every
+    temporary file is gone when this returns or raises.
     """
     path = Path(path)
+    ranges = _row_ranges(sum(sizes))
     with path.open("w") as handle:
         _write_header(handle, header)
         handle.write(",".join(names) + "\n")
-        for columns in blocks:
-            row = ["", ","] * len(columns)  # cell, separator, ..., cell, newline
-            row[-1] = "\n"
-            size = len(columns[0])
-            for start in range(0, size, _ROW_BLOCK):
-                stop = min(start + _ROW_BLOCK, size)
-                parts = row * (stop - start)
-                for j, column in enumerate(columns):
-                    cells = column if size <= _ROW_BLOCK else column[start:stop]  # a list slice is a copy
-                    if isinstance(cells, np.ndarray):
-                        cells = map(float.__repr__ if cells.dtype.kind == "f" else str, cells.tolist())
-                    parts[2 * j :: len(row)] = cells
-                handle.write("".join(parts))
+        children: List[Tuple[int, IO[str]]] = []
+        try:
+            for start, stop in ranges[1:]:
+                children.append(_fork_rows(path.parent, sizes, block, start, stop))
+            _write_rows(handle, sizes, block, *ranges[0])
+            handle.flush()
+            while children:
+                pid, spill = children.pop(0)
+                with spill:
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if status:
+                        raise OSError(f"{path}: the process writing a row range exited with status {status}")
+                    spill.seek(0)
+                    shutil.copyfileobj(spill.buffer, handle.buffer)
+        finally:
+            for pid, spill in children:  # left only when this process raised
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                spill.close()
     return path
+
+
+#: Characters read at a time by ``_line_batches``: about 1600 two-float rows.
+_READ_CHARS = 1 << 16
+
+
+def _line_batches(path: Union[str, Path]) -> Iterator[List[str]]:
+    """The lines of a text file, split as ``str.splitlines`` splits its whole text, a list per read."""
+    with open(path) as handle:
+        carry = ""  # the start of a line cut by the end of a read
+        for text in iter(lambda: handle.read(_READ_CHARS), ""):
+            lines = (carry + text).splitlines()
+            carry = "" if text[-1].splitlines() == [""] else lines.pop()  # [""]: a line break
+            yield lines
+        yield [carry] if carry else []
 
 
 def _read_table(path: Union[str, Path], what: str, width: int) -> Tuple[Dict[str, str], np.ndarray]:
@@ -92,25 +218,36 @@ def _read_table(path: Union[str, Path], what: str, width: int) -> Tuple[Dict[str
 
     The line after the header is the column-name row; blank lines are skipped.
     An empty or ragged body, or a cell that is not a number, raises
-    ``ConfigurationError`` naming the file.
+    ``ConfigurationError`` naming the file.  One pass counts and checks the
+    rows, a second parses them ``_ROW_BLOCK`` at a time into the array.
     """
-    lines = Path(path).read_text().splitlines()
-    start = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
     fields: Dict[str, str] = {}
-    for key, equals, value in (line[1:].partition("=") for line in lines[:start]):
+    skip = rows = ragged = 0
+    lines = itertools.chain.from_iterable(_line_batches(path))
+    for line in lines:
+        skip += 1
+        if not line.startswith("#"):
+            break  # the column-name row
+        key, equals, value = line[1:].partition("=")
         if equals:
             fields[key.strip()] = value.strip()
-    body = [line for line in lines[start + 1 :] if line]
-    if not body:
+    for line in filter(None, lines):
+        rows += 1
+        if not ragged and line.count(",") != width - 1:
+            ragged = rows
+    if not rows:
         raise ConfigurationError(f"{what} file {path} holds no samples")
-    ragged = [number for number, line in enumerate(body, start=1) if line.count(",") != width - 1]
     if ragged:
-        raise ConfigurationError(f"{what} file {path}: data row {ragged[0]} does not hold {width} fields")
+        raise ConfigurationError(f"{what} file {path}: data row {ragged} does not hold {width} fields")
+    data = np.empty((rows, width))
+    body = filter(None, itertools.islice(itertools.chain.from_iterable(_line_batches(path)), skip, None))
     try:
-        values = [float(cell) for line in body for cell in line.split(",")]
+        for start in range(0, rows, _ROW_BLOCK):
+            cells = ",".join(itertools.islice(body, _ROW_BLOCK)).split(",")  # every row holds width cells
+            data[start : start + _ROW_BLOCK] = np.reshape(list(map(float, cells)), (-1, width))
     except ValueError as err:
         raise ConfigurationError(f"{what} file {path}: {err}") from None
-    return fields, np.array(values).reshape(len(body), width)
+    return fields, data
 
 
 def json_text(payload: object) -> str:
@@ -146,7 +283,7 @@ def write_frame_stream(
         **(extra_header or {}),
     }
     flat = stream.concatenated()
-    return _write_table(path, header, ("re", "im"), [(flat.real, flat.imag)])
+    return _write_table(path, header, ("re", "im"), [flat.size], lambda _: (flat.real, flat.imag))
 
 
 def read_frame_stream(path: Union[str, Path]) -> FrameStream:
@@ -159,7 +296,7 @@ def read_frame_stream(path: Union[str, Path]) -> FrameStream:
     except KeyError as missing:
         raise ConfigurationError(f"frame-stream file {path} lacks header field {missing}") from None
     seed = None if fields.get("seed") in (None, "None") else int(fields["seed"])
-    samples = data[:, 0] + 1j * data[:, 1]
+    samples = data.view(np.complex128)  # each (re, im) row is one complex, exactly and without a copy
     per_frame = num_delay * num_doppler
     if samples.size != num_frames * per_frame:
         raise ConfigurationError(
@@ -187,7 +324,8 @@ def write_psd_curve(
         if key in curve.meta:
             header[key] = curve.meta[key]
     header.update(extra_header or {})
-    return _write_table(path, header, ("freq_hz", "psd_value"), [(curve.freqs, curve.values)])
+    columns = (curve.freqs, curve.values)
+    return _write_table(path, header, ("freq_hz", "psd_value"), [len(curve.freqs)], lambda _: columns)
 
 
 def read_psd_curve(path: Union[str, Path]) -> PsdCurve:
@@ -325,14 +463,15 @@ def write_precoder_set(
     }
     cells: Dict[Tuple[int, int], List[str]] = {}  # the "r,c" cells of each matrix shape
 
-    def subcarriers() -> Iterable[Sequence]:
-        for k, matrix in enumerate(precoders.matrices):
-            if matrix.shape not in cells:
-                rows, cols = matrix.shape
-                cells[matrix.shape] = [f"{r},{c}" for r in range(rows) for c in range(cols)]
-            yield [str(k)] * matrix.size, cells[matrix.shape], matrix.real.ravel(), matrix.imag.ravel()
+    def subcarrier(k: int) -> Sequence:
+        matrix = precoders.matrices[k]
+        if matrix.shape not in cells:
+            rows, cols = matrix.shape
+            cells[matrix.shape] = [f"{r},{c}" for r in range(rows) for c in range(cols)]
+        return [str(k)] * matrix.size, cells[matrix.shape], matrix.real.ravel(), matrix.imag.ravel()
 
-    return _write_table(path, header, ("subcarrier", "row", "col", "re", "im"), subcarriers())
+    sizes = [matrix.size for matrix in precoders.matrices]
+    return _write_table(path, header, ("subcarrier", "row", "col", "re", "im"), sizes, subcarrier)
 
 
 def write_convergence_table(
@@ -344,4 +483,5 @@ def write_convergence_table(
     counts, nmse, cosine = zip(*rows)
     columns = (np.asarray(counts), np.asarray(nmse, dtype=float), np.asarray(cosine, dtype=float))
     header = {"format": "otfspectrum-convergence-v1", **(extra_header or {})}
-    return _write_table(path, header, ("num_frames", "nmse_db", "cosine_similarity"), [columns])
+    names = ("num_frames", "nmse_db", "cosine_similarity")
+    return _write_table(path, header, names, [len(rows)], lambda _: columns)

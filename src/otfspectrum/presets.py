@@ -925,7 +925,10 @@ def run_presets(
     jobs: int = 1,
     overrides: Optional[dict] = None,
 ) -> List[Tuple[str, str]]:
-    """Run several presets, optionally in parallel worker processes."""
+    """Run several presets, optionally in ``jobs`` (>= 1) parallel worker processes."""
+    problems = fileio.rule_problem("jobs", fileio.POSITIVE_INT, jobs)
+    if problems:
+        raise ConfigurationError(problems[0])
     for name in names:
         if name not in PRESETS:
             raise ConfigurationError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")

@@ -21,6 +21,7 @@ from otfspectrum.estimate import (
 from otfspectrum.patterns import column_support_profile
 from otfspectrum.precoding import build_precoders, mask_from_pass_bands
 from otfspectrum.presets import (
+    _SUPPRESSION_CEILING_DB,
     cep_sum_match,
     estimated_psd,
     precoded_stream,
@@ -225,10 +226,12 @@ def test_gate6_precoded_stream_nulls_masked_bins(capsys):
     suppression_db = np.inf if out_max == 0 else 10.0 * np.log10(in_mean / out_max)
 
     ok = worst <= 1e-9 and suppression_db >= 40.0
+    # beyond the ceiling, out_max is rounding residue: report the capped figure, as the scenario does
+    reported_db = min(suppression_db, _SUPPRESSION_CEILING_DB)
     _gate(
         capsys, 6, ok,
         f"masked-bin leakage {worst:.1e} of payload norm (tol 1e-9) over 100 frames; "
-        f"out-of-band suppression {suppression_db:.0f} dB (gate 40 dB)",
+        f"out-of-band suppression {reported_db:.0f} dB (gate 40 dB)",
     )
 
 

@@ -8,10 +8,11 @@ import pytest
 
 from otfspectrum.cli import _overrides, build_parser, main
 from otfspectrum.dac import FILTER_KINDS
+from otfspectrum.errors import ConfigurationError
 from otfspectrum.io import read_frame_stream, read_metrics, read_psd_curve
 from otfspectrum.patterns import PATTERN_NAMES
 from otfspectrum.precoding import PRECODER_FORMS
-from otfspectrum.presets import PRESET_NAMES
+from otfspectrum.presets import PRESET_NAMES, run_presets
 from otfspectrum.waveform import CONSTELLATIONS
 
 
@@ -197,6 +198,21 @@ def test_scenario_requires_selection(capsys):
 
 def test_scenario_unknown_preset(capsys):
     assert run("scenario", "--preset", "no-such-preset") == 2
+
+
+@pytest.mark.parametrize("selection", [["--all"], ["--preset", "example1"]])
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_scenario_jobs_below_one_is_exit_2(tmp_path, capsys, selection, jobs):
+    assert run("scenario", *selection, "--jobs", jobs, "--outdir", tmp_path / "run") == 2
+    assert f"--jobs must be an integer >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
+def test_run_presets_rejects_jobs_that_are_not_a_positive_integer(tmp_path, jobs):
+    with pytest.raises(ConfigurationError, match="jobs must be an integer >= 1"):
+        run_presets(["example1"], tmp_path / "run", jobs=jobs)
+    assert not (tmp_path / "run").exists()
 
 
 def test_scenario_single_preset_writes_manifest(tmp_path, capsys):

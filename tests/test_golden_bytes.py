@@ -7,6 +7,7 @@ JSON writers were merged into one table writer and one JSON writer.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,5 +99,23 @@ GOLDEN = {
 def test_writer_bytes_are_pinned(tmp_path, artifact):
     write, digest = GOLDEN[artifact]
     path = write(tmp_path / "artifact")
+    with open(path, "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == digest
+
+
+#: The CSV tables, written by one process above and split across processes below.
+TABLES = ["frame_stream", "psd_curve", "precoders_null_space", "precoders_systematic", "cep_convergence"]
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("artifact", TABLES)
+def test_tables_split_across_processes_keep_their_bytes(tmp_path, artifact, processes):
+    """One-row row blocks and no minimum share, so even these small tables are cut into row ranges."""
+    write, digest = GOLDEN[artifact]
+    with mock.patch.object(fileio, "_ROW_BLOCK", 1), mock.patch.object(fileio, "_SPLIT_ROW_BLOCKS", 1), \
+            mock.patch.object(fileio, "_cpu_count", lambda: processes), \
+            mock.patch.object(fileio, "_fork_rows", wraps=fileio._fork_rows) as fork_rows:
+        path = write(tmp_path / "artifact")
+    assert fork_rows.call_count >= processes - 1
     with open(path, "rb") as handle:
         assert hashlib.sha256(handle.read()).hexdigest() == digest

@@ -1,9 +1,13 @@
 import json
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from otfspectrum import io as fileio
@@ -93,10 +97,12 @@ def test_frame_stream_missing_header(tmp_path):
 
 @pytest.mark.parametrize(
     "body, message",
-    [("", "holds no samples"), ("0.5\n", "row 1 does not hold 2 fields"), ("0.5,x\n", "could not convert")],
+    [("", "holds no samples"), ("0.5\n", "row 1 does not hold 2 fields"), ("0.5,x\n", "could not convert"),
+     ("\n0.5,1\n\n0.5\n1,2,3\n", "row 2 does not hold 2 fields"), ("x,1\n0.5\n", "row 2 does not hold 2 fields")],
 )
 def test_malformed_frame_stream_body_names_the_file(tmp_path, body, message):
-    """A header-only file, a one-field row and a cell that is not a number."""
+    """A header-only file, a one-field row and a cell that is not a number; the first ragged
+    row is named, counting no blank line, before any cell is parsed."""
     path = tmp_path / "s.csv"
     path.write_text("# num_delay=1\n# num_doppler=1\n# sample_interval=1.0\n# num_frames=1\nre,im\n" + body)
     with pytest.raises(ConfigurationError, match=message) as err:
@@ -117,6 +123,77 @@ def _write_peak_bytes(path, frames):
 def test_frame_stream_writer_memory_does_not_grow_with_rows(tmp_path):
     """16384 and 65536 rows peak alike: rows are formatted a bounded block at a time."""
     assert _write_peak_bytes(tmp_path / "4x.csv", 128) <= 1.05 * _write_peak_bytes(tmp_path / "1x.csv", 32)
+
+
+def _read_peak_bytes(path, frames):
+    """The read's ``tracemalloc`` peak and the size of the frames it returns."""
+    stream = generate_random_stream(VarianceProfile(np.ones((8, 64))), num_frames=frames, seed=0)
+    write_frame_stream(path, stream)
+    tracemalloc.start()
+    try:
+        stream = read_frame_stream(path)
+        return tracemalloc.get_traced_memory()[1], stream.frames.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("frames", [32, 128])
+def test_frame_stream_reader_memory_is_the_array_plus_a_constant(tmp_path, frames):
+    """16384 and 65536 rows: the body is parsed a row block at a time into one array, not held as text."""
+    peak, returned = _read_peak_bytes(tmp_path / "s.csv", frames)
+    assert peak <= 2 * returned + 2**21
+
+
+def test_frame_stream_reader_keeps_signed_zeros_and_infinities(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("# num_delay=1\n# num_doppler=2\n# sample_interval=1.0\n# num_frames=1\nre,im\n"
+                    "-0.0,inf\n5e-324,-0.0\n")
+    samples = read_frame_stream(path).frames[0]
+    assert np.signbit(samples.real).tolist() == [True, False] and samples.real[1] == 5e-324
+    assert samples.imag.tolist() == [np.inf, 0.0] and np.signbit(samples.imag[1])
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(alphabet="a,1\n\r\x0c\x1c\x85\u2028 "), read_chars=st.integers(1, 5))
+@example(text="a\r\nb\r\n\r\n", read_chars=2)
+def test_line_batches_split_as_splitlines_splits_the_whole_text(tmp_path, text, read_chars):
+    """Reads of a few characters cut lines, and pairs like \\r\\n, everywhere."""
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode())
+    with mock.patch.object(fileio, "_READ_CHARS", read_chars):
+        lines = [line for batch in fileio._line_batches(path) for line in batch]
+    assert lines == path.read_text().splitlines()
+
+
+def _split_table(path, cells):
+    """Write ``cells`` as a one-column table cut into two row ranges, one per process."""
+    with mock.patch.object(fileio, "_ROW_BLOCK", 1), mock.patch.object(fileio, "_SPLIT_ROW_BLOCKS", 1), \
+            mock.patch.object(fileio, "_cpu_count", lambda: 2):
+        return fileio._write_table(path, {"format": "test"}, ["n"], [len(cells)], lambda _: (cells,))
+
+
+@pytest.mark.parametrize(
+    "bad_row, error", [(0, TypeError), (7, OSError)], ids=["in-this-process", "in-the-child"]
+)
+def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_row, error):
+    """A cell that is not a string, in this process's rows or in the forked child's."""
+    cells = [str(n) for n in range(8)]
+    good = _split_table(tmp_path / "good.csv", cells).read_text()
+    assert good == "# format=test\nn\n" + "".join(f"{cell}\n" for cell in cells)
+    cells[bad_row] = None
+    spills = []
+
+    def temporary_file(*args, **kwargs):
+        spills.append(make_temporary_file(*args, **kwargs))
+        return spills[-1]
+
+    make_temporary_file = tempfile.TemporaryFile
+    with mock.patch.object(fileio.tempfile, "TemporaryFile", temporary_file), pytest.raises(error):
+        _split_table(tmp_path / "bad.csv", cells)
+    assert len(spills) == 1 and spills[0].closed
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.csv", "good.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_psd_curve_roundtrip(tmp_path):
