@@ -11,10 +11,11 @@ are estimated from:
   ``order`` sample intervals on each side (no taper); its *model*
   response is the ideal brick wall, so the truncation error is exactly
   what empirical-vs-analytic comparisons measure.  It is applied as a
-  polyphase FFT convolution (Crochiere & Rabiner, *Multirate Digital
+  direct polyphase convolution (Crochiere & Rabiner, *Multirate Digital
   Signal Processing*, 1983): output phase p of the dense grid is the
   input convolved with the sub-filter ``kernel[p::L]``, so the L-fold
-  zero-stuffed stream is never built;
+  zero-stuffed stream is never built.  Its cost grows linearly with
+  ``order`` (each sub-filter has about ``2*order`` taps);
 * ``rect`` - zero-order hold (each sample repeated L times), response
   |sinc(f*T)|^2, which is 3.92 dB down at half the sample rate.
 """
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.signal import oaconvolve
 
 from .errors import ConfigurationError
 from .waveform import BasebandFrame, FrameStream
@@ -76,9 +76,6 @@ class InterpolationFilter:
         if self.kind == "truncated_sinc":
             return f"truncated_sinc:{int(self.order)}"
         return self.kind
-
-    def response_sq(self, freqs: np.ndarray) -> np.ndarray:
-        return filter_response_sq(self, freqs)
 
 
 @dataclass(frozen=True)
@@ -155,10 +152,12 @@ def reconstruct(
     ``truncated_sinc`` convolves the zero-stuffed stream with the
     hard-truncated kernel, computed phase by phase: dense sample
     ``q*L + p`` is ``sum_i x[i] * kernel[(q - i)*L + p]``, the input
-    convolved (overlap-add FFT, ``scipy.signal.oaconvolve``) with the
-    sub-filter ``kernel[p::L]``.  Samples outside the stream are treated
-    as zero, so the output grows by the kernel tail ``2*order*L`` and
-    starts at ``origin_time = -order*T``.
+    convolved directly (``np.convolve``) with the sub-filter
+    ``kernel[p::L]``, so the cost is about ``2*order + 1`` multiply-adds
+    per dense sample and grows linearly with ``order``.  Samples outside
+    the stream are treated as zero, so the output grows by the kernel tail
+    ``2*order*L`` and starts at ``origin_time = -order*T``; an empty
+    stream gives those ``2*order*L`` zeros.
     """
     if int(oversampling) != oversampling or oversampling < 1:
         raise ConfigurationError(f"oversampling must be an integer >= 1, got {oversampling}")
@@ -200,9 +199,10 @@ def reconstruct(
     # n + 2*order samples, of which the sub-filters of phases p >= 1 (one tap
     # shorter) leave the last at zero.
     dense = np.zeros(samples.size * oversampling + 2 * order * oversampling, dtype=np.complex128)
-    for phase in range(oversampling):
-        part = oaconvolve(samples, kernel[phase::oversampling])
-        dense[phase::oversampling][: part.size] = part
+    if samples.size:  # np.convolve rejects an empty input; its reconstruction is all zeros
+        for phase in range(oversampling):
+            part = np.convolve(samples, kernel[phase::oversampling])
+            dense[phase::oversampling][: part.size] = part
     return OversampledSignal(
         samples=dense,
         sample_rate=rate,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -301,33 +301,14 @@ def cep_component_stream(stream: FrameStream, delay_index: int) -> FrameStream:
     )
 
 
-def constellation_points(name: str, custom_points: Optional[Sequence[complex]] = None) -> np.ndarray:
-    """Unit-average-power constellation for random streams.
-
-    ``qpsk`` and ``qam16`` are built in; ``custom`` normalizes the caller's
-    points to unit average power and requires them to be zero-mean.
-    """
+def constellation_points(name: str) -> np.ndarray:
+    """Unit-average-power constellation for random streams: ``qpsk`` or ``qam16``."""
     key = name.lower()
     if key == "qpsk":
         return _QPSK.copy()
     if key == "qam16":
         return _QAM16.copy()
-    if key == "custom":
-        if custom_points is None:
-            raise ConfigurationError("constellation 'custom' requires custom_points")
-        pts = np.asarray(custom_points, dtype=np.complex128).ravel()
-        if pts.size < 2 or not np.all(np.isfinite(pts)):
-            raise ConfigurationError("custom constellation needs >= 2 finite points")
-        rms = np.sqrt(np.mean(np.abs(pts) ** 2))
-        if rms == 0:
-            raise ConfigurationError("custom constellation has zero power")
-        pts = pts / rms
-        if abs(pts.mean()) > 1e-9:
-            raise ConfigurationError("custom constellation must be zero-mean")
-        return pts
-    raise ConfigurationError(
-        f"unknown constellation {name!r}; expected one of 'qpsk', 'qam16', 'custom'"
-    )
+    raise ConfigurationError(f"unknown constellation {name!r}; expected one of 'qpsk', 'qam16'")
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -385,7 +366,6 @@ def stream_chunks(
     seed: int,
     sample_interval: float = 1.0,
     constellation: str = "qpsk",
-    custom_points: Optional[Sequence[complex]] = None,
     oversampling: int = 1,
 ) -> Iterator[FrameStream]:
     """Yield the OTFS stream in frame blocks of about ``_BLOCK_SAMPLES`` dense samples.
@@ -402,7 +382,7 @@ def stream_chunks(
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
     if seed is None:
         raise ConfigurationError("a seed is required; wall-clock seeding is not supported")
-    points = constellation_points(constellation, custom_points)
+    points = constellation_points(constellation)
     draw = partial(_draw_grid_symbols, sigma=np.sqrt(profile.sigma2), points=points)
     frame_samples = profile.num_delay * profile.num_doppler * oversampling
     for _, frames in _chunked_frames(num_frames, seed, draw, frame_samples):
@@ -421,7 +401,6 @@ def generate_random_stream(
     seed: int,
     sample_interval: float = 1.0,
     constellation: str = "qpsk",
-    custom_points: Optional[Sequence[complex]] = None,
 ) -> FrameStream:
     """Generate an OTFS frame stream with i.i.d. per-bin symbols.
 
@@ -431,7 +410,5 @@ def generate_random_stream(
     4096-frame Philox chunks, so enlarging ``num_frames`` never changes
     earlier frames.
     """
-    blocks = list(
-        stream_chunks(profile, num_frames, seed, sample_interval, constellation, custom_points)
-    )
+    blocks = list(stream_chunks(profile, num_frames, seed, sample_interval, constellation))
     return replace(blocks[0], frames=np.concatenate([block.frames for block in blocks]))

@@ -1,11 +1,15 @@
 """End-to-end checks of the ``otfspectrum`` command line via ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otfspectrum
 from otfspectrum.cli import _overrides, build_parser, main
 from otfspectrum.dac import FILTER_KINDS
 from otfspectrum.errors import ConfigurationError
@@ -237,6 +241,34 @@ def test_scenario_rerun_is_byte_identical(tmp_path):
     assert run(*args) == 0
     again = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
     assert again == snapshot
+
+
+#: Blocks scipy, imports the package, checks no scipy module got in, then runs the CLI.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import otfspectrum
+from otfspectrum import cli
+loaded = [name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None]
+assert not loaded, loaded
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_scenario_runs_without_scipy_and_reruns_byte_identical_across_processes(tmp_path):
+    """Two fresh interpreters, with scipy blocked, write the same bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(otfspectrum.__file__).parent.parent)}
+    trees = []
+    for name in ("first", "second"):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        # A relative outdir, so the manifests' output paths are the same in both runs.
+        argv = ["scenario", "--preset", "cep-split", "--frames", "8", "--points", "256", "--outdir", "run"]
+        proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.name: p.read_bytes() for p in (cwd / "run").iterdir()})
+    assert trees[0] and trees[0] == trees[1]
 
 
 def test_version_flag(capsys):

@@ -12,7 +12,13 @@ from otfspectrum.dac import (
     sinc_kernel,
 )
 from otfspectrum.errors import ConfigurationError
-from otfspectrum.waveform import DelayDopplerGrid, VarianceProfile, generate_random_stream, otfs_modulate
+from otfspectrum.waveform import (
+    DelayDopplerGrid,
+    FrameStream,
+    VarianceProfile,
+    generate_random_stream,
+    otfs_modulate,
+)
 
 
 def test_filter_kind_validation():
@@ -124,7 +130,7 @@ def test_sinc_interpolation_passes_through_input_samples():
 @example(length=1, oversampling=7, order=60, seed=0)
 @example(length=20, oversampling=2, order=50, seed=1)
 def test_polyphase_sinc_matches_zero_stuffed_oracle(length, oversampling, order, seed):
-    """The polyphase FFT path equals upfirdn's zero-stuffed direct convolution.
+    """The polyphase convolution equals upfirdn's zero-stuffed direct convolution.
 
     upfirdn ends at the last tap that touches an input sample; the L - 1
     dense positions after it are exactly zero in the reconstruction.
@@ -138,6 +144,17 @@ def test_polyphase_sinc_matches_zero_stuffed_oracle(length, oversampling, order,
     assert_array_equal(out.samples[oracle.size :], 0.0)
     error = np.abs(out.samples[: oracle.size] - oracle).max() / np.abs(oracle).max()
     assert error <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [FrameStream(np.zeros((0, 4)), 2, 2, 1.0), np.zeros(0, complex)],
+    ids=["zero-frame stream", "empty array"],
+)
+def test_sinc_of_empty_input_is_the_kernel_tail_of_zeros(stream):
+    out = reconstruct(stream, InterpolationFilter.truncated_sinc(1.0, 3), 2)
+    assert_array_equal(out.samples, np.zeros(2 * 3 * 2))
+    assert out.origin_time == -3.0
 
 
 def test_sinc_output_length_and_frame_scaling():

@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from otfspectrum import io as fileio
 from otfspectrum.precoding import build_precoders, decompose_mask
@@ -57,10 +58,18 @@ def _mask(path):
     return fileio.write_mask(path, decompose_mask([3, 11, 19], 4, 8), sample_interval=0.25)
 
 
+#: The rows of ``scenario --preset cep-convergence --frames 64``: (frames, NMSE dB, cosine).
+CEP_CONVERGENCE_ROWS = [
+    (100, -36.655424941559154, 0.9999119441989427),
+    (1000, -46.37560892450821, 0.9999886496398633),
+    (10000, -55.84760676116966, 0.9999986996714628),
+]
+CEP_CONVERGENCE_HASH = "78834527dcc0"
+
+
 def _cep_convergence(path):
-    """The table of ``scenario --preset cep-convergence --frames 64``."""
-    manifest = run_scenario(preset_config("cep-convergence", {"stream": {"num_frames": 64}}), path.parent)
-    return manifest["files"]["table"]
+    """The table holding ``CEP_CONVERGENCE_ROWS``, so these bytes pin the writer, not the DAC's last bits."""
+    return fileio.write_convergence_table(path, CEP_CONVERGENCE_ROWS, {"config_hash": CEP_CONVERGENCE_HASH})
 
 
 GOLDEN = {
@@ -119,3 +128,12 @@ def test_tables_split_across_processes_keep_their_bytes(tmp_path, artifact, proc
     assert fork_rows.call_count >= processes - 1
     with open(path, "rb") as handle:
         assert hashlib.sha256(handle.read()).hexdigest() == digest
+
+
+def test_cep_convergence_scenario_gives_the_pinned_rows(tmp_path):
+    """The scenario end to end, to rounding: the sinc DAC's arithmetic may move the last bits."""
+    manifest = run_scenario(preset_config("cep-convergence", {"stream": {"num_frames": 64}}), tmp_path)
+    assert manifest["config_hash"] == CEP_CONVERGENCE_HASH
+    header, table = fileio._read_table(manifest["files"]["table"], "convergence table", 3)
+    assert header["config_hash"] == CEP_CONVERGENCE_HASH
+    assert_allclose(table, CEP_CONVERGENCE_ROWS, rtol=1e-12, atol=0)

@@ -195,21 +195,6 @@ def test_qam16_unit_average_power():
     assert pts.mean() == 0
 
 
-def test_custom_constellation_normalized():
-    pts = constellation_points("custom", custom_points=[2.0, -2.0])
-    assert_allclose(np.abs(pts), [1.0, 1.0], atol=1e-15)
-
-
-def test_custom_constellation_must_be_zero_mean():
-    with pytest.raises(ConfigurationError):
-        constellation_points("custom", custom_points=[1.0, 1.0j])
-
-
-def test_custom_constellation_requires_points():
-    with pytest.raises(ConfigurationError):
-        constellation_points("custom")
-
-
 def test_unknown_constellation():
     with pytest.raises(ConfigurationError):
         constellation_points("psk8")
