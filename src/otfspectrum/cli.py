@@ -90,6 +90,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_psd_analytic(args: argparse.Namespace) -> int:
+    if args.delay_index is not None and args.waveform != "cep-ofdm":
+        raise ConfigurationError(f"--delay-index is only read with --waveform cep-ofdm, not {args.waveform}")
     config = _load(args)
     profile = config.profile()
     filt = config.interpolation_filter()
@@ -99,17 +101,18 @@ def _cmd_psd_analytic(args: argparse.Namespace) -> int:
     elif args.waveform == "ofdm":
         curve = ofdm_psd(profile, config.sample_interval, filt, freqs)
     else:
-        if not 0 <= args.delay_index < profile.num_delay:
-            raise ConfigurationError(
-                f"--delay-index must be in [0, {profile.num_delay}), got {args.delay_index}"
-            )
-        curve = cep_ofdm_psd(profile, args.delay_index, config.sample_interval, filt, freqs)
+        index = args.delay_index or 0
+        if not 0 <= index < profile.num_delay:
+            raise ConfigurationError(f"--delay-index must be in [0, {profile.num_delay}), got {index}")
+        curve = cep_ofdm_psd(profile, index, config.sample_interval, filt, freqs)
     path = fileio.write_psd_curve(args.out, curve, {"config_hash": config.hash()})
     print(f"wrote {args.waveform} analytic PSD ({freqs.size} points) to {path}")
     return 0
 
 
 def _cmd_psd_estimate(args: argparse.Namespace) -> int:
+    if args.metrics_out and not args.reference:
+        raise ConfigurationError("--metrics-out needs --reference: the metrics compare against it")
     config = _load(args)
     # Read and compare the reference before writing, so a bad one leaves no --out file.
     reference = fileio.read_psd_curve(args.reference) if args.reference else None
@@ -173,15 +176,31 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         names = list(args.preset)
     else:
         raise ConfigurationError("scenario needs --preset NAME (repeatable) or --all")
+    outdir = _output_root(args.outdir, merged)
     if len(names) == 1 and not args.all:
-        manifest = run_scenario(preset_config(names[0], merged), args.outdir)
+        manifest = run_scenario(preset_config(names[0], merged), outdir)
         for label, path in sorted(manifest["files"].items()):
             print(f"{label}: {path}")
         return 0
-    results = run_presets(names, args.outdir, jobs=args.jobs, overrides=merged)
+    results = run_presets(names, outdir, jobs=args.jobs, overrides=merged)
     for name, cfg_hash in results:
-        print(f"{name}: config {cfg_hash} -> {Path(args.outdir) / name}")
+        print(f"{name}: config {cfg_hash} -> {Path(outdir) / name}")
     return 0
+
+
+def _output_root(flag: Optional[str], merged: dict) -> str:
+    """``--outdir``, else the config's ``output.directory``, else that key's default."""
+    if flag is not None:
+        return flag
+    (key,) = [key for key in CONFIG_KEYS if key.name == "output.directory"]
+    output = merged.get("output")
+    directory = output.get("directory") if isinstance(output, dict) else None
+    if directory is None:
+        return key.default
+    problems = fileio.rule_problem(key.name, key.rule, directory)
+    if problems:
+        raise ConfigurationError(problems[0])
+    return directory
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psd-analytic", help="write a closed-form PSD curve to CSV")
     _config_flags(p)
     p.add_argument("--waveform", choices=("otfs", "ofdm", "cep-ofdm"), default="otfs")
-    p.add_argument("--delay-index", type=int, default=0, help="CEP component index")
+    p.add_argument("--delay-index", type=int, help="CEP component index")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_psd_analytic)
 
@@ -230,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", action="append", metavar="NAME", help="preset name (repeatable)")
     p.add_argument("--all", action="store_true", help="run every preset")
     p.add_argument("--list", action="store_true", help="list presets and exit")
-    p.add_argument("--outdir", default="otfspectrum-out", metavar="DIR")
+    p.add_argument("--outdir", metavar="DIR")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes for batches")
     p.set_defaults(func=_cmd_scenario)
 

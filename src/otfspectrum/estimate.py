@@ -44,10 +44,12 @@ def _signal_parts(signal: Union[OversampledSignal, FrameStream, np.ndarray], sam
         # time zero, so segments tile whole frames of the underlying stream.
         # Cutting segments across frame boundaries would smear each frame's
         # tones over neighbouring bins (the stream is only frame-periodically
-        # stationary, not stationary).
+        # stationary, not stationary).  The post-ring after the stream's end,
+        # as long as the pre-ring, is dropped too: it holds only the decaying
+        # ring of the last frames, and must not form a segment of its own.
         skip = int(round(-signal.origin_time * signal.sample_rate))
         if skip > 0:
-            samples = samples[skip:]
+            samples = samples[skip : samples.size - skip]
         return samples, signal.sample_rate, signal.samples_per_frame
     if isinstance(signal, FrameStream):
         return signal.concatenated(), 1.0 / signal.sample_interval, signal.samples_per_frame

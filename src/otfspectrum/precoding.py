@@ -13,13 +13,14 @@ columns) and ``systematic_precoder`` (payload appears verbatim in the
 first entries of the column; needs an invertible leading block and is
 power-normalized afterwards, which preserves the nulls).
 
-Without mixing the null-space form has a closed form: ``nslp_precoder(k)``
-is ``T_k[kept]^H`` for the unitary subcarrier transform ``T_k``, so a
-precoded frame's unitary spectrum is the payload itself, placed on the kept
-bins ``m*N + k`` in (k, then m) order, with exact zeros on the masked bins.
-``build_precoders`` records those bins, and ``presets.precoded_stream``
-synthesizes such a set with one inverse FFT per frame instead of N matrix
-products; every other set goes through its matrices.
+The null-space form ``build_precoders`` makes has a closed form:
+``nslp_precoder(k)`` with the identity mixing is ``T_k[kept]^H`` for the
+unitary subcarrier transform ``T_k``, so a precoded frame's unitary spectrum
+is the payload itself, placed on the kept bins ``m*N + k`` in (k, then m)
+order, with exact zeros on the masked bins.  ``build_precoders`` records
+those bins, and ``presets.precoded_stream`` synthesizes such a set with one
+inverse FFT per frame instead of N matrix products; every other set goes
+through its matrices.
 """
 
 from __future__ import annotations
@@ -185,11 +186,7 @@ def nslp_precoder(
     return base @ mixing
 
 
-def systematic_precoder(
-    subcarrier: int,
-    mask: SpectrumMask,
-    cond_limit: float = SYSTEMATIC_COND_LIMIT,
-) -> np.ndarray:
+def systematic_precoder(subcarrier: int, mask: SpectrumMask) -> np.ndarray:
     """Systematic-form precoder: payload symbols appear verbatim up front.
 
     Built as ``[I; F2 @ inv(F1)]`` from the leading/trailing rows of the
@@ -206,11 +203,11 @@ def systematic_precoder(
     lead = base[:payload_dim]
     tail = base[payload_dim:]
     cond = np.linalg.cond(lead)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > SYSTEMATIC_COND_LIMIT:
         raise SystematicInfeasibleError(
             f"systematic form infeasible for subcarrier {subcarrier}: leading "
             f"{payload_dim}x{payload_dim} block has condition number {cond:.3e} "
-            f"(limit {cond_limit:.1e}); use nslp_precoder instead"
+            f"(limit {SYSTEMATIC_COND_LIMIT:.1e}); use nslp_precoder instead"
         )
     parity = tail @ np.linalg.inv(lead) if tail.size else np.empty((0, payload_dim), dtype=np.complex128)
     precoder = np.vstack([np.eye(payload_dim, dtype=np.complex128), parity])
@@ -227,8 +224,9 @@ class PrecoderSet:
     matrices: Tuple[np.ndarray, ...]
     #: The spectrum bin of each payload entry, in (subcarrier, then row) order,
     #: when the precoded spectrum is exactly the payload on those bins and zero
-    #: elsewhere.  Only ``build_precoders`` sets it (null-space form, no
-    #: mixing); it is ``None`` for every other set, hand-built ones included.
+    #: elsewhere.  Only ``build_precoders`` sets it (null-space form, whose
+    #: mixing is the identity); it is ``None`` for every other set, hand-built
+    #: ones included.
     spectral_bins: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -249,26 +247,17 @@ class PrecoderSet:
         return int(self.payload_sizes.sum())
 
 
-def build_precoders(
-    mask: SpectrumMask,
-    form: str = "null_space",
-    mixing: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> PrecoderSet:
+def build_precoders(mask: SpectrumMask, form: str = "null_space") -> PrecoderSet:
     """Construct the per-subcarrier precoders for a whole mask.
 
-    The null-space form without mixing also records its ``spectral_bins``,
-    which lets ``precoded_stream`` synthesize it in closed form.
+    The null-space form also records its ``spectral_bins``, which lets
+    ``precoded_stream`` synthesize it in closed form.
     """
-    if form == "null_space" and mixing is None:
-        return _identity_null_space_precoders(mask)
     if form == "null_space":
-        mats = [nslp_precoder(k, mask, mixing[k]) for k in range(mask.num_doppler)]
-    elif form == "systematic":
-        if mixing is not None:
-            raise ConfigurationError("the systematic form takes no mixing matrices")
-        mats = [systematic_precoder(k, mask) for k in range(mask.num_doppler)]
-    else:
+        return _identity_null_space_precoders(mask)
+    if form != "systematic":
         raise ConfigurationError(f"unknown precoder form {form!r}")
+    mats = [systematic_precoder(k, mask) for k in range(mask.num_doppler)]
     return PrecoderSet(mask=mask, form=form, matrices=tuple(mats))
 
 

@@ -5,8 +5,10 @@ disk).  ``ScenarioConfig.from_dict`` validates the whole document at once
 and reports every violated constraint in a single error.  Each named
 preset couples default configuration values with a runner that writes
 PSD curves (CSV) and metric records (JSON) sufficient to re-plot the
-experiment; rerunning a preset with the same configuration reproduces
-the files byte for byte, and every file embeds the configuration hash.
+experiment, and with the config keys that runner reads: a preset refuses
+any other given key.  Rerunning a preset with the same configuration
+reproduces the files byte for byte, and every file embeds the
+configuration hash.
 """
 
 from __future__ import annotations
@@ -383,9 +385,11 @@ class _BlockDac:
     convolution, Crochiere & Rabiner, 1983).  What a block rings past its
     end (the ``2*order*L`` sinc tail; nothing for rect and dirac_delta) is
     overlap-added onto the next block, the samples before time zero (the
-    ``order*L`` pre-ring) are dropped once, and ``flush`` returns the final
-    tail.  The pushed and flushed samples concatenate to
-    ``reconstruct(whole_stream).samples[order*L:]`` up to rounding.
+    ``order*L`` pre-ring) are dropped once, and ``flush`` returns the
+    final tail up to the stream's end (the post-ring after it is dropped
+    too).  The pushed and flushed samples concatenate to the stream's span
+    ``reconstruct(whole_stream).samples[order*L : order*L + n*L]`` up to
+    rounding.
     """
 
     def __init__(self, filt: InterpolationFilter, oversampling: int) -> None:
@@ -393,6 +397,7 @@ class _BlockDac:
         self.oversampling = oversampling
         self.tail = np.zeros(0, dtype=np.complex128)
         self.skip: Optional[int] = None
+        self.ring: Optional[int] = None
 
     def push(self, block: FrameStream) -> np.ndarray:
         signal = reconstruct(block, self.filt, self.oversampling)
@@ -405,13 +410,14 @@ class _BlockDac:
         # minor page faults (82 k -> 500 k) and 1.5 s more wall time.
         self.tail = dense[body:]
         if self.skip is None:
-            self.skip = int(round(-signal.origin_time * signal.sample_rate))
+            self.skip = self.ring = int(round(-signal.origin_time * signal.sample_rate))
         drop = min(self.skip, body)
         self.skip -= drop
         return dense[drop:body]
 
     def flush(self) -> np.ndarray:
-        return self.tail[self.skip :]
+        # The tail starts ``ring`` samples before the stream's end.
+        return self.tail[self.skip : self.ring]
 
 
 def _streamed_estimates(
@@ -434,9 +440,10 @@ def _streamed_estimates(
     ``PeriodogramAverager``, and every DAC's tail is flushed at the end.
     Memory is bounded by one reconstruction per view, not by
     ``num_frames``.  The samples fed are those of
-    ``periodogram(reconstruct(view))`` from time zero on, the truncated
-    sinc's post-ring included, so the segmentation matches the one-shot
-    estimate; dirac_delta and rect match it bit for bit, the sinc to rounding.
+    ``periodogram(reconstruct(view))``, the stream's span without the
+    truncated sinc's pre- and post-ring, so the segmentation matches the
+    one-shot estimate; dirac_delta and rect match it bit for bit, the sinc
+    to rounding.
     """
     segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
     averagers = [PeriodogramAverager(segment_len, oversampling / sample_interval) for _ in views]
@@ -758,10 +765,21 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
 
 @dataclass(frozen=True)
 class _Preset:
+    """A named experiment: its default config, its runner, and the config keys the runner reads.
+
+    ``reads`` holds key names and whole sections (``"grid"`` is every
+    ``grid.*`` key), each of which shapes some artifact.  Unread keys in
+    the defaults stay, because the config hash covers them.
+    """
+
     name: str
     description: str
     defaults: Dict[str, object]
     runner: Callable[[ScenarioConfig, Path], Dict[str, object]]
+    reads: Tuple[str, ...]
+
+    def reads_key(self, key: str) -> bool:
+        return key in self.reads or key.partition(".")[0] in self.reads
 
 
 def _example_grid(points: int = 4096) -> Dict[str, object]:
@@ -785,6 +803,7 @@ PRESETS: Dict[str, _Preset] = {
                 },
             ),
             partial(_run_analytic_family, waveform="otfs"),
+            ("grid", "profile", "filter.order", "psd.num_points", "psd.band"),
         ),
         _Preset(
             "example2",
@@ -796,6 +815,7 @@ PRESETS: Dict[str, _Preset] = {
                 "profile": {"columns": list(range(0, 10)) + list(range(22, 32))},
             },
             partial(_run_analytic_family, waveform="ofdm"),
+            ("grid", "profile", "filter.order", "psd.num_points", "psd.band"),
         ),
         _Preset(
             "lte-ofdm",
@@ -807,6 +827,7 @@ PRESETS: Dict[str, _Preset] = {
                 "psd": {"num_points": 4096},
             },
             _run_lte_ofdm,
+            ("grid", "profile", "psd.num_points", "psd.band"),
         ),
         _Preset(
             "lte-otfs-columns",
@@ -819,6 +840,7 @@ PRESETS: Dict[str, _Preset] = {
                 "psd": {"num_points": 4096},
             },
             _run_lte_pattern,
+            ("grid", "profile", "filter", "stream.num_frames", "stream.constellation", "psd"),
         ),
         _Preset(
             "lte-otfs-rows",
@@ -831,6 +853,7 @@ PRESETS: Dict[str, _Preset] = {
                 "psd": {"num_points": 4096},
             },
             _run_lte_pattern,
+            ("grid", "profile", "filter", "stream.num_frames", "stream.constellation", "psd"),
         ),
         _Preset(
             "cep-split",
@@ -845,6 +868,7 @@ PRESETS: Dict[str, _Preset] = {
                 },
             ),
             _run_cep_split,
+            ("grid", "profile", "filter", "stream.num_frames", "stream.constellation", "psd.segment_frames"),
         ),
         _Preset(
             "cep-convergence",
@@ -859,6 +883,9 @@ PRESETS: Dict[str, _Preset] = {
                 },
             ),
             _run_cep_convergence,
+            # NMSE and cosine are ratios of PSDs that scale alike with the sample interval
+            ("grid.num_delay", "grid.num_doppler", "profile", "filter", "stream.frame_counts",
+             "stream.constellation"),
         ),
         _Preset(
             "lte-otfs-nslp",
@@ -873,6 +900,7 @@ PRESETS: Dict[str, _Preset] = {
                 "psd": {"num_points": 2048},
             },
             _run_lte_nslp,
+            ("grid", "stream.num_frames", "stream.constellation", "mask", "precoder.form"),
         ),
     )
 }
@@ -880,14 +908,57 @@ PRESETS: Dict[str, _Preset] = {
 PRESET_NAMES = tuple(sorted(PRESETS))
 
 
+#: Keys every preset takes, whatever it reads.
+_EXEMPT_KEYS = ("seed", "output.directory", "preset")
+_KEY_NAMES = {key.name for key in CONFIG_KEYS}
+
+
+def _preset_configs(names: Sequence[str], overrides: dict) -> List[ScenarioConfig]:
+    """The configs of a run of the presets ``names``, each with its share of the given ``overrides``.
+
+    A preset's share holds the given keys it reads, the exempt ones, and
+    any key that is not a config key at all.  Each preset's defaults merged
+    with its share are validated first, so schema errors (unknown keys
+    among them) keep their messages.  Then a given key that no preset of
+    the run reads is refused, and so is a given ``preset`` naming another
+    preset than the one it is run as.
+    """
+    for name in names:
+        if name not in PRESETS:
+            raise ConfigurationError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
+    shares: Dict[str, dict] = {name: {} for name in names}
+    unread = []
+    for top, body in overrides.items():
+        for key, value in (body.items() if isinstance(body, dict) else [(None, body)]):
+            dotted = top if key is None else f"{top}.{key}"
+            takers = [
+                name for name in names
+                if dotted in _EXEMPT_KEYS or dotted not in _KEY_NAMES or PRESETS[name].reads_key(dotted)
+            ]
+            if not takers:
+                unread.append(dotted)
+            for name in takers:
+                shares[name] = _deep_merge(shares[name], {top: value} if key is None else {top: {key: value}})
+    configs = [
+        ScenarioConfig.from_dict(_deep_merge(PRESETS[name].defaults, {"preset": name, **shares[name]}))
+        for name in names
+    ]
+    if unread:
+        reads = "; ".join(
+            f"{name} reads {', '.join(r if '.' in r else r + '.*' for r in PRESETS[name].reads)}"
+            for name in dict.fromkeys(names)
+        )
+        who = f"preset {names[0]}" if len(set(names)) == 1 else "any preset of the run"
+        raise ConfigurationError(f"config keys {unread} are not read by {who} ({reads})")
+    for name, config in zip(names, configs):
+        if config.preset != name:
+            raise ConfigurationError(f"the config names preset {config.preset!r}, but preset {name!r} is run")
+    return configs
+
+
 def preset_config(name: str, overrides: Optional[dict] = None) -> ScenarioConfig:
-    """Scenario configuration for a named preset, with optional overrides."""
-    if name not in PRESETS:
-        raise ConfigurationError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
-    raw = _deep_merge(PRESETS[name].defaults, {"preset": name})
-    if overrides:
-        raw = _deep_merge(raw, overrides)
-    return ScenarioConfig.from_dict(raw)
+    """Scenario configuration for a named preset, with optional overrides (see ``_preset_configs``)."""
+    return _preset_configs([name], overrides or {})[0]
 
 
 def run_scenario(config: ScenarioConfig, output_dir: Optional[Union[str, Path]] = None) -> Dict[str, object]:
@@ -913,10 +984,10 @@ def run_scenario(config: ScenarioConfig, output_dir: Optional[Union[str, Path]] 
     return manifest
 
 
-def _run_one(args: Tuple[str, Optional[dict], str]) -> Tuple[str, str]:
-    name, overrides, outdir = args
-    manifest = run_scenario(preset_config(name, overrides), outdir)
-    return name, manifest["config_hash"]
+def _run_one(args: Tuple[ScenarioConfig, str]) -> Tuple[str, str]:
+    config, outdir = args
+    manifest = run_scenario(config, outdir)
+    return config.preset, manifest["config_hash"]
 
 
 def run_presets(
@@ -925,14 +996,16 @@ def run_presets(
     jobs: int = 1,
     overrides: Optional[dict] = None,
 ) -> List[Tuple[str, str]]:
-    """Run several presets, optionally in ``jobs`` (>= 1) parallel worker processes."""
+    """Run several presets, optionally in ``jobs`` (>= 1) parallel worker processes.
+
+    Each given override goes to the presets that read it, and every
+    preset's config is validated before any preset runs (``_preset_configs``).
+    """
     problems = fileio.rule_problem("jobs", fileio.POSITIVE_INT, jobs)
     if problems:
         raise ConfigurationError(problems[0])
-    for name in names:
-        if name not in PRESETS:
-            raise ConfigurationError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
-    tasks = [(name, overrides, str(Path(output_dir) / name.replace("/", "_"))) for name in names]
+    configs = _preset_configs(names, overrides or {})
+    tasks = [(config, str(Path(output_dir) / config.preset.replace("/", "_"))) for config in configs]
     if jobs <= 1 or len(tasks) == 1:
         return [_run_one(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor

@@ -222,8 +222,7 @@ def test_run_presets_rejects_jobs_that_are_not_a_positive_integer(tmp_path, jobs
 def test_scenario_single_preset_writes_manifest(tmp_path, capsys):
     outdir = tmp_path / "run"
     code = run(
-        "scenario", "--preset", "example1", "--outdir", outdir,
-        "--frames", 16, "--points", 512,
+        "scenario", "--preset", "example1", "--outdir", outdir, "--points", 512,
     )
     assert code == 0
     manifest = json.loads((outdir / "example1_manifest.json").read_text())
@@ -234,8 +233,7 @@ def test_scenario_single_preset_writes_manifest(tmp_path, capsys):
 
 
 def test_scenario_rerun_is_byte_identical(tmp_path):
-    args = ["scenario", "--preset", "cep-split", "--frames", 8, "--points", 256,
-            "--outdir", tmp_path / "run"]
+    args = ["scenario", "--preset", "cep-split", "--frames", 8, "--outdir", tmp_path / "run"]
     assert run(*args) == 0
     snapshot = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
     assert run(*args) == 0
@@ -263,7 +261,7 @@ def test_scenario_runs_without_scipy_and_reruns_byte_identical_across_processes(
         cwd = tmp_path / name
         cwd.mkdir()
         # A relative outdir, so the manifests' output paths are the same in both runs.
-        argv = ["scenario", "--preset", "cep-split", "--frames", "8", "--points", "256", "--outdir", "run"]
+        argv = ["scenario", "--preset", "cep-split", "--frames", "8", "--outdir", "run"]
         proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv], cwd=cwd, env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -287,6 +285,64 @@ def test_cep_delay_index_out_of_range_is_exit_2(tmp_path, capsys, index):
     assert code == 2
     assert "--delay-index must be in [0, 4)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("waveform", ["otfs", "ofdm"])
+def test_delay_index_without_cep_ofdm_is_exit_2(tmp_path, capsys, waveform):
+    out = tmp_path / "psd.csv"
+    code = run(
+        "psd-analytic", "--seed", 1, "--num-delay", 2, "--num-doppler", 8, "--sample-interval", 1.0,
+        "--uniform", 1.0, "--waveform", waveform, "--delay-index", 7, "--out", out,
+    )
+    assert code == 2
+    assert "--delay-index is only read with --waveform cep-ofdm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cep_ofdm_without_a_delay_index_is_component_0(tmp_path):
+    base = ["psd-analytic", "--seed", 1, "--num-delay", 2, "--num-doppler", 8, "--sample-interval", 1.0,
+            "--uniform", 1.0, "--points", 64, "--waveform", "cep-ofdm"]
+    assert run(*base, "--out", tmp_path / "default.csv") == 0
+    assert run(*base, "--delay-index", 0, "--out", tmp_path / "zero.csv") == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
+
+def test_metrics_out_without_reference_is_exit_2(tmp_path, capsys):
+    out, metrics = tmp_path / "est.csv", tmp_path / "metrics.json"
+    code = run(
+        "psd-estimate", "--seed", 1, "--num-delay", 2, "--num-doppler", 4, "--sample-interval", 1.0,
+        "--uniform", 1.0, "--frames", 2, "--out", out, "--metrics-out", metrics,
+    )
+    assert code == 2
+    assert "--metrics-out needs --reference" in capsys.readouterr().err
+    assert not out.exists() and not metrics.exists()
+
+
+@pytest.mark.parametrize(
+    "selection", [["--preset", "example1"], ["--preset", "example1", "--preset", "example2"]]
+)
+def test_scenario_writes_under_the_configs_output_directory_unless_outdir_is_given(
+    tmp_path, monkeypatch, capsys, selection
+):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"output": {"directory": "mine"}}))
+    assert run("scenario", *selection, "--points", 16, "--config", config) == 0
+    assert "mine" in capsys.readouterr().out
+    assert (tmp_path / "mine").is_dir() and not (tmp_path / "otfspectrum-out").exists()
+    assert run("scenario", *selection, "--points", 16, "--config", config, "--outdir", "flag") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "flag", "mine"]
+    assert run("scenario", *selection, "--points", 16) == 0
+    assert (tmp_path / "otfspectrum-out").is_dir()
+
+
+def test_non_string_output_directory_is_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"output": {"directory": 5}}))
+    assert run("scenario", "--all", "--config", config) == 2
+    assert "output.directory must be a string" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_sigma2_shape_mismatch_is_exit_2(tmp_path, capsys):

@@ -93,7 +93,7 @@ def test_periodogram_skips_reconstruction_pre_ring():
     dense = reconstruct(stream, InterpolationFilter.truncated_sinc(1.0, 3), 2)
     assert dense.origin_time == -3.0
     curve = periodogram(dense)  # default segment: one frame = 16 samples
-    assert curve.meta["num_segments"] == 2  # post-ring of order*L = 6 < 16 forms no segment
+    assert curve.meta["num_segments"] == 2  # the post-ring of order*L = 6 is dropped
     aligned = dense.samples[6 : 6 + 32]  # skip order*L = 6, keep 2 frames
     manual = periodogram(aligned, segment_len=16, sample_rate=2.0)
     assert_array_equal(curve.values, manual.values)

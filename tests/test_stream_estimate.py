@@ -79,17 +79,18 @@ def test_streamed_estimate_equals_one_shot(case, kind):
     _assert_matches_one_shot(streamed, one_shot, exact=kind != "truncated_sinc")
 
 
-def test_streamed_sinc_keeps_the_post_ring_segment():
+def test_streamed_sinc_drops_the_post_ring():
     """Gate 4's sinc geometry: order*L = 5000 dense samples >= a 3200-sample frame.
 
     The post-ring after the last frame is long enough to form a segment of
-    its own, so 1000 frames give 1001 segments, as in the one-shot estimate.
+    its own, but it holds only the decaying ring of the last frames, so it
+    is dropped: 1000 frames give 1000 segments, as in the one-shot estimate.
     """
     profile = column_support_profile([0, 1, 2, 6, 7], 4, 8)
     filt = InterpolationFilter.truncated_sinc(1.0, 50)
     streamed = estimated_psd(profile, 1000, SEED, 1.0, filt, 100)
     one_shot = _one_shot(profile, 1000, filt, 100, 1)
-    assert streamed.meta["num_segments"] == 1001
+    assert streamed.meta["num_segments"] == 1000
     _assert_matches_one_shot(streamed, one_shot, exact=False)
 
 
@@ -112,7 +113,8 @@ def test_pieces_concatenate_to_the_one_shot_reconstruction(
         blocks = stream_chunks(profile, frames, SEED, 1.0, oversampling=oversampling)
         pieces = np.concatenate([*map(dac.push, blocks), dac.flush()])
     whole = reconstruct(generate_random_stream(profile, frames, SEED, 1.0), filt, oversampling)
-    expected = whole.samples[order * oversampling :]
+    ring = order * oversampling
+    expected = whole.samples[ring : whole.samples.size - ring]  # from time zero to the stream's end
     assert pieces.size == expected.size
     assert np.abs(pieces - expected).max() <= 1e-12 * np.abs(expected).max()
 
