@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from . import io as fileio
@@ -62,8 +62,31 @@ def _overrides(args: argparse.Namespace) -> dict:
     return out
 
 
+def _reads(args: argparse.Namespace) -> Tuple[str, ...]:
+    """The config keys and whole sections ``args.command`` reads, given its own flags.
+
+    Each shapes what the command writes; ``_load`` refuses any other given
+    key, by the rule the presets' read sets follow.
+    """
+    if args.command == "generate":
+        return ("grid", "profile", "stream.num_frames", "stream.constellation")
+    if args.command == "psd-analytic":
+        return ("grid", "profile", "filter.kind", "filter.order", "psd.num_points", "psd.band")
+    if args.command == "psd-estimate":
+        band = ("psd.band",) if args.reference else ()
+        return ("grid", "profile", "filter", "stream.num_frames", "stream.constellation",
+                "psd.segment_frames", *band)
+    stream = ("stream.num_frames", "stream.constellation") if args.stream_out else ()
+    return ("grid", "mask", "precoder.form", *stream)
+
+
+#: Every config names a profile; precoding ignores it, so precode brings its own.
+_PRECODE_DEFAULTS = {"profile": {"uniform": 1.0}}
+
+
 def _load(args: argparse.Namespace) -> ScenarioConfig:
-    return load_config(args.config, _overrides(args))
+    defaults = _PRECODE_DEFAULTS if args.command == "precode" else None
+    return load_config(args.config, _overrides(args), args.command, _reads(args), defaults)
 
 
 def _write_or_print_metrics(metrics: dict, out: Optional[str], cfg_hash: str) -> None:

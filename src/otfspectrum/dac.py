@@ -18,6 +18,12 @@ are estimated from:
   ``order`` (each sub-filter has about ``2*order`` taps);
 * ``rect`` - zero-order hold (each sample repeated L times), response
   |sinc(f*T)|^2, which is 3.92 dB down at half the sample rate.
+
+The two memoryless filters need no dense samples to be estimated:
+``estimate.PeriodogramAverager`` with ``hold=L`` takes the symbol-rate
+stream and applies the hold's response to the accumulated periodogram,
+exactly in discrete time (``hold=1`` for the Dirac).  Both that path and
+``reconstruct`` validate their arguments with ``check_reconstruction``.
 """
 
 from __future__ import annotations
@@ -140,6 +146,29 @@ def sinc_kernel(oversampling: int, order: int) -> np.ndarray:
     return np.sinc(i / oversampling)
 
 
+def check_reconstruction(
+    filt: InterpolationFilter, oversampling: int, stream_interval: Optional[float] = None
+) -> int:
+    """The integer oversampling factor, or the ``ConfigurationError`` of an invalid reconstruction.
+
+    Refused: an oversampling factor that is not an integer >= 1, a stream
+    ``stream_interval`` (when known) other than the filter's, and
+    ``dirac_delta`` with ``oversampling != 1``.
+    """
+    if int(oversampling) != oversampling or oversampling < 1:
+        raise ConfigurationError(f"oversampling must be an integer >= 1, got {oversampling}")
+    if stream_interval is not None and not np.isclose(
+        stream_interval, filt.sample_interval, rtol=1e-12, atol=0.0
+    ):
+        raise ConfigurationError(
+            f"stream sample_interval {stream_interval!r} does not match "
+            f"filter sample_interval {filt.sample_interval!r}"
+        )
+    if filt.kind == "dirac_delta" and oversampling != 1:
+        raise ConfigurationError("dirac_delta reconstruction requires oversampling == 1")
+    return int(oversampling)
+
+
 def reconstruct(
     stream: Union[FrameStream, BasebandFrame, np.ndarray],
     filt: InterpolationFilter,
@@ -159,24 +188,13 @@ def reconstruct(
     ``2*order*L`` and starts at ``origin_time = -order*T``; an empty
     stream gives those ``2*order*L`` zeros.
     """
-    if int(oversampling) != oversampling or oversampling < 1:
-        raise ConfigurationError(f"oversampling must be an integer >= 1, got {oversampling}")
-    oversampling = int(oversampling)
     samples, stream_interval, per_frame = _stream_samples(stream)
-    if stream_interval is not None and not np.isclose(
-        stream_interval, filt.sample_interval, rtol=1e-12, atol=0.0
-    ):
-        raise ConfigurationError(
-            f"stream sample_interval {stream_interval!r} does not match "
-            f"filter sample_interval {filt.sample_interval!r}"
-        )
+    oversampling = check_reconstruction(filt, oversampling, stream_interval)
     interval = filt.sample_interval
     rate = oversampling / interval
     dense_per_frame = per_frame * oversampling if per_frame else None
 
     if filt.kind == "dirac_delta":
-        if oversampling != 1:
-            raise ConfigurationError("dirac_delta reconstruction requires oversampling == 1")
         return OversampledSignal(
             samples=samples.copy(),
             sample_rate=rate,

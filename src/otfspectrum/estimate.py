@@ -3,6 +3,12 @@
 The estimator is a plain averaged periodogram: non-overlapping
 rectangular-window segments, per-segment ``|DFT|^2 / (segment_len * rate)``,
 arithmetic mean across segments, grid shifted to ``[-rate/2, rate/2)``.
+A zero-order-held stream (each sample repeated ``hold`` times) is
+estimated from its un-held samples: the DFT of a held segment of
+``S*hold`` samples is ``X[k mod S] * sum_{p<hold} exp(-2j*pi*k*p/(S*hold))``,
+with X the S-point DFT of the segment's underlying samples (Oppenheim &
+Schafer, *Discrete-Time Signal Processing*, DFT of an interpolated
+sequence), so only S-point DFTs are taken.
 Comparisons against analytic curves are done after peak-one normalization
 of both curves over a common (optionally band-restricted) grid.
 """
@@ -99,16 +105,29 @@ class PeriodogramAverager:
     stream performs the identical sequence of additions and the result is
     bit-identical to the one-shot ``periodogram`` (which is this class fed
     a single chunk).
+
+    With ``hold > 1`` the estimate is that of the stream with every added
+    sample held ``hold`` times (a zero-order-hold DAC), on the same dense
+    grid of ``segment_len`` bins, which must be a multiple of ``hold``:
+    ``add`` takes the un-held samples and accumulates ``|DFT|^2`` of
+    segments of ``segment_len // hold`` of them, and ``result`` tiles the
+    sum ``hold`` times and multiplies it once by the hold's squared
+    Dirichlet response ``|fft(ones(hold), segment_len)|^2``.  With
+    ``hold == 1`` that response is exactly 1.
     """
 
-    def __init__(self, segment_len: int, sample_rate: float) -> None:
+    def __init__(self, segment_len: int, sample_rate: float, hold: int = 1) -> None:
         if segment_len < 1:
             raise ValueError(f"segment_len must be >= 1, got {segment_len}")
         if not (sample_rate > 0):
             raise ValueError("sample_rate must be positive")
+        if int(hold) != hold or hold < 1 or segment_len % hold:
+            raise ValueError(f"hold must be an integer >= 1 dividing segment_len {segment_len}, got {hold}")
         self.segment_len = int(segment_len)
         self.sample_rate = float(sample_rate)
-        self._acc = np.zeros(self.segment_len)
+        self.hold = int(hold)
+        self._len = self.segment_len // self.hold  # samples added per segment
+        self._acc = np.zeros(self._len)
         self._carry = np.empty(0, dtype=np.complex128)
         self.num_segments = 0
 
@@ -116,12 +135,12 @@ class PeriodogramAverager:
         samples = np.asarray(samples, dtype=np.complex128).ravel()
         if self._carry.size:
             samples = np.concatenate([self._carry, samples])
-        full = samples.size // self.segment_len
-        segs = samples[: full * self.segment_len].reshape(full, self.segment_len)
-        batch = max(1, _BATCH_SAMPLES // self.segment_len)
+        full = samples.size // self._len
+        segs = samples[: full * self._len].reshape(full, self._len)
+        batch = max(1, _BATCH_SAMPLES // self._len)
         for lo in range(0, full, batch):
             spectra = np.fft.fft(segs[lo : lo + batch], axis=1)
-            rows = np.empty((spectra.shape[0] + 1, self.segment_len))
+            rows = np.empty((spectra.shape[0] + 1, self._len))
             rows[0] = self._acc
             # re*re + im*im, squared in place: no further block-sized temporaries.
             np.multiply(spectra.real, spectra.real, out=rows[1:])
@@ -129,16 +148,19 @@ class PeriodogramAverager:
             rows[1:] += spectra.imag
             # Summing along axis 0 adds row after row, except that a lone
             # column is summed pairwise: accumulate that one explicitly.
-            self._acc = rows.sum(axis=0) if self.segment_len > 1 else np.cumsum(rows[:, 0])[-1:]
+            self._acc = rows.sum(axis=0) if self._len > 1 else np.cumsum(rows[:, 0])[-1:]
         self.num_segments += full
-        self._carry = samples[full * self.segment_len :].copy()
+        self._carry = samples[full * self._len :].copy()
 
     def result(self) -> PsdCurve:
         if self.num_segments < 1:
             raise ValueError(
-                f"need at least one full segment of {self.segment_len} samples, got {self._carry.size}"
+                f"need at least one full segment of {self.segment_len} samples, "
+                f"got {self._carry.size * self.hold}"
             )
-        power = self._acc / (self.num_segments * self.segment_len * self.sample_rate)
+        response = np.fft.fft(np.ones(self.hold), self.segment_len)
+        acc = np.tile(self._acc, self.hold) * (response.real**2 + response.imag**2)
+        power = acc / (self.num_segments * self.segment_len * self.sample_rate)
         return PsdCurve(
             freqs=_centered_grid(self.segment_len, self.sample_rate),
             values=np.fft.fftshift(power),

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from . import io as fileio
-from .dac import FILTER_KINDS, InterpolationFilter, reconstruct
+from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction, reconstruct
 from .errors import ConfigurationError
 from .estimate import PeriodogramAverager, compare_curves
 from .io import BAND, BAND_LIST, INT_LIST, POSITIVE_INT, POSITIVE_REAL, Rule, _is_int, _is_real, rule_problem
@@ -367,10 +367,30 @@ def _read_config(path: Optional[Union[str, Path]]) -> dict:
 
 
 def load_config(
-    path: Optional[Union[str, Path]] = None, overrides: Optional[dict] = None
+    path: Optional[Union[str, Path]],
+    overrides: dict,
+    reader: str,
+    reads: Tuple[str, ...],
+    defaults: Optional[dict] = None,
 ) -> ScenarioConfig:
-    """Read a JSON config file and apply flag overrides on top."""
-    return ScenarioConfig.from_dict(_deep_merge(_read_config(path), overrides or {}))
+    """A JSON config file with flag overrides on top, for ``reader``, which reads the keys ``reads``.
+
+    The rule of ``_preset_configs``, for one reader: ``defaults`` merged
+    with the given keys ``reader`` takes (``_takes``) are validated first,
+    so schema errors keep their messages; then any other given key is
+    refused, naming ``reader``, the keys and the read set.
+    """
+    share: dict = {}
+    unread = []
+    for dotted, tree in _given_keys(_deep_merge(_read_config(path), overrides)):
+        if _takes(reads, dotted):
+            share = _deep_merge(share, tree)
+        else:
+            unread.append(dotted)
+    config = ScenarioConfig.from_dict(_deep_merge(defaults or {}, share))
+    if unread:
+        raise ConfigurationError(f"config keys {unread} are not read by {reader} ({_read_set_text(reader, reads)})")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +401,15 @@ def load_config(
 class _BlockDac:
     """``reconstruct`` of a stream pushed in frame blocks, from time zero on.
 
-    Each pushed block is reconstructed on its own (overlap-add block
+    Only the truncated sinc goes through here: the memoryless filters are
+    estimated from the symbol-rate stream (``_streamed_estimates``).  Each
+    pushed block is reconstructed on its own (overlap-add block
     convolution, Crochiere & Rabiner, 1983).  What a block rings past its
-    end (the ``2*order*L`` sinc tail; nothing for rect and dirac_delta) is
-    overlap-added onto the next block, the samples before time zero (the
-    ``order*L`` pre-ring) are dropped once, and ``flush`` returns the
-    final tail up to the stream's end (the post-ring after it is dropped
-    too).  The pushed and flushed samples concatenate to the stream's span
+    end (the ``2*order*L`` sinc tail) is overlap-added onto the next block,
+    the samples before time zero (the ``order*L`` pre-ring) are dropped
+    once, and ``flush`` returns the final tail up to the stream's end (the
+    post-ring after it is dropped too).  The pushed and flushed samples
+    concatenate to the stream's span
     ``reconstruct(whole_stream).samples[order*L : order*L + n*L]`` up to
     rounding.
     """
@@ -406,8 +428,9 @@ class _BlockDac:
         body = block.frames.size * self.oversampling
         # Keep a view, not a copy, although it pins the whole reconstruction
         # until the next push: copying the tail so each block is freed early
-        # made the 10000-frame 16x128 rect benchmark take about six times the
-        # minor page faults (82 k -> 500 k) and 1.5 s more wall time.
+        # made the 10000-frame 16x128 benchmark (then reconstructed in rect
+        # blocks) take about six times the minor page faults (82 k -> 500 k)
+        # and 1.5 s more wall time.
         self.tail = dense[body:]
         if self.skip is None:
             self.skip = self.ring = int(round(-signal.origin_time * signal.sample_rate))
@@ -418,6 +441,20 @@ class _BlockDac:
     def flush(self) -> np.ndarray:
         # The tail starts ``ring`` samples before the stream's end.
         return self.tail[self.skip : self.ring]
+
+
+class _HeldFrames:
+    """``_BlockDac``'s stand-in for the memoryless filters: a block's frames, as they are.
+
+    They go to a ``hold=L`` averager, which applies the DAC in the
+    frequency domain; nothing rings past a block, so there is no tail.
+    """
+
+    def push(self, block: FrameStream) -> np.ndarray:
+        return block.frames
+
+    def flush(self) -> np.ndarray:
+        return np.zeros(0, dtype=np.complex128)
 
 
 def _streamed_estimates(
@@ -434,20 +471,31 @@ def _streamed_estimates(
     """Averaged periodograms of views of one random OTFS stream, in one pass.
 
     A view is ``None`` for the stream itself or a delay index ``l`` for its
-    CEP component ``cep_component_stream(stream, l)``.  The stream is
-    drawn once, in ``stream_chunks`` frame blocks; each block is pushed
-    through every view's ``_BlockDac`` into that view's
-    ``PeriodogramAverager``, and every DAC's tail is flushed at the end.
-    Memory is bounded by one reconstruction per view, not by
-    ``num_frames``.  The samples fed are those of
+    CEP component ``cep_component_stream(stream, l)``.  The arguments are
+    checked as ``reconstruct`` checks them before any symbol is drawn.  The
+    stream is drawn once, in ``stream_chunks`` frame blocks, and each block
+    of each view goes to that view's ``PeriodogramAverager``:
+
+    * dirac_delta and rect are memoryless, so a block's frames go in as
+      they are, to an averager with ``hold=L`` (1 for the Dirac) that
+      applies the zero-order hold's response once, to the accumulated
+      sum, and no dense sample is built;
+    * the truncated sinc rings across blocks, so each block is pushed
+      through the view's ``_BlockDac`` and every DAC's tail is flushed at
+      the end.
+
+    Memory is bounded by one block (one reconstruction, for the sinc) per
+    view, not by ``num_frames``.  The estimate is that of
     ``periodogram(reconstruct(view))``, the stream's span without the
-    truncated sinc's pre- and post-ring, so the segmentation matches the
-    one-shot estimate; dirac_delta and rect match it bit for bit, the sinc
-    to rounding.
+    truncated sinc's pre- and post-ring: bit for bit for dirac_delta, to
+    rounding for rect and the sinc.
     """
+    oversampling = check_reconstruction(filt, oversampling, sample_interval)
     segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
-    averagers = [PeriodogramAverager(segment_len, oversampling / sample_interval) for _ in views]
-    dacs = [_BlockDac(filt, oversampling) for _ in views]
+    rate = oversampling / sample_interval
+    sinc = filt.kind == "truncated_sinc"
+    dacs = [_BlockDac(filt, oversampling) if sinc else _HeldFrames() for _ in views]
+    averagers = [PeriodogramAverager(segment_len, rate, hold=1 if sinc else oversampling) for _ in views]
     for block in stream_chunks(
         profile, num_frames, seed, sample_interval, constellation, oversampling=oversampling
     ):
@@ -471,9 +519,9 @@ def estimated_psd(
     """Generate, reconstruct, and periodogram-average an OTFS stream.
 
     The one-view case of ``_streamed_estimates`` (the CEP split adds the
-    M component views): each frame block is pushed through one
-    ``_BlockDac``, so memory is bounded by the block, and the estimate is
-    that of ``periodogram(reconstruct(generate_random_stream(...)))``.
+    M component views): memory is bounded by the frame block, and the
+    estimate is that of
+    ``periodogram(reconstruct(generate_random_stream(...)))``.
     """
     (curve,) = _streamed_estimates(
         profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames, constellation
@@ -505,10 +553,10 @@ def _cep_split(
     """Estimated PSDs of an OTFS stream and of its M per-delay CEP components.
 
     One pass of ``_streamed_estimates`` over the stream and its M component
-    views: each frame block is pushed through M+1 ``_BlockDac``s, which
-    hold one reconstruction each.  Returns the whole-stream curve, the
-    component curves, their sum, and the NMSE/cosine of the sum against
-    the whole over the Nyquist band.
+    views: each frame block feeds M+1 averagers (for the sinc through M+1
+    ``_BlockDac``s, which hold one reconstruction each).  Returns the
+    whole-stream curve, the component curves, their sum, and the
+    NMSE/cosine of the sum against the whole over the Nyquist band.
     """
     whole, *parts = _streamed_estimates(
         profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames,
@@ -779,7 +827,12 @@ class _Preset:
     reads: Tuple[str, ...]
 
     def reads_key(self, key: str) -> bool:
-        return key in self.reads or key.partition(".")[0] in self.reads
+        return _in_read_set(self.reads, key)
+
+
+def _in_read_set(reads: Tuple[str, ...], key: str) -> bool:
+    """Whether ``key`` is in the read set ``reads`` of key names and whole sections."""
+    return key in reads or key.partition(".")[0] in reads
 
 
 def _example_grid(points: int = 4096) -> Dict[str, object]:
@@ -908,46 +961,54 @@ PRESETS: Dict[str, _Preset] = {
 PRESET_NAMES = tuple(sorted(PRESETS))
 
 
-#: Keys every preset takes, whatever it reads.
+#: Keys every preset (and every subcommand) takes, whatever it reads.
 _EXEMPT_KEYS = ("seed", "output.directory", "preset")
 _KEY_NAMES = {key.name for key in CONFIG_KEYS}
+
+
+def _given_keys(overrides: dict) -> Iterator[Tuple[str, dict]]:
+    """Each key given in a raw config or overrides: its dotted name, and itself as a one-key tree."""
+    for top, body in overrides.items():
+        for key, value in (body.items() if isinstance(body, dict) else [(None, body)]):
+            yield (top, {top: value}) if key is None else (f"{top}.{key}", {top: {key: value}})
+
+
+def _takes(reads: Tuple[str, ...], dotted: str) -> bool:
+    """The routing rule: a reader of ``reads`` takes a given key it reads, an exempt key, and a non-key."""
+    return dotted in _EXEMPT_KEYS or dotted not in _KEY_NAMES or _in_read_set(reads, dotted)
+
+
+def _read_set_text(name: str, reads: Tuple[str, ...]) -> str:
+    return f"{name} reads {', '.join(r if '.' in r else r + '.*' for r in reads)}"
 
 
 def _preset_configs(names: Sequence[str], overrides: dict) -> List[ScenarioConfig]:
     """The configs of a run of the presets ``names``, each with its share of the given ``overrides``.
 
     A preset's share holds the given keys it reads, the exempt ones, and
-    any key that is not a config key at all.  Each preset's defaults merged
-    with its share are validated first, so schema errors (unknown keys
-    among them) keep their messages.  Then a given key that no preset of
-    the run reads is refused, and so is a given ``preset`` naming another
-    preset than the one it is run as.
+    any key that is not a config key at all (``_takes``).  Each preset's
+    defaults merged with its share are validated first, so schema errors
+    (unknown keys among them) keep their messages.  Then a given key that
+    no preset of the run reads is refused, and so is a given ``preset``
+    naming another preset than the one it is run as.
     """
     for name in names:
         if name not in PRESETS:
             raise ConfigurationError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
     shares: Dict[str, dict] = {name: {} for name in names}
     unread = []
-    for top, body in overrides.items():
-        for key, value in (body.items() if isinstance(body, dict) else [(None, body)]):
-            dotted = top if key is None else f"{top}.{key}"
-            takers = [
-                name for name in names
-                if dotted in _EXEMPT_KEYS or dotted not in _KEY_NAMES or PRESETS[name].reads_key(dotted)
-            ]
-            if not takers:
-                unread.append(dotted)
-            for name in takers:
-                shares[name] = _deep_merge(shares[name], {top: value} if key is None else {top: {key: value}})
+    for dotted, tree in _given_keys(overrides):
+        takers = [name for name in names if _takes(PRESETS[name].reads, dotted)]
+        if not takers:
+            unread.append(dotted)
+        for name in takers:
+            shares[name] = _deep_merge(shares[name], tree)
     configs = [
         ScenarioConfig.from_dict(_deep_merge(PRESETS[name].defaults, {"preset": name, **shares[name]}))
         for name in names
     ]
     if unread:
-        reads = "; ".join(
-            f"{name} reads {', '.join(r if '.' in r else r + '.*' for r in PRESETS[name].reads)}"
-            for name in dict.fromkeys(names)
-        )
+        reads = "; ".join(_read_set_text(name, PRESETS[name].reads) for name in dict.fromkeys(names))
         who = f"preset {names[0]}" if len(set(names)) == 1 else "any preset of the run"
         raise ConfigurationError(f"config keys {unread} are not read by {who} ({reads})")
     for name, config in zip(names, configs):

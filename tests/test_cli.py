@@ -147,7 +147,7 @@ def test_bad_estimate_reference_is_exit_2_and_writes_nothing(tmp_path, capsys, b
 def test_precode_requires_mask(tmp_path, capsys):
     code = run(
         "precode", "--seed", 1, "--num-delay", 2, "--num-doppler", 4,
-        "--sample-interval", 1.0, "--uniform", 1.0, "--out", tmp_path / "p.csv",
+        "--sample-interval", 1.0, "--out", tmp_path / "p.csv",
     )
     assert code == 2
     assert "mask" in capsys.readouterr().err
@@ -160,7 +160,7 @@ def test_precode_with_mask_file(tmp_path, capsys):
     stream_out = tmp_path / "coded.csv"
     code = run(
         "precode", "--seed", 9, "--num-delay", 2, "--num-doppler", 4,
-        "--sample-interval", 1.0, "--uniform", 1.0, "--frames", 4,
+        "--sample-interval", 1.0, "--frames", 4,
         "--mask-file", mask_file, "--out", out, "--stream-out", stream_out,
     )
     assert code == 0
@@ -180,7 +180,7 @@ def test_systematic_infeasible_exit_code(tmp_path, capsys):
     }))
     code = run(
         "precode", "--seed", 1, "--num-delay", 64, "--num-doppler", 2,
-        "--sample-interval", 1.0, "--uniform", 1.0,
+        "--sample-interval", 1.0,
         "--precoder-form", "systematic",
         "--mask-file", mask_file, "--out", tmp_path / "p.csv",
     )

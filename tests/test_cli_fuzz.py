@@ -130,7 +130,10 @@ def test_fuzzed_config_is_exit_0_or_2(tmp_path, command, mask, edits):
 
 
 def _check_edited_config(tmp_path, command, mask, edits) -> None:
-    raw = _edited(BASE if mask is None else {**BASE, "mask": mask}, edits)
+    # Leave out the sections the command does not read, which it would refuse.
+    unread = {"psd-analytic": ("stream", "mask"), "precode": ("profile", "psd")}.get(command[0], ("psd", "mask"))
+    base = {k: v for k, v in {**BASE, "mask": mask}.items() if k not in unread and v is not None}
+    raw = _edited(base, edits)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(raw))
     stream = ["--stream-out", tmp_path / "stream.csv"] if command == ["precode"] else []
@@ -168,7 +171,7 @@ def test_fuzzed_mask_file_is_exit_0_or_2(tmp_path, spec):
     mask.write_text(json.dumps(spec))
     _assert_exit_0_or_2([
         "precode", "--seed", 1, "--num-delay", 2, "--num-doppler", 4, "--sample-interval", 1.0,
-        "--uniform", 1.0, "--frames", 2, "--mask-file", mask, "--out", tmp_path / "p.csv",
+        "--frames", 2, "--mask-file", mask, "--out", tmp_path / "p.csv",
         "--stream-out", tmp_path / "s.csv",
     ])
 

@@ -154,6 +154,54 @@ def test_averager_is_bit_identical_under_any_chunking(
     assert_array_equal(chunked.values, whole.values)
 
 
+@given(
+    hold=st.integers(1, 8),
+    short_len=st.integers(1, 24),
+    segments=st.integers(1, 20),
+    partial=st.integers(0, 23),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    batch_segments=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_held_averager_is_the_periodogram_of_the_held_stream(
+    hold, short_len, segments, partial, cuts, batch_segments, seed
+):
+    """``hold=L`` on the samples is the plain averager on ``np.repeat(samples, L)``.
+
+    Within 1e-12 of the peak (the dense DFTs are never taken), bit for bit
+    under any chunking and batch size, and exactly the plain averager at
+    ``hold=1``.
+    """
+    segment_len = short_len * hold
+    rng = np.random.default_rng(seed)
+    size = segments * short_len + partial % short_len
+    x = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(-3, 3, size)
+    dense = PeriodogramAverager(segment_len, sample_rate=2.0)
+    dense.add(np.repeat(x, hold))
+    expected = dense.result()
+    held = PeriodogramAverager(segment_len, sample_rate=2.0, hold=hold)
+    held.add(x)
+    one_shot = held.result()
+    assert one_shot.meta == expected.meta
+    assert one_shot.meta["num_segments"] == segments
+    assert_array_equal(one_shot.freqs, expected.freqs)
+    assert np.abs(one_shot.values - expected.values).max() <= 1e-12 * expected.values.max()
+    if hold == 1:
+        assert_array_equal(one_shot.values, expected.values)
+
+    chunked = PeriodogramAverager(segment_len, sample_rate=2.0, hold=hold)
+    with mock.patch.object(estimate, "_BATCH_SAMPLES", batch_segments * short_len):
+        for piece in np.split(x, sorted(int(c * size) for c in cuts)):
+            chunked.add(piece)
+    assert_array_equal(chunked.result().values, one_shot.values)
+
+
+@pytest.mark.parametrize("segment_len, hold", [(8, 3), (8, 0), (8, 1.5)])
+def test_hold_must_divide_the_segment(segment_len, hold):
+    with pytest.raises(ValueError, match="hold"):
+        PeriodogramAverager(segment_len, 1.0, hold=hold)
+
+
 def test_averager_requires_a_segment():
     avg = PeriodogramAverager(4, 1.0)
     avg.add(np.ones(3, dtype=complex))

@@ -1,22 +1,33 @@
-"""Every config key a preset accepts shapes its output; every other given key is refused.
+"""Every config key a preset or subcommand accepts shapes its output; every other given key is refused.
 
-Each preset declares the keys its runner reads.  A given key outside that
-set is a ``ConfigurationError`` naming the preset and the key, whether it
-comes through the API, a config file or a flag.  A run of several presets
-sends each given key only to the presets that read it.  And each key a
-preset reads is no silent no-op: on a small base config, changing it to
-another valid value either changes some artifact byte or is refused by an
-existing rule (a second profile source, a rate that contradicts the
-preset's sample interval, a pattern without its budget).
+Each preset declares the keys its runner reads, and each subcommand
+(``generate``, ``psd-analytic``, ``psd-estimate``, ``precode``) has one
+read set, given its own flags.  A given key outside that set is a
+``ConfigurationError`` (exit 2) naming the preset or subcommand and the
+key, whether it comes through the API, a config file or a flag.  A run of
+several presets sends each given key only to the presets that read it.
+And each key a preset or subcommand reads is no silent no-op: on a small
+base config, changing it to another valid value either changes some
+artifact byte or is refused by an existing rule (a second profile source,
+a rate that contradicts the preset's sample interval, a pattern without
+its budget).
 """
 
 import json
+import re
 
 import pytest
 
-from otfspectrum.cli import main
+from otfspectrum.cli import _reads, build_parser, main
 from otfspectrum.errors import ConfigurationError
-from otfspectrum.presets import CONFIG_KEYS, PRESETS, preset_config, run_presets, run_scenario
+from otfspectrum.presets import (
+    CONFIG_KEYS,
+    PRESETS,
+    _in_read_set,
+    preset_config,
+    run_presets,
+    run_scenario,
+)
 
 EXEMPT = {"seed", "output.directory", "preset"}
 SETTABLE = [key.name for key in CONFIG_KEYS if key.name not in EXEMPT]
@@ -191,3 +202,123 @@ def test_shared_flags_leave_the_presets_that_do_not_read_them_as_they_were(tmp_p
         reads = PRESETS[name].reads_key("stream.num_frames") or PRESETS[name].reads_key("psd.num_points")
         same = all(flags[path] == body for path, body in plain.items() if path.parts[0] == name)
         assert same != reads, name
+
+
+# -- subcommands ----------------------------------------------------------------
+
+_COMMON = {
+    "seed": 1,
+    "grid": {"num_delay": 2, "num_doppler": 4, "sample_interval": 1.0},
+    "profile": {"uniform": 1.0},
+}
+
+#: Per subcommand: a small base config of keys it reads, and its flags besides
+#: ``--config`` and ``--out`` (FILE stands for a file in the run's directory).
+SUBCOMMANDS = {
+    "generate": ({**_COMMON, "stream": {"num_frames": 2}}, []),
+    "psd-analytic": (
+        {**_COMMON, "filter": {"kind": "truncated_sinc", "order": 2}, "psd": {"num_points": 8}}, []
+    ),
+    "psd-estimate": (
+        {**_COMMON, "filter": {"kind": "truncated_sinc", "order": 2, "oversampling": 2},
+         "stream": {"num_frames": 4}},
+        ["--reference", "REFERENCE", "--metrics-out", "FILE"],
+    ),
+    "precode": (
+        {"seed": 1, "grid": _COMMON["grid"], "mask": {"pass_bands_hz": [[-0.3, 0.3]]}, "stream": {"num_frames": 2}},
+        ["--stream-out", "FILE"],
+    ),
+}
+
+
+def _subcommand_reads(command):
+    return _reads(build_parser().parse_args([command, "--out", "x", *SUBCOMMANDS[command][1]]))
+
+
+SUBCOMMAND_PAIRS = [(command, key) for command in SUBCOMMANDS for key in SETTABLE]
+SUBCOMMAND_UNREAD = [pair for pair in SUBCOMMAND_PAIRS if not _in_read_set(_subcommand_reads(pair[0]), pair[1])]
+
+
+def _subcommand_files(tmp_path, command, raw):
+    """Exit code, and every file the run writes with the config hash masked out (None unless exit 0)."""
+    outdir = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+    outdir.mkdir()
+    config = outdir / "cfg.json"
+    config.write_text(json.dumps(raw))
+    reference = tmp_path / "reference.csv"
+    if not reference.exists():
+        base = ["--seed", "1", "--num-delay", "2", "--num-doppler", "4", "--sample-interval", "1", "--uniform", "1"]
+        assert main(["psd-analytic", *base, "--band", "-1", "1", "--points", "64", "--out", str(reference)]) == 0
+    flags = [
+        str(reference) if flag == "REFERENCE" else str(outdir / f"{i}.out") if flag == "FILE" else flag
+        for i, flag in enumerate(SUBCOMMANDS[command][1])
+    ]
+    code = main([command, "--config", str(config), "--out", str(outdir / "out"), *flags])
+    if code != 0:
+        return code, None
+    return code, {
+        path.name: re.sub(rb'config_hash(=|": ")[0-9a-f]+', b"HASH", path.read_bytes())
+        for path in outdir.iterdir() if path.name != "cfg.json"
+    }
+
+
+def test_every_subcommand_read_set_names_keys_and_sections():
+    sections = {key.name.rpartition(".")[0] for key in CONFIG_KEYS} - {""}
+    for command in SUBCOMMANDS:
+        for entry in _subcommand_reads(command):
+            assert entry in sections or entry in SETTABLE, (command, entry)
+    assert (len(SUBCOMMAND_PAIRS), len(SUBCOMMAND_UNREAD)) == (88, 38)
+
+
+@pytest.mark.parametrize("command, key", SUBCOMMAND_UNREAD)
+def test_an_unread_key_is_refused_naming_the_subcommand_the_key_and_the_read_set(
+    tmp_path, capsys, command, key
+):
+    raw, _ = SUBCOMMANDS[command]
+    section, _, name = key.partition(".")
+    code, files = _subcommand_files(tmp_path, command, {**raw, section: {**raw.get(section, {}), name: VALID[key]}})
+    assert code == 2 and files is None
+    err = capsys.readouterr().err
+    assert f"{key!r}] are not read by {command} ({command} reads grid.*, " in err
+
+
+def test_every_key_a_subcommand_reads_changes_its_bytes_or_is_refused(tmp_path):
+    refused = []
+    for command, (raw, _) in SUBCOMMANDS.items():
+        code, before = _subcommand_files(tmp_path, command, raw)
+        assert code == 0, command
+        for key in SETTABLE:
+            if not _in_read_set(_subcommand_reads(command), key):
+                continue
+            section, _, name = key.partition(".")
+            current = raw.get(section, {}).get(name)
+            for value in (value for value in OTHER[key] if value != current):
+                code, after = _subcommand_files(tmp_path, command, {**raw, section: {**raw.get(section, {}), name: value}})
+                if code == 0:
+                    assert after != before, (command, key, value)
+                    break
+            else:
+                refused.append((command, key))
+    untied = {key for _, key in refused} - TIED_BY_RULES
+    assert not untied, refused
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["generate", "--filter", "rect", "--oversampling", "4", "--points", "77",
+          "--precoder-form", "systematic"], "filter.kind"),
+        (["psd-analytic", "--filter", "rect", "--oversampling", "2"], "filter.oversampling"),
+        (["psd-estimate", "--band", "-0.5", "0.5"], "psd.band"),
+        (["precode", "--mask-file", "mask.json", "--frames", "8"], "stream.num_frames"),
+    ],
+)
+def test_an_unread_flag_is_exit_2_and_writes_nothing(tmp_path, capsys, argv, key):
+    """``psd.band`` is read by psd-estimate only with --reference, stream keys by precode only with --stream-out."""
+    base = ["--seed", "1", "--num-delay", "2", "--num-doppler", "4", "--sample-interval", "1"]
+    base += [] if argv[0] == "precode" else ["--uniform", "1"]
+    out = tmp_path / "out.csv"
+    assert main([*argv, *base, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"not read by {argv[0]} ({argv[0]} reads " in err and repr(key) in err
+    assert not out.exists()

@@ -1,12 +1,16 @@
 """The streamed estimates against the one-shot reconstruct-and-periodogram.
 
-``estimated_psd`` and the CEP split push each frame block of the stream
-(and of its CEP component views) through one ``presets._BlockDac`` per
-view, which overlap-adds the truncated sinc's ring across block and chunk
-boundaries.  Each estimate must be that of the whole view reconstructed
-at once: bit for bit for the memoryless filters, to rounding for the
-sinc.  Memory must stay flat in the frame count, and the CEP split must
-hold one reconstruction per view, no more.
+``estimated_psd`` and the CEP split feed each frame block of the stream
+(and of its CEP component views) to one averager per view.  For the
+truncated sinc the block goes through one ``presets._BlockDac`` per view,
+which overlap-adds the sinc's ring across block and chunk boundaries; the
+memoryless filters feed the symbol-rate frames to a ``hold=L`` averager
+and build no dense samples.  Each estimate must be that of the whole view
+reconstructed at once: bit for bit for the Dirac, to rounding for rect
+(whose dense DFTs are never taken) and the sinc, and bit for bit under
+any frame blocking.  Memory must stay flat in the frame count, the CEP
+split must hold one reconstruction per view, no more, and rect must not
+grow with L.
 """
 
 import tracemalloc
@@ -76,7 +80,34 @@ def test_streamed_estimate_equals_one_shot(case, kind):
         assert frames > waveform._BLOCK_SAMPLES // per_frame
     streamed = estimated_psd(profile, frames, SEED, 1.0, filt, oversampling, segment_frames)
     one_shot = _one_shot(profile, frames, filt, oversampling, segment_frames)
-    _assert_matches_one_shot(streamed, one_shot, exact=kind != "truncated_sinc")
+    _assert_matches_one_shot(streamed, one_shot, exact=kind == "dirac_delta")
+
+
+@given(
+    delays=st.integers(1, 3),
+    dopplers=st.integers(1, 4),
+    frames=st.integers(1, 40),
+    oversampling=st.integers(1, 8),
+    segment_frames=st.integers(1, 3),
+    block=st.integers(1, 300),
+)
+def test_memoryless_estimate_is_bit_identical_for_any_block_size(
+    delays, dopplers, frames, oversampling, segment_frames, block
+):
+    """Rect at any L, and its CEP split, give the same bits for every ``_BLOCK_SAMPLES``."""
+    if frames < segment_frames:
+        frames = segment_frames
+    profile = VarianceProfile.uniform(delays, dopplers)
+    filt = InterpolationFilter.rect(1.0)
+    args = (profile, frames, SEED, 1.0, filt, oversampling, segment_frames, "qpsk")
+    views = (None, *range(delays))
+    whole = presets._streamed_estimates(*args, views=views)
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
+        blocked = presets._streamed_estimates(*args, views=views)
+    for a, b in zip(whole, blocked):
+        assert a.meta == b.meta
+        assert_array_equal(a.values, b.values)
+    _assert_matches_one_shot(whole[0], _one_shot(profile, frames, filt, oversampling, segment_frames), False)
 
 
 def test_streamed_sinc_drops_the_post_ring():
@@ -144,6 +175,30 @@ def test_streamed_estimate_checks_the_filter_interval():
         estimated_psd(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, InterpolationFilter.rect(2.0), 2)
 
 
+@pytest.mark.parametrize(
+    "filt, oversampling",
+    [
+        (InterpolationFilter.rect(2.0), 2),
+        (InterpolationFilter.truncated_sinc(2.0, 4), 2),
+        (InterpolationFilter.dirac(1.0), 2),
+        (InterpolationFilter.rect(1.0), 1.5),
+        (InterpolationFilter.rect(1.0), 0),
+        (InterpolationFilter.truncated_sinc(1.0, 4), 2.5),
+    ],
+)
+def test_streamed_estimate_refuses_what_reconstruct_refuses(filt, oversampling):
+    """The same ``ConfigurationError`` as ``reconstruct``, and before any symbol is drawn."""
+    stream = generate_random_stream(VarianceProfile.uniform(2, 2), 1, SEED, 1.0)
+    with pytest.raises(ConfigurationError) as expected:
+        reconstruct(stream, filt, oversampling)
+    with mock.patch.object(presets, "stream_chunks", side_effect=AssertionError("drew symbols")):
+        with pytest.raises(ConfigurationError) as streamed:
+            estimated_psd(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, filt, oversampling)
+        with pytest.raises(ConfigurationError) as split:
+            cep_sum_match(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, filt, oversampling)
+    assert str(streamed.value) == str(split.value) == str(expected.value)
+
+
 def _peak_bytes(frames, estimate=estimated_psd):
     profile = VarianceProfile.uniform(2, 4)
     filt = InterpolationFilter.truncated_sinc(1.0, 4)
@@ -176,7 +231,7 @@ def test_streamed_cep_split_equals_one_shot(kind):
             CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling, 1, "qpsk"
         )
         assert metrics == cep_sum_match(CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling)
-    exact = kind != "truncated_sinc"
+    exact = kind == "dirac_delta"
     _assert_matches_one_shot(whole, _one_shot(CEP_PROFILE, 4100, filt, oversampling, 1), exact)
     assert len(parts) == CEP_PROFILE.num_delay
     for l, part in enumerate(parts):
@@ -192,13 +247,13 @@ def test_cep_sum_match_memory_does_not_grow_with_frames():
 
 
 def test_cep_split_holds_one_reconstruction_per_view():
-    """16 delays, rect at L=1: 2**18-sample dense blocks, eight of them.
+    """16 delays, the truncated sinc at L=1: 2**18-sample dense blocks, eight of them.
 
     Above the one-view estimate, the 17 views may hold at most 17 more
     reconstructions: no view keeps a second block alive beside its DAC's.
     """
     profile = VarianceProfile.uniform(16, 16)
-    filt = InterpolationFilter.rect(1.0)
+    filt = InterpolationFilter.truncated_sinc(1.0, 1)
     block_bytes = waveform._BLOCK_SAMPLES * 16
 
     def peak(estimate):
@@ -223,11 +278,34 @@ def test_cep_views_copy_blocks_not_chunks():
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", 512):
         tracemalloc.start()
         try:
-            cep_sum_match(profile, 4096, SEED, 1.0, InterpolationFilter.rect(1.0), 1)
+            cep_sum_match(profile, 4096, SEED, 1.0, InterpolationFilter.truncated_sinc(1.0, 1), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak < 5 * chunk_bytes
+
+
+def test_rect_estimate_builds_no_dense_block():
+    """Rect at L=8 peaks as at L=1 when both get the same symbol-rate blocks.
+
+    ``_BLOCK_SAMPLES`` counts dense samples, so it is scaled with L to keep
+    2**15 symbol-rate samples (1024 frames) per block.  Building the held
+    block would add eight symbol-rate blocks, and its spectra as many again.
+    """
+    profile = VarianceProfile.uniform(4, 8)
+    symbol_block = 2**15
+
+    def peak(oversampling):
+        with mock.patch.object(waveform, "_BLOCK_SAMPLES", symbol_block * oversampling):
+            estimated_psd(profile, 1, SEED, 1.0, InterpolationFilter.rect(1.0), oversampling)  # lazy imports
+            tracemalloc.start()
+            try:
+                estimated_psd(profile, 4096, SEED, 1.0, InterpolationFilter.rect(1.0), oversampling)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(8) <= peak(1) + 2 * symbol_block * 16
 
 
 def _nslp_peak_bytes(tmp_path, frames):
@@ -245,4 +323,5 @@ def _nslp_peak_bytes(tmp_path, frames):
 
 def test_nslp_runner_memory_does_not_grow_with_frames(tmp_path):
     """16 and 64 precoded blocks peak alike: the leak and the periodogram are taken block by block."""
+    _nslp_peak_bytes(tmp_path, 16)  # numpy's lazily imported modules are not the runner's memory
     assert _nslp_peak_bytes(tmp_path, 1024) <= 1.05 * _nslp_peak_bytes(tmp_path, 256)
