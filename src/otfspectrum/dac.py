@@ -14,8 +14,11 @@ are estimated from:
   direct polyphase convolution (Crochiere & Rabiner, *Multirate Digital
   Signal Processing*, 1983): output phase p of the dense grid is the
   input convolved with the sub-filter ``kernel[p::L]``, so the L-fold
-  zero-stuffed stream is never built.  Its cost grows linearly with
-  ``order`` (each sub-filter has about ``2*order`` taps);
+  zero-stuffed stream is never built.  The kernel is exactly zero at
+  every nonzero multiple of L, so phase 0 is the input itself, and each
+  of the other L - 1 phases is two real convolutions (real and imaginary
+  part) with its ``2*order`` real taps: ``8*order*(L - 1)`` flops per
+  input sample, growing linearly with ``order``;
 * ``rect`` - zero-order hold (each sample repeated L times), response
   |sinc(f*T)|^2, which is 3.92 dB down at half the sample rate.
 
@@ -141,9 +144,16 @@ def _stream_samples(stream: Union[FrameStream, BasebandFrame, np.ndarray]) -> tu
 
 
 def sinc_kernel(oversampling: int, order: int) -> np.ndarray:
-    """Truncated-sinc taps on the dense grid: sinc(i/L) for |i| <= order*L."""
+    """Truncated-sinc taps on the dense grid: sinc(i/L) for |i| <= order*L.
+
+    The taps at the nonzero multiples of L are exact zeros (``np.sinc``
+    leaves rounding residue there), so ``kernel[::L]`` is the unit impulse.
+    """
     i = np.arange(-order * oversampling, order * oversampling + 1)
-    return np.sinc(i / oversampling)
+    kernel = np.sinc(i / oversampling)
+    kernel[::oversampling] = 0.0
+    kernel[order * oversampling] = 1.0
+    return kernel
 
 
 def check_reconstruction(
@@ -182,11 +192,14 @@ def reconstruct(
     hard-truncated kernel, computed phase by phase: dense sample
     ``q*L + p`` is ``sum_i x[i] * kernel[(q - i)*L + p]``, the input
     convolved directly (``np.convolve``) with the sub-filter
-    ``kernel[p::L]``, so the cost is about ``2*order + 1`` multiply-adds
-    per dense sample and grows linearly with ``order``.  Samples outside
-    the stream are treated as zero, so the output grows by the kernel tail
-    ``2*order*L`` and starts at ``origin_time = -order*T``; an empty
-    stream gives those ``2*order*L`` zeros.
+    ``kernel[p::L]``.  Phase 0's sub-filter is the unit impulse, so that
+    phase is the input copied to dense offset ``order*L``.  The other
+    phases' sub-filters are real, so each convolves the real and the
+    imaginary part apart with its ``2*order`` taps: ``4*order*(L - 1)``
+    real multiply-adds per input sample, growing linearly with ``order``.
+    Samples outside the stream are treated as zero, so the output grows by
+    the kernel tail ``2*order*L`` and starts at ``origin_time = -order*T``;
+    an empty stream gives those ``2*order*L`` zeros.
     """
     samples, stream_interval, per_frame = _stream_samples(stream)
     oversampling = check_reconstruction(filt, oversampling, stream_interval)
@@ -218,9 +231,12 @@ def reconstruct(
     # shorter) leave the last at zero.
     dense = np.zeros(samples.size * oversampling + 2 * order * oversampling, dtype=np.complex128)
     if samples.size:  # np.convolve rejects an empty input; its reconstruction is all zeros
-        for phase in range(oversampling):
-            part = np.convolve(samples, kernel[phase::oversampling])
-            dense[phase::oversampling][: part.size] = part
+        dense[order * oversampling :: oversampling][: samples.size] = samples
+        for phase in range(1, oversampling):
+            taps = kernel[phase::oversampling]
+            out = dense[phase::oversampling][: samples.size + taps.size - 1]
+            out.real = np.convolve(samples.real, taps)
+            out.imag = np.convolve(samples.imag, taps)
     return OversampledSignal(
         samples=dense,
         sample_rate=rate,

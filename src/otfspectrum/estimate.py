@@ -134,9 +134,21 @@ class PeriodogramAverager:
     def add(self, samples: np.ndarray) -> None:
         samples = np.asarray(samples, dtype=np.complex128).ravel()
         if self._carry.size:
-            samples = np.concatenate([self._carry, samples])
+            # Complete the pending segment from the head of the new samples
+            # and fold it first, so the rest is segmented in place, uncopied.
+            head = self._len - self._carry.size
+            self._carry = np.concatenate([self._carry, samples[:head]])
+            samples = samples[head:]
+            if self._carry.size < self._len:
+                return
+            self._fold(self._carry.reshape(1, self._len))
         full = samples.size // self._len
-        segs = samples[: full * self._len].reshape(full, self._len)
+        self._fold(samples[: full * self._len].reshape(full, self._len))
+        self._carry = samples[full * self._len :].copy()
+
+    def _fold(self, segs: np.ndarray) -> None:
+        """Add the ``|DFT|^2`` of each row of ``segs`` to the sum, in row order."""
+        full = segs.shape[0]
         batch = max(1, _BATCH_SAMPLES // self._len)
         for lo in range(0, full, batch):
             spectra = np.fft.fft(segs[lo : lo + batch], axis=1)
@@ -150,7 +162,6 @@ class PeriodogramAverager:
             # column is summed pairwise: accumulate that one explicitly.
             self._acc = rows.sum(axis=0) if self._len > 1 else np.cumsum(rows[:, 0])[-1:]
         self.num_segments += full
-        self._carry = samples[full * self._len :].copy()
 
     def result(self) -> PsdCurve:
         if self.num_segments < 1:

@@ -97,8 +97,21 @@ def test_sinc_kernel_shape_and_center():
     kern = sinc_kernel(4, 3)
     assert kern.size == 2 * 3 * 4 + 1
     assert kern[12] == 1.0
-    # integer input positions hit the kernel's zero crossings
-    assert_allclose(kern[::4], np.concatenate([np.zeros(3), [1.0], np.zeros(3)]), atol=1e-15)
+    # integer input positions hit the kernel's zero crossings exactly
+    assert_array_equal(kern[::4], np.concatenate([np.zeros(3), [1.0], np.zeros(3)]))
+
+
+@given(oversampling=st.integers(1, 16), order=st.integers(1, 200))
+def test_sinc_kernel_phase_zero_is_the_unit_impulse(oversampling, order):
+    """Every nonzero multiple of L is an exact zero crossing, so phase 0 is a copy."""
+    kern = sinc_kernel(oversampling, order)
+    impulse = np.zeros(2 * order + 1)
+    impulse[order] = 1.0
+    assert_array_equal(kern[::oversampling], impulse)
+    # the other taps are np.sinc's, untouched
+    off_grid = np.arange(kern.size) % oversampling != 0
+    i = np.arange(-order * oversampling, order * oversampling + 1)
+    assert_array_equal(kern[off_grid], np.sinc(i / oversampling)[off_grid])
 
 
 def test_sinc_impulse_reproduces_kernel():
@@ -106,7 +119,7 @@ def test_sinc_impulse_reproduces_kernel():
     out = reconstruct(np.array([1.0 + 0j]), filt, 4)
     kernel = sinc_kernel(4, 3)  # 2*3*4 + 1 = 25 taps
     assert out.samples.size == 1 * 4 + 2 * 3 * 4  # fixed length, zero-padded tail
-    assert_allclose(out.samples[: kernel.size], kernel, atol=1e-15)
+    assert_array_equal(out.samples[: kernel.size], kernel)
     assert_array_equal(out.samples[kernel.size :], 0.0)
     assert out.origin_time == -3.0
 
@@ -118,7 +131,29 @@ def test_sinc_interpolation_passes_through_input_samples():
     out = reconstruct(x, InterpolationFilter.truncated_sinc(1.0, order), L)
     # dense index of input sample i: order*L + i*L
     taps = out.samples[order * L : order * L + 16 * L : L]
-    assert_allclose(taps, x, atol=1e-12)
+    assert_array_equal(taps, x)
+
+
+@given(
+    length=st.integers(0, 400),
+    oversampling=st.integers(1, 8),
+    order=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sinc_reconstruction_is_linear_over_real_and_imaginary_parts(length, oversampling, order, seed):
+    """``reconstruct(a + 1j*b) == reconstruct(a) + 1j*reconstruct(b)`` bit for bit.
+
+    The sub-filters are real, so the two parts are reconstructed apart and
+    a real input stays real: its imaginary part is all zeros.
+    """
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, length)) * 10.0 ** rng.uniform(-3, 3, (2, length))
+    filt = InterpolationFilter.truncated_sinc(1.0, order)
+    whole = reconstruct(a + 1j * b, filt, oversampling).samples
+    real, imag = (reconstruct(part, filt, oversampling).samples for part in (a, b))
+    assert_array_equal(real.imag, 0.0)
+    assert_array_equal(imag.imag, 0.0)
+    assert_array_equal(whole, real + 1j * imag)
 
 
 @given(

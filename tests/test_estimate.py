@@ -1,8 +1,9 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -137,6 +138,8 @@ def test_batched_averager_adds_segments_in_stream_order(monkeypatch, segment_len
     batch_segments=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
+# cut at 2, 3 and 4: the second chunk (one sample) is shorter than the six the carry lacks
+@example(segment_len=8, segments=3, partial=0, cuts=[0.1, 0.15, 0.2], batch_segments=1, seed=0)
 def test_averager_is_bit_identical_under_any_chunking(
     segment_len, segments, partial, cuts, batch_segments, seed
 ):
@@ -200,6 +203,26 @@ def test_held_averager_is_the_periodogram_of_the_held_stream(
 def test_hold_must_divide_the_segment(segment_len, hold):
     with pytest.raises(ValueError, match="hold"):
         PeriodogramAverager(segment_len, 1.0, hold=hold)
+
+
+def test_pending_carry_does_not_copy_the_added_block(monkeypatch):
+    """With a partial segment pending, ``add`` segments the new block in place.
+
+    The carry is completed from the block's head and folded on its own, so
+    no block-sized concatenation is made; the batched spectra stay small.
+    """
+    monkeypatch.setattr(estimate, "_BATCH_SAMPLES", 2**10)
+    block = np.ones(2**18, dtype=np.complex128)
+    avg = PeriodogramAverager(256, sample_rate=1.0)
+    avg.add(block[:100])
+    tracemalloc.start()
+    try:
+        avg.add(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert avg.num_segments == (100 + block.size) // 256
+    assert peak < block.nbytes / 4
 
 
 def test_averager_requires_a_segment():
