@@ -14,10 +14,13 @@ linear precoding that confines the transmit spectrum to a mask:
 - :mod:`otfspectrum.precoding` — discrete spectrum algebra, masks, and
   null-space / systematic precoders,
 - :mod:`otfspectrum.patterns` — named variance-profile layouts,
+- :mod:`otfspectrum.config` — the config key schema, its validation, and
+  the routing of given keys to the presets or subcommand that read them,
 - :mod:`otfspectrum.presets` — end-to-end scenario runners behind the
   ``otfspectrum`` command line.
 """
 
+from .config import ScenarioConfig
 from .dac import FILTER_KINDS, InterpolationFilter, OversampledSignal, filter_response_sq, reconstruct
 from .errors import ConfigurationError, SystematicInfeasibleError
 from .estimate import (
@@ -43,15 +46,7 @@ from .precoding import (
     subcarrier_transform,
     systematic_precoder,
 )
-from .presets import (
-    PRESET_NAMES,
-    ScenarioConfig,
-    estimated_psd,
-    precoded_stream,
-    preset_config,
-    run_presets,
-    run_scenario,
-)
+from .presets import PRESET_NAMES, estimated_psd, precoded_stream, preset_config, run_presets, run_scenario
 from .psd import PsdCurve, cep_ofdm_psd, dirichlet_sq, ofdm_psd, otfs_psd
 from .waveform import (
     BasebandFrame,

@@ -18,22 +18,12 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from . import io as fileio
+from .config import CONFIG_KEYS, ScenarioConfig, _deep_merge, _read_config, _routed_configs
 from .errors import ConfigurationError, SystematicInfeasibleError
 from .estimate import compare_curves
 from .precoding import build_precoders
 from .presets import (
-    CONFIG_KEYS,
-    PRESETS,
-    PRESET_NAMES,
-    ScenarioConfig,
-    _deep_merge,
-    _read_config,
-    estimated_psd,
-    load_config,
-    precoded_stream,
-    preset_config,
-    run_presets,
-    run_scenario,
+    PRESETS, PRESET_NAMES, estimated_psd, precoded_stream, preset_config, run_presets, run_scenario,
 )
 from .psd import cep_ofdm_psd, ofdm_psd, otfs_psd
 from .waveform import generate_random_stream
@@ -66,7 +56,7 @@ def _reads(args: argparse.Namespace) -> Tuple[str, ...]:
     """The config keys and whole sections ``args.command`` reads, given its own flags.
 
     Each shapes what the command writes; ``_load`` refuses any other given
-    key, by the rule the presets' read sets follow.
+    key but ``seed``, through the router the presets' runs go through.
     """
     if args.command == "generate":
         return ("grid", "profile", "stream.num_frames", "stream.constellation")
@@ -85,8 +75,11 @@ _PRECODE_DEFAULTS = {"profile": {"uniform": 1.0}}
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
-    defaults = _PRECODE_DEFAULTS if args.command == "precode" else None
-    return load_config(args.config, _overrides(args), args.command, _reads(args), defaults)
+    """The config file with the flags on top, routed to ``args.command`` as the one reader."""
+    defaults = _PRECODE_DEFAULTS if args.command == "precode" else {}
+    given = _deep_merge(_read_config(args.config), _overrides(args))
+    (config,) = _routed_configs(given, [(args.command, defaults, _reads(args))], args.command)
+    return config
 
 
 def _write_or_print_metrics(metrics: dict, out: Optional[str], cfg_hash: str) -> None:

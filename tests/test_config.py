@@ -1,10 +1,15 @@
-"""Validation of scenario configurations by ``ScenarioConfig.from_dict``."""
+"""Validation of scenario configurations by ``ScenarioConfig.from_dict``, and the config module's layering."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otfspectrum.config
+from otfspectrum.config import ScenarioConfig
 from otfspectrum.errors import ConfigurationError
-from otfspectrum.presets import ScenarioConfig
 
 
 def _raw(**sections):
@@ -136,3 +141,23 @@ def test_psd_grid_just_inside_float64_is_accepted():
     config = ScenarioConfig.from_dict(_raw(psd={"band": [-1e306, 1e306], "num_points": 16}))
     freqs = config.freq_grid()
     assert np.all(np.diff(freqs) > 0) and np.isfinite(freqs * 32.0).all()
+
+
+#: Imports ``otfspectrum.config`` under a bare package, without the package
+#: ``__init__`` (which re-exports the presets), and lists the runner modules it loaded.
+_CONFIG_ALONE = """
+import sys, types
+package = types.ModuleType("otfspectrum")
+package.__path__ = [sys.argv[1]]
+sys.modules["otfspectrum"] = package
+import otfspectrum.config
+loaded = [name for name in ("otfspectrum.presets", "otfspectrum.cli") if name in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def test_the_config_module_loads_neither_the_presets_nor_the_cli():
+    """The schema and the router sit below the runners: a fresh process imports them alone."""
+    package = Path(otfspectrum.config.__file__).parent
+    proc = subprocess.run([sys.executable, "-c", _CONFIG_ALONE, str(package)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

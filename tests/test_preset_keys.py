@@ -15,15 +15,22 @@ its budget).
 
 import json
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otfspectrum.cli import _reads, build_parser, main
+from otfspectrum.cli import _PRECODE_DEFAULTS, _load, _reads, build_parser, main
+from otfspectrum.config import ScenarioConfig, _deep_merge
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.presets import (
     CONFIG_KEYS,
     PRESETS,
+    _RUN_KEYS,
     _in_read_set,
+    _preset_configs,
     preset_config,
     run_presets,
     run_scenario,
@@ -45,8 +52,8 @@ VALID = {
 }
 
 PAIRS = [(preset, key) for preset in sorted(PRESETS) for key in SETTABLE]
-READ = [pair for pair in PAIRS if PRESETS[pair[0]].reads_key(pair[1])]
-UNREAD = [pair for pair in PAIRS if not PRESETS[pair[0]].reads_key(pair[1])]
+READ = [pair for pair in PAIRS if _in_read_set(PRESETS[pair[0]].reads, pair[1])]
+UNREAD = [pair for pair in PAIRS if not _in_read_set(PRESETS[pair[0]].reads, pair[1])]
 
 
 def _nested(dotted: str, value) -> dict:
@@ -58,7 +65,7 @@ def test_every_config_key_is_read_by_some_preset_and_every_read_names_a_key():
     sections = {key.name.rpartition(".")[0] for key in CONFIG_KEYS} - {""}
     assert set(VALID) == set(SETTABLE)
     for key in SETTABLE:
-        assert any(preset.reads_key(key) for preset in PRESETS.values()), key
+        assert any(_in_read_set(preset.reads, key) for preset in PRESETS.values()), key
     for preset in PRESETS.values():
         for entry in preset.reads:
             assert entry in sections or entry in SETTABLE, (preset.name, entry)
@@ -158,7 +165,7 @@ def test_every_key_a_preset_reads_changes_its_bytes_or_is_refused(tmp_path):
         config = preset_config(preset, base)
         before = _artifacts(config, tmp_path / preset)
         for key in SETTABLE:
-            if not PRESETS[preset].reads_key(key):
+            if not _in_read_set(PRESETS[preset].reads, key):
                 continue
             section, _, name = key.partition(".")
             current = config.raw.get(section, {}).get(name)
@@ -199,7 +206,7 @@ def test_shared_flags_leave_the_presets_that_do_not_read_them_as_they_were(tmp_p
     plain, flags = trees
     assert plain.keys() == flags.keys()
     for name in sorted(PRESETS):
-        reads = PRESETS[name].reads_key("stream.num_frames") or PRESETS[name].reads_key("psd.num_points")
+        reads = any(_in_read_set(PRESETS[name].reads, key) for key in ("stream.num_frames", "psd.num_points"))
         same = all(flags[path] == body for path, body in plain.items() if path.parts[0] == name)
         assert same != reads, name
 
@@ -322,3 +329,66 @@ def test_an_unread_flag_is_exit_2_and_writes_nothing(tmp_path, capsys, argv, key
     err = capsys.readouterr().err
     assert f"not read by {argv[0]} ({argv[0]} reads " in err and repr(key) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("output.directory", "/nonexistent/zzz"), ("preset", "lte-ofdm")])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_a_subcommand_refuses_the_keys_only_a_preset_reads(tmp_path, capsys, command, key, value):
+    """Where a preset writes and which preset it is mean nothing to a subcommand."""
+    raw, _ = SUBCOMMANDS[command]
+    code, files = _subcommand_files(tmp_path, command, {**raw, **_nested(key, value)})
+    assert code == 2 and files is None
+    assert f"[{key!r}] are not read by {command} ({command} reads " in capsys.readouterr().err
+
+
+# -- the one router, over mixes of given keys ------------------------------------
+
+#: A value for every key but ``preset``: those any reader may read, and ``seed`` and
+#: ``output.directory``, which every reader and only the presets take.
+ROUTED = {**VALID, "seed": 1, "output.directory": "out"}
+
+
+def _parsed(raw):
+    """Stands in for ``ScenarioConfig.from_dict``, so that keys no schema accepts together still route."""
+    return SimpleNamespace(raw=raw, preset=raw.get("preset"))
+
+
+@settings(max_examples=150)
+@given(
+    run=st.one_of(
+        st.lists(st.sampled_from(sorted(PRESETS)), min_size=1, max_size=3), st.sampled_from(sorted(SUBCOMMANDS))
+    ),
+    keys=st.sets(st.sampled_from(sorted(ROUTED))),
+)
+def test_each_reader_gets_its_defaults_and_exactly_the_given_keys_it_takes(run, keys):
+    """A run of presets or one subcommand: the refused keys are those no reader takes, the rest go where read."""
+    given = {}
+    for key in sorted(keys):
+        given = _deep_merge(given, _nested(key, ROUTED[key]))
+    if isinstance(run, str):
+        args = build_parser().parse_args([run, "--out", "x", *SUBCOMMANDS[run][1]])
+        readers = [({} if run != "precode" else _PRECODE_DEFAULTS, _reads(args))]
+    else:
+        readers = [({**PRESETS[name].defaults, "preset": name}, PRESETS[name].reads + _RUN_KEYS) for name in run]
+
+    def route():
+        return [_load(args)] if isinstance(run, str) else _preset_configs(run, given)
+
+    def takes(reads, key):
+        return key == "seed" or key in reads or key.split(".")[0] in reads
+
+    refused = [key for key in sorted(keys) if not any(takes(reads, key) for _, reads in readers)]
+    with (
+        mock.patch.object(ScenarioConfig, "from_dict", _parsed),
+        mock.patch("otfspectrum.cli._read_config", lambda path: given),
+    ):
+        if refused:
+            with pytest.raises(ConfigurationError, match=re.escape(f"config keys {refused} are not read by ")):
+                route()
+            return
+        configs = route()
+    for (defaults, reads), config in zip(readers, configs):
+        share = {}
+        for key in sorted(key for key in keys if takes(reads, key)):
+            share = _deep_merge(share, _nested(key, ROUTED[key]))
+        assert config.raw == _deep_merge(defaults, share)
