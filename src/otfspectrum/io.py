@@ -2,13 +2,17 @@
 
 A CSV table (frame streams, PSD curves, precoder dumps, the CEP convergence
 table) is ``# key=value`` header lines, the first naming the format, one
-column-name row, then comma-separated rows.  Integers are written with
-``str`` and floats with ``float.__repr__``, so re-reading a file reproduces
-the exact doubles (and so byte-identical metric records).  A large table
-(at least 16 row blocks of 4096 rows per process, so never a PSD curve) is
-formatted by contiguous row range across processes, one per CPU, and the
-ranges are joined in order: the bytes are those one process would write.
-Tables are read a row block at a time into one preallocated array.
+column-name row, then comma-separated rows.  Integers are written as
+``str`` writes them and floats as ``float.__repr__`` does, so re-reading a
+file reproduces the exact doubles (and so byte-identical metric records).
+``_numfmt.format_rows`` lays out those bytes for a whole row block at once
+with numpy, about 0.3 us per float where a ``float.__repr__`` call per
+float took 0.8-1.5 us; the few values it cannot decide go to
+``float.__repr__`` itself.  A large table (at least 64 row blocks of 4096
+rows per process, so never a PSD curve) is formatted by contiguous row
+range across processes, one per CPU, and the ranges are joined in order:
+the bytes are those one process would write.  Tables are read a row block
+at a time into one preallocated array.
 
 A JSON record (metric records, masks, the LTE bandwidth report, scenario
 manifests) is one JSON value with sorted keys, a two-space indent and a
@@ -33,6 +37,7 @@ from typing import IO, Callable, Dict, Iterable, Iterator, List, Optional, Seque
 
 import numpy as np
 
+from ._numfmt import format_rows
 from .errors import ConfigurationError
 from .precoding import PrecoderSet, SpectrumMask, decompose_mask, mask_from_pass_bands
 from .psd import PsdCurve
@@ -58,19 +63,21 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _write_header(handle, fields: Dict[str, object]) -> None:
+def _write_header(handle: IO[bytes], fields: Dict[str, object]) -> None:
     for key, value in fields.items():
         if value is not None:
-            handle.write(f"# {key}={value}\n")
+            handle.write(f"# {key}={value}\n".encode())
 
 
-#: Rows per ``str.join``: about one 64x512 precoder subcarrier, so a block's strings stay small.
+#: Rows laid out and written at a time: about one 64x512 precoder subcarrier.  Formatting a
+#: block of 4096 two-float rows holds about 2 MB of numpy temporaries.
 _ROW_BLOCK = 4096
 
 #: Row blocks each process must get before a table is split across processes.  Formatting
-#: costs about 1 us per float, so 16 blocks of two-float rows take about 0.13 s, well over
-#: the 10-20 ms of a fork and wait; PSD curves (at most 16384 rows) are never split.
-_SPLIT_ROW_BLOCKS = 16
+#: costs about 0.6 us per two-float row (0.7 us per precoder row), so 64 blocks take about
+#: 0.16 s, well over the 10-20 ms of a fork and wait; PSD curves (at most 16384 rows) are
+#: never split.
+_SPLIT_ROW_BLOCKS = 64
 
 
 def _cpu_count() -> int:
@@ -93,12 +100,12 @@ def _row_ranges(rows: int) -> List[Tuple[int, int]]:
 
 
 def _write_rows(
-    handle: IO[str], sizes: Sequence[int], block: Callable[[int], Sequence], start: int, stop: int
+    handle: IO[bytes], sizes: Sequence[int], block: Callable[[int], Sequence[np.ndarray]], start: int, stop: int
 ) -> None:
-    """Write rows ``start`` to ``stop`` of the table, ``_ROW_BLOCK`` at a time.
+    """Write rows ``start`` to ``stop`` of the table, ``_ROW_BLOCK`` at a time, one ``write`` each.
 
-    Only the blocks holding some of those rows are built.  numpy columns
-    become ``str`` ints and ``float.__repr__`` floats; string cells pass through.
+    Only the blocks holding some of those rows are built.  ``format_rows``
+    lays out each row block's bytes in one numpy pass.
     """
     end = 0
     for index, size in enumerate(sizes):
@@ -107,31 +114,26 @@ def _write_rows(
         if first >= last:
             continue
         columns = block(index)
-        row = ["", ","] * len(columns)  # cell, separator, ..., cell, newline
-        row[-1] = "\n"
         for lo in range(first, last, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, last)
-            parts = row * (hi - lo)
-            for j, column in enumerate(columns):
-                cells = column if hi - lo == size else column[lo:hi]  # a list slice is a copy
-                if isinstance(cells, np.ndarray):
-                    cells = map(float.__repr__ if cells.dtype.kind == "f" else str, cells.tolist())
-                parts[2 * j :: len(row)] = cells
-            handle.write("".join(parts))
+            handle.write(format_rows([column[lo:hi] for column in columns]))
 
 
 def _fork_rows(
-    directory: Path, sizes: Sequence[int], block: Callable[[int], Sequence], start: int, stop: int
-) -> Tuple[int, IO[str]]:
+    directory: Path, sizes: Sequence[int], block: Callable[[int], Sequence[np.ndarray]], start: int, stop: int
+) -> Tuple[int, IO[bytes]]:
     """Fork a child that writes rows ``start`` to ``stop`` into a new unnamed temporary file.
 
     Returns the child's pid and the file.  The child leaves by ``os._exit``,
     status 0 once every row is flushed, 1 on any error, so it runs none of
-    this process's cleanup.  It only formats rows and writes its own file, so
-    it takes no lock that another thread of this process (a BLAS pool) may
-    have held at the fork.
+    this process's cleanup.  It only builds and formats rows and writes its
+    own file, so it takes no lock that another thread of this process may
+    have held at the fork.  ``block`` must make no BLAS call either: only
+    the forking thread survives a fork, and forked writers that ran the
+    precoders' small matrix products made the ``nslp-precode`` benchmark
+    take 4.6 s instead of 2.2 s.
     """
-    spill = tempfile.TemporaryFile("w+", dir=directory)
+    spill = tempfile.TemporaryFile(dir=directory)
     try:
         pid = os.fork()
     except BaseException:
@@ -156,27 +158,27 @@ def _write_table(
     header: Dict[str, object],
     names: Sequence[str],
     sizes: Sequence[int],
-    block: Callable[[int], Sequence],
+    block: Callable[[int], Sequence[np.ndarray]],
 ) -> Path:
     """Write a CSV table: the header, the ``names`` row, then the rows of ``block(0)``, ``block(1)``, ...
 
-    Block ``i`` is a sequence of ``sizes[i]``-row columns, one per name: numpy
-    arrays, or cells already formatted as strings, which may fill several
-    fields (``"r,c"``).  It is built only when its rows are written, and rows
-    are formatted ``_ROW_BLOCK`` at a time, so memory is bounded by that, not
-    by the table.  A large table is cut into contiguous row ranges, one per
-    CPU (see ``_row_ranges``): this process writes the first into ``path``,
-    a forked child writes each other range into a temporary file beside it,
-    and the children's files are appended in order.  The bytes are those of
-    one process writing every row.  Every child has exited and every
-    temporary file is gone when this returns or raises.
+    Block ``i`` is a sequence of ``sizes[i]``-row numpy columns, int or
+    float, one per name.  It is built only when its rows are written, and
+    rows are formatted ``_ROW_BLOCK`` at a time, so memory is bounded by
+    that, not by the table.  A large table is cut into contiguous row
+    ranges, one per CPU (see ``_row_ranges``): this process writes the
+    first into ``path``, a forked child writes each other range into a
+    temporary file beside it, and the children's files are appended in
+    order.  The bytes are those of one process writing every row.  Every
+    child has exited and every temporary file is gone when this returns or
+    raises.
     """
     path = Path(path)
     ranges = _row_ranges(sum(sizes))
-    with path.open("w") as handle:
+    with path.open("wb") as handle:
         _write_header(handle, header)
-        handle.write(",".join(names) + "\n")
-        children: List[Tuple[int, IO[str]]] = []
+        handle.write(",".join(names).encode() + b"\n")
+        children: List[Tuple[int, IO[bytes]]] = []
         try:
             for start, stop in ranges[1:]:
                 children.append(_fork_rows(path.parent, sizes, block, start, stop))
@@ -189,7 +191,7 @@ def _write_table(
                     if status:
                         raise OSError(f"{path}: the process writing a row range exited with status {status}")
                     spill.seek(0)
-                    shutil.copyfileobj(spill.buffer, handle.buffer)
+                    shutil.copyfileobj(spill, handle)
         finally:
             for pid, spill in children:  # left only when this process raised
                 os.kill(pid, signal.SIGKILL)
@@ -461,14 +463,11 @@ def write_precoder_set(
         "null_bins": ",".join(str(int(b)) for b in mask.null_bins),
         **(extra_header or {}),
     }
-    cells: Dict[Tuple[int, int], List[str]] = {}  # the "r,c" cells of each matrix shape
 
-    def subcarrier(k: int) -> Sequence:
+    def subcarrier(k: int) -> Sequence[np.ndarray]:
         matrix = precoders.matrices[k]
-        if matrix.shape not in cells:
-            rows, cols = matrix.shape
-            cells[matrix.shape] = [f"{r},{c}" for r in range(rows) for c in range(cols)]
-        return [str(k)] * matrix.size, cells[matrix.shape], matrix.real.ravel(), matrix.imag.ravel()
+        rows, cols = np.indices(matrix.shape)
+        return np.full(matrix.size, k), rows.ravel(), cols.ravel(), matrix.real.ravel(), matrix.imag.ravel()
 
     sizes = [matrix.size for matrix in precoders.matrices]
     return _write_table(path, header, ("subcarrier", "row", "col", "re", "im"), sizes, subcarrier)

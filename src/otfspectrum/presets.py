@@ -138,7 +138,8 @@ def _streamed_estimates(
       the end.
 
     Memory is bounded by one block (one reconstruction, for the sinc) per
-    view, not by ``num_frames``.  The estimate is that of
+    view, not by ``num_frames``; a memoryless block holds at least the
+    symbols of a dense block at L = 4.  The estimate is that of
     ``periodogram(reconstruct(view))``, the stream's span without the
     truncated sinc's pre- and post-ring: bit for bit for dirac_delta, to
     rounding for rect and the sinc.
@@ -149,8 +150,11 @@ def _streamed_estimates(
     sinc = filt.kind == "truncated_sinc"
     dacs = [_BlockDac(filt, oversampling) if sinc else _HeldFrames() for _ in views]
     averagers = [PeriodogramAverager(segment_len, rate, hold=1 if sinc else oversampling) for _ in views]
+    # A memoryless DAC builds no dense sample, so its blocks need not shrink with L: they keep
+    # the 2**16 symbols of a dense block at L = 4 (at L = 64 a 16x128 dense block is 2 frames).
+    block_oversampling = oversampling if sinc else min(oversampling, 4)
     for block in stream_chunks(
-        profile, num_frames, seed, sample_interval, constellation, oversampling=oversampling
+        profile, num_frames, seed, sample_interval, constellation, oversampling=block_oversampling
     ):
         for l, dac, averager in zip(views, dacs, averagers):
             averager.add(dac.push(block if l is None else cep_component_stream(block, l)))
@@ -616,11 +620,12 @@ def _preset_configs(names: Sequence[str], overrides: dict) -> List[ScenarioConfi
     ``config._routed_configs`` routes the given keys: each preset takes
     those in its read set and ``_RUN_KEYS``, and a key no preset of the run
     reads is refused.  So is a given ``preset`` naming another preset than
-    the one it is run as.
+    the one it is run as; a null ``preset`` leaves each preset its own name.
     """
     for name in names:
         if name not in PRESETS:
             raise ConfigurationError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
+    overrides = {key: value for key, value in overrides.items() if not (key == "preset" and value is None)}
     readers = [
         (name, {**PRESETS[name].defaults, "preset": name}, PRESETS[name].reads + _RUN_KEYS) for name in names
     ]

@@ -165,22 +165,28 @@ def test_line_batches_split_as_splitlines_splits_the_whole_text(tmp_path, text, 
     assert lines == path.read_text().splitlines()
 
 
-def _split_table(path, cells):
-    """Write ``cells`` as a one-column table cut into two row ranges, one per process."""
+def _split_table(path, block):
+    """Write eight one-row blocks as a one-column table cut into two row ranges, one per process."""
     with mock.patch.object(fileio, "_ROW_BLOCK", 1), mock.patch.object(fileio, "_SPLIT_ROW_BLOCKS", 1), \
             mock.patch.object(fileio, "_cpu_count", lambda: 2):
-        return fileio._write_table(path, {"format": "test"}, ["n"], [len(cells)], lambda _: (cells,))
+        return fileio._write_table(path, {"format": "test"}, ["n"], [1] * 8, block)
 
 
 @pytest.mark.parametrize(
-    "bad_row, error", [(0, TypeError), (7, OSError)], ids=["in-this-process", "in-the-child"]
+    "bad_block, error", [(0, ValueError), (7, OSError)], ids=["in-this-process", "in-the-child"]
 )
-def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_row, error):
-    """A cell that is not a string, in this process's rows or in the forked child's."""
-    cells = [str(n) for n in range(8)]
-    good = _split_table(tmp_path / "good.csv", cells).read_text()
-    assert good == "# format=test\nn\n" + "".join(f"{cell}\n" for cell in cells)
-    cells[bad_row] = None
+def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_block, error):
+    """A block that cannot be built, among this process's rows or the forked child's."""
+    failing = []
+
+    def block(index):
+        if index in failing:
+            raise ValueError(f"block {index} cannot be built")
+        return (np.array([index]),)
+
+    good = _split_table(tmp_path / "good.csv", block).read_text()
+    assert good == "# format=test\nn\n" + "".join(f"{n}\n" for n in range(8))
+    failing.append(bad_block)
     spills = []
 
     def temporary_file(*args, **kwargs):
@@ -189,7 +195,7 @@ def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_
 
     make_temporary_file = tempfile.TemporaryFile
     with mock.patch.object(fileio.tempfile, "TemporaryFile", temporary_file), pytest.raises(error):
-        _split_table(tmp_path / "bad.csv", cells)
+        _split_table(tmp_path / "bad.csv", block)
     assert len(spills) == 1 and spills[0].closed
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.csv", "good.csv"]
     with pytest.raises(ChildProcessError):

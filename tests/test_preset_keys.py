@@ -343,9 +343,10 @@ def test_a_subcommand_refuses_the_keys_only_a_preset_reads(tmp_path, capsys, com
 
 # -- the one router, over mixes of given keys ------------------------------------
 
-#: A value for every key but ``preset``: those any reader may read, and ``seed`` and
-#: ``output.directory``, which every reader and only the presets take.
-ROUTED = {**VALID, "seed": 1, "output.directory": "out"}
+#: A value for every key: those any reader may read, ``seed`` and ``output.directory``,
+#: which every reader and only the presets take, and a null ``preset``, which only the
+#: presets take and which leaves each its own name.
+ROUTED = {**VALID, "seed": 1, "output.directory": "out", "preset": None}
 
 
 def _parsed(raw):
@@ -389,6 +390,6 @@ def test_each_reader_gets_its_defaults_and_exactly_the_given_keys_it_takes(run, 
         configs = route()
     for (defaults, reads), config in zip(readers, configs):
         share = {}
-        for key in sorted(key for key in keys if takes(reads, key)):
+        for key in sorted(key for key in keys if takes(reads, key) and key != "preset"):
             share = _deep_merge(share, _nested(key, ROUTED[key]))
         assert config.raw == _deep_merge(defaults, share)

@@ -286,17 +286,18 @@ def test_cep_views_copy_blocks_not_chunks():
 
 
 def test_rect_estimate_builds_no_dense_block():
-    """Rect at L=8 peaks as at L=1 when both get the same symbol-rate blocks.
+    """Rect at L=8 peaks as at L=4: both get blocks of the same 2**15 symbols (1024 frames).
 
-    ``_BLOCK_SAMPLES`` counts dense samples, so it is scaled with L to keep
-    2**15 symbol-rate samples (1024 frames) per block.  Building the held
-    block would add eight symbol-rate blocks, and its spectra as many again.
+    For L >= 4 a memoryless block holds the symbols of a dense block at
+    L = 4, a quarter of ``_BLOCK_SAMPLES``.  Building the held block would
+    add eight symbol-rate blocks at L=8 against four at L=4, and its
+    spectra as many again.
     """
     profile = VarianceProfile.uniform(4, 8)
     symbol_block = 2**15
 
     def peak(oversampling):
-        with mock.patch.object(waveform, "_BLOCK_SAMPLES", symbol_block * oversampling):
+        with mock.patch.object(waveform, "_BLOCK_SAMPLES", symbol_block * 4):
             estimated_psd(profile, 1, SEED, 1.0, InterpolationFilter.rect(1.0), oversampling)  # lazy imports
             tracemalloc.start()
             try:
@@ -305,7 +306,7 @@ def test_rect_estimate_builds_no_dense_block():
             finally:
                 tracemalloc.stop()
 
-    assert peak(8) <= peak(1) + 2 * symbol_block * 16
+    assert peak(8) <= peak(4) + 2 * symbol_block * 16
 
 
 def _nslp_peak_bytes(tmp_path, frames):
