@@ -199,7 +199,7 @@ def _float_cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     for group in groups[1:]:
         trailing *= group == 0
         trailing += t["quad_zeros"].take(group)
-    # the sign byte and the 17 digits, "-d dddd dddd dddd dddd", over three words
+    # byte 0 for the sign (filled below), then the 17 digits "d dddd dddd dddd dddd", over three words
     cell = np.empty((3, x.size), dtype=np.uint64)
     cell[0] = lead.astype(np.uint64)
     cell[0] += _U(0x30)
@@ -289,17 +289,19 @@ def format_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
     and so are the int columns.
     """
     columns = [np.asarray(column) for column in columns]
-    kinds = ["f" if column.dtype.kind == "f" else "i" if column.dtype.kind in "iu" else "" for column in columns]
-    if "" in kinds:
+    if any(column.dtype.kind not in "fiu" for column in columns):
         raise TypeError(f"a CSV column must hold ints or floats, got dtypes {[c.dtype.str for c in columns]}")
-    rows = columns[0].size if columns else 0
-    cells = {}  # kind -> (chars, valid): one (words, rows) pair per column of that kind, side by side
-    for kind, cell, dtype in (("f", _float_cells, np.float64), ("i", _int_cells, np.int64)):
-        group = [column for column, k in zip(columns, kinds) if k == kind]
+    floats = [column.dtype.kind == "f" for column in columns]
+    laid_out = {}  # per kind, an iterator over its columns' (chars, valid) words, in column order
+    for kind, cells, dtype in ((True, _float_cells, np.float64), (False, _int_cells, np.int64)):
+        group = [column for column, is_float in zip(columns, floats) if is_float == kind]
         if group:
-            chars, valid = cell(np.concatenate(group, dtype=dtype, casting="safe"))
-            cells[kind] = iter(zip(np.split(chars, len(group), axis=1), np.split(valid, len(group), axis=1)))
-    pieces = [next(cells[kind]) for kind in kinds]
+            chars, valid = cells(np.concatenate(group, dtype=dtype, casting="safe"))
+            chars[-1] |= _U(ord(",")) << _U(56)  # each cell's free last byte
+            valid[-1] |= _U(1) << _U(56)
+            laid_out[kind] = zip(np.split(chars, len(group), axis=1), np.split(valid, len(group), axis=1))
+    pieces = [next(laid_out[is_float]) for is_float in floats]
+    rows = columns[0].size if columns else 0
     widths = [len(chars) for chars, _ in pieces]
     chars = np.empty((rows, sum(widths)), dtype=_LITTLE)
     valid = np.empty(chars.shape, dtype=_LITTLE)
@@ -308,8 +310,6 @@ def format_rows(columns: Sequence[np.ndarray]) -> np.ndarray:
         chars[:, end : end + width] = cell_chars.T
         valid[:, end : end + width] = cell_valid.T
         end += width
-        chars[:, end - 1] |= _U(ord(",")) << _U(56)  # the free last byte of the cell
-        valid[:, end - 1] |= _U(1) << _U(56)
     if rows:
         chars[:, -1] ^= _U(ord(",") ^ ord("\n")) << _U(56)
     return chars.view(np.uint8)[valid.view(bool)]
