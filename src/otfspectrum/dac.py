@@ -37,7 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .waveform import BasebandFrame, FrameStream
+from .waveform import FrameStream
 
 __all__ = [
     "FILTER_KINDS",
@@ -132,11 +132,10 @@ def filter_response_sq(filt: InterpolationFilter, freqs: np.ndarray) -> np.ndarr
     return np.sinc(x) ** 2
 
 
-def _stream_samples(stream: Union[FrameStream, BasebandFrame, np.ndarray]) -> tuple:
+def _stream_samples(stream: Union[FrameStream, np.ndarray]) -> tuple:
+    """``(samples, sample interval, samples per frame)`` of a stream; an array has ``None`` for the last two."""
     if isinstance(stream, FrameStream):
         return stream.concatenated(), stream.sample_interval, stream.samples_per_frame
-    if isinstance(stream, BasebandFrame):
-        return stream.samples, stream.sample_interval, stream.num_samples
     samples = np.asarray(stream, dtype=np.complex128)
     if samples.ndim != 1:
         raise ValueError("sample input must be a 1-D array")
@@ -180,7 +179,7 @@ def check_reconstruction(
 
 
 def reconstruct(
-    stream: Union[FrameStream, BasebandFrame, np.ndarray],
+    stream: Union[FrameStream, np.ndarray],
     filt: InterpolationFilter,
     oversampling: int,
 ) -> OversampledSignal:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dac import OversampledSignal
+from .dac import OversampledSignal, _stream_samples
 from .psd import PsdCurve
 from .waveform import FrameStream
 
@@ -57,11 +57,9 @@ def _signal_parts(signal: Union[OversampledSignal, FrameStream, np.ndarray], sam
         if skip > 0:
             samples = samples[skip : samples.size - skip]
         return samples, signal.sample_rate, signal.samples_per_frame
-    if isinstance(signal, FrameStream):
-        return signal.concatenated(), 1.0 / signal.sample_interval, signal.samples_per_frame
-    samples = np.asarray(signal, dtype=np.complex128)
-    if samples.ndim != 1:
-        raise ValueError("signal must be a 1-D sample array")
+    samples, interval, per_frame = _stream_samples(signal)
+    if interval is not None:
+        return samples, 1.0 / interval, per_frame
     if sample_rate is None or not (sample_rate > 0):
         raise ValueError("a positive sample_rate is required for raw sample arrays")
     return samples, float(sample_rate), None

@@ -288,16 +288,26 @@ def write_frame_stream(
     return _write_table(path, header, ("re", "im"), [flat.size], lambda _: (flat.real, flat.imag))
 
 
+def _stream_field(fields: Dict[str, str], path: Union[str, Path], name: str, parse: Callable, rule: Rule):
+    """Header field ``name`` of a frame-stream file, parsed; a ``ConfigurationError`` names the file and field."""
+    if name not in fields:
+        raise ConfigurationError(f"frame-stream file {path} lacks header field {name!r}")
+    try:
+        value = parse(fields[name])
+    except ValueError:
+        value = fields[name]  # the rule refuses it, quoting the text
+    for problem in rule_problem(name, rule, value):
+        raise ConfigurationError(f"frame-stream file {path}: header field {problem}")
+    return value
+
+
 def read_frame_stream(path: Union[str, Path]) -> FrameStream:
     fields, data = _read_table(path, "frame-stream", 2)
-    try:
-        num_delay = int(fields["num_delay"])
-        num_doppler = int(fields["num_doppler"])
-        sample_interval = float(fields["sample_interval"])
-        num_frames = int(fields["num_frames"])
-    except KeyError as missing:
-        raise ConfigurationError(f"frame-stream file {path} lacks header field {missing}") from None
-    seed = None if fields.get("seed") in (None, "None") else int(fields["seed"])
+    dims = ("num_delay", "num_doppler", "num_frames")
+    num_delay, num_doppler, num_frames = (_stream_field(fields, path, name, int, POSITIVE_INT) for name in dims)
+    sample_interval = _stream_field(fields, path, "sample_interval", float, POSITIVE_REAL)
+    seed = fields.get("seed", "None")
+    seed = None if seed == "None" else _stream_field(fields, path, "seed", int, (_is_int, "an integer"))
     samples = data.view(np.complex128)  # each (re, im) row is one complex, exactly and without a copy
     per_frame = num_delay * num_doppler
     if samples.size != num_frames * per_frame:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigurationError, SystematicInfeasibleError
-from .waveform import BasebandFrame, DelayDopplerGrid, dft_matrix
+from .waveform import DelayDopplerGrid, FrameStream, dft_matrix
 
 __all__ = [
     "PRECODER_FORMS",
@@ -54,12 +54,11 @@ PRECODER_FORMS = ("null_space", "systematic")
 SYSTEMATIC_COND_LIMIT = 1e12
 
 
-def discrete_spectrum(frame: Union[BasebandFrame, np.ndarray]) -> np.ndarray:
-    """Unitary DFT of one frame's samples (length M*N spectrum bins)."""
-    samples = frame.samples if isinstance(frame, BasebandFrame) else np.asarray(frame, dtype=np.complex128)
-    if samples.ndim != 1:
-        raise ValueError("frame samples must be 1-D")
-    return np.fft.fft(samples, norm="ortho")
+def discrete_spectrum(frames: Union[FrameStream, np.ndarray]) -> np.ndarray:
+    """Unitary DFT of each frame (a stream's rows, or an array's last axis); one frame gives 1-D bins."""
+    if isinstance(frames, FrameStream):
+        frames = frames.frames[0] if len(frames) == 1 else frames.frames
+    return np.fft.fft(np.asarray(frames, dtype=np.complex128), axis=-1, norm="ortho")
 
 
 def subcarrier_transform(subcarrier: int, num_delay: int, num_doppler: int) -> np.ndarray:

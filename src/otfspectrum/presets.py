@@ -23,7 +23,7 @@ from .config import CONFIG_KEYS, ScenarioConfig, _deep_merge, _in_read_set, _rou
 from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction, reconstruct
 from .errors import ConfigurationError
 from .estimate import PeriodogramAverager, compare_curves
-from .precoding import PrecoderSet, build_precoders
+from .precoding import PrecoderSet, build_precoders, discrete_spectrum
 from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
     FrameStream,
@@ -432,16 +432,16 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
         precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
     ):
         if mask.null_bins.size:
-            spectra = np.fft.fft(block.frames, axis=1, norm="ortho")
+            spectra = discrete_spectrum(block.frames)  # the array: a one-frame block stays 2-D
             leak = np.abs(spectra[:, mask.null_bins]).max(axis=1) / payload_norms
             worst_leak = max(worst_leak, float(leak.max()))
         averager.add(block.frames)
     curve = averager.result()
     # Periodogram bins are exactly the spectrum bins (segment = one frame):
-    # reorder the natural-index null set onto the centered grid.
-    half = mask.num_bins // 2
-    natural = np.mod(np.arange(mask.num_bins) - half, mask.num_bins)
-    nulled_centered = np.isin(natural, mask.null_bins)
+    # shift the natural-order null set onto the centered grid, as the averager does.
+    nulled = np.zeros(mask.num_bins, dtype=bool)
+    nulled[mask.null_bins] = True
+    nulled_centered = np.fft.fftshift(nulled)
     in_mean = float(curve.values[~nulled_centered].mean())
     out_max = float(curve.values[nulled_centered].max(initial=0.0))
     ratio = in_mean / out_max if out_max > 0.0 else np.inf

@@ -11,6 +11,8 @@ bin, column ``k`` a Doppler (equivalently, subcarrier) bin.  With
   ``n*M + l`` carries the inverse-DFT value of row ``l`` at time index
   ``n``.  Equivalently ``s = kron(conj(F).T, I_M) @ vec(X)`` with ``F``
   the unitary DFT matrix of size ``N`` and ``vec`` column-major.
+  ``_otfs_frames`` builds this layout, for one grid and for a stream's
+  frame blocks alike; nothing else does.
 * the OFDM frame concatenates the rows instead: sample ``l*N + n`` holds
   the same inverse-DFT value, i.e. ``M`` independent ``N``-point
   multicarrier symbols back to back.
@@ -19,7 +21,8 @@ bin, column ``k`` a Doppler (equivalently, subcarrier) bin.  With
   Summing the ``M`` components reproduces the OTFS frame exactly,
   sample by sample.
 
-Frames never carry a cyclic prefix; a frame is exactly ``M*N`` samples.
+A ``BasebandFrame`` is a ``FrameStream`` of one row: a frame is exactly
+``M*N`` samples and never carries a cyclic prefix.
 All streams are generated from a counter-based Philox generator so a
 given ``(seed, frame, delay, doppler)`` bin always receives the same
 draw no matter how many frames are requested.  The fixed 4096-frame
@@ -141,35 +144,6 @@ class VarianceProfile:
 
 
 @dataclass(frozen=True)
-class BasebandFrame:
-    """One modulated frame: exactly num_delay*num_doppler complex samples."""
-
-    samples: np.ndarray
-    sample_interval: float
-    num_delay: int
-    num_doppler: int
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1:
-            raise ValueError("frame samples must be a 1-D array")
-        if self.num_delay < 1 or self.num_doppler < 1:
-            raise ValueError("frame dimensions must be >= 1")
-        if samples.size != self.num_delay * self.num_doppler:
-            raise ValueError(
-                f"frame must hold exactly num_delay*num_doppler = "
-                f"{self.num_delay * self.num_doppler} samples, got {samples.size}"
-            )
-        if not (self.sample_interval > 0):
-            raise ValueError("sample_interval must be positive")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def num_samples(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
 class FrameStream:
     """Ordered frames stacked as a (num_frames, num_delay*num_doppler) array."""
 
@@ -183,6 +157,8 @@ class FrameStream:
         frames = np.asarray(self.frames, dtype=np.complex128)
         if frames.ndim != 2:
             raise ValueError("frames must be a 2-D array (num_frames, samples_per_frame)")
+        if self.num_delay < 1 or self.num_doppler < 1:
+            raise ValueError("frame dimensions must be >= 1")
         if frames.shape[1] != self.num_delay * self.num_doppler:
             raise ValueError(
                 f"each frame must hold num_delay*num_doppler = "
@@ -203,22 +179,37 @@ class FrameStream:
     def samples_per_frame(self) -> int:
         return self.frames.shape[1]
 
-    def frame(self, index: int) -> BasebandFrame:
-        return BasebandFrame(
-            samples=self.frames[index],
-            sample_interval=self.sample_interval,
-            num_delay=self.num_delay,
-            num_doppler=self.num_doppler,
-        )
+    def frame(self, index: int) -> "BasebandFrame":
+        """Frame ``index`` as a one-row stream viewing this stream's samples."""
+        row = self.frames[index][None]  # a view, negative ``index`` included
+        return BasebandFrame(row, self.num_delay, self.num_doppler, self.sample_interval, self.seed)
 
     def concatenated(self) -> np.ndarray:
         """All frames back to back as one 1-D sample array."""
         return self.frames.reshape(-1)
 
 
-def _row_inverse_dft(entries: np.ndarray) -> np.ndarray:
-    # Row l, time n: (1/sqrt(N)) * sum_k X[l, k] exp(+2j*pi*k*n/N)
-    return np.fft.ifft(entries, axis=-1, norm="ortho")
+@dataclass(frozen=True)
+class BasebandFrame(FrameStream):
+    """One modulated frame: a stream of exactly one row of num_delay*num_doppler samples."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.num_frames != 1:
+            raise ValueError(f"a frame holds exactly one row, got {self.num_frames}")
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.frames[0]
+
+    @property
+    def num_samples(self) -> int:
+        return self.samples_per_frame
+
+
+def _otfs_frames(grids: np.ndarray) -> np.ndarray:
+    """``(F, M, N)`` grids as ``(F, M*N)`` OTFS frames: sample ``n*M + l`` is row l's inverse DFT at n."""
+    return np.fft.ifft(grids, axis=-1, norm="ortho").transpose(0, 2, 1).reshape(len(grids), -1)
 
 
 def otfs_modulate(grid: DelayDopplerGrid, sample_interval: float = 1.0) -> BasebandFrame:
@@ -229,16 +220,7 @@ def otfs_modulate(grid: DelayDopplerGrid, sample_interval: float = 1.0) -> Baseb
     advances the delay index first and the time index every ``M`` samples.
     No cyclic prefix is inserted.
     """
-    if not (sample_interval > 0):
-        raise ValueError("sample_interval must be positive")
-    time_rows = _row_inverse_dft(grid.entries)  # (M, N)
-    samples = time_rows.ravel(order="F")  # index n*M + l
-    return BasebandFrame(
-        samples=samples,
-        sample_interval=sample_interval,
-        num_delay=grid.num_delay,
-        num_doppler=grid.num_doppler,
-    )
+    return BasebandFrame(_otfs_frames(grid.entries[None]), grid.num_delay, grid.num_doppler, sample_interval)
 
 
 def ofdm_modulate(grid: DelayDopplerGrid, sample_interval: float = 1.0) -> BasebandFrame:
@@ -247,16 +229,8 @@ def ofdm_modulate(grid: DelayDopplerGrid, sample_interval: float = 1.0) -> Baseb
     Sample ``l*N + n`` equals the same inverse-DFT value as the OTFS frame's
     sample ``n*M + l``; only the interleaving differs.  No cyclic prefix.
     """
-    if not (sample_interval > 0):
-        raise ValueError("sample_interval must be positive")
-    time_rows = _row_inverse_dft(grid.entries)
-    samples = time_rows.ravel(order="C")  # index l*N + n
-    return BasebandFrame(
-        samples=samples,
-        sample_interval=sample_interval,
-        num_delay=grid.num_delay,
-        num_doppler=grid.num_doppler,
-    )
+    rows = _otfs_frames(grid.entries[:, None])  # row l: grid row l as a one-delay-bin OTFS frame
+    return BasebandFrame(rows.reshape(1, -1), grid.num_delay, grid.num_doppler, sample_interval)
 
 
 def cep_ofdm_component(
@@ -268,37 +242,18 @@ def cep_ofdm_component(
     zero elsewhere, so ``sum_l cep_ofdm_component(X, l) == otfs_modulate(X)``
     holds exactly (each position has one non-zero summand).
     """
-    num_delay = grid.num_delay
-    if not 0 <= delay_index < num_delay:
-        raise IndexError(
-            f"delay_index must be in [0, {num_delay}), got {delay_index}"
-        )
-    frame = otfs_modulate(grid, sample_interval)
-    samples = np.zeros_like(frame.samples)
-    samples[delay_index::num_delay] = frame.samples[delay_index::num_delay]
-    return BasebandFrame(
-        samples=samples,
-        sample_interval=sample_interval,
-        num_delay=num_delay,
-        num_doppler=grid.num_doppler,
-    )
+    return cep_component_stream(otfs_modulate(grid, sample_interval), delay_index)
 
 
 def cep_component_stream(stream: FrameStream, delay_index: int) -> FrameStream:
-    """Per-frame CEP component of an OTFS stream (samples off the comb zeroed)."""
+    """Per-frame CEP component of an OTFS stream (samples off the comb zeroed), of the stream's type."""
     if not 0 <= delay_index < stream.num_delay:
         raise IndexError(
             f"delay_index must be in [0, {stream.num_delay}), got {delay_index}"
         )
     frames = np.zeros_like(stream.frames)
     frames[:, delay_index :: stream.num_delay] = stream.frames[:, delay_index :: stream.num_delay]
-    return FrameStream(
-        frames=frames,
-        num_delay=stream.num_delay,
-        num_doppler=stream.num_doppler,
-        sample_interval=stream.sample_interval,
-        seed=stream.seed,
-    )
+    return replace(stream, frames=frames)
 
 
 def constellation_points(name: str) -> np.ndarray:
@@ -356,8 +311,7 @@ def _chunked_frames(
         for lo in range(0, count, block_frames):
             frames = min(block_frames, count - lo)
             symbols = draw(rng, frames)
-            time_rows = _row_inverse_dft(to_grid(symbols))  # (F, M, N)
-            yield symbols, time_rows.transpose(0, 2, 1).reshape(frames, -1)  # n*M + l layout
+            yield symbols, _otfs_frames(to_grid(symbols))
 
 
 def stream_chunks(

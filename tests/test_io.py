@@ -110,6 +110,38 @@ def test_malformed_frame_stream_body_names_the_file(tmp_path, body, message):
     assert str(path) in str(err.value)
 
 
+_GOOD_HEADER = {"num_delay": "2", "num_doppler": "3", "sample_interval": "1.0", "num_frames": "1"}
+
+
+def _six_sample_stream_file(path, header):
+    path.write_text("".join(f"# {key}={value}\n" for key, value in header.items()) + "re,im\n" + "0.5,1\n" * 6)
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, changes",
+    [("num_delay", {"num_delay": "-2", "num_doppler": "-3"}),  # -2 * -3 = 6 samples, as the body holds
+     ("num_delay", {"num_delay": "0"}), ("num_doppler", {"num_doppler": "0"}), ("num_frames", {"num_frames": "0"}),
+     ("num_doppler", {"num_doppler": "-3"}), ("num_delay", {"num_delay": "2.0"}),
+     ("num_doppler", {"num_doppler": "x"}), ("num_frames", {"num_frames": "1.5"}),
+     ("sample_interval", {"sample_interval": "0"}), ("sample_interval", {"sample_interval": "-1.0"}),
+     ("sample_interval", {"sample_interval": "nan"}), ("sample_interval", {"sample_interval": "inf"}),
+     ("sample_interval", {"sample_interval": "abc"}), ("seed", {"seed": "x"}), ("seed", {"seed": "1.5"})],
+)
+def test_malformed_frame_stream_header_names_the_file_and_the_field(tmp_path, field, changes):
+    """Zero, negative and non-integer dims, a bad interval or a bad seed are refused, never made a stream."""
+    path = _six_sample_stream_file(tmp_path / "s.csv", {**_GOOD_HEADER, **changes})
+    with pytest.raises(ConfigurationError, match=f"header field {field} must be") as err:
+        read_frame_stream(path)
+    assert str(path) in str(err.value)
+
+
+def test_frame_stream_header_seed_is_optional(tmp_path):
+    assert read_frame_stream(_six_sample_stream_file(tmp_path / "a.csv", _GOOD_HEADER)).seed is None
+    assert read_frame_stream(_six_sample_stream_file(tmp_path / "b.csv", {**_GOOD_HEADER, "seed": "None"})).seed is None
+    assert read_frame_stream(_six_sample_stream_file(tmp_path / "c.csv", {**_GOOD_HEADER, "seed": "7"})).seed == 7
+
+
 def _write_peak_bytes(path, frames):
     stream = generate_random_stream(VarianceProfile(np.ones((8, 64))), num_frames=frames, seed=0)
     tracemalloc.start()

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfspectrum import presets
+from otfspectrum import presets, waveform
 from otfspectrum.io import load_mask, read_metrics, read_psd_curve
 
 from otfspectrum.errors import ConfigurationError, SystematicInfeasibleError
@@ -22,7 +22,15 @@ from otfspectrum.precoding import (
     systematic_precoder,
 )
 from otfspectrum.presets import precoded_stream, preset_config
-from otfspectrum.waveform import _CHUNK_FRAMES, CONSTELLATIONS, DelayDopplerGrid, dft_matrix, otfs_modulate
+from otfspectrum.waveform import (
+    _CHUNK_FRAMES,
+    CONSTELLATIONS,
+    DelayDopplerGrid,
+    VarianceProfile,
+    dft_matrix,
+    generate_random_stream,
+    otfs_modulate,
+)
 
 LTE_RATE = 30.72e6
 
@@ -63,6 +71,17 @@ def test_spectrum_stride_equals_subcarrier_transform():
     for k in range(n_dim):
         transform = subcarrier_transform(k, m_dim, n_dim)
         assert_allclose(spec[k::n_dim], transform @ grid.entries[:, k], atol=1e-12)
+
+
+def test_discrete_spectrum_of_a_stream_is_one_spectrum_per_frame():
+    stream = generate_random_stream(VarianceProfile.uniform(3, 4), 5, seed=2)
+    spectra = discrete_spectrum(stream)
+    assert spectra.shape == (5, 12)
+    for i in range(5):
+        assert_array_equal(spectra[i], discrete_spectrum(stream.frame(i)))
+        assert_array_equal(spectra[i], discrete_spectrum(stream.frames[i]))
+    assert discrete_spectrum(stream.frame(-1)).shape == (12,)  # one frame keeps its 1-D spectrum
+    assert_array_equal(discrete_spectrum(stream.frames), spectra)
 
 
 def test_subcarrier_transform_is_unitary():
@@ -375,6 +394,18 @@ def _nslp_run(outdir, swap):
     with mock.patch.object(presets, "build_precoders", lambda mask, form: swap(build_precoders(mask, form))):
         presets.run_scenario(config, outdir)
     return {record["metric"]: record["value"] for record in read_metrics(outdir / "lte_nslp_metrics.json")}
+
+
+def test_nslp_files_do_not_depend_on_the_frame_block(tmp_path):
+    """One-frame blocks (each spectrum block a single row) write the bytes of the default blocks."""
+    config = preset_config(
+        "lte-otfs-nslp", {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 5}}
+    )
+    presets.run_scenario(config, tmp_path / "default")
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 1):
+        presets.run_scenario(config, tmp_path / "single")
+    for name in ("lte_nslp_psd.csv", "lte_nslp_metrics.json", "lte_nslp_precoders.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
 
 
 def test_nslp_suppression_of_exact_nulls_is_the_same_on_both_synthesis_paths(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from otfspectrum.waveform import (
     _CHUNK_FRAMES,
     _QPSK,
     _chunk_rng,
+    _chunked_frames,
     _draw_grid_symbols,
     cep_component_stream,
     cep_ofdm_component,
@@ -379,6 +381,61 @@ def test_frame_stream_accessors():
 def test_frame_stream_shape_mismatch():
     with pytest.raises(ValueError):
         FrameStream(frames=np.ones((2, 5)), num_delay=2, num_doppler=3, sample_interval=1.0)
+
+
+def test_frame_stream_refuses_an_empty_dimension():
+    with pytest.raises(ValueError, match="dimensions"):
+        FrameStream(frames=np.ones((2, 0)), num_delay=0, num_doppler=3, sample_interval=1.0)
+
+
+def test_a_baseband_frame_is_one_row():
+    with pytest.raises(ValueError, match="one row"):
+        BasebandFrame(frames=np.ones((2, 6)), num_delay=2, num_doppler=3, sample_interval=1.0)
+    frame = BasebandFrame(frames=np.arange(6.0)[None], num_delay=2, num_doppler=3, sample_interval=1.0)
+    assert frame.num_samples == 6 and np.shares_memory(frame.samples, frame.frames)
+
+
+def test_a_modulated_frame_is_a_one_row_stream():
+    frame = otfs_modulate(DelayDopplerGrid(np.ones((2, 3))), sample_interval=0.5)
+    assert isinstance(frame, FrameStream) and frame.frames.shape == (1, 6)
+    assert frame.num_frames == 1 and frame.sample_interval == 0.5 and frame.seed is None
+    assert isinstance(cep_component_stream(frame, 1), BasebandFrame)  # the component keeps the type
+
+
+@pytest.mark.parametrize("index", [0, 2, -1, -3])
+def test_stream_frame_is_a_view_of_its_row(index):
+    stream = generate_random_stream(VarianceProfile.uniform(2, 3), 3, seed=4, sample_interval=0.25)
+    frame = stream.frame(index)
+    assert np.shares_memory(frame.frames, stream.frames)
+    assert_array_equal(frame.samples, stream.frames[index])
+    assert (frame.num_delay, frame.num_doppler, frame.sample_interval, frame.seed) == (2, 3, 0.25, 4)
+
+
+@given(
+    delays=st.integers(1, 8),
+    dopplers=st.integers(1, 8),
+    sample_interval=st.floats(1e-9, 1e3),
+    block_frames=st.integers(1, 6),
+    extra_frames=st.integers(1, 13),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stream_frames_are_the_otfs_frames_of_their_grids(
+    delays, dopplers, sample_interval, block_frames, extra_frames, seed
+):
+    """One layout: each frame of a multi-block draw is ``otfs_modulate`` of its grid, bit for bit."""
+    sigma = np.sqrt(np.arange(1.0, delays * dopplers + 1).reshape(delays, dopplers))
+    draw = partial(_draw_grid_symbols, sigma=sigma, points=_QPSK)
+    num_frames = block_frames + extra_frames  # at least two blocks
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block_frames * delays * dopplers):
+        blocks = list(_chunked_frames(num_frames, seed, draw, delays * dopplers))
+    assert len(blocks) >= 2 and sum(len(frames) for _, frames in blocks) == num_frames
+    for symbols, frames in blocks:
+        stream = FrameStream(frames, delays, dopplers, sample_interval, seed)
+        components = [cep_component_stream(stream, l) for l in range(delays)]
+        for i, grid in enumerate(map(DelayDopplerGrid, symbols)):
+            assert_array_equal(otfs_modulate(grid, sample_interval).samples, frames[i])
+            for l, component in enumerate(components):
+                assert_array_equal(cep_ofdm_component(grid, l, sample_interval).samples, component.frames[i])
 
 
 def test_partial_chunk_draw_is_the_prefix_of_a_full_chunk_draw():
