@@ -52,62 +52,44 @@ __all__ = [
 
 
 class _BlockDac:
-    """``reconstruct`` of a stream pushed in frame blocks, from time zero on.
+    """The truncated sinc's ``reconstruct`` of a stream pushed in frame blocks, from time zero on.
 
-    Only the truncated sinc goes through here: the memoryless filters are
-    estimated from the symbol-rate stream (``_streamed_estimates``).  Each
-    pushed block is reconstructed on its own (overlap-add block
-    convolution, Crochiere & Rabiner, 1983).  What a block rings past its
-    end (the ``2*order*L`` sinc tail) is overlap-added onto the next block,
-    the samples before time zero (the ``order*L`` pre-ring) are dropped
-    once, and ``flush`` returns the final tail up to the stream's end (the
-    post-ring after it is dropped too).  The pushed and flushed samples
-    concatenate to the stream's span
-    ``reconstruct(whole_stream).samples[order*L : order*L + n*L]`` up to
-    rounding.
+    Overlap-save block convolution (Crochiere & Rabiner, 1983).  The DAC
+    holds a copy of the last ``2*order`` input samples (the history).  Each
+    push reconstructs the history and the block as one window and returns
+    the dense samples not yet returned whose ``2*order`` taps all lie
+    inside the window; the ``order*L`` pre-ring samples before time zero
+    are never returned.  ``flush`` reconstructs the history alone and
+    returns the samples up to the stream's end, without the post-ring
+    after it.  Each returned sample is summed from the same inputs in the
+    same order as in the one-shot reconstruction, so the pieces
+    concatenate to ``reconstruct(whole_stream).samples[order*L : order*L +
+    n*L]`` bit for bit.  A window shorter than the ``2*order`` taps returns
+    nothing and becomes the history, because ``np.convolve`` would swap its
+    arguments and round its sums differently.
     """
 
     def __init__(self, filt: InterpolationFilter, oversampling: int) -> None:
         self.filt = filt
         self.oversampling = oversampling
-        self.tail = np.zeros(0, dtype=np.complex128)
-        self.skip: Optional[int] = None
-        self.ring: Optional[int] = None
+        self.order = int(filt.order)
+        self.history = np.zeros(0, dtype=np.complex128)
+        self.start = self.order  # leading window samples whose dense rows are dropped or already returned
 
     def push(self, block: FrameStream) -> np.ndarray:
-        signal = reconstruct(block, self.filt, self.oversampling)
-        dense = signal.samples
-        dense[: self.tail.size] += self.tail
-        body = block.frames.size * self.oversampling
-        # Keep a view, not a copy, although it pins the whole reconstruction
-        # until the next push: on a 2048-frame 16x128 sinc estimate (L=2,
-        # order 50), copying the tail so each block is freed early took
-        # 0.62 s against 0.43-0.55 s and 3.7 times the minor page faults
-        # (37 k against 9.9 k), to save 2 MB of peak RSS (56.7 against 58.7 MB).
-        self.tail = dense[body:]
-        if self.skip is None:
-            self.skip = self.ring = int(round(-signal.origin_time * signal.sample_rate))
-        drop = min(self.skip, body)
-        self.skip -= drop
-        return dense[drop:body]
+        window = np.concatenate([self.history, block.frames.ravel()])
+        taps = 2 * self.order
+        if window.size < taps:
+            self.history = window
+            return window[:0]
+        self.history = window[-taps:].copy()
+        dense = reconstruct(window, self.filt, self.oversampling).samples
+        start, self.start = self.start, taps
+        return dense[start * self.oversampling : window.size * self.oversampling]
 
     def flush(self) -> np.ndarray:
-        # The tail starts ``ring`` samples before the stream's end.
-        return self.tail[self.skip : self.ring]
-
-
-class _HeldFrames:
-    """``_BlockDac``'s stand-in for the memoryless filters: a block's frames, as they are.
-
-    They go to a ``hold=L`` averager, which applies the DAC in the
-    frequency domain; nothing rings past a block, so there is no tail.
-    """
-
-    def push(self, block: FrameStream) -> np.ndarray:
-        return block.frames
-
-    def flush(self) -> np.ndarray:
-        return np.zeros(0, dtype=np.complex128)
+        dense = reconstruct(self.history, self.filt, self.oversampling).samples
+        return dense[self.start * self.oversampling : (self.history.size + self.order) * self.oversampling]
 
 
 def _streamed_estimates(
@@ -134,21 +116,23 @@ def _streamed_estimates(
       applies the zero-order hold's response once, to the accumulated
       sum, and no dense sample is built;
     * the truncated sinc rings across blocks, so each block is pushed
-      through the view's ``_BlockDac`` and every DAC's tail is flushed at
-      the end.
+      through the view's ``_BlockDac`` and every DAC is flushed at the
+      end.
 
-    Memory is bounded by one block (one reconstruction, for the sinc) per
-    view, not by ``num_frames``; a memoryless block holds at least the
-    symbols of a dense block at L = 4.  The estimate is that of
+    Memory is bounded by one block, not by ``num_frames``: between blocks
+    a view holds only its averager and, for the sinc, its DAC's last
+    ``2*order`` input samples, so only the view being pushed holds a
+    reconstruction.  A memoryless block holds at least the symbols of a
+    dense block at L = 4.  The estimate is that of
     ``periodogram(reconstruct(view))``, the stream's span without the
-    truncated sinc's pre- and post-ring: bit for bit for dirac_delta, to
-    rounding for rect and the sinc.
+    truncated sinc's pre- and post-ring: bit for bit for dirac_delta and
+    the sinc, to rounding for rect (whose dense DFTs are never taken).
     """
     oversampling = check_reconstruction(filt, oversampling, sample_interval)
     segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
     rate = oversampling / sample_interval
     sinc = filt.kind == "truncated_sinc"
-    dacs = [_BlockDac(filt, oversampling) if sinc else _HeldFrames() for _ in views]
+    dacs = [_BlockDac(filt, oversampling) for _ in views] if sinc else []
     averagers = [PeriodogramAverager(segment_len, rate, hold=1 if sinc else oversampling) for _ in views]
     # A memoryless DAC builds no dense sample, so its blocks need not shrink with L: they keep
     # the 2**16 symbols of a dense block at L = 4 (at L = 64 a 16x128 dense block is 2 frames).
@@ -156,8 +140,9 @@ def _streamed_estimates(
     for block in stream_chunks(
         profile, num_frames, seed, sample_interval, constellation, oversampling=block_oversampling
     ):
-        for l, dac, averager in zip(views, dacs, averagers):
-            averager.add(dac.push(block if l is None else cep_component_stream(block, l)))
+        for i, l in enumerate(views):
+            view = block if l is None else cep_component_stream(block, l)
+            averagers[i].add(dacs[i].push(view) if sinc else view.frames)
     for dac, averager in zip(dacs, averagers):
         averager.add(dac.flush())
     return [averager.result() for averager in averagers]
@@ -178,7 +163,8 @@ def estimated_psd(
     The one-view case of ``_streamed_estimates`` (the CEP split adds the
     M component views): memory is bounded by the frame block, and the
     estimate is that of
-    ``periodogram(reconstruct(generate_random_stream(...)))``.
+    ``periodogram(reconstruct(generate_random_stream(...)))``, bit for bit
+    for dirac_delta and the truncated sinc, to rounding for rect.
     """
     (curve,) = _streamed_estimates(
         profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames, constellation
@@ -211,7 +197,7 @@ def _cep_split(
 
     One pass of ``_streamed_estimates`` over the stream and its M component
     views: each frame block feeds M+1 averagers (for the sinc through M+1
-    ``_BlockDac``s, which hold one reconstruction each).  Returns the
+    ``_BlockDac``s, which keep no reconstruction between pushes).  Returns the
     whole-stream curve, the component curves, their sum, and the
     NMSE/cosine of the sum against the whole over the Nyquist band.
     """

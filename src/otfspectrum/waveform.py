@@ -209,7 +209,9 @@ class BasebandFrame(FrameStream):
 
 def _otfs_frames(grids: np.ndarray) -> np.ndarray:
     """``(F, M, N)`` grids as ``(F, M*N)`` OTFS frames: sample ``n*M + l`` is row l's inverse DFT at n."""
-    return np.fft.ifft(grids, axis=-1, norm="ortho").transpose(0, 2, 1).reshape(len(grids), -1)
+    frames = np.empty((grids.shape[0], grids.shape[2], grids.shape[1]), dtype=np.complex128)
+    np.fft.ifft(grids, axis=-1, norm="ortho", out=frames.transpose(0, 2, 1))  # written in (F, N, M) layout
+    return frames.reshape(len(grids), -1)
 
 
 def otfs_modulate(grid: DelayDopplerGrid, sample_interval: float = 1.0) -> BasebandFrame:

@@ -3,22 +3,24 @@
 ``estimated_psd`` and the CEP split feed each frame block of the stream
 (and of its CEP component views) to one averager per view.  For the
 truncated sinc the block goes through one ``presets._BlockDac`` per view,
-which overlap-adds the sinc's ring across block and chunk boundaries; the
-memoryless filters feed the symbol-rate frames to a ``hold=L`` averager
-and build no dense samples.  Each estimate must be that of the whole view
-reconstructed at once: bit for bit for the Dirac, to rounding for rect
-(whose dense DFTs are never taken) and the sinc, and bit for bit under
-any frame blocking.  Memory must stay flat in the frame count, the CEP
-split must hold one reconstruction per view, no more, and rect must not
-grow with L.
+which reconstructs it overlap-save, together with the last ``2*order``
+input samples before it; the memoryless filters feed the symbol-rate
+frames to a ``hold=L`` averager and build no dense samples.  Each estimate
+must be that of the whole view reconstructed at once: bit for bit for the
+Dirac and the sinc, to rounding for rect (whose dense DFTs are never
+taken), and bit for bit under any frame blocking.  Memory must stay flat
+in the frame count, a DAC must keep no reconstruction between pushes, the
+CEP split must peak within two dense blocks of the one-view estimate, and
+rect must not grow with L.
 """
 
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -60,11 +62,12 @@ def _one_shot(profile, frames, filt, oversampling, segment_frames, view=lambda s
     return periodogram(reconstruct(stream, filt, oversampling), segment_len)
 
 
-def _assert_matches_one_shot(streamed, one_shot, exact):
+def _assert_matches_one_shot(streamed, one_shot, kind):
+    """Bit for bit, except rect: its estimate never takes the dense DFTs, so it matches to rounding."""
     assert streamed.meta["num_segments"] == one_shot.meta["num_segments"]
     assert_array_equal(streamed.freqs, one_shot.freqs)
-    if exact:
-        assert_array_equal(streamed.values, one_shot.values)
+    if kind != "rect":
+        assert streamed.values.tobytes() == one_shot.values.tobytes()
     else:
         error = np.abs(streamed.values - one_shot.values).max() / one_shot.values.max()
         assert error <= 1e-12
@@ -80,34 +83,43 @@ def test_streamed_estimate_equals_one_shot(case, kind):
         assert frames > waveform._BLOCK_SAMPLES // per_frame
     streamed = estimated_psd(profile, frames, SEED, 1.0, filt, oversampling, segment_frames)
     one_shot = _one_shot(profile, frames, filt, oversampling, segment_frames)
-    _assert_matches_one_shot(streamed, one_shot, exact=kind == "dirac_delta")
+    _assert_matches_one_shot(streamed, one_shot, kind)
 
 
+@settings(max_examples=20)
 @given(
     delays=st.integers(1, 3),
     dopplers=st.integers(1, 4),
     frames=st.integers(1, 40),
     oversampling=st.integers(1, 8),
+    order=st.integers(1, 40),
     segment_frames=st.integers(1, 3),
     block=st.integers(1, 300),
 )
 def test_memoryless_estimate_is_bit_identical_for_any_block_size(
-    delays, dopplers, frames, oversampling, segment_frames, block
+    delays, dopplers, frames, oversampling, order, segment_frames, block
 ):
-    """Rect at any L, and its CEP split, give the same bits for every ``_BLOCK_SAMPLES``."""
-    if frames < segment_frames:
-        frames = segment_frames
+    """Each filter at any L, and its CEP split, give the same bits for every ``_BLOCK_SAMPLES``.
+
+    Rect, the Dirac and the sinc of ``order``, whose ``2*order`` taps may
+    span many blocks of a few samples each.  Every view also matches its
+    one-shot estimate.
+    """
+    frames = max(frames, segment_frames)
     profile = VarianceProfile.uniform(delays, dopplers)
-    filt = InterpolationFilter.rect(1.0)
-    args = (profile, frames, SEED, 1.0, filt, oversampling, segment_frames, "qpsk")
     views = (None, *range(delays))
-    whole = presets._streamed_estimates(*args, views=views)
-    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
-        blocked = presets._streamed_estimates(*args, views=views)
-    for a, b in zip(whole, blocked):
-        assert a.meta == b.meta
-        assert_array_equal(a.values, b.values)
-    _assert_matches_one_shot(whole[0], _one_shot(profile, frames, filt, oversampling, segment_frames), False)
+    for kind in FILTERS:
+        filt = InterpolationFilter(kind, 1.0, order)
+        dense = 1 if kind == "dirac_delta" else oversampling
+        args = (profile, frames, SEED, 1.0, filt, dense, segment_frames, "qpsk")
+        whole = presets._streamed_estimates(*args, views=views)
+        with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
+            blocked = presets._streamed_estimates(*args, views=views)
+        for l, a, b in zip(views, whole, blocked):
+            assert a.meta == b.meta
+            assert a.values.tobytes() == b.values.tobytes()
+            view = (lambda stream: stream) if l is None else partial(cep_component_stream, delay_index=l)
+            _assert_matches_one_shot(b, _one_shot(profile, frames, filt, dense, segment_frames, view), kind)
 
 
 def test_streamed_sinc_drops_the_post_ring():
@@ -122,7 +134,7 @@ def test_streamed_sinc_drops_the_post_ring():
     streamed = estimated_psd(profile, 1000, SEED, 1.0, filt, 100)
     one_shot = _one_shot(profile, 1000, filt, 100, 1)
     assert streamed.meta["num_segments"] == 1000
-    _assert_matches_one_shot(streamed, one_shot, exact=False)
+    _assert_matches_one_shot(streamed, one_shot, "truncated_sinc")
 
 
 @given(
@@ -136,7 +148,7 @@ def test_streamed_sinc_drops_the_post_ring():
 def test_pieces_concatenate_to_the_one_shot_reconstruction(
     delays, dopplers, frames, oversampling, order, block
 ):
-    """Any block size, down to blocks far shorter than the sinc's ring."""
+    """Any block size, down to blocks far shorter than the sinc's ring: the same bytes."""
     profile = VarianceProfile.uniform(delays, dopplers)
     filt = InterpolationFilter.truncated_sinc(1.0, order)
     dac = presets._BlockDac(filt, oversampling)
@@ -146,14 +158,19 @@ def test_pieces_concatenate_to_the_one_shot_reconstruction(
     whole = reconstruct(generate_random_stream(profile, frames, SEED, 1.0), filt, oversampling)
     ring = order * oversampling
     expected = whole.samples[ring : whole.samples.size - ring]  # from time zero to the stream's end
-    assert pieces.size == expected.size
-    assert np.abs(pieces - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert pieces.tobytes() == expected.tobytes()
 
 
-def test_block_dac_tail_is_a_view_of_the_last_reconstruction():
-    """The tail pins its reconstruction: a copied tail sextupled a long rect stream's page faults."""
+@pytest.mark.parametrize("block_samples", [3, 16, 200])
+def test_block_dac_keeps_only_its_history_between_pushes(block_samples):
+    """At most ``2*order`` input samples, sharing no memory with the block or its reconstruction.
+
+    Order 5 at L=2 takes 10 taps: 3 dense samples make one-frame blocks of 8
+    samples, and the first of them returns nothing.
+    """
     profile = VarianceProfile.uniform(2, 4)
-    dac = presets._BlockDac(InterpolationFilter.truncated_sinc(1.0, 4), 2)
+    order = 5
+    dac = presets._BlockDac(InterpolationFilter.truncated_sinc(1.0, order), 2)
     reconstructions = []
 
     def recording(*args):
@@ -161,13 +178,15 @@ def test_block_dac_tail_is_a_view_of_the_last_reconstruction():
         return reconstructions[-1]
 
     with mock.patch.object(presets, "reconstruct", recording), mock.patch.object(
-        waveform, "_BLOCK_SAMPLES", 16
+        waveform, "_BLOCK_SAMPLES", block_samples
     ):
-        for block in stream_chunks(profile, 3, SEED, 1.0, oversampling=2):
+        for block in stream_chunks(profile, 12, SEED, 1.0, oversampling=2):
             dac.push(block)
-            assert dac.tail.size == 2 * 4 * 2
-            assert np.shares_memory(dac.tail, reconstructions[-1].samples)
-    assert len(reconstructions) == 3
+            held = [value for value in vars(dac).values() if isinstance(value, np.ndarray)]
+            assert sum(array.size for array in held) <= 2 * order
+            for array in held:
+                assert not np.shares_memory(array, block.frames)
+                assert not any(np.shares_memory(array, r.samples) for r in reconstructions)
 
 
 def test_streamed_estimate_checks_the_filter_interval():
@@ -231,13 +250,12 @@ def test_streamed_cep_split_equals_one_shot(kind):
             CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling, 1, "qpsk"
         )
         assert metrics == cep_sum_match(CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling)
-    exact = kind == "dirac_delta"
-    _assert_matches_one_shot(whole, _one_shot(CEP_PROFILE, 4100, filt, oversampling, 1), exact)
+    _assert_matches_one_shot(whole, _one_shot(CEP_PROFILE, 4100, filt, oversampling, 1), kind)
     assert len(parts) == CEP_PROFILE.num_delay
     for l, part in enumerate(parts):
         view = lambda stream, l=l: cep_component_stream(stream, l)
         one_shot = _one_shot(CEP_PROFILE, 4100, filt, oversampling, 1, view)
-        _assert_matches_one_shot(part, one_shot, exact)
+        _assert_matches_one_shot(part, one_shot, kind)
     assert_array_equal(summed.values, parts[0].values + parts[1].values + parts[2].values)
 
 
@@ -249,8 +267,9 @@ def test_cep_sum_match_memory_does_not_grow_with_frames():
 def test_cep_split_holds_one_reconstruction_per_view():
     """16 delays, the truncated sinc at L=1: 2**18-sample dense blocks, eight of them.
 
-    Above the one-view estimate, the 17 views may hold at most 17 more
-    reconstructions: no view keeps a second block alive beside its DAC's.
+    Above the one-view estimate, the 17 views may hold at most 2 more dense
+    blocks: a DAC keeps no reconstruction between pushes, so only the view
+    being pushed holds one.
     """
     profile = VarianceProfile.uniform(16, 16)
     filt = InterpolationFilter.truncated_sinc(1.0, 1)
@@ -265,7 +284,7 @@ def test_cep_split_holds_one_reconstruction_per_view():
             tracemalloc.stop()
 
     extra = peak(cep_sum_match) - peak(estimated_psd)
-    assert extra <= (profile.num_delay + 1) * block_bytes
+    assert extra <= 2 * block_bytes
 
 
 def test_cep_views_copy_blocks_not_chunks():
