@@ -11,8 +11,9 @@ float took 0.8-1.5 us; the few values it cannot decide go to
 ``float.__repr__`` itself.  A large table (at least 64 row blocks of 4096
 rows per process, so never a PSD curve) is formatted by contiguous row
 range across processes, one per CPU, and the ranges are joined in order:
-the bytes are those one process would write.  Tables are read a row block
-at a time into one preallocated array.
+the bytes are those one process would write.  A table is read back by
+one pass over its header lines and one ``np.loadtxt`` call on the rest of
+the same open file, which gives back every double written, bit for bit.
 
 A JSON record (metric records, masks, the LTE bandwidth report, scenario
 manifests) is one JSON value with sorted keys, a two-space indent and a
@@ -23,7 +24,6 @@ Every file written by a scenario embeds the scenario's config hash.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -32,8 +32,9 @@ import signal
 import sys
 import tempfile
 import traceback
+import warnings
 from pathlib import Path
-from typing import IO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -200,55 +201,35 @@ def _write_table(
     return path
 
 
-#: Characters read at a time by ``_line_batches``: about 1600 two-float rows.
-_READ_CHARS = 1 << 16
+def _read_table(path: Union[str, Path], what: str, width: int, fmt: str) -> Tuple[Dict[str, str], np.ndarray]:
+    """The header fields and the ``(rows, width)`` float array of a CSV table in format ``fmt``.
 
-
-def _line_batches(path: Union[str, Path]) -> Iterator[List[str]]:
-    """The lines of a text file, split as ``str.splitlines`` splits its whole text, a list per read."""
-    with open(path) as handle:
-        carry = ""  # the start of a line cut by the end of a read
-        for text in iter(lambda: handle.read(_READ_CHARS), ""):
-            lines = (carry + text).splitlines()
-            carry = "" if text[-1].splitlines() == [""] else lines.pop()  # [""]: a line break
-            yield lines
-        yield [carry] if carry else []
-
-
-def _read_table(path: Union[str, Path], what: str, width: int) -> Tuple[Dict[str, str], np.ndarray]:
-    """The header fields and the ``(rows, width)`` float array of a CSV table.
-
-    The line after the header is the column-name row; blank lines are skipped.
-    An empty or ragged body, or a cell that is not a number, raises
-    ``ConfigurationError`` naming the file.  One pass counts and checks the
-    rows, a second parses them ``_ROW_BLOCK`` at a time into the array.
+    The line after the header is the column-name row; ``np.loadtxt`` parses
+    the rest of the open file, skipping blank lines.  A ``format`` field
+    other than ``fmt`` (a table need not have one), an empty or ragged body,
+    or a cell that is not a number raises ``ConfigurationError`` naming the file.
     """
     fields: Dict[str, str] = {}
-    skip = rows = ragged = 0
-    lines = itertools.chain.from_iterable(_line_batches(path))
-    for line in lines:
-        skip += 1
-        if not line.startswith("#"):
-            break  # the column-name row
-        key, equals, value = line[1:].partition("=")
-        if equals:
-            fields[key.strip()] = value.strip()
-    for line in filter(None, lines):
-        rows += 1
-        if not ragged and line.count(",") != width - 1:
-            ragged = rows
-    if not rows:
-        raise ConfigurationError(f"{what} file {path} holds no samples")
-    if ragged:
-        raise ConfigurationError(f"{what} file {path}: data row {ragged} does not hold {width} fields")
-    data = np.empty((rows, width))
-    body = filter(None, itertools.islice(itertools.chain.from_iterable(_line_batches(path)), skip, None))
     try:
-        for start in range(0, rows, _ROW_BLOCK):
-            cells = ",".join(itertools.islice(body, _ROW_BLOCK)).split(",")  # every row holds width cells
-            data[start : start + _ROW_BLOCK] = np.reshape(list(map(float, cells)), (-1, width))
-    except ValueError as err:
+        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+            for line in handle:
+                if not line.startswith("#"):
+                    break  # the column-name row
+                key, equals, value = line[1:].partition("=")
+                if equals:
+                    fields[key.strip()] = value.strip()
+            if fields.get("format", fmt) != fmt:
+                raise ConfigurationError(f"{what} file {path} holds format {fields['format']!r}, not {fmt!r}")
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data": refused below
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+    except ConfigurationError:
+        raise
+    except ValueError as err:  # bytes that are not UTF-8, a cell that is not a number, or a ragged row
         raise ConfigurationError(f"{what} file {path}: {err}") from None
+    if not data.size:
+        raise ConfigurationError(f"{what} file {path} holds no samples")
+    if data.shape[1] != width:  # every row holds as many fields as the first
+        raise ConfigurationError(f"{what} file {path}: data row 1 does not hold {width} fields")
     return fields, data
 
 
@@ -302,7 +283,7 @@ def _stream_field(fields: Dict[str, str], path: Union[str, Path], name: str, par
 
 
 def read_frame_stream(path: Union[str, Path]) -> FrameStream:
-    fields, data = _read_table(path, "frame-stream", 2)
+    fields, data = _read_table(path, "frame-stream", 2, "otfspectrum-framestream-v1")
     dims = ("num_delay", "num_doppler", "num_frames")
     num_delay, num_doppler, num_frames = (_stream_field(fields, path, name, int, POSITIVE_INT) for name in dims)
     sample_interval = _stream_field(fields, path, "sample_interval", float, POSITIVE_REAL)
@@ -341,14 +322,12 @@ def write_psd_curve(
 
 
 def read_psd_curve(path: Union[str, Path]) -> PsdCurve:
-    fields, data = _read_table(path, "PSD", 2)
+    fields, data = _read_table(path, "PSD", 2, "otfspectrum-psd-v1")
     meta: Dict[str, object] = {k: v for k, v in fields.items() if k not in ("format", "normalization")}
-    return PsdCurve(
-        freqs=data[:, 0],
-        values=data[:, 1],
-        normalization=fields.get("normalization", "absolute"),
-        meta=meta,
-    )
+    try:
+        return PsdCurve(data[:, 0], data[:, 1], fields.get("normalization", "absolute"), meta)
+    except ValueError as err:
+        raise ConfigurationError(f"PSD file {path}: {err}") from None
 
 
 def write_metrics(path: Union[str, Path], records: List[dict]) -> Path:

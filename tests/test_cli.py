@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -217,6 +219,25 @@ def test_run_presets_rejects_jobs_that_are_not_a_positive_integer(tmp_path, jobs
     with pytest.raises(ConfigurationError, match="jobs must be an integer >= 1"):
         run_presets(["example1"], tmp_path / "run", jobs=jobs)
     assert not (tmp_path / "run").exists()
+
+
+def _tree(root):
+    """Every file under ``root`` by relative path; the manifests, which hold output paths, with ``root`` masked."""
+    return {str(path.relative_to(root)): path.read_bytes().replace(str(root).encode(), b"<root>")
+            if path.name.endswith("_manifest.json") else path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_a_preset_pool_writes_the_bytes_of_one_process(tmp_path):
+    """``jobs=2`` runs the presets in a process pool: the same hashes, files and bytes as ``jobs=1``."""
+    names, overrides = ["example1", "lte-ofdm", "cep-split"], {"stream": {"num_frames": 8}}
+    serial = run_presets(names, tmp_path / "serial", jobs=1, overrides=overrides)
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", wraps=ProcessPoolExecutor) as pool:
+        pooled = run_presets(names, tmp_path / "pooled", jobs=2, overrides=overrides)
+    assert pool.call_args.kwargs == {"max_workers": 2}
+    assert pooled == serial
+    tree = _tree(tmp_path / "serial")
+    assert len(tree) == 15 and _tree(tmp_path / "pooled") == tree
 
 
 def test_scenario_single_preset_writes_manifest(tmp_path, capsys):

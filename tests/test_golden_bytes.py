@@ -141,6 +141,7 @@ def test_cep_convergence_scenario_gives_the_pinned_rows(tmp_path):
     """The scenario end to end, to rounding: the sinc DAC's arithmetic may move the last bits."""
     manifest = run_scenario(preset_config("cep-convergence"), tmp_path)
     assert manifest["config_hash"] == CEP_CONVERGENCE_HASH
-    header, table = fileio._read_table(manifest["files"]["table"], "convergence table", 3)
+    path = manifest["files"]["table"]
+    header, table = fileio._read_table(path, "convergence table", 3, "otfspectrum-convergence-v1")
     assert header["config_hash"] == CEP_CONVERGENCE_HASH
     assert_allclose(table, CEP_CONVERGENCE_ROWS, rtol=1e-12, atol=0)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -26,7 +26,7 @@ from otfspectrum.io import (
 )
 from otfspectrum.precoding import PrecoderSet, build_precoders, decompose_mask
 from otfspectrum.psd import PsdCurve
-from otfspectrum.waveform import VarianceProfile, generate_random_stream
+from otfspectrum.waveform import FrameStream, VarianceProfile, generate_random_stream
 
 
 def test_config_hash_is_order_insensitive_and_stable():
@@ -97,12 +97,14 @@ def test_frame_stream_missing_header(tmp_path):
 
 @pytest.mark.parametrize(
     "body, message",
-    [("", "holds no samples"), ("0.5\n", "row 1 does not hold 2 fields"), ("0.5,x\n", "could not convert"),
-     ("\n0.5,1\n\n0.5\n1,2,3\n", "row 2 does not hold 2 fields"), ("x,1\n0.5\n", "row 2 does not hold 2 fields")],
+    [("", "holds no samples"), ("0.5\n", "row 1 does not hold 2 fields"),
+     ("0.5,x\n", "could not convert string 'x' to float64 at row 0, column 2"),
+     ("\n0.5,1\n\n0.5\n1,2,3\n", "number of columns changed from 2 to 1 at row 2"),
+     ("x,1\n0.5\n", "could not convert string 'x' to float64 at row 0, column 1")],
 )
 def test_malformed_frame_stream_body_names_the_file(tmp_path, body, message):
-    """A header-only file, a one-field row and a cell that is not a number; the first ragged
-    row is named, counting no blank line, before any cell is parsed."""
+    """A header-only file, a one-field row and a cell that is not a number; numpy names the
+    first bad cell or ragged row in file order, counting no blank line."""
     path = tmp_path / "s.csv"
     path.write_text("# num_delay=1\n# num_doppler=1\n# sample_interval=1.0\n# num_frames=1\nre,im\n" + body)
     with pytest.raises(ConfigurationError, match=message) as err:
@@ -171,7 +173,7 @@ def _read_peak_bytes(path, frames):
 
 @pytest.mark.parametrize("frames", [32, 128])
 def test_frame_stream_reader_memory_is_the_array_plus_a_constant(tmp_path, frames):
-    """16384 and 65536 rows: the body is parsed a row block at a time into one array, not held as text."""
+    """16384 and 65536 rows: ``np.loadtxt`` parses the body into one array, never holding it as text."""
     peak, returned = _read_peak_bytes(tmp_path / "s.csv", frames)
     assert peak <= 2 * returned + 2**21
 
@@ -185,16 +187,30 @@ def test_frame_stream_reader_keeps_signed_zeros_and_infinities(tmp_path):
     assert samples.imag.tolist() == [np.inf, 0.0] and np.signbit(samples.imag[1])
 
 
+def _same_doubles(got, expected):
+    """Bit for bit, where any nan matches any nan."""
+    got, expected = np.ravel(got), np.ravel(expected)
+    nan = np.isnan(expected)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+#: Any double: hypothesis's floats (+-0, subnormals, +-inf, nan) and uniform random bit patterns.
+_DOUBLES = st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))))
+
+
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.text(alphabet="a,1\n\r\x0c\x1c\x85\u2028 "), read_chars=st.integers(1, 5))
-@example(text="a\r\nb\r\n\r\n", read_chars=2)
-def test_line_batches_split_as_splitlines_splits_the_whole_text(tmp_path, text, read_chars):
-    """Reads of a few characters cut lines, and pairs like \\r\\n, everywhere."""
-    path = tmp_path / "t.txt"
-    path.write_bytes(text.encode())
-    with mock.patch.object(fileio, "_READ_CHARS", read_chars):
-        lines = [line for batch in fileio._line_batches(path) for line in batch]
-    assert lines == path.read_text().splitlines()
+@given(samples=st.lists(st.tuples(_DOUBLES, _DOUBLES), min_size=1, max_size=12),
+       points=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=12, unique_by=lambda point: point[0]))
+def test_tables_read_back_every_double_bit_for_bit(tmp_path, samples, points):
+    """A frame stream of any doubles and a PSD curve of finite ones, written then read."""
+    parts = np.array(samples)
+    stream = FrameStream(parts.view(np.complex128).reshape(1, -1), 1, len(samples), 1.0)
+    assert _same_doubles(read_frame_stream(write_frame_stream(tmp_path / "s.csv", stream)).frames.view(float), parts)
+    freqs, values = np.array(sorted(points)).T
+    curve = read_psd_curve(write_psd_curve(tmp_path / "c.csv", PsdCurve(freqs, values)))
+    assert _same_doubles(curve.freqs, freqs) and _same_doubles(curve.values, values)
 
 
 def _split_table(path, block):
@@ -254,6 +270,36 @@ def test_psd_empty_file_rejected(tmp_path):
     path.write_text("# format=otfspectrum-psd-v1\nfreq_hz,psd_value\n")
     with pytest.raises(ConfigurationError, match="no samples"):
         read_psd_curve(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [(b"# normalization=weird\nfreq_hz,psd_value\n0,1\n", "unknown normalization 'weird'"),
+     (b"freq_hz,psd_value\n1,1\n0,1\n", "frequency grid must be strictly increasing"),
+     (b"freq_hz,psd_value\n0,1\n1,inf\n", "PSD values must be finite"),
+     (b"freq_hz,psd_value\n0,1\xff\n", "'utf-8' codec can't decode byte 0xff")],
+)
+def test_a_psd_file_that_is_no_curve_names_the_file(tmp_path, body, message):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"# format=otfspectrum-psd-v1\n" + body)
+    with pytest.raises(ConfigurationError, match=message) as err:
+        read_psd_curve(path)
+    assert str(path) in str(err.value)
+
+
+def test_a_table_of_another_format_is_refused(tmp_path):
+    """A frame stream read as a PSD curve, and back; a file without a format line is still read."""
+    stream = write_frame_stream(tmp_path / "s.csv", generate_random_stream(VarianceProfile(np.ones((1, 2))), 1, seed=4))
+    curve = write_psd_curve(tmp_path / "c.csv", PsdCurve(np.arange(2.0), np.ones(2)))
+    for read, path, what, found, expected in [
+        (read_psd_curve, stream, "PSD", "otfspectrum-framestream-v1", "otfspectrum-psd-v1"),
+        (read_frame_stream, curve, "frame-stream", "otfspectrum-psd-v1", "otfspectrum-framestream-v1"),
+    ]:
+        with pytest.raises(ConfigurationError) as err:
+            read(path)
+        assert str(err.value) == f"{what} file {path} holds format {found!r}, not {expected!r}"
+    curve.write_text(curve.read_text().replace("# format=otfspectrum-psd-v1\n", ""))
+    assert_array_equal(read_psd_curve(curve).values, np.ones(2))
 
 
 def test_metrics_roundtrip_and_validation(tmp_path):
