@@ -149,17 +149,10 @@ def _cmd_precode(args: argparse.Namespace) -> int:
     precoders = build_precoders(mask, config.precoder_form)
     path = fileio.write_precoder_set(args.out, precoders, {"config_hash": config.hash()})
     sizes = ",".join(str(s) for s in precoders.payload_sizes)
-    print(
-        f"wrote {len(precoders.matrices)} {config.precoder_form} precoders "
-        f"(payload sizes {sizes}) to {path}"
-    )
+    print(f"wrote {len(precoders.matrices)} {config.precoder_form} precoders (payload sizes {sizes}) to {path}")
     if args.stream_out:
         stream, _ = precoded_stream(
-            precoders,
-            config.num_frames,
-            config.seed,
-            config.sample_interval,
-            config.constellation,
+            precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
         )
         fileio.write_frame_stream(args.stream_out, stream, {"config_hash": config.hash()})
         print(f"wrote {stream.num_frames} precoded frames to {args.stream_out}")
@@ -283,7 +276,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystematicInfeasibleError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ConfigurationError, OSError, ValueError) as err:
+    except (ConfigurationError, OSError, ValueError, MemoryError) as err:  # MemoryError: a grid too large to hold
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -18,12 +18,14 @@ the same open file, which gives back every double written, bit for bit.
 A JSON record (metric records, masks, the LTE bandwidth report, scenario
 manifests) is one JSON value with sorted keys, a two-space indent and a
 final newline; a value that is not JSON is rejected, never stringified.
-Every file written by a scenario embeds the scenario's config hash.
+Every file a scenario writes embeds the scenario's config hash, except a
+mask (``write_mask``), which holds only the mask and its sample interval.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -205,14 +207,18 @@ def _read_table(path: Union[str, Path], what: str, width: int, fmt: str) -> Tupl
     """The header fields and the ``(rows, width)`` float array of a CSV table in format ``fmt``.
 
     The line after the header is the column-name row; ``np.loadtxt`` parses
-    the rest of the open file, skipping blank lines.  A ``format`` field
-    other than ``fmt`` (a table need not have one), an empty or ragged body,
-    or a cell that is not a number raises ``ConfigurationError`` naming the file.
+    the rest of the open file, skipping blank and ``#`` lines.  A ``format``
+    field other than ``fmt`` (a table need not have one), bytes that are not
+    UTF-8, an empty body, or a body line that is not ``width`` numbers raises
+    ``ConfigurationError`` naming the file, and the line by its number (from 1,
+    header included), which only a refused table is read again to find.
     """
     fields: Dict[str, str] = {}
+    names_line = 0
     try:
         with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
-            for line in handle:
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data": refused below
+            for names_line, line in enumerate(handle, 1):
                 if not line.startswith("#"):
                     break  # the column-name row
                 key, equals, value = line[1:].partition("=")
@@ -220,17 +226,29 @@ def _read_table(path: Union[str, Path], what: str, width: int, fmt: str) -> Tupl
                     fields[key.strip()] = value.strip()
             if fields.get("format", fmt) != fmt:
                 raise ConfigurationError(f"{what} file {path} holds format {fields['format']!r}, not {fmt!r}")
-            warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data": refused below
-            data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    except ConfigurationError:
-        raise
-    except ValueError as err:  # bytes that are not UTF-8, a cell that is not a number, or a ragged row
+            data = _rows(handle, width)
+            if data is None:  # the first refused block of the body, then its first refused line
+                handle.seek(0)
+                lines = enumerate(itertools.islice(handle, names_line, None), names_line + 1)
+                blocks = iter(lambda: list(itertools.islice(lines, _ROW_BLOCK)), [])
+                block = next(block for block in blocks if _rows([line for _, line in block], width) is None)
+                number, line = next((number, line) for number, line in block if _rows([line], width) is None)
+                refused = f"line {number}: {line.strip()[:80]!r} is not {width} comma-separated numbers"
+                raise ConfigurationError(f"{what} file {path}, {refused}")
+    except UnicodeDecodeError as err:  # found by the header pass or the search for a refused line
         raise ConfigurationError(f"{what} file {path}: {err}") from None
     if not data.size:
         raise ConfigurationError(f"{what} file {path} holds no samples")
-    if data.shape[1] != width:  # every row holds as many fields as the first
-        raise ConfigurationError(f"{what} file {path}: data row 1 does not hold {width} fields")
     return fields, data
+
+
+def _rows(lines: Iterable[str], width: int) -> Optional[np.ndarray]:
+    """``np.loadtxt`` of ``lines``; ``None`` if it refuses them or reads other than ``width`` columns."""
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError:  # a cell that is not a number, a ragged row, or bytes that are not UTF-8
+        return None
+    return data if not data.size or data.shape[1] == width else None
 
 
 def json_text(payload: object) -> str:

@@ -1,26 +1,23 @@
 """Discrete-spectrum shaping by per-subcarrier linear precoding.
 
 The unitary DFT of one OTFS frame splits by subcarrier: spectrum bin
-``m*N + k`` depends only on grid column ``k`` through an M x M unitary
-map (a DFT of size M times a unit-modulus diagonal).  Forcing a chosen
-set of spectrum bins to zero therefore reduces to N independent
-null-space problems, one per column: pick the payload-to-column precoder
-inside the null space of the forbidden rows.
+``m*N + k`` depends only on grid column k, through the M x M unitary map
+``T_k = subcarrier_transform(k)`` (a size-M DFT times a unit-modulus
+diagonal).  Nulling a set of bins is therefore N independent null-space
+problems: precode column k inside the null space of its masked rows.
 
-Two constructions are provided: ``nslp_precoder`` (conjugate-transposed
-kept rows times an optional mixing matrix - always feasible, orthonormal
-columns) and ``systematic_precoder`` (payload appears verbatim in the
-first entries of the column; needs an invertible leading block and is
-power-normalized afterwards, which preserves the nulls).
-
-The null-space form ``build_precoders`` makes has a closed form:
-``nslp_precoder(k)`` with the identity mixing is ``T_k[kept]^H`` for the
-unitary subcarrier transform ``T_k``, so a precoded frame's unitary spectrum
-is the payload itself, placed on the kept bins ``m*N + k`` in (k, then m)
-order, with exact zeros on the masked bins.  ``build_precoders`` records
-those bins, and ``presets.precoded_stream`` synthesizes such a set with one
-inverse FFT per frame instead of N matrix products; every other set goes
-through its matrices.
+A ``SpectrumMask`` holds one table, ``kept[k, m]``: bin ``m*N + k``
+carries payload.  Every precoder starts from one basis, the kept rows of
+``T_k`` conjugate-transposed (orthonormal columns, annihilated exactly by
+the masked rows).  ``nslp_precoder`` is that basis times an optional
+mixing matrix; ``systematic_precoder`` makes it ``[I; F2 @ inv(F1)]``,
+payload verbatim up front, then normalizes its power (which keeps the
+nulls).  ``build_precoders`` makes either form from one DFT and one phase
+table, bit for bit as those functions do.  With the identity mixing a
+frame's unitary spectrum is the payload on the kept bins (k, then m
+order): ``build_precoders`` records those bins, so ``precoded_stream``
+makes each frame with one inverse FFT, while every other set goes
+through its matrices, as ``precode_grid`` does.
 """
 
 from __future__ import annotations
@@ -70,10 +67,33 @@ def subcarrier_transform(subcarrier: int, num_delay: int, num_doppler: int) -> n
     """
     if not 0 <= subcarrier < num_doppler:
         raise IndexError(f"subcarrier must be in [0, {num_doppler}), got {subcarrier}")
-    total = num_delay * num_doppler
+    return dft_matrix(num_delay) * _phases(num_delay, num_doppler, subcarrier)
+
+
+def _phases(num_delay: int, num_doppler: int, subcarriers: Union[int, np.ndarray]) -> np.ndarray:
+    """The diagonal ``exp(-2j*pi*l*k/(M*N))`` over l, for a subcarrier k or a column of them."""
     l = np.arange(num_delay)
-    phase = np.exp(-2j * np.pi * l * subcarrier / total)
-    return dft_matrix(num_delay) * phase[None, :]
+    return np.exp(-2j * np.pi * l * subcarriers / (num_delay * num_doppler))
+
+
+def _kept_basis(dft: np.ndarray, phase: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The null-space basis: the kept rows of the subcarrier transform ``dft * phase``, conjugate-transposed.
+
+    The result is M x |J_k|.  The product is elementwise, so forming only
+    the kept rows gives the whole transform's kept rows, bit for bit.
+    """
+    return (dft[kept] * phase).conj().T
+
+
+def _subcarrier_basis(mask: SpectrumMask, subcarrier: int) -> np.ndarray:
+    """``_kept_basis`` of one subcarrier of ``mask``, from its own DFT and phase."""
+    kept = mask._kept_row(subcarrier)
+    return _kept_basis(dft_matrix(mask.num_delay), _phases(mask.num_delay, mask.num_doppler, subcarrier), kept)
+
+
+def _identity_mixed(base: np.ndarray) -> np.ndarray:
+    """``base`` times the identity, bit for bit (-0.0 parts become +0.0) without a BLAS call, which can stall."""
+    return base + 0j
 
 
 @dataclass(frozen=True)
@@ -83,15 +103,20 @@ class SpectrumMask:
     num_delay: int
     num_doppler: int
     null_bins: np.ndarray
+    #: ``kept[k, m]`` is true when bin ``m*N + k`` carries payload (read-only, N x M).
+    kept: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_delay < 1 or self.num_doppler < 1:
             raise ValueError("grid dimensions must be >= 1")
         bins = np.unique(np.asarray(self.null_bins, dtype=np.int64))
-        total = self.num_delay * self.num_doppler
-        if bins.size and (bins[0] < 0 or bins[-1] >= total):
-            raise ValueError(f"null bins must lie in [0, {total}), got range [{bins[0]}, {bins[-1]}]")
+        if bins.size and (bins[0] < 0 or bins[-1] >= self.num_bins):
+            raise ValueError(f"null bins must lie in [0, {self.num_bins}), got range [{bins[0]}, {bins[-1]}]")
         object.__setattr__(self, "null_bins", bins)
+        kept = np.ones((self.num_doppler, self.num_delay), dtype=bool)
+        kept[bins % self.num_doppler, bins // self.num_doppler] = False
+        kept.flags.writeable = False
+        object.__setattr__(self, "kept", kept)
 
     @property
     def num_bins(self) -> int:
@@ -99,19 +124,20 @@ class SpectrumMask:
 
     def nulled_rows(self, subcarrier: int) -> np.ndarray:
         """Ascending spectral row indices m with bin m*N + k nulled."""
-        if not 0 <= subcarrier < self.num_doppler:
-            raise IndexError(f"subcarrier must be in [0, {self.num_doppler}), got {subcarrier}")
-        mine = self.null_bins[self.null_bins % self.num_doppler == subcarrier]
-        return (mine // self.num_doppler).astype(np.int64)
+        return np.flatnonzero(~self._kept_row(subcarrier))
 
     def kept_rows(self, subcarrier: int) -> np.ndarray:
         """Ascending spectral row indices that stay usable for payload."""
-        nulled = self.nulled_rows(subcarrier)
-        return np.setdiff1d(np.arange(self.num_delay, dtype=np.int64), nulled)
+        return np.flatnonzero(self._kept_row(subcarrier))
 
     def payload_sizes(self) -> np.ndarray:
         """Usable dimensions |J_k| per subcarrier."""
-        return np.array([self.kept_rows(k).size for k in range(self.num_doppler)], dtype=np.int64)
+        return self.kept.sum(axis=1, dtype=np.int64)
+
+    def _kept_row(self, subcarrier: int) -> np.ndarray:
+        if not 0 <= subcarrier < self.num_doppler:
+            raise IndexError(f"subcarrier must be in [0, {self.num_doppler}), got {subcarrier}")
+        return self.kept[subcarrier]
 
 
 def decompose_mask(null_bins: Sequence[int], num_delay: int, num_doppler: int) -> SpectrumMask:
@@ -120,10 +146,7 @@ def decompose_mask(null_bins: Sequence[int], num_delay: int, num_doppler: int) -
 
 
 def mask_from_pass_bands(
-    pass_bands_hz: Sequence[Tuple[float, float]],
-    num_delay: int,
-    num_doppler: int,
-    sample_interval: float,
+    pass_bands_hz: Sequence[Tuple[float, float]], num_delay: int, num_doppler: int, sample_interval: float
 ) -> SpectrumMask:
     """Mask every spectrum bin whose center frequency falls in no pass band.
 
@@ -135,8 +158,7 @@ def mask_from_pass_bands(
         raise ConfigurationError("sample_interval must be positive")
     total = num_delay * num_doppler
     spacing = 1.0 / (total * sample_interval)
-    half = total // 2
-    centered = np.arange(total) - half  # grid index relative to DC
+    centered = np.arange(total) - total // 2  # grid index relative to DC
     passed = np.zeros(total, dtype=bool)
     for lo_hz, hi_hz in pass_bands_hz:
         if not (hi_hz > lo_hz):
@@ -145,16 +167,10 @@ def mask_from_pass_bands(
         with np.errstate(over="ignore"):
             lo, hi = np.clip(np.ceil(np.array([lo_hz, hi_hz]) / spacing - 0.5), -total, total)
         passed |= (centered >= lo) & (centered < hi)
-    null_centered = centered[~passed]
-    null_natural = np.mod(null_centered, total)
-    return SpectrumMask(num_delay=num_delay, num_doppler=num_doppler, null_bins=null_natural)
+    return SpectrumMask(num_delay=num_delay, num_doppler=num_doppler, null_bins=np.mod(centered[~passed], total))
 
 
-def nslp_precoder(
-    subcarrier: int,
-    mask: SpectrumMask,
-    mixing: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def nslp_precoder(subcarrier: int, mask: SpectrumMask, mixing: Optional[np.ndarray] = None) -> np.ndarray:
     """Null-space precoder for one subcarrier: M x |J_k|, orthonormal columns.
 
     The precoder is the conjugate transpose of the kept rows of the
@@ -164,24 +180,22 @@ def nslp_precoder(
     ``trace(P^H P)`` equals the payload dimension.  An empty payload
     (every row masked) yields the valid M x 0 precoder.
     """
-    transform = subcarrier_transform(subcarrier, mask.num_delay, mask.num_doppler)
-    kept = mask.kept_rows(subcarrier)
-    base = transform[kept].conj().T  # M x |J_k|
+    base = _subcarrier_basis(mask, subcarrier)
+    payload_dim = base.shape[1]
     if mixing is None:
-        mixing = np.eye(kept.size)
-    else:
-        mixing = np.asarray(mixing, dtype=np.complex128)
-        if mixing.ndim != 2 or mixing.shape[0] != kept.size:
-            raise ConfigurationError(
-                f"mixing matrix must have {kept.size} rows for subcarrier {subcarrier}, "
-                f"got shape {mixing.shape}"
-            )
-        gram_trace = float(np.trace(mixing.conj().T @ mixing).real)
-        if not np.isclose(gram_trace, kept.size, rtol=1e-9, atol=1e-9):
-            raise ConfigurationError(
-                f"mixing matrix power must equal the payload dimension {kept.size}, "
-                f"got trace(U^H U) = {gram_trace!r}"
-            )
+        return _identity_mixed(base)
+    mixing = np.asarray(mixing, dtype=np.complex128)
+    if mixing.ndim != 2 or mixing.shape[0] != payload_dim:
+        raise ConfigurationError(
+            f"mixing matrix must have {payload_dim} rows for subcarrier {subcarrier}, "
+            f"got shape {mixing.shape}"
+        )
+    gram_trace = float(np.trace(mixing.conj().T @ mixing).real)
+    if not np.isclose(gram_trace, payload_dim, rtol=1e-9, atol=1e-9):
+        raise ConfigurationError(
+            f"mixing matrix power must equal the payload dimension {payload_dim}, "
+            f"got trace(U^H U) = {gram_trace!r}"
+        )
     return base @ mixing
 
 
@@ -193,14 +207,15 @@ def systematic_precoder(subcarrier: int, mask: SpectrumMask) -> np.ndarray:
     (scaling cannot break the nulls).  Raises SystematicInfeasibleError
     when the leading block is simply too ill-conditioned to invert.
     """
-    transform = subcarrier_transform(subcarrier, mask.num_delay, mask.num_doppler)
-    kept = mask.kept_rows(subcarrier)
-    payload_dim = kept.size
-    base = transform[kept].conj().T  # M x |J_k|
+    return _systematic(_subcarrier_basis(mask, subcarrier), subcarrier)
+
+
+def _systematic(base: np.ndarray, subcarrier: int) -> np.ndarray:
+    """The systematic form of one subcarrier's null-space basis."""
+    payload_dim = base.shape[1]
     if payload_dim == 0:
         return base  # M x 0, nothing to invert
-    lead = base[:payload_dim]
-    tail = base[payload_dim:]
+    lead, tail = base[:payload_dim], base[payload_dim:]
     cond = np.linalg.cond(lead)
     if not np.isfinite(cond) or cond > SYSTEMATIC_COND_LIMIT:
         raise SystematicInfeasibleError(
@@ -231,10 +246,9 @@ class PrecoderSet:
     def __post_init__(self) -> None:
         if self.form not in PRECODER_FORMS:
             raise ValueError(f"unknown precoder form {self.form!r}")
-        if len(self.matrices) != self.mask.num_doppler:
-            raise ValueError(
-                f"need one precoder per subcarrier ({self.mask.num_doppler}), got {len(self.matrices)}"
-            )
+        num_doppler = self.mask.num_doppler
+        if len(self.matrices) != num_doppler:
+            raise ValueError(f"need one precoder per subcarrier ({num_doppler}), got {len(self.matrices)}")
         object.__setattr__(self, "matrices", tuple(np.asarray(m, dtype=np.complex128) for m in self.matrices))
 
     @property
@@ -249,42 +263,22 @@ class PrecoderSet:
 def build_precoders(mask: SpectrumMask, form: str = "null_space") -> PrecoderSet:
     """Construct the per-subcarrier precoders for a whole mask.
 
-    The null-space form also records its ``spectral_bins``, which lets
+    Each matrix is the one ``nslp_precoder(k, mask)`` or
+    ``systematic_precoder(k, mask)`` returns, bit for bit: the same basis
+    and phase helpers, applied to one DFT and one phase table.  The
+    null-space form also records its ``spectral_bins``, which lets
     ``precoded_stream`` synthesize it in closed form.
     """
-    if form == "null_space":
-        return _identity_null_space_precoders(mask)
-    if form != "systematic":
+    if form not in PRECODER_FORMS:
         raise ConfigurationError(f"unknown precoder form {form!r}")
-    mats = [systematic_precoder(k, mask) for k in range(mask.num_doppler)]
-    return PrecoderSet(mask=mask, form=form, matrices=tuple(mats))
-
-
-def _identity_null_space_precoders(mask: SpectrumMask) -> PrecoderSet:
-    """``nslp_precoder(k, mask)`` for every k, bit for bit, from one DFT and one phase table.
-
-    The kept rows come from one pass over the null set.  Each matrix is
-    formed with the same elementwise operations as ``subcarrier_transform``.
-    ``nslp_precoder``'s trailing product with the identity turns every -0.0
-    part into +0.0 and leaves every other value as it is; adding ``0j`` does
-    the same without a BLAS call.  With OpenBLAS on two threads, the 512
-    products of the 64x512 set sometimes took 1.0-1.1 s instead of 0.03 s
-    as the first build in a fresh process.
-    """
-    num_delay, num_doppler, total = mask.num_delay, mask.num_doppler, mask.num_bins
-    kept = np.ones((num_doppler, num_delay), dtype=bool)  # [k, m]: bin m*N + k is usable
-    kept[mask.null_bins % num_doppler, mask.null_bins // num_doppler] = False
-    dft = dft_matrix(num_delay)
-    l, k = np.arange(num_delay), np.arange(num_doppler)[:, None]
-    phases = np.exp(-2j * np.pi * l * k / total)  # row k: subcarrier_transform's phase
-    matrices = []
-    for subcarrier in range(num_doppler):
-        rows = np.flatnonzero(kept[subcarrier])
-        base = (dft[rows] * phases[subcarrier]).conj().T  # M x |J_k|
-        matrices.append(base + 0j)
-    precoders = PrecoderSet(mask=mask, form="null_space", matrices=tuple(matrices))
-    subcarrier, row = np.nonzero(kept)  # in (subcarrier, then row) order: the payload's
-    object.__setattr__(precoders, "spectral_bins", row * num_doppler + subcarrier)
+    dft = dft_matrix(mask.num_delay)
+    phases = _phases(mask.num_delay, mask.num_doppler, np.arange(mask.num_doppler)[:, None])
+    bases = (_kept_basis(dft, phases[k], mask.kept[k]) for k in range(mask.num_doppler))  # each finished in turn
+    if form == "systematic":
+        return PrecoderSet(mask, form, tuple(_systematic(base, k) for k, base in enumerate(bases)))
+    precoders = PrecoderSet(mask, form, tuple(map(_identity_mixed, bases)))
+    subcarrier, row = np.nonzero(mask.kept)  # in (subcarrier, then row) order: the payload's
+    object.__setattr__(precoders, "spectral_bins", row * mask.num_doppler + subcarrier)
     return precoders
 
 
@@ -292,20 +286,31 @@ def precode_grid(payloads: Sequence[np.ndarray], precoders: PrecoderSet) -> Dela
     """Map per-subcarrier payload vectors through the precoders into a grid.
 
     ``payloads[k]`` must have length equal to the subcarrier's payload
-    dimension (possibly 0); column k of the result is ``P_k @ payloads[k]``.
+    dimension (possibly 0); column k of the result is ``P_k @ payloads[k]``,
+    computed as a one-frame block of a precoded stream's matrix synthesis.
+    """
+    num_doppler = precoders.mask.num_doppler
+    if len(payloads) != num_doppler:
+        raise ConfigurationError(f"need one payload vector per subcarrier ({num_doppler}), got {len(payloads)}")
+    vectors = [np.asarray(payload, dtype=np.complex128).ravel() for payload in payloads]
+    for k, (vector, size) in enumerate(zip(vectors, precoders.payload_sizes)):
+        if vector.size != size:
+            raise ConfigurationError(f"subcarrier {k} expects a payload of length {size}, got {vector.size}")
+    return DelayDopplerGrid(_precode_rows(precoders, np.concatenate(vectors)[None, :])[0])
+
+
+def _precode_rows(precoders: PrecoderSet, payload: np.ndarray) -> np.ndarray:
+    """Grids (frames x M x N) of payload rows (frames x total payload) through the precoder matrices.
+
+    A one-row product takes BLAS's matrix-vector path, which rounds
+    differently from the matrix-matrix path of longer blocks: a lone frame
+    is padded with a zero row, so every frame is computed alike whatever
+    block it falls in, and a precoded stream stays prefix-stable.
     """
     mask = precoders.mask
-    if len(payloads) != mask.num_doppler:
-        raise ConfigurationError(
-            f"need one payload vector per subcarrier ({mask.num_doppler}), got {len(payloads)}"
-        )
-    entries = np.zeros((mask.num_delay, mask.num_doppler), dtype=np.complex128)
-    for k, (payload, matrix) in enumerate(zip(payloads, precoders.matrices)):
-        payload = np.asarray(payload, dtype=np.complex128).ravel()
-        if payload.size != matrix.shape[1]:
-            raise ConfigurationError(
-                f"subcarrier {k} expects a payload of length {matrix.shape[1]}, got {payload.size}"
-            )
-        if payload.size:
-            entries[:, k] = matrix @ payload
-    return DelayDopplerGrid(entries)
+    offsets = np.concatenate([[0], np.cumsum(precoders.payload_sizes)])
+    rows = payload if len(payload) > 1 else np.vstack([payload, np.zeros_like(payload)])
+    entries = np.zeros((len(rows), mask.num_delay, mask.num_doppler), dtype=np.complex128)
+    for k, matrix in enumerate(precoders.matrices):
+        entries[:, :, k] = rows[:, offsets[k] : offsets[k + 1]] @ matrix.T
+    return entries[: len(payload)]

@@ -5,7 +5,7 @@ that writes PSD curves (CSV) and metric records (JSON) sufficient to
 re-plot the experiment, and with the config keys that runner reads: a
 preset refuses any other given key (``config`` routes them).  Rerunning
 a preset with the same configuration reproduces the files byte for
-byte, and every file embeds the configuration hash.
+byte, and every file but a written mask embeds the configuration hash.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from . import io as fileio
-# CONFIG_KEYS and _in_read_set are only re-exported, for the callers that import them from here.
-from .config import CONFIG_KEYS, ScenarioConfig, _deep_merge, _in_read_set, _routed_configs
+from .config import ScenarioConfig, _deep_merge, _routed_configs
 from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction, reconstruct
 from .errors import ConfigurationError
 from .estimate import PeriodogramAverager, compare_curves
-from .precoding import PrecoderSet, build_precoders, discrete_spectrum
+from .precoding import PrecoderSet, _precode_rows, build_precoders, discrete_spectrum
 from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
     FrameStream,
@@ -223,28 +222,15 @@ def _precoded_blocks(
     follow the same fixed-chunk Philox indexing as plain stream generation.
     A set with ``spectral_bins`` is synthesized in closed form: the payload
     placed on those bins is the frame's unitary spectrum, so one inverse FFT
-    makes the frame.  Any other set goes through its matrices.
+    makes the frame.  Any other set goes through its matrices
+    (``precoding._precode_rows``).
     """
     if num_frames < 1:
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
     mask = precoders.mask
-    sizes = precoders.payload_sizes
-    total = int(sizes.sum())
+    total = precoders.total_payload
     if total == 0:
         raise ConfigurationError("the mask leaves no payload dimensions at all")
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def through_matrices(payload: np.ndarray) -> np.ndarray:
-        # A one-row product takes BLAS's matrix-vector path, which rounds
-        # differently from the matrix-matrix path of longer blocks: pad a lone
-        # frame with a zero row, so every frame is computed alike whatever
-        # block it falls in, and the stream stays prefix-stable.
-        rows = payload if len(payload) > 1 else np.vstack([payload, np.zeros_like(payload)])
-        entries = np.zeros((len(rows), mask.num_delay, mask.num_doppler), dtype=np.complex128)
-        for k, matrix in enumerate(precoders.matrices):
-            if matrix.shape[1]:
-                entries[:, :, k] = rows[:, offsets[k] : offsets[k + 1]] @ matrix.T
-        return entries[: len(payload)]
 
     def scattered(payload: np.ndarray) -> np.ndarray:
         # The spectra as one-row grids: OTFS-modulating a 1 x MN grid is the
@@ -253,7 +239,7 @@ def _precoded_blocks(
         spectra[:, 0, precoders.spectral_bins] = payload
         return spectra
 
-    to_grid = through_matrices if precoders.spectral_bins is None else scattered
+    to_grid = partial(_precode_rows, precoders) if precoders.spectral_bins is None else scattered
     points = constellation_points(constellation)
     draw = lambda rng, count: _draw_symbols(rng, (count, total), points)
     for payload, frames in _chunked_frames(num_frames, seed, draw, mask.num_bins, to_grid):
@@ -425,21 +411,16 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     curve = averager.result()
     # Periodogram bins are exactly the spectrum bins (segment = one frame):
     # shift the natural-order null set onto the centered grid, as the averager does.
-    nulled = np.zeros(mask.num_bins, dtype=bool)
-    nulled[mask.null_bins] = True
-    nulled_centered = np.fft.fftshift(nulled)
+    nulled_centered = np.fft.fftshift(~mask.kept.T.ravel())  # natural order: bin m*N + k
     in_mean = float(curve.values[~nulled_centered].mean())
     out_max = float(curve.values[nulled_centered].max(initial=0.0))
     ratio = in_mean / out_max if out_max > 0.0 else np.inf
     suppression_db = min(float(10 * np.log10(ratio)), _SUPPRESSION_CEILING_DB)
 
+    header = {"config_hash": cfg_hash}
     files = {
         "psd": str(_write_curve(outdir, "lte_nslp_psd.csv", curve, cfg_hash)),
-        "precoders": str(
-            fileio.write_precoder_set(
-                outdir / "lte_nslp_precoders.csv", precoders, {"config_hash": cfg_hash}
-            )
-        ),
+        "precoders": str(fileio.write_precoder_set(outdir / "lte_nslp_precoders.csv", precoders, header)),
         "mask": str(fileio.write_mask(outdir / "lte_nslp_mask.json", mask, config.sample_interval)),
     }
     metrics = fileio.metric_records(

@@ -175,6 +175,20 @@ def test_precode_with_mask_file(tmp_path, capsys):
     assert np.max(np.abs(spectra[:, [2, 6]])) < 1e-12
 
 
+@pytest.mark.parametrize("source", [{"null_bins": [1]}, {"pass_bands_hz": [[-0.25, 0.25]], "T_s": 1.0}])
+def test_a_mask_file_too_large_to_hold_is_exit_2(tmp_path, capsys, source):
+    """numpy refuses the 1e18-bin mask before allocating anything; the run ends in exit 2, not a traceback."""
+    mask_file = tmp_path / "mask.json"
+    mask_file.write_text(json.dumps({"M": 10**9, "N": 10**9, **source}))
+    code = run(
+        "precode", "--seed", 1, "--num-delay", 2, "--num-doppler", 4,
+        "--sample-interval", 1.0, "--mask-file", mask_file, "--out", tmp_path / "p.csv",
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_systematic_infeasible_exit_code(tmp_path, capsys):
     mask_file = tmp_path / "mask.json"
     mask_file.write_text(json.dumps({

@@ -97,19 +97,31 @@ def test_frame_stream_missing_header(tmp_path):
 
 @pytest.mark.parametrize(
     "body, message",
-    [("", "holds no samples"), ("0.5\n", "row 1 does not hold 2 fields"),
-     ("0.5,x\n", "could not convert string 'x' to float64 at row 0, column 2"),
-     ("\n0.5,1\n\n0.5\n1,2,3\n", "number of columns changed from 2 to 1 at row 2"),
-     ("x,1\n0.5\n", "could not convert string 'x' to float64 at row 0, column 1")],
+    [("", "holds no samples"),
+     ("0.5\n", "line 6: '0.5' is not 2 comma-separated numbers"),
+     ("0.5,x\n", "line 6: '0.5,x' is not 2 comma-separated numbers"),
+     ("\n0.5,1\n\n0.5\n1,2,3\n", "line 9: '0.5' is not 2 comma-separated numbers"),
+     ("x,1\n0.5\n", "line 6: 'x,1' is not 2 comma-separated numbers"),
+     ("1,2,3\n1,2,3\n", "line 6: '1,2,3' is not 2 comma-separated numbers")],
 )
 def test_malformed_frame_stream_body_names_the_file(tmp_path, body, message):
-    """A header-only file, a one-field row and a cell that is not a number; numpy names the
-    first bad cell or ragged row in file order, counting no blank line."""
+    """A header-only file, a short or wide row and a cell that is not a number: the message names
+    the first bad line by its number in the file, counting the header, blank and ``#`` lines."""
     path = tmp_path / "s.csv"
     path.write_text("# num_delay=1\n# num_doppler=1\n# sample_interval=1.0\n# num_frames=1\nre,im\n" + body)
     with pytest.raises(ConfigurationError, match=message) as err:
         read_frame_stream(path)
     assert str(path) in str(err.value)
+
+
+def test_a_bad_row_deep_in_the_body_is_named_by_its_file_line(tmp_path):
+    """Past the first row block, after blank, ``#`` and commented lines: lines 6-5005 and 5009-5018 are good."""
+    body = "0.5,1\n" * 5000 + "\n\n# a note\n" + "0.5,1 # a note\n" * 10 + "\n0.5,y\n0.5\n"
+    path = tmp_path / "s.csv"
+    path.write_text("# num_delay=1\n# num_doppler=1\n# sample_interval=1.0\n# num_frames=5010\nre,im\n" + body)
+    with pytest.raises(ConfigurationError) as err:
+        read_frame_stream(path)
+    assert str(err.value) == f"frame-stream file {path}, line 5020: '0.5,y' is not 2 comma-separated numbers"
 
 
 _GOOD_HEADER = {"num_delay": "2", "num_doppler": "3", "sample_interval": "1.0", "num_frames": "1"}

@@ -12,6 +12,7 @@ from otfspectrum.io import load_mask, read_metrics, read_psd_curve
 from otfspectrum.errors import ConfigurationError, SystematicInfeasibleError
 from otfspectrum.precoding import (
     PrecoderSet,
+    _precode_rows,
     build_precoders,
     decompose_mask,
     discrete_spectrum,
@@ -384,6 +385,57 @@ def test_closed_form_synthesis_matches_the_matrix_path(mask, frames, seed, const
     doubled = PrecoderSet(mask=mask, form="null_space", matrices=[2 * m for m in built.matrices])
     assert_array_equal(precoded_stream(doubled, frames, seed, constellation=constellation)[0].frames,
                        2 * reference.frames)
+
+
+def _oracle_rows(mask, k):
+    """The nulled and kept rows of subcarrier k by filtering the null bins, as ``SpectrumMask`` once did."""
+    mine = mask.null_bins[mask.null_bins % mask.num_doppler == k]
+    nulled = (mine // mask.num_doppler).astype(np.int64)
+    return nulled, np.setdiff1d(np.arange(mask.num_delay, dtype=np.int64), nulled)
+
+
+def _built_or_refused(build, *args):
+    try:
+        return build(*args)
+    except SystematicInfeasibleError:
+        return SystematicInfeasibleError
+
+
+#: Rows 0-31 of subcarrier 0 on a 64x2 grid: the systematic form refuses subcarrier 0, so the whole set.
+_CLUSTERED = decompose_mask([2 * m for m in range(32)], 64, 2)
+
+
+@example(mask=_CLUSTERED, frames=2, seed=0)
+@given(mask=_masks(), frames=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_the_kept_table_and_the_set_builder_agree_with_the_per_subcarrier_definitions(mask, frames, seed):
+    """The one kept table, the spectral bins, both set forms and ``precode_grid``, against their definitions."""
+    subcarriers = range(mask.num_doppler)
+    oracle = [_oracle_rows(mask, k) for k in subcarriers]
+    for k, (nulled, kept) in enumerate(oracle):
+        assert_array_equal(mask.nulled_rows(k), nulled)
+        assert_array_equal(mask.kept_rows(k), kept)
+        assert_array_equal(mask.kept[k], np.isin(np.arange(mask.num_delay), kept))
+    assert_array_equal(mask.payload_sizes(), [kept.size for _, kept in oracle])
+    null_space = build_precoders(mask, "null_space")
+    payload_bins = [m * mask.num_doppler + k for k, (_, kept) in enumerate(oracle) for m in kept]
+    assert_array_equal(null_space.spectral_bins, payload_bins)
+    for k in subcarriers:
+        assert _same_bits(null_space.matrices[k], nslp_precoder(k, mask))
+    # The systematic set is refused exactly when some subcarrier is refused alone.
+    alone = [_built_or_refused(systematic_precoder, k, mask) for k in subcarriers]
+    systematic = _built_or_refused(build_precoders, mask, "systematic")
+    refused = systematic is SystematicInfeasibleError
+    assert refused == any(matrix is SystematicInfeasibleError for matrix in alone)
+    for k in subcarriers if not refused else ():
+        assert _same_bits(systematic.matrices[k], alone[k])
+    # precode_grid is the one-frame case of the block synthesis: each frame of a block, bit for bit.
+    rng = np.random.default_rng(seed)
+    for precoders in [null_space] + ([] if refused else [systematic]):
+        shape = (frames, precoders.total_payload)
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        offsets = np.cumsum(precoders.payload_sizes)[:-1]
+        for row, grid in zip(rows, _precode_rows(precoders, rows)):
+            assert _same_bits(precode_grid(np.split(row, offsets), precoders).entries, grid)
 
 
 def _nslp_run(outdir, swap):

@@ -23,13 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfspectrum.cli import _PRECODE_DEFAULTS, _load, _reads, build_parser, main
-from otfspectrum.config import ScenarioConfig, _deep_merge
+from otfspectrum.config import CONFIG_KEYS, ScenarioConfig, _deep_merge, _in_read_set
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.presets import (
-    CONFIG_KEYS,
     PRESETS,
     _RUN_KEYS,
-    _in_read_set,
     _preset_configs,
     preset_config,
     run_presets,
