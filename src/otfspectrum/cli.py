@@ -147,13 +147,13 @@ def _cmd_precode(args: argparse.Namespace) -> int:
     if mask is None:
         raise ConfigurationError("precode needs a mask (config 'mask' section or --mask-file)")
     precoders = build_precoders(mask, config.precoder_form)
+    # The stream first: a stream the precoders cannot make is refused before any file is written.
+    stream_args = (config.num_frames, config.seed, config.sample_interval, config.constellation)
+    stream = precoded_stream(precoders, *stream_args)[0] if args.stream_out else None
     path = fileio.write_precoder_set(args.out, precoders, {"config_hash": config.hash()})
     sizes = ",".join(str(s) for s in precoders.payload_sizes)
     print(f"wrote {len(precoders.matrices)} {config.precoder_form} precoders (payload sizes {sizes}) to {path}")
-    if args.stream_out:
-        stream, _ = precoded_stream(
-            precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
-        )
+    if stream is not None:
         fileio.write_frame_stream(args.stream_out, stream, {"config_hash": config.hash()})
         print(f"wrote {stream.num_frames} precoded frames to {args.stream_out}")
     return 0

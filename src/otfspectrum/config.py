@@ -227,13 +227,13 @@ class ScenarioConfig:
         if self.mask_spec is None:
             return None
         if "path" in self.mask_spec:
-            mask = fileio.load_mask(self.mask_spec["path"])
-            if (mask.num_delay, mask.num_doppler) != (self.num_delay, self.num_doppler):
+            spec = fileio._mask_spec(self.mask_spec["path"])
+            if (spec["num_delay"], spec["num_doppler"]) != (self.num_delay, self.num_doppler):
                 raise ConfigurationError(
-                    f"mask file grid {mask.num_delay}x{mask.num_doppler} does not match "
+                    f"mask file grid {spec['num_delay']}x{spec['num_doppler']} does not match "
                     f"scenario grid {self.num_delay}x{self.num_doppler}"
                 )
-            return mask
+            return fileio.load_mask(spec)
         spec = dict(self.mask_spec, num_delay=self.num_delay, num_doppler=self.num_doppler)
         return fileio.load_mask(dict(spec, sample_interval=self.sample_interval))
 

@@ -22,11 +22,11 @@ are estimated from:
 * ``rect`` - zero-order hold (each sample repeated L times), response
   |sinc(f*T)|^2, which is 3.92 dB down at half the sample rate.
 
-The two memoryless filters need no dense samples to be estimated:
-``estimate.PeriodogramAverager`` with ``hold=L`` takes the symbol-rate
-stream and applies the hold's response to the accumulated periodogram,
-exactly in discrete time (``hold=1`` for the Dirac).  Both that path and
-``reconstruct`` validate their arguments with ``check_reconstruction``.
+No filter needs dense samples to be estimated: ``estimate.PeriodogramAverager``
+takes the symbol-rate stream, with ``hold=L`` and the sinc's ``order``, and
+gets each segment's dense DFT from symbol-rate DFTs, exactly in discrete
+time.  ``reconstruct`` is the time-domain path and the estimates' test
+oracle; both check their arguments with ``check_reconstruction``.
 """
 
 from __future__ import annotations
@@ -231,11 +231,13 @@ def reconstruct(
     dense = np.zeros(samples.size * oversampling + 2 * order * oversampling, dtype=np.complex128)
     if samples.size:  # np.convolve rejects an empty input; its reconstruction is all zeros
         dense[order * oversampling :: oversampling][: samples.size] = samples
+        # Contiguous once: np.convolve would copy each strided part once per phase.
+        real, imag = samples.real.copy(), samples.imag.copy()
         for phase in range(1, oversampling):
             taps = kernel[phase::oversampling]
             out = dense[phase::oversampling][: samples.size + taps.size - 1]
-            out.real = np.convolve(samples.real, taps)
-            out.imag = np.convolve(samples.imag, taps)
+            out.real = np.convolve(real, taps)
+            out.imag = np.convolve(imag, taps)
     return OversampledSignal(
         samples=dense,
         sample_rate=rate,

@@ -3,12 +3,9 @@
 The estimator is a plain averaged periodogram: non-overlapping
 rectangular-window segments, per-segment ``|DFT|^2 / (segment_len * rate)``,
 arithmetic mean across segments, grid shifted to ``[-rate/2, rate/2)``.
-A zero-order-held stream (each sample repeated ``hold`` times) is
-estimated from its un-held samples: the DFT of a held segment of
-``S*hold`` samples is ``X[k mod S] * sum_{p<hold} exp(-2j*pi*k*p/(S*hold))``,
-with X the S-point DFT of the segment's underlying samples (Oppenheim &
-Schafer, *Discrete-Time Signal Processing*, DFT of an interpolated
-sequence), so only S-point DFTs are taken.
+A DAC's output is estimated from its symbol-rate input through the DFT of
+an interpolated sequence (Oppenheim & Schafer, *Discrete-Time Signal
+Processing*), with a short edge correction for the truncated sinc.
 Comparisons against analytic curves are done after peak-one normalization
 of both curves over a common (optionally band-restricted) grid.
 """
@@ -16,11 +13,11 @@ of both curves over a common (optionally band-restricted) grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dac import OversampledSignal, _stream_samples
+from .dac import OversampledSignal, _stream_samples, sinc_kernel
 from .psd import PsdCurve
 from .waveform import FrameStream
 
@@ -38,11 +35,10 @@ __all__ = [
 #: Reported when two curves are numerically identical (the true value is -inf).
 NMSE_FLOOR_DB = -300.0
 
-#: Samples per batch of segment spectra in ``PeriodogramAverager.add``.  A batch's
-#: spectra and rows take 24 bytes a sample, 1.5 MB here.  With 2**20, a 2**18-sample
-#: sinc block's add took 6 MB of them, malloc trimmed the heap after every block,
-#: and a 2048-frame 16x128 sinc estimate at L=2 faulted 59 k pages against 7 k.
-_BATCH_SAMPLES = 2**16
+#: DFT bins per batch of segments in ``PeriodogramAverager``.  Its buffers are kept between
+#: batches, so the heap is not trimmed and faulted in again: 24 bytes a bin for the hold, 64
+#: for the sinc at L=2, whose 2048-frame 16x128 estimate faults 3.9-7.6 k pages at 2**14-2**20.
+_BATCH_SAMPLES = 2**14
 
 
 def _signal_parts(signal: Union[OversampledSignal, FrameStream, np.ndarray], sample_rate: Optional[float]):
@@ -96,93 +92,152 @@ def periodogram(
 
 
 class PeriodogramAverager:
-    """Running averaged periodogram for streams processed in chunks.
+    """Running averaged periodogram of a DAC's output, for streams processed in chunks.
 
-    Chunks are concatenated logically: leftover samples that do not fill a
-    segment are carried into the next ``add`` call.  Segment spectra are
-    taken in batches of about ``_BATCH_SAMPLES`` samples, and each batch is
-    folded in by one axis-0 sum whose row 0 is the running total.  That sum
-    adds the rows strictly in order, so every chunking of the same sample
-    stream performs the identical sequence of additions and the result is
-    bit-identical to the one-shot ``periodogram`` (which is this class fed
-    a single chunk).
+    ``add`` takes the DAC's input samples, concatenated logically across
+    calls; a segment of ``segment_len`` outputs (n = ``segment_len // hold``
+    inputs) is folded in once its inputs are there, and the rest waits in a
+    carry.  Spectra are taken in batches of about ``_BATCH_SAMPLES`` bins,
+    and each batch is folded in by one axis-0 sum whose row 0 is the running
+    total: rows are added strictly in order, so any chunking gives the bits
+    of the one-shot ``periodogram``.
 
-    With ``hold > 1`` the estimate is that of the stream with every added
-    sample held ``hold`` times (a zero-order-hold DAC), on the same dense
-    grid of ``segment_len`` bins, which must be a multiple of ``hold``:
-    ``add`` takes the un-held samples and accumulates ``|DFT|^2`` of
-    segments of ``segment_len // hold`` of them, and ``result`` tiles the
-    sum ``hold`` times and multiplies it once by the hold's squared
-    Dirichlet response ``|fft(ones(hold), segment_len)|^2``.  With
-    ``hold == 1`` that response is exactly 1.
+    With ``order == 0`` the DAC is the zero-order hold of ``hold`` outputs
+    per input (the Dirac at 1): ``add`` sums the n-point ``|DFT|^2``, and
+    ``result`` tiles the sum ``hold`` times and multiplies it once by
+    ``|fft(ones(hold), segment_len)|^2``.  With ``order >= 1`` it is
+    ``reconstruct``'s sinc at oversampling ``hold``, from time zero to the end.
+    A segment's S-point DFT (S = n*hold) is ``X[q mod n] * G[q] + E[q]``: X
+    is the n-point DFT of its inputs and G the DFT of the taps folded modulo
+    S, the reconstruction of the inputs repeated periodically; E is the DFT
+    of the ``2*order`` inputs just outside the segment (zeros outside the
+    stream) minus the repeats standing in for them, through the taps that
+    reach into it.  Moving the time origin ``order*hold`` samples back, a
+    phase common to both terms, puts that correction in the first
+    ``min(S, 2*order*hold)`` samples.
     """
 
-    def __init__(self, segment_len: int, sample_rate: float, hold: int = 1) -> None:
+    def __init__(self, segment_len: int, sample_rate: float, hold: int = 1, order: int = 0) -> None:
         if segment_len < 1:
             raise ValueError(f"segment_len must be >= 1, got {segment_len}")
         if not (sample_rate > 0):
             raise ValueError("sample_rate must be positive")
         if int(hold) != hold or hold < 1 or segment_len % hold:
             raise ValueError(f"hold must be an integer >= 1 dividing segment_len {segment_len}, got {hold}")
-        self.segment_len = int(segment_len)
-        self.sample_rate = float(sample_rate)
-        self.hold = int(hold)
-        self._len = self.segment_len // self.hold  # samples added per segment
-        self._acc = np.zeros(self._len)
-        self._carry = np.empty(0, dtype=np.complex128)
+        if int(order) != order or order < 0:
+            raise ValueError(f"order must be an integer >= 0, got {order}")
+        self.segment_len, self.sample_rate = int(segment_len), float(sample_rate)
+        self.hold, self.order = int(hold), int(order)
+        n = self._len = self.segment_len // self.hold  # inputs per segment
+        self._acc = np.zeros(self.segment_len if order else n)
+        self._carry = np.zeros(self.order, dtype=np.complex128)  # the history before time zero
+        self._scratch: dict = {}
         self.num_segments = 0
+        if order:
+            kernel, bins = sinc_kernel(self.hold, self.order), self.segment_len
+            self._kernel_dft = np.fft.fft(np.bincount(np.arange(kernel.size) % bins, kernel, bins))
+            # Inputs i < 0 and i >= n, as window columns, and the repeats x[i mod n] standing in for them.
+            outside = np.concatenate([np.arange(-order, 0), n + np.arange(order)])
+            self._outside, self._repeats = order + outside, order + outside % n
+            # Correction column c is output t = (c - order*hold) mod S, which input i reaches
+            # through tap order*hold + t - hold*i, if there is one.
+            self._edge_cols = min(bins, 2 * order * hold)
+            t = (np.arange(self._edge_cols) - order * hold) % bins
+            taps = order * hold + t - hold * outside[:, None]
+            reach = (taps >= 0) & (taps < kernel.size)
+            self._edge_taps = np.where(reach, kernel[np.where(reach, taps, 0)], 0.0).T.copy()
 
     def add(self, samples: np.ndarray) -> None:
         samples = np.asarray(samples, dtype=np.complex128).ravel()
-        if self._carry.size:
-            # Complete the pending segment from the head of the new samples
-            # and fold it first, so the rest is segmented in place, uncopied.
-            head = self._len - self._carry.size
-            self._carry = np.concatenate([self._carry, samples[:head]])
-            samples = samples[head:]
-            if self._carry.size < self._len:
-                return
-            self._fold(self._carry.reshape(1, self._len))
-        full = samples.size // self._len
-        self._fold(samples[: full * self._len].reshape(full, self._len))
-        self._carry = samples[full * self._len :].copy()
+        carry, n, edge = self._carry, self._len, 2 * self.order
+        count = max(0, (carry.size + samples.size - edge) // n)  # segments with all their inputs
+        # Those whose window starts in the carry are folded from a short copy, the rest in place.
+        head = min(count, -(-carry.size // n))
+        if head:
+            self._fold(np.concatenate([carry, samples[: head * n + edge - carry.size]]), head, self._acc)
+        if count > head:
+            self._fold(samples[head * n - carry.size : count * n + edge - carry.size], count - head, self._acc)
+        rest = count * n - carry.size
+        self._carry = samples[rest:].copy() if rest >= 0 else np.concatenate([carry[count * n :], samples])
+        self.num_segments += count
 
-    def _fold(self, segs: np.ndarray) -> None:
-        """Add the ``|DFT|^2`` of each row of ``segs`` to the sum, in row order."""
-        full = segs.shape[0]
-        batch = max(1, _BATCH_SAMPLES // self._len)
-        for lo in range(0, full, batch):
-            spectra = np.fft.fft(segs[lo : lo + batch], axis=1)
-            rows = np.empty((spectra.shape[0] + 1, self._len))
-            rows[0] = self._acc
-            # re*re + im*im, squared in place: no further block-sized temporaries.
+    def _buffer(self, name: str, rows: int, cols: int, dtype=np.complex128, fill=None) -> np.ndarray:
+        """``rows`` rows of a buffer kept for later batches (and ``_averagers``), new rows set to ``fill``."""
+        buf = self._scratch.get(name)
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
+            buf = self._scratch[name] = np.empty((rows, cols), dtype)
+            if fill is not None:
+                buf[:] = fill
+        return buf[:rows]
+
+    def _fold(self, window: np.ndarray, count: int, acc: np.ndarray) -> None:
+        """Add ``|DFT|^2`` of the ``count`` segments in ``window``, after its first ``order`` inputs, to ``acc``."""
+        n, order, bins = self._len, self.order, acc.size
+        batch = min(count, max(1, _BATCH_SAMPLES // bins))
+        spectra_buf, rows_buf = self._buffer("spectra", batch, n), self._buffer("rows", batch + 1, bins, float)
+        if order:
+            outside_at, repeats_at = (n * np.arange(batch)[:, None] + at for at in (self._outside, self._repeats))
+        for lo in range(0, count, batch):
+            b, part = min(batch, count - lo), window[lo * n :]
+            spectra = np.fft.fft(part[order : order + b * n].reshape(b, n), axis=1, out=spectra_buf[:b])
+            if order:
+                # The inputs outside each segment minus their repeats, through the taps: per segment
+                # one (cols, 2*order) @ (2*order, 2) real product, rounded alike in any batch.
+                outside = np.take(part, outside_at[:b], mode="clip", out=self._buffer("outside", b, 2 * order))
+                outside -= np.take(part, repeats_at[:b], mode="clip", out=self._buffer("repeats", b, 2 * order))
+                edges, cols = self._buffer("edges", b, bins), self._edge_cols
+                edges[:, cols:] = 0.0
+                out = edges[:, :cols].view(np.float64).reshape(b, cols, 2)
+                np.matmul(self._edge_taps, outside.view(np.float64).reshape(b, 2 * order, 2), out=out)
+                dense = np.fft.fft(edges, axis=1, out=self._buffer("dense", b, bins))
+                # Then X[q mod n] * G[q] in the edges' buffer: numpy allocates for an operand it broadcasts.
+                np.copyto(edges.reshape(b, self.hold, n), spectra[:, None, :])
+                edges *= self._buffer("kernel_dft", b, bins, fill=self._kernel_dft)
+                spectra = np.add(dense, edges, out=dense)
+            rows = rows_buf[: b + 1]
+            rows[0] = acc
+            # re*re + im*im, squared in place: no further batch-sized temporaries.
             np.multiply(spectra.real, spectra.real, out=rows[1:])
             np.multiply(spectra.imag, spectra.imag, out=spectra.imag)
             rows[1:] += spectra.imag
             # Summing along axis 0 adds row after row, except that a lone
             # column is summed pairwise: accumulate that one explicitly.
-            self._acc = rows.sum(axis=0) if self._len > 1 else np.cumsum(rows[:, 0])[-1:]
-        self.num_segments += full
+            if bins > 1:
+                np.sum(rows, axis=0, out=acc)
+            else:
+                acc[:] = np.cumsum(rows[:, 0])[-1:]
 
     def result(self) -> PsdCurve:
-        if self.num_segments < 1:
+        acc, segments = self._acc, self.num_segments
+        # The sinc's segments still waiting for inputs after them: the stream has ended, so those are zeros.
+        tail = (self._carry.size - self.order) // self._len
+        if tail:
+            acc = acc.copy()
+            self._fold(np.concatenate([self._carry, np.zeros(self.order)]), tail, acc)
+            segments += tail
+        if segments < 1:
             raise ValueError(
                 f"need at least one full segment of {self.segment_len} samples, "
-                f"got {self._carry.size * self.hold}"
+                f"got {(self._carry.size - self.order) * self.hold}"
             )
-        response = np.fft.fft(np.ones(self.hold), self.segment_len)
-        acc = np.tile(self._acc, self.hold) * (response.real**2 + response.imag**2)
-        power = acc / (self.num_segments * self.segment_len * self.sample_rate)
+        held = self.segment_len // acc.size  # the sinc's response is in each segment's DFT already
+        response = np.fft.fft(np.ones(held), self.segment_len)
+        acc = np.tile(acc, held) * (response.real**2 + response.imag**2)
+        power = acc / (segments * self.segment_len * self.sample_rate)
         return PsdCurve(
             freqs=_centered_grid(self.segment_len, self.sample_rate),
             values=np.fft.fftshift(power),
             normalization="absolute",
-            meta={
-                "segment_len": self.segment_len,
-                "sample_rate": self.sample_rate,
-                "num_segments": self.num_segments,
-            },
+            meta={"segment_len": self.segment_len, "sample_rate": self.sample_rate, "num_segments": segments},
         )
+
+
+def _averagers(count: int, *args, **kwargs) -> List[PeriodogramAverager]:
+    """``count`` averagers of one geometry sharing their batch buffers, for streams fed one at a time."""
+    averagers = [PeriodogramAverager(*args, **kwargs) for _ in range(count)]
+    for averager in averagers[1:]:
+        averager._scratch = averagers[0]._scratch
+    return averagers
 
 
 def _aligned_values(curve: PsdCurve, reference: PsdCurve) -> Tuple[np.ndarray, np.ndarray]:

@@ -423,6 +423,15 @@ def load_mask(source: Union[str, Path, dict]) -> SpectrumMask:
     plus the grid geometry (descriptive keys, with M/N/T_s accepted as
     aliases).  Every problem is reported in one ``ConfigurationError``.
     """
+    spec = _mask_spec(source)
+    if "null_bins" in spec:
+        return decompose_mask(spec["null_bins"], spec["num_delay"], spec["num_doppler"])
+    bands = [tuple(band) for band in spec["pass_bands_hz"]]
+    return mask_from_pass_bands(bands, spec["num_delay"], spec["num_doppler"], float(spec["sample_interval"]))
+
+
+def _mask_spec(source: Union[str, Path, dict]) -> dict:
+    """A mask's JSON fields with the aliases resolved, checked before any mask is built."""
     where = f"mask file {source}" if isinstance(source, (str, Path)) else "mask"
     spec = read_json_object(source, where)
     for alias, canonical in _MASK_ALIASES.items():
@@ -438,10 +447,7 @@ def load_mask(source: Union[str, Path, dict]) -> SpectrumMask:
         problems.append("a pass-band mask needs sample_interval (or T_s)")
     if problems:
         raise ConfigurationError(f"invalid {where}: " + "; ".join(problems))
-    if "null_bins" in spec:
-        return decompose_mask(spec["null_bins"], spec["num_delay"], spec["num_doppler"])
-    bands = [tuple(band) for band in spec["pass_bands_hz"]]
-    return mask_from_pass_bands(bands, spec["num_delay"], spec["num_doppler"], float(spec["sample_interval"]))
+    return spec
 
 
 def write_mask(path: Union[str, Path], mask: SpectrumMask, sample_interval: Optional[float] = None) -> Path:

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import io as fileio
 from .config import ScenarioConfig, _deep_merge, _routed_configs
-from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction, reconstruct
+from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction
 from .errors import ConfigurationError
-from .estimate import PeriodogramAverager, compare_curves
+from .estimate import PeriodogramAverager, _averagers, compare_curves
 from .precoding import PrecoderSet, _precode_rows, build_precoders, discrete_spectrum
 from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
@@ -50,47 +50,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _BlockDac:
-    """The truncated sinc's ``reconstruct`` of a stream pushed in frame blocks, from time zero on.
-
-    Overlap-save block convolution (Crochiere & Rabiner, 1983).  The DAC
-    holds a copy of the last ``2*order`` input samples (the history).  Each
-    push reconstructs the history and the block as one window and returns
-    the dense samples not yet returned whose ``2*order`` taps all lie
-    inside the window; the ``order*L`` pre-ring samples before time zero
-    are never returned.  ``flush`` reconstructs the history alone and
-    returns the samples up to the stream's end, without the post-ring
-    after it.  Each returned sample is summed from the same inputs in the
-    same order as in the one-shot reconstruction, so the pieces
-    concatenate to ``reconstruct(whole_stream).samples[order*L : order*L +
-    n*L]`` bit for bit.  A window shorter than the ``2*order`` taps returns
-    nothing and becomes the history, because ``np.convolve`` would swap its
-    arguments and round its sums differently.
-    """
-
-    def __init__(self, filt: InterpolationFilter, oversampling: int) -> None:
-        self.filt = filt
-        self.oversampling = oversampling
-        self.order = int(filt.order)
-        self.history = np.zeros(0, dtype=np.complex128)
-        self.start = self.order  # leading window samples whose dense rows are dropped or already returned
-
-    def push(self, block: FrameStream) -> np.ndarray:
-        window = np.concatenate([self.history, block.frames.ravel()])
-        taps = 2 * self.order
-        if window.size < taps:
-            self.history = window
-            return window[:0]
-        self.history = window[-taps:].copy()
-        dense = reconstruct(window, self.filt, self.oversampling).samples
-        start, self.start = self.start, taps
-        return dense[start * self.oversampling : window.size * self.oversampling]
-
-    def flush(self) -> np.ndarray:
-        dense = reconstruct(self.history, self.filt, self.oversampling).samples
-        return dense[self.start * self.oversampling : (self.history.size + self.order) * self.oversampling]
-
-
 def _streamed_estimates(
     profile: VarianceProfile,
     num_frames: int,
@@ -107,43 +66,23 @@ def _streamed_estimates(
     A view is ``None`` for the stream itself or a delay index ``l`` for its
     CEP component ``cep_component_stream(stream, l)``.  The arguments are
     checked as ``reconstruct`` checks them before any symbol is drawn.  The
-    stream is drawn once, in ``stream_chunks`` frame blocks, and each block
-    of each view goes to that view's ``PeriodogramAverager``:
-
-    * dirac_delta and rect are memoryless, so a block's frames go in as
-      they are, to an averager with ``hold=L`` (1 for the Dirac) that
-      applies the zero-order hold's response once, to the accumulated
-      sum, and no dense sample is built;
-    * the truncated sinc rings across blocks, so each block is pushed
-      through the view's ``_BlockDac`` and every DAC is flushed at the
-      end.
-
-    Memory is bounded by one block, not by ``num_frames``: between blocks
-    a view holds only its averager and, for the sinc, its DAC's last
-    ``2*order`` input samples, so only the view being pushed holds a
-    reconstruction.  A memoryless block holds at least the symbols of a
-    dense block at L = 4.  The estimate is that of
-    ``periodogram(reconstruct(view))``, the stream's span without the
-    truncated sinc's pre- and post-ring: bit for bit for dirac_delta and
-    the sinc, to rounding for rect (whose dense DFTs are never taken).
+    stream is drawn once, in ``stream_chunks`` frame blocks (from L = 4 on,
+    of 2**16 symbols), and each block of each view goes at the symbol rate
+    to that view's averager, which carries the DAC.  Between blocks a view
+    holds only its sum and carry, and the views share their batch buffers.
+    The estimate is that of ``periodogram(reconstruct(view))``, the span
+    without the sinc's pre- and post-ring: bit for bit for dirac_delta, to
+    rounding for rect and the sinc (whose dense DFTs are never taken).
     """
     oversampling = check_reconstruction(filt, oversampling, sample_interval)
     segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
-    rate = oversampling / sample_interval
-    sinc = filt.kind == "truncated_sinc"
-    dacs = [_BlockDac(filt, oversampling) for _ in views] if sinc else []
-    averagers = [PeriodogramAverager(segment_len, rate, hold=1 if sinc else oversampling) for _ in views]
-    # A memoryless DAC builds no dense sample, so its blocks need not shrink with L: they keep
-    # the 2**16 symbols of a dense block at L = 4 (at L = 64 a 16x128 dense block is 2 frames).
-    block_oversampling = oversampling if sinc else min(oversampling, 4)
+    order = int(filt.order) if filt.kind == "truncated_sinc" else 0
+    averagers = _averagers(len(views), segment_len, oversampling / sample_interval, oversampling, order)
     for block in stream_chunks(
-        profile, num_frames, seed, sample_interval, constellation, oversampling=block_oversampling
+        profile, num_frames, seed, sample_interval, constellation, oversampling=min(oversampling, 4)
     ):
-        for i, l in enumerate(views):
-            view = block if l is None else cep_component_stream(block, l)
-            averagers[i].add(dacs[i].push(view) if sinc else view.frames)
-    for dac, averager in zip(dacs, averagers):
-        averager.add(dac.flush())
+        for averager, l in zip(averagers, views):
+            averager.add(block.frames if l is None else cep_component_stream(block, l).frames)
     return [averager.result() for averager in averagers]
 
 
@@ -159,11 +98,9 @@ def estimated_psd(
 ) -> PsdCurve:
     """Generate, reconstruct, and periodogram-average an OTFS stream.
 
-    The one-view case of ``_streamed_estimates`` (the CEP split adds the
-    M component views): memory is bounded by the frame block, and the
-    estimate is that of
-    ``periodogram(reconstruct(generate_random_stream(...)))``, bit for bit
-    for dirac_delta and the truncated sinc, to rounding for rect.
+    The one-view case of ``_streamed_estimates`` (the CEP split adds the M
+    component views): memory is bounded by the frame block, and the estimate
+    is that of ``periodogram(reconstruct(generate_random_stream(...)))``.
     """
     (curve,) = _streamed_estimates(
         profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames, constellation
@@ -195,10 +132,10 @@ def _cep_split(
     """Estimated PSDs of an OTFS stream and of its M per-delay CEP components.
 
     One pass of ``_streamed_estimates`` over the stream and its M component
-    views: each frame block feeds M+1 averagers (for the sinc through M+1
-    ``_BlockDac``s, which keep no reconstruction between pushes).  Returns the
-    whole-stream curve, the component curves, their sum, and the
-    NMSE/cosine of the sum against the whole over the Nyquist band.
+    views: each frame block feeds M+1 averagers, which share their batch
+    buffers.  Returns the whole-stream curve, the component curves, their
+    sum, and the NMSE/cosine of the sum against the whole over the Nyquist
+    band.
     """
     whole, *parts = _streamed_estimates(
         profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames,

@@ -177,7 +177,7 @@ def test_precode_with_mask_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("source", [{"null_bins": [1]}, {"pass_bands_hz": [[-0.25, 0.25]], "T_s": 1.0}])
 def test_a_mask_file_too_large_to_hold_is_exit_2(tmp_path, capsys, source):
-    """numpy refuses the 1e18-bin mask before allocating anything; the run ends in exit 2, not a traceback."""
+    """The file's declared grid is refused before its 1e18-bin mask is built: the grid message, exit 2."""
     mask_file = tmp_path / "mask.json"
     mask_file.write_text(json.dumps({"M": 10**9, "N": 10**9, **source}))
     code = run(
@@ -185,8 +185,22 @@ def test_a_mask_file_too_large_to_hold_is_exit_2(tmp_path, capsys, source):
         "--sample-interval", 1.0, "--mask-file", mask_file, "--out", tmp_path / "p.csv",
     )
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "mask file grid 1000000000x1000000000 does not match scenario grid 2x4" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_precode_refuses_a_stream_with_no_payload_before_writing(tmp_path, capsys):
+    """An all-null mask makes precoders but no stream: exit 2, and neither output file is written."""
+    mask_file = tmp_path / "mask.json"
+    mask_file.write_text(json.dumps({"M": 2, "N": 4, "null_bins": list(range(8))}))
+    out, stream_out = tmp_path / "p.csv", tmp_path / "s.csv"
+    code = run(
+        "precode", "--seed", 1, "--num-delay", 2, "--num-doppler", 4, "--sample-interval", 1.0,
+        "--frames", 4, "--mask-file", mask_file, "--out", out, "--stream-out", stream_out,
+    )
+    assert code == 2
+    assert "no payload dimensions" in capsys.readouterr().err
+    assert not out.exists() and not stream_out.exists()
 
 
 def test_systematic_infeasible_exit_code(tmp_path, capsys):

@@ -225,6 +225,75 @@ def test_pending_carry_does_not_copy_the_added_block(monkeypatch):
     assert peak < block.nbytes / 4
 
 
+@given(
+    short_len=st.integers(1, 12),
+    hold=st.integers(1, 6),
+    order=st.integers(1, 30),
+    segments=st.integers(1, 12),
+    partial=st.integers(0, 11),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    batch_segments=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sinc_averager_is_the_periodogram_of_the_reconstruction(
+    short_len, hold, order, segments, partial, cuts, batch_segments, seed
+):
+    """``order >= 1`` on the samples is the plain averager on ``reconstruct(samples)``, from time zero on.
+
+    Within 1e-12 of the peak (the dense DFTs are never taken), segments
+    shorter than the ``order`` inputs each side of them too, and bit for bit
+    under any chunking (empty and sub-segment chunks too) and batch size.
+    The trailing partial segment is not a segment, but it is read by the
+    last segment's edge correction.
+    """
+    segment_len = short_len * hold
+    rng = np.random.default_rng(seed)
+    size = segments * short_len + partial % short_len
+    x = rng.normal(size=size) + 1j * rng.normal(size=size)
+    expected = periodogram(reconstruct(x, InterpolationFilter.truncated_sinc(1.0, order), hold), segment_len)
+    whole = PeriodogramAverager(segment_len, sample_rate=float(hold), hold=hold, order=order)
+    whole.add(x)
+    one_shot = whole.result()
+    assert one_shot.meta == expected.meta
+    assert one_shot.meta["num_segments"] == segments
+    assert np.abs(one_shot.values - expected.values).max() <= 1e-12 * expected.values.max()
+
+    chunked = PeriodogramAverager(segment_len, sample_rate=float(hold), hold=hold, order=order)
+    with mock.patch.object(estimate, "_BATCH_SAMPLES", batch_segments * segment_len):
+        for piece in np.split(x, sorted(int(c * size) for c in cuts)):
+            chunked.add(piece)
+        assert chunked.result().values.tobytes() == one_shot.values.tobytes()
+    assert chunked.result().values.tobytes() == one_shot.values.tobytes()  # result() ends nothing
+
+
+@pytest.mark.parametrize("batch", [2**14, 2**16])
+def test_sinc_averager_keeps_its_batch_buffers(batch):
+    """A steady-state ``add`` of the 16x128 sinc at L=2 allocates under a twentieth of its batch buffers.
+
+    The buffers (64 bytes a bin, 4 MB at 2**16 bins) are sized by the first
+    ``add`` and reused; later ones allocate only the carry, the window that
+    completes it, and the gather indices, whatever the batch size.
+    """
+    avg = PeriodogramAverager(4096, sample_rate=1.0, hold=2, order=50)
+    block = np.random.default_rng(0).normal(size=2**16) + 0j
+    with mock.patch.object(estimate, "_BATCH_SAMPLES", batch):
+        avg.add(block)
+        tracemalloc.start()
+        try:
+            avg.add(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert avg.num_segments == 2 * 2**16 // 2048 - 1  # the last waits for the inputs after it
+    assert peak < 64 * 2**16 / 20
+
+
+@pytest.mark.parametrize("order", [0.5, -1])
+def test_order_must_be_a_whole_number(order):
+    with pytest.raises(ValueError, match="order"):
+        PeriodogramAverager(8, 1.0, hold=2, order=order)
+
+
 def test_averager_requires_a_segment():
     avg = PeriodogramAverager(4, 1.0)
     avg.add(np.ones(3, dtype=complex))

@@ -1,17 +1,17 @@
 """The streamed estimates against the one-shot reconstruct-and-periodogram.
 
 ``estimated_psd`` and the CEP split feed each frame block of the stream
-(and of its CEP component views) to one averager per view.  For the
-truncated sinc the block goes through one ``presets._BlockDac`` per view,
-which reconstructs it overlap-save, together with the last ``2*order``
-input samples before it; the memoryless filters feed the symbol-rate
-frames to a ``hold=L`` averager and build no dense samples.  Each estimate
-must be that of the whole view reconstructed at once: bit for bit for the
-Dirac and the sinc, to rounding for rect (whose dense DFTs are never
-taken), and bit for bit under any frame blocking.  Memory must stay flat
-in the frame count, a DAC must keep no reconstruction between pushes, the
-CEP split must peak within two dense blocks of the one-view estimate, and
-rect must not grow with L.
+(and of its CEP component views) at the symbol rate to one averager per
+view, which carries the DAC: ``hold=L`` for rect and the Dirac, and also
+the sinc's ``order``, whose segment DFTs it takes from the symbol-rate
+DFTs plus an edge correction; no dense sample is built.  Each estimate
+must be that of the whole view reconstructed at once (``dac.reconstruct``
+is the oracle): bit for bit for the Dirac, within 1e-12 of the peak for
+rect and the sinc (whose dense DFTs are never taken), and bit for bit
+under any frame blocking and batch size.  Memory must stay flat in the
+frame count, the CEP split's views must share their batch buffers and
+peak within two dense blocks of the one-view estimate, and rect must not
+grow with L.
 """
 
 import tracemalloc
@@ -24,18 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from otfspectrum import presets, waveform
+from otfspectrum import estimate, presets, waveform
 from otfspectrum.dac import InterpolationFilter, reconstruct
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.estimate import periodogram
 from otfspectrum.patterns import column_support_profile
 from otfspectrum.presets import cep_sum_match, estimated_psd
-from otfspectrum.waveform import (
-    VarianceProfile,
-    cep_component_stream,
-    generate_random_stream,
-    stream_chunks,
-)
+from otfspectrum.waveform import VarianceProfile, cep_component_stream, generate_random_stream
 
 SEED = 11
 
@@ -63,10 +58,10 @@ def _one_shot(profile, frames, filt, oversampling, segment_frames, view=lambda s
 
 
 def _assert_matches_one_shot(streamed, one_shot, kind):
-    """Bit for bit, except rect: its estimate never takes the dense DFTs, so it matches to rounding."""
+    """Bit for bit for the Dirac; rect and the sinc never take the dense DFTs, so they match to rounding."""
     assert streamed.meta["num_segments"] == one_shot.meta["num_segments"]
     assert_array_equal(streamed.freqs, one_shot.freqs)
-    if kind != "rect":
+    if kind == "dirac_delta":
         assert streamed.values.tobytes() == one_shot.values.tobytes()
     else:
         error = np.abs(streamed.values - one_shot.values).max() / one_shot.values.max()
@@ -137,56 +132,62 @@ def test_streamed_sinc_drops_the_post_ring():
     _assert_matches_one_shot(streamed, one_shot, "truncated_sinc")
 
 
-@given(
-    delays=st.integers(1, 3),
-    dopplers=st.integers(1, 4),
-    frames=st.integers(1, 40),
-    oversampling=st.integers(1, 4),
-    order=st.integers(1, 12),
-    block=st.integers(1, 200),
-)
-def test_pieces_concatenate_to_the_one_shot_reconstruction(
-    delays, dopplers, frames, oversampling, order, block
-):
-    """Any block size, down to blocks far shorter than the sinc's ring: the same bytes."""
+def _sinc_views(delays, dopplers, frames, oversampling, order, segment_frames):
     profile = VarianceProfile.uniform(delays, dopplers)
     filt = InterpolationFilter.truncated_sinc(1.0, order)
-    dac = presets._BlockDac(filt, oversampling)
-    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
-        blocks = stream_chunks(profile, frames, SEED, 1.0, oversampling=oversampling)
-        pieces = np.concatenate([*map(dac.push, blocks), dac.flush()])
-    whole = reconstruct(generate_random_stream(profile, frames, SEED, 1.0), filt, oversampling)
-    ring = order * oversampling
-    expected = whole.samples[ring : whole.samples.size - ring]  # from time zero to the stream's end
-    assert pieces.tobytes() == expected.tobytes()
+    args = (profile, max(frames, segment_frames), SEED, 1.0, filt, oversampling, segment_frames, "qpsk")
+    return args, (None, *range(delays))
 
 
-@pytest.mark.parametrize("block_samples", [3, 16, 200])
-def test_block_dac_keeps_only_its_history_between_pushes(block_samples):
-    """At most ``2*order`` input samples, sharing no memory with the block or its reconstruction.
+SINC_GEOMETRY = dict(
+    delays=st.integers(1, 8),
+    dopplers=st.integers(1, 8),
+    frames=st.integers(1, 12),
+    oversampling=st.integers(1, 8),
+    order=st.integers(1, 40),
+    segment_frames=st.integers(1, 3),
+)
 
-    Order 5 at L=2 takes 10 taps: 3 dense samples make one-frame blocks of 8
-    samples, and the first of them returns nothing.
+
+@settings(max_examples=30, deadline=None)
+@given(**SINC_GEOMETRY)
+def test_sinc_estimate_is_the_periodogram_of_the_reconstruction(
+    delays, dopplers, frames, oversampling, order, segment_frames
+):
+    """The whole stream and every CEP view, within 1e-12 of the peak of ``periodogram(reconstruct(view))``.
+
+    Segments of ``M*N*segment_frames`` inputs, from one input up: a segment
+    may be far shorter than the ``order`` inputs each side of it that its
+    edge correction reads.
     """
-    profile = VarianceProfile.uniform(2, 4)
-    order = 5
-    dac = presets._BlockDac(InterpolationFilter.truncated_sinc(1.0, order), 2)
-    reconstructions = []
+    args, views = _sinc_views(delays, dopplers, frames, oversampling, order, segment_frames)
+    profile, frames, filt = args[0], args[1], args[4]
+    for l, streamed in zip(views, presets._streamed_estimates(*args, views=views)):
+        view = (lambda stream: stream) if l is None else partial(cep_component_stream, delay_index=l)
+        one_shot = _one_shot(profile, frames, filt, oversampling, segment_frames, view)
+        _assert_matches_one_shot(streamed, one_shot, "truncated_sinc")
 
-    def recording(*args):
-        reconstructions.append(reconstruct(*args))
-        return reconstructions[-1]
 
-    with mock.patch.object(presets, "reconstruct", recording), mock.patch.object(
-        waveform, "_BLOCK_SAMPLES", block_samples
+@settings(max_examples=30, deadline=None)
+@given(**SINC_GEOMETRY, block=st.integers(1, 400), batch=st.integers(1, 2**12))
+def test_sinc_estimate_is_bit_identical_for_any_block_and_batch(
+    delays, dopplers, frames, oversampling, order, segment_frames, block, batch
+):
+    """Every view gives the same bytes for every ``_BLOCK_SAMPLES`` and ``_BATCH_SAMPLES``.
+
+    A batch of one segment and a batch of many round each segment's edge
+    product alike, and blocks of a few samples carry whole segments, with
+    the ``order`` inputs each side of them, across many ``add`` calls.
+    """
+    args, views = _sinc_views(delays, dopplers, frames, oversampling, order, segment_frames)
+    whole = presets._streamed_estimates(*args, views=views)
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
+        estimate, "_BATCH_SAMPLES", batch
     ):
-        for block in stream_chunks(profile, 12, SEED, 1.0, oversampling=2):
-            dac.push(block)
-            held = [value for value in vars(dac).values() if isinstance(value, np.ndarray)]
-            assert sum(array.size for array in held) <= 2 * order
-            for array in held:
-                assert not np.shares_memory(array, block.frames)
-                assert not any(np.shares_memory(array, r.samples) for r in reconstructions)
+        blocked = presets._streamed_estimates(*args, views=views)
+    for a, b in zip(whole, blocked):
+        assert a.meta == b.meta
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_streamed_estimate_checks_the_filter_interval():
@@ -264,12 +265,12 @@ def test_cep_sum_match_memory_does_not_grow_with_frames():
     assert _peak_bytes(65536, cep_sum_match) <= 1.05 * _peak_bytes(16384, cep_sum_match)
 
 
-def test_cep_split_holds_one_reconstruction_per_view():
+def test_cep_split_views_share_their_batch_buffers():
     """16 delays, the truncated sinc at L=1: 2**18-sample dense blocks, eight of them.
 
     Above the one-view estimate, the 17 views may hold at most 2 more dense
-    blocks: a DAC keeps no reconstruction between pushes, so only the view
-    being pushed holds one.
+    blocks: between blocks a view keeps only its sum and its carry, and all
+    views fold through one set of batch buffers.
     """
     profile = VarianceProfile.uniform(16, 16)
     filt = InterpolationFilter.truncated_sinc(1.0, 1)
