@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import io as fileio
 from .config import ScenarioConfig, _deep_merge, _routed_configs
 from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction
 from .errors import ConfigurationError
-from .estimate import PeriodogramAverager, _averagers, compare_curves
+from .estimate import _averagers, compare_curves
 from .precoding import PrecoderSet, _precode_rows, build_precoders, discrete_spectrum
 from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
@@ -51,39 +51,46 @@ __all__ = [
 
 
 def _streamed_estimates(
-    profile: VarianceProfile,
-    num_frames: int,
-    seed: int,
+    blocks: Callable[[int], Iterable[FrameStream]],
+    frame_samples: int,
+    frame_counts: Sequence[int],
     sample_interval: float,
     filt: InterpolationFilter,
     oversampling: int,
     segment_frames: int,
-    constellation: str,
     views: Sequence[Optional[int]] = (None,),
-) -> List[PsdCurve]:
-    """Averaged periodograms of views of one random OTFS stream, in one pass.
+) -> List[List[PsdCurve]]:
+    """Averaged periodograms of views of a stream of frame blocks at each of ``frame_counts``, in one pass.
 
-    A view is ``None`` for the stream itself or a delay index ``l`` for its
-    CEP component ``cep_component_stream(stream, l)``.  The arguments are
-    checked as ``reconstruct`` checks them before any symbol is drawn.  The
-    stream is drawn once, in ``stream_chunks`` frame blocks (from L = 4 on,
-    of 2**16 symbols), and each block of each view goes at the symbol rate
-    to that view's averager, which carries the DAC.  Between blocks a view
-    holds only its sum and carry, and the views share their batch buffers.
-    The estimate is that of ``periodogram(reconstruct(view))``, the span
-    without the sinc's pre- and post-ring: bit for bit for dirac_delta, to
-    rounding for rect and the sinc (whose dense DFTs are never taken).
+    ``blocks(min(L, 4))`` yields the frame blocks (``stream_chunks`` sizes
+    them for that L) of ``frame_samples`` samples a frame.  A view is
+    ``None`` for the stream or a delay index ``l`` for its CEP component
+    ``cep_component_stream(stream, l)``.  The arguments are checked as
+    ``reconstruct`` checks them before any block is drawn.  Each view's
+    averager carries the DAC and takes the blocks at the symbol rate, cut
+    only where a count falls inside.  The curves at a count are those of a
+    pass over that many frames: the estimate of
+    ``periodogram(reconstruct(view))`` without the sinc's pre- and
+    post-ring, bit for bit for dirac_delta, to rounding for rect and the sinc.
     """
     oversampling = check_reconstruction(filt, oversampling, sample_interval)
-    segment_len = profile.num_delay * profile.num_doppler * oversampling * segment_frames
+    segment_len = frame_samples * oversampling * segment_frames
     order = int(filt.order) if filt.kind == "truncated_sinc" else 0
     averagers = _averagers(len(views), segment_len, oversampling / sample_interval, oversampling, order)
-    for block in stream_chunks(
-        profile, num_frames, seed, sample_interval, constellation, oversampling=min(oversampling, 4)
-    ):
+    snapshots: Dict[int, List[PsdCurve]] = {}
+    done = 0
+    for block in blocks(min(oversampling, 4)):
+        cuts = sorted({count - done for count in frame_counts if done < count <= done + len(block)})
         for averager, l in zip(averagers, views):
-            averager.add(block.frames if l is None else cep_component_stream(block, l).frames)
-    return [averager.result() for averager in averagers]
+            frames = block.frames if l is None else cep_component_stream(block, l).frames
+            pieces = np.split(frames, cuts) if cuts else [frames]
+            for cut, piece in zip(cuts, pieces):  # ``result`` leaves the averager as it is
+                averager.add(piece)
+                snapshots.setdefault(done + cut, []).append(averager.result())
+            if len(pieces[-1]):
+                averager.add(pieces[-1])
+        done += len(block)
+    return [snapshots[count] for count in frame_counts]
 
 
 def estimated_psd(
@@ -96,14 +103,16 @@ def estimated_psd(
     segment_frames: int = 1,
     constellation: str = "qpsk",
 ) -> PsdCurve:
-    """Generate, reconstruct, and periodogram-average an OTFS stream.
+    """Averaged periodogram of a random OTFS stream through the DAC ``filt`` at ``oversampling``.
 
     The one-view case of ``_streamed_estimates`` (the CEP split adds the M
     component views): memory is bounded by the frame block, and the estimate
     is that of ``periodogram(reconstruct(generate_random_stream(...)))``.
     """
-    (curve,) = _streamed_estimates(
-        profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames, constellation
+    [[curve]] = _streamed_estimates(
+        partial(stream_chunks, profile, num_frames, seed, sample_interval, constellation),
+        profile.num_delay * profile.num_doppler, (num_frames,), sample_interval, filt, oversampling,
+        segment_frames,
     )
     meta = dict(curve.meta)
     meta.update(
@@ -121,32 +130,33 @@ def estimated_psd(
 
 def _cep_split(
     profile: VarianceProfile,
-    num_frames: int,
+    frame_counts: Sequence[int],
     seed: int,
     sample_interval: float,
     filt: InterpolationFilter,
     oversampling: int,
     segment_frames: int,
     constellation: str,
-) -> Tuple[PsdCurve, List[PsdCurve], PsdCurve, Dict[str, float]]:
-    """Estimated PSDs of an OTFS stream and of its M per-delay CEP components.
+) -> List[Tuple[PsdCurve, List[PsdCurve], PsdCurve, Dict[str, float]]]:
+    """Estimated PSDs of an OTFS stream and of its M per-delay CEP components, at each of ``frame_counts``.
 
-    One pass of ``_streamed_estimates`` over the stream and its M component
-    views: each frame block feeds M+1 averagers, which share their batch
-    buffers.  Returns the whole-stream curve, the component curves, their
-    sum, and the NMSE/cosine of the sum against the whole over the Nyquist
-    band.
+    One pass of ``_streamed_estimates`` to ``max(frame_counts)`` frames
+    over the stream and its M component views.  Per count: the
+    whole-stream curve, the component curves, their sum, and the
+    NMSE/cosine of the sum against the whole over the Nyquist band.
     """
-    whole, *parts = _streamed_estimates(
-        profile, num_frames, seed, sample_interval, filt, oversampling, segment_frames,
-        constellation, views=(None, *range(profile.num_delay)),
-    )
-    summed = np.zeros_like(whole.values)
-    for part in parts:
-        summed += part.values
-    sum_curve = PsdCurve(whole.freqs, summed, "absolute", dict(whole.meta))
-    nyquist = 0.5 / sample_interval
-    return whole, parts, sum_curve, compare_curves(sum_curve, whole, band=(-nyquist, nyquist))
+    splits, nyquist = [], 0.5 / sample_interval
+    for whole, *parts in _streamed_estimates(
+        partial(stream_chunks, profile, max(frame_counts), seed, sample_interval, constellation),
+        profile.num_delay * profile.num_doppler, frame_counts, sample_interval, filt, oversampling,
+        segment_frames, views=(None, *range(profile.num_delay)),
+    ):
+        summed = np.zeros_like(whole.values)
+        for part in parts:
+            summed += part.values
+        sum_curve = PsdCurve(whole.freqs, summed, "absolute", dict(whole.meta))
+        splits.append((whole, parts, sum_curve, compare_curves(sum_curve, whole, band=(-nyquist, nyquist))))
+    return splits
 
 
 def _precoded_blocks(
@@ -282,7 +292,8 @@ def _run_lte_pattern(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
 
 def _run_cep_split(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     cfg_hash = config.hash()
-    whole, parts, sum_curve, comparison = _cep_split(*config.estimate_args())
+    profile, num_frames, *args = config.estimate_args()
+    [(whole, parts, sum_curve, comparison)] = _cep_split(profile, (num_frames,), *args)
     files = {"otfs": str(_write_curve(outdir, "cep_split_otfs.csv", whole, cfg_hash))}
     for l, part in enumerate(parts):
         files[f"component_{l}"] = str(_write_curve(outdir, f"cep_split_component_{l}.csv", part, cfg_hash))
@@ -292,31 +303,14 @@ def _run_cep_split(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     return {"files": files, "metrics": metrics}
 
 
-def cep_sum_match(
-    profile: VarianceProfile,
-    num_frames: int,
-    seed: int,
-    sample_interval: float,
-    filt: InterpolationFilter,
-    oversampling: int,
-    constellation: str = "qpsk",
-) -> Dict[str, float]:
-    """NMSE/cosine between the whole-stream PSD and the summed component PSDs."""
-    split = _cep_split(profile, num_frames, seed, sample_interval, filt, oversampling, 1, constellation)
-    return split[3]
-
-
 def _run_cep_convergence(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
-    profile = config.profile()
     cfg_hash = config.hash()
-    filt = config.interpolation_filter()
-    rows = []
-    for count in config.frame_counts or (100, 1000, 10000):
-        result = cep_sum_match(
-            profile, count, config.seed, config.sample_interval, filt, config.oversampling,
-            config.constellation,
-        )
-        rows.append((count, result["nmse_db"], result["cosine_similarity"]))
+    counts = config.frame_counts or (100, 1000, 10000)
+    splits = _cep_split(
+        config.profile(), counts, config.seed, config.sample_interval, config.interpolation_filter(),
+        config.oversampling, 1, config.constellation,
+    )
+    rows = [(count, split[3]["nmse_db"], split[3]["cosine_similarity"]) for count, split in zip(counts, splits)]
     table = fileio.write_convergence_table(outdir / "cep_convergence.csv", rows, {"config_hash": cfg_hash})
     metrics = fileio.metric_records(
         [(f"{name}_at_{count}", value) for count, nmse, cosine in rows
@@ -333,19 +327,23 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     if mask is None:
         raise ConfigurationError("the NSLP preset needs a mask section")
     precoders = build_precoders(mask, config.precoder_form)
-    # Block by block: the worst masked-bin leak, and the one-frame-segment
-    # periodogram (the averager is chunking-invariant, bit for bit).
-    averager = PeriodogramAverager(mask.num_bins, 1.0 / config.sample_interval)
-    worst_leak = 0.0
-    for block, payload_norms in _precoded_blocks(
-        precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
-    ):
-        if mask.null_bins.size:
-            spectra = discrete_spectrum(block.frames)  # the array: a one-frame block stays 2-D
-            leak = np.abs(spectra[:, mask.null_bins]).max(axis=1) / payload_norms
-            worst_leak = max(worst_leak, float(leak.max()))
-        averager.add(block.frames)
-    curve = averager.result()
+    leaks = [0.0]
+
+    def leak_checked(_) -> Iterator[FrameStream]:
+        # The precoded blocks (sized for L = 1, the factor asked), each passed on with its worst leak recorded.
+        for block, payload_norms in _precoded_blocks(
+            precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
+        ):
+            if mask.null_bins.size:
+                spectra = discrete_spectrum(block.frames)  # the array: a one-frame block stays 2-D
+                leaks.append(float((np.abs(spectra[:, mask.null_bins]).max(axis=1) / payload_norms).max()))
+            yield block
+
+    # The one-frame-segment periodogram: the precoded frames are the Dirac DAC's input at L = 1.
+    [[curve]] = _streamed_estimates(
+        leak_checked, mask.num_bins, (config.num_frames,), config.sample_interval,
+        InterpolationFilter.dirac(config.sample_interval), 1, 1,
+    )
     # Periodogram bins are exactly the spectrum bins (segment = one frame):
     # shift the natural-order null set onto the centered grid, as the averager does.
     nulled_centered = np.fft.fftshift(~mask.kept.T.ravel())  # natural order: bin m*N + k
@@ -364,7 +362,7 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
         [
             ("payload_dimensions", float(precoders.total_payload)),
             ("suppression_db", suppression_db),
-            ("worst_null_bin_leak", worst_leak),
+            ("worst_null_bin_leak", max(leaks)),
         ],
         cfg_hash,
     )
@@ -538,6 +536,7 @@ def _preset_configs(names: Sequence[str], overrides: dict) -> List[ScenarioConfi
     for name, config in zip(names, configs):
         if config.preset != name:
             raise ConfigurationError(f"the config names preset {config.preset!r}, but preset {name!r} is run")
+        config.profile(), config.mask()  # a grid they do not fit is refused before any preset runs
     return configs
 
 

@@ -62,9 +62,9 @@ __all__ = [
 #: contract (chunk c of a given seed always holds frames [c*4096, (c+1)*4096)).
 _CHUNK_FRAMES = 4096
 
-#: Dense (oversampled) samples per frame block; a block holds whole frames,
-#: at least one, and never crosses a chunk boundary.  Counted on the dense
-#: grid, so a block's reconstruction does not grow with the oversampling factor.
+#: Samples per frame block at the given oversampling; a block holds whole frames,
+#: at least one, and never crosses a chunk boundary.  The estimate sizes its
+#: symbol-rate blocks with ``min(L, 4)``.
 _BLOCK_SAMPLES = 2**18
 
 #: Built-in constellations, selectable by name in a scenario config.
@@ -328,11 +328,10 @@ def stream_chunks(
 
     A block holds ``max(1, _BLOCK_SAMPLES // (M*N*oversampling))`` frames,
     except the last block of a 4096-frame generation chunk, which may hold
-    fewer; no block crosses a chunk boundary.  Pass the DAC's oversampling
-    factor, so a block's reconstruction stays the same size for every L.
-    Concatenating the blocks is bit-identical to ``generate_random_stream``
-    with the same arguments; memory is bounded by one block, not by
-    ``num_frames``.
+    fewer; no block crosses a chunk boundary.  The estimate passes
+    ``min(L, 4)`` for a DAC's factor L.  Concatenating the blocks is
+    bit-identical to ``generate_random_stream`` with the same arguments;
+    memory is bounded by one block, not by ``num_frames``.
     """
     if num_frames < 1:
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")

@@ -407,6 +407,26 @@ def test_sigma2_shape_mismatch_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("selection", [["--all"], ["--preset", "example2"]], ids=["all", "one"])
+def test_a_grid_a_preset_profile_does_not_fit_is_exit_2_and_makes_nothing(tmp_path, capsys, selection):
+    """example2's columns on 12 Doppler bins: refused before any preset runs or makes a directory."""
+    outdir = tmp_path / "run"
+    assert run("scenario", *selection, "--num-doppler", 12, "--outdir", outdir) == 2
+    assert "columns must lie in [0, 12)" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_dirac_with_oversampling_is_exit_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run(
+        "psd-estimate", "--seed", 1, "--num-delay", 2, "--num-doppler", 4, "--uniform", 1, "--frames", 2,
+        "--filter", "dirac_delta", "--oversampling", 2, "--out", out,
+    )
+    assert code == 2
+    assert "filter.oversampling must be 1 for the dirac_delta filter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _analytic_exit_code(tmp_path, **overrides):
     raw = {
         "seed": 1,

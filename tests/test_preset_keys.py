@@ -349,7 +349,7 @@ ROUTED = {**VALID, "seed": 1, "output.directory": "out", "preset": None}
 
 def _parsed(raw):
     """Stands in for ``ScenarioConfig.from_dict``, so that keys no schema accepts together still route."""
-    return SimpleNamespace(raw=raw, preset=raw.get("preset"))
+    return SimpleNamespace(raw=raw, preset=raw.get("preset"), profile=lambda: None, mask=lambda: None)
 
 
 @settings(max_examples=150)

@@ -8,10 +8,11 @@ DFTs plus an edge correction; no dense sample is built.  Each estimate
 must be that of the whole view reconstructed at once (``dac.reconstruct``
 is the oracle): bit for bit for the Dirac, within 1e-12 of the peak for
 rect and the sinc (whose dense DFTs are never taken), and bit for bit
-under any frame blocking and batch size.  Memory must stay flat in the
-frame count, the CEP split's views must share their batch buffers and
-peak within two dense blocks of the one-view estimate, and rect must not
-grow with L.
+under any frame blocking and batch size.  A pass read at several frame
+counts gives at each the bits of a pass of that many frames.  Memory must
+stay flat in the frame count, the CEP split's views must share their
+batch buffers and peak within two dense blocks of the one-view estimate,
+and rect must not grow with L.
 """
 
 import tracemalloc
@@ -20,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -28,9 +29,11 @@ from otfspectrum import estimate, presets, waveform
 from otfspectrum.dac import InterpolationFilter, reconstruct
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.estimate import periodogram
+from otfspectrum.io import read_metrics, read_psd_curve
 from otfspectrum.patterns import column_support_profile
-from otfspectrum.presets import cep_sum_match, estimated_psd
-from otfspectrum.waveform import VarianceProfile, cep_component_stream, generate_random_stream
+from otfspectrum.precoding import build_precoders, discrete_spectrum
+from otfspectrum.presets import estimated_psd
+from otfspectrum.waveform import VarianceProfile, cep_component_stream, generate_random_stream, stream_chunks
 
 SEED = 11
 
@@ -49,6 +52,21 @@ CASES = {
     # segments straddle it.
     "block_boundary": (VarianceProfile.uniform(64, 64), 70, 3),
 }
+
+
+def _estimates(profile, frames, seed, sample_interval, filt, oversampling, segment_frames, constellation, views):
+    """``_streamed_estimates`` of the views of a random stream, at its end."""
+    blocks = partial(stream_chunks, profile, frames, seed, sample_interval, constellation)
+    [curves] = presets._streamed_estimates(
+        blocks, profile.num_delay * profile.num_doppler, (frames,), sample_interval, filt, oversampling,
+        segment_frames, views,
+    )
+    return curves
+
+
+def _split(profile, frames, seed, sample_interval, filt, oversampling):
+    """The one-count CEP split, as the ``cep-split`` preset runs it with one-frame segments."""
+    return presets._cep_split(profile, (frames,), seed, sample_interval, filt, oversampling, 1, "qpsk")[0]
 
 
 def _one_shot(profile, frames, filt, oversampling, segment_frames, view=lambda s: s):
@@ -107,9 +125,9 @@ def test_memoryless_estimate_is_bit_identical_for_any_block_size(
         filt = InterpolationFilter(kind, 1.0, order)
         dense = 1 if kind == "dirac_delta" else oversampling
         args = (profile, frames, SEED, 1.0, filt, dense, segment_frames, "qpsk")
-        whole = presets._streamed_estimates(*args, views=views)
+        whole = _estimates(*args, views)
         with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
-            blocked = presets._streamed_estimates(*args, views=views)
+            blocked = _estimates(*args, views)
         for l, a, b in zip(views, whole, blocked):
             assert a.meta == b.meta
             assert a.values.tobytes() == b.values.tobytes()
@@ -162,7 +180,7 @@ def test_sinc_estimate_is_the_periodogram_of_the_reconstruction(
     """
     args, views = _sinc_views(delays, dopplers, frames, oversampling, order, segment_frames)
     profile, frames, filt = args[0], args[1], args[4]
-    for l, streamed in zip(views, presets._streamed_estimates(*args, views=views)):
+    for l, streamed in zip(views, _estimates(*args, views)):
         view = (lambda stream: stream) if l is None else partial(cep_component_stream, delay_index=l)
         one_shot = _one_shot(profile, frames, filt, oversampling, segment_frames, view)
         _assert_matches_one_shot(streamed, one_shot, "truncated_sinc")
@@ -180,11 +198,11 @@ def test_sinc_estimate_is_bit_identical_for_any_block_and_batch(
     the ``order`` inputs each side of them, across many ``add`` calls.
     """
     args, views = _sinc_views(delays, dopplers, frames, oversampling, order, segment_frames)
-    whole = presets._streamed_estimates(*args, views=views)
+    whole = _estimates(*args, views)
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
         estimate, "_BATCH_SAMPLES", batch
     ):
-        blocked = presets._streamed_estimates(*args, views=views)
+        blocked = _estimates(*args, views)
     for a, b in zip(whole, blocked):
         assert a.meta == b.meta
         assert a.values.tobytes() == b.values.tobytes()
@@ -215,8 +233,13 @@ def test_streamed_estimate_refuses_what_reconstruct_refuses(filt, oversampling):
         with pytest.raises(ConfigurationError) as streamed:
             estimated_psd(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, filt, oversampling)
         with pytest.raises(ConfigurationError) as split:
-            cep_sum_match(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, filt, oversampling)
+            _split(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, filt, oversampling)
     assert str(streamed.value) == str(split.value) == str(expected.value)
+
+
+def test_streamed_dirac_refuses_oversampling():
+    with pytest.raises(ConfigurationError, match=r"dirac_delta reconstruction requires oversampling == 1"):
+        estimated_psd(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, InterpolationFilter.dirac(1.0), 2)
 
 
 def _peak_bytes(frames, estimate=estimated_psd):
@@ -247,10 +270,7 @@ def test_streamed_cep_split_equals_one_shot(kind):
     """
     filt, oversampling = FILTERS[kind]
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**10):
-        whole, parts, summed, metrics = presets._cep_split(
-            CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling, 1, "qpsk"
-        )
-        assert metrics == cep_sum_match(CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling)
+        whole, parts, summed, _ = _split(CEP_PROFILE, 4100, SEED, 1.0, filt, oversampling)
     _assert_matches_one_shot(whole, _one_shot(CEP_PROFILE, 4100, filt, oversampling, 1), kind)
     assert len(parts) == CEP_PROFILE.num_delay
     for l, part in enumerate(parts):
@@ -260,9 +280,45 @@ def test_streamed_cep_split_equals_one_shot(kind):
     assert_array_equal(summed.values, parts[0].values + parts[1].values + parts[2].values)
 
 
-def test_cep_sum_match_memory_does_not_grow_with_frames():
+@settings(max_examples=8, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(FILTERS)),
+    segment_frames=st.integers(1, 3),
+    counts=st.lists(st.one_of(st.sampled_from([1, 4095, 4096, 4097]), st.integers(1, 4100)), min_size=1, max_size=3),
+    block=st.integers(100, 400),
+)
+@example(kind="truncated_sinc", segment_frames=1, counts=[5, 5, 101, 4097, 4100], block=300)
+def test_each_count_of_one_pass_is_a_separate_run_of_that_many_frames(kind, segment_frames, counts, block):
+    """The whole stream, every CEP view, their sum and the metrics at each count, bit for bit.
+
+    Blocks of a few frames: counts fall inside blocks and on their ends,
+    on both sides of the 4096-frame chunk boundary, and repeat.
+    """
+    filt, oversampling = FILTERS[kind]
+    counts = [max(count, segment_frames) for count in counts]
+    args = (SEED, 1.0, filt, oversampling, segment_frames, "qpsk")
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
+        splits = presets._cep_split(CEP_PROFILE, counts, *args)
+        alone = {count: presets._cep_split(CEP_PROFILE, (count,), *args)[0] for count in set(counts)}
+    for count, (whole, parts, summed, metrics) in zip(counts, splits):
+        expected_whole, expected_parts, expected_sum, expected_metrics = alone[count]
+        for curve, expected in zip((whole, *parts, summed), (expected_whole, *expected_parts, expected_sum)):
+            assert curve.meta == expected.meta
+            assert curve.values.tobytes() == expected.values.tobytes()
+        assert metrics == expected_metrics
+
+
+def test_cep_convergence_draws_its_largest_count_once(tmp_path):
+    config = presets.preset_config("cep-convergence", {"stream": {"frame_counts": [10, 100, 1000]}})
+    with mock.patch.object(presets, "stream_chunks", wraps=waveform.stream_chunks) as draw:
+        presets.run_scenario(config, tmp_path)
+    assert draw.call_count == 1
+    assert draw.call_args.args[1] == 1000
+
+
+def test_cep_split_memory_does_not_grow_with_frames():
     """Four and sixteen generation chunks peak alike: blocks are dropped once every view took them."""
-    assert _peak_bytes(65536, cep_sum_match) <= 1.05 * _peak_bytes(16384, cep_sum_match)
+    assert _peak_bytes(65536, _split) <= 1.05 * _peak_bytes(16384, _split)
 
 
 def test_cep_split_views_share_their_batch_buffers():
@@ -284,7 +340,7 @@ def test_cep_split_views_share_their_batch_buffers():
         finally:
             tracemalloc.stop()
 
-    extra = peak(cep_sum_match) - peak(estimated_psd)
+    extra = peak(_split) - peak(estimated_psd)
     assert extra <= 2 * block_bytes
 
 
@@ -298,7 +354,7 @@ def test_cep_views_copy_blocks_not_chunks():
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", 512):
         tracemalloc.start()
         try:
-            cep_sum_match(profile, 4096, SEED, 1.0, InterpolationFilter.truncated_sinc(1.0, 1), 1)
+            _split(profile, 4096, SEED, 1.0, InterpolationFilter.truncated_sinc(1.0, 1), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -346,3 +402,19 @@ def test_nslp_runner_memory_does_not_grow_with_frames(tmp_path):
     """16 and 64 precoded blocks peak alike: the leak and the periodogram are taken block by block."""
     _nslp_peak_bytes(tmp_path, 16)  # numpy's lazily imported modules are not the runner's memory
     assert _nslp_peak_bytes(tmp_path, 1024) <= 1.05 * _nslp_peak_bytes(tmp_path, 256)
+
+
+def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream(tmp_path):
+    """8x32, 40 frames in five 8-frame blocks: the written PSD and leak are the one-block stream's, bit for bit."""
+    overrides = {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 40}}
+    config = presets.preset_config("lte-otfs-nslp", overrides)
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11):
+        presets.run_scenario(config, tmp_path)
+    mask = config.mask()
+    stream, norms = presets.precoded_stream(
+        build_precoders(mask, config.precoder_form), 40, config.seed, config.sample_interval, config.constellation
+    )
+    assert read_psd_curve(tmp_path / "lte_nslp_psd.csv").values.tobytes() == periodogram(stream).values.tobytes()
+    leak = np.abs(discrete_spectrum(stream.frames)[:, mask.null_bins]).max(axis=1) / norms
+    metrics = {record["metric"]: record["value"] for record in read_metrics(tmp_path / "lte_nslp_metrics.json")}
+    assert metrics["worst_null_bin_leak"] == float(leak.max()) > 0.0
