@@ -170,13 +170,24 @@ class PeriodogramAverager:
                 buf[:] = fill
         return buf[:rows]
 
+    def _window_columns(self, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per segment of a batch of ``rows``: the window columns of its outside inputs and of their repeats.
+
+        Made once and kept with the buffers, as a smaller batch takes their first rows.
+        """
+        columns = self._scratch.get("columns")
+        if columns is None or len(columns[0]) < rows:
+            at = self._len * np.arange(rows)[:, None]
+            columns = self._scratch["columns"] = (at + self._outside, at + self._repeats)
+        return columns
+
     def _fold(self, window: np.ndarray, count: int, acc: np.ndarray) -> None:
         """Add ``|DFT|^2`` of the ``count`` segments in ``window``, after its first ``order`` inputs, to ``acc``."""
         n, order, bins = self._len, self.order, acc.size
         batch = min(count, max(1, _BATCH_SAMPLES // bins))
         spectra_buf, rows_buf = self._buffer("spectra", batch, n), self._buffer("rows", batch + 1, bins, float)
         if order:
-            outside_at, repeats_at = (n * np.arange(batch)[:, None] + at for at in (self._outside, self._repeats))
+            outside_at, repeats_at = self._window_columns(batch)
         for lo in range(0, count, batch):
             b, part = min(batch, count - lo), window[lo * n :]
             spectra = np.fft.fft(part[order : order + b * n].reshape(b, n), axis=1, out=spectra_buf[:b])

@@ -33,6 +33,7 @@ import shutil
 import signal
 import sys
 import tempfile
+import threading
 import traceback
 import warnings
 from pathlib import Path
@@ -94,10 +95,13 @@ def _row_ranges(rows: int) -> List[Tuple[int, int]]:
     """Contiguous ``(start, stop)`` row ranges, one per writing process.
 
     There are at most one per CPU, and only as many as give each process
-    ``_SPLIT_ROW_BLOCKS`` row blocks; there is one where ``os.fork`` is missing.
+    ``_SPLIT_ROW_BLOCKS`` row blocks.  There is one where ``os.fork`` is
+    missing, and one while another thread runs: a fork copies only the
+    forking thread, so a lock another thread holds would stay held in the child.
     """
     share = _SPLIT_ROW_BLOCKS * _ROW_BLOCK
-    parts = max(1, min(_cpu_count(), rows // share)) if hasattr(os, "fork") else 1
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    parts = max(1, min(_cpu_count(), rows // share)) if forkable else 1
     bounds = [rows * part // parts for part in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
 

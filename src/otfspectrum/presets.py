@@ -10,10 +10,13 @@ byte, and every file but a written mask embeds the configuration hash.
 
 from __future__ import annotations
 
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -21,14 +24,13 @@ from . import io as fileio
 from .config import ScenarioConfig, _deep_merge, _routed_configs
 from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction
 from .errors import ConfigurationError
-from .estimate import _averagers, compare_curves
+from .estimate import PeriodogramAverager, _averagers, compare_curves
 from .precoding import PrecoderSet, _precode_rows, build_precoders, discrete_spectrum
 from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
     FrameStream,
     VarianceProfile,
     _chunked_frames,
-    _draw_symbols,
     cep_component_stream,
     constellation_points,
     stream_chunks,
@@ -49,9 +51,63 @@ __all__ = [
 # stream-level helpers shared by presets, the CLI, and the acceptance tests
 # ---------------------------------------------------------------------------
 
+_Item = TypeVar("_Item")
+
+
+def _prefetched(blocks: Generator[_Item, None, None]) -> Iterator[_Item]:
+    """The items of ``blocks`` in order, each built on a producer thread while the caller uses the one before.
+
+    numpy's draws, FFTs and ufunc loops release the GIL, so the next block
+    is built on a second CPU.  The producer starts an item only once the
+    caller has taken the one before, so two are alive at a time, as when one
+    thread uses an item and then builds the next.  An exception raised by
+    ``blocks`` reaches the caller as it is.  When this generator finishes or
+    is closed, ``blocks`` has been closed and the thread joined.  Where this
+    process may run on one CPU only, ``blocks`` is iterated inline.
+    """
+    if fileio._cpu_count() == 1:
+        yield from blocks
+        return
+    handoff: queue.Queue = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def produce() -> None:
+        # Each item waits until it is taken; the last message, always sent, carries no item.
+        outcome: Optional[BaseException] = None
+        try:
+            for item in blocks:
+                handoff.put((item, None))
+                handoff.join()
+                if stop.is_set():
+                    break
+            blocks.close()  # a generator that raised or ran out is closed already
+        except BaseException as error:
+            outcome = error
+        handoff.put((None, outcome))
+
+    producer = threading.Thread(target=produce, name="frame-block-producer", daemon=True)
+    producer.start()
+    ended = False
+    try:
+        while True:
+            item, error = handoff.get()
+            handoff.task_done()
+            if item is None:
+                ended = True
+                if error is not None:
+                    raise error
+                return
+            yield item
+    finally:
+        stop.set()
+        while not ended:  # what the producer still sends, up to its last message
+            ended = handoff.get()[0] is None
+            handoff.task_done()
+        producer.join()
+
 
 def _streamed_estimates(
-    blocks: Callable[[int], Iterable[FrameStream]],
+    blocks: Callable[[int], Generator[FrameStream, None, None]],
     frame_samples: int,
     frame_counts: Sequence[int],
     sample_interval: float,
@@ -63,13 +119,14 @@ def _streamed_estimates(
     """Averaged periodograms of views of a stream of frame blocks at each of ``frame_counts``, in one pass.
 
     ``blocks(min(L, 4))`` yields the frame blocks (``stream_chunks`` sizes
-    them for that L) of ``frame_samples`` samples a frame.  A view is
-    ``None`` for the stream or a delay index ``l`` for its CEP component
-    ``cep_component_stream(stream, l)``.  The arguments are checked as
-    ``reconstruct`` checks them before any block is drawn.  Each view's
-    averager carries the DAC and takes the blocks at the symbol rate, cut
-    only where a count falls inside.  The curves at a count are those of a
-    pass over that many frames: the estimate of
+    them for that L) of ``frame_samples`` samples a frame.  It runs on the
+    producer thread of ``_prefetched``, joined before this returns or
+    raises.  A view is ``None`` for the stream or a delay index ``l`` for
+    its CEP component ``cep_component_stream(stream, l)``.  The arguments
+    are checked as ``reconstruct`` checks them before any block is drawn.
+    Each view's averager carries the DAC and takes the blocks at the symbol
+    rate, cut only where a count falls inside.  The curves at a count are
+    those of a pass over that many frames: the estimate of
     ``periodogram(reconstruct(view))`` without the sinc's pre- and
     post-ring, bit for bit for dirac_delta, to rounding for rect and the sinc.
     """
@@ -79,17 +136,22 @@ def _streamed_estimates(
     averagers = _averagers(len(views), segment_len, oversampling / sample_interval, oversampling, order)
     snapshots: Dict[int, List[PsdCurve]] = {}
     done = 0
-    for block in blocks(min(oversampling, 4)):
-        cuts = sorted({count - done for count in frame_counts if done < count <= done + len(block)})
-        for averager, l in zip(averagers, views):
-            frames = block.frames if l is None else cep_component_stream(block, l).frames
-            pieces = np.split(frames, cuts) if cuts else [frames]
-            for cut, piece in zip(cuts, pieces):  # ``result`` leaves the averager as it is
-                averager.add(piece)
-                snapshots.setdefault(done + cut, []).append(averager.result())
-            if len(pieces[-1]):
-                averager.add(pieces[-1])
-        done += len(block)
+
+    def fold(averager: PeriodogramAverager, frames: np.ndarray, cuts: List[int]) -> None:
+        # A view's frames are dropped on return, before the next view's are made.
+        pieces = np.split(frames, cuts) if cuts else [frames]
+        for cut, piece in zip(cuts, pieces):  # ``result`` leaves the averager as it is
+            averager.add(piece)
+            snapshots.setdefault(done + cut, []).append(averager.result())
+        if len(pieces[-1]):
+            averager.add(pieces[-1])
+
+    with closing(_prefetched(blocks(min(oversampling, 4)))) as stream:
+        for block in stream:
+            cuts = sorted({count - done for count in frame_counts if done < count <= done + len(block)})
+            for averager, l in zip(averagers, views):
+                fold(averager, block.frames if l is None else cep_component_stream(block, l).frames, cuts)
+            done += len(block)
     return [snapshots[count] for count in frame_counts]
 
 
@@ -188,8 +250,7 @@ def _precoded_blocks(
 
     to_grid = partial(_precode_rows, precoders) if precoders.spectral_bins is None else scattered
     points = constellation_points(constellation)
-    draw = lambda rng, count: _draw_symbols(rng, (count, total), points)
-    for payload, frames in _chunked_frames(num_frames, seed, draw, mask.num_bins, to_grid):
+    for payload, frames in _chunked_frames(num_frames, seed, points, (total,), mask.num_bins, to_grid=to_grid):
         block = FrameStream(frames, mask.num_delay, mask.num_doppler, sample_interval, seed)
         yield block, np.linalg.norm(payload, axis=1)
 
@@ -329,8 +390,9 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     precoders = build_precoders(mask, config.precoder_form)
     leaks = [0.0]
 
-    def leak_checked(_) -> Iterator[FrameStream]:
-        # The precoded blocks (sized for L = 1, the factor asked), each passed on with its worst leak recorded.
+    def leak_checked(_) -> Generator[FrameStream, None, None]:
+        # The precoded blocks (sized for L = 1, the factor asked), each passed on with its worst leak recorded;
+        # ``_streamed_estimates`` joins the thread that runs this before the writers below fork.
         for block, payload_norms in _precoded_blocks(
             precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
         ):

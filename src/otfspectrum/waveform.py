@@ -35,7 +35,6 @@ generator, so generation memory depends on the block, not the frame count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -64,8 +63,11 @@ _CHUNK_FRAMES = 4096
 
 #: Samples per frame block at the given oversampling; a block holds whole frames,
 #: at least one, and never crosses a chunk boundary.  The estimate sizes its
-#: symbol-rate blocks with ``min(L, 4)``.
-_BLOCK_SAMPLES = 2**18
+#: symbol-rate blocks with ``min(L, 4)``, and builds the next block on a second
+#: thread while it folds this one, so two blocks are alive.  2**17 keeps that
+#: below one thread with 2**18-sample blocks: the ``sinc-estimate`` benchmark
+#: peaks at 42.8-43.0 MB RSS, against 46.7 MB (46.9 MB at 2**18 on two threads).
+_BLOCK_SAMPLES = 2**17
 
 #: Built-in constellations, selectable by name in a scenario config.
 CONSTELLATIONS = ("qpsk", "qam16")
@@ -273,47 +275,49 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_symbols(rng: np.random.Generator, shape: Tuple[int, ...], points: np.ndarray) -> np.ndarray:
-    # One uniform double per symbol, consumed in C order, so drawing a chunk
-    # block by block gives the rows of one full 4096-frame draw.  Index
-    # construction from doubles keeps consumption independent of the
-    # constellation size.
-    return points[(rng.random(shape) * points.size).astype(np.intp)]
-
-
-def _draw_grid_symbols(
-    rng: np.random.Generator, frames: int, sigma: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    # One draw per (frame, delay, doppler) bin; sigma == 0 bins still consume
-    # a draw but emit exact 0.
-    return _draw_symbols(rng, (frames, *sigma.shape), points) * sigma
-
-
 def _chunked_frames(
     num_frames: int,
     seed: int,
-    draw: Callable,
+    points: np.ndarray,
+    shape: Tuple[int, ...],
     frame_samples: int,
+    sigma: Optional[np.ndarray] = None,
     to_grid: Callable = lambda symbols: symbols,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Per frame block: the drawn symbols and the OTFS frames they make.
 
     A block holds ``max(1, _BLOCK_SAMPLES // frame_samples)`` frames (the
     last block of a chunk may hold fewer), with ``frame_samples`` the dense
-    samples per frame.  Chunk ``c`` holds frames ``[c*4096, (c+1)*4096)``:
-    its blocks call ``draw(rng, frames)`` one after another on the one
-    generator ``_chunk_rng(seed, c)``, which returns exactly the draws of
-    one whole-chunk call, and ``to_grid`` maps them to the ``(frames, M, N)``
-    delay-Doppler grids that are modulated.
+    samples per frame.  Chunk ``c`` holds frames ``[c*4096, (c+1)*4096)``,
+    drawn block after block from the one generator ``_chunk_rng(seed, c)``.
+    A frame's symbols have ``shape``: each takes one uniform double ``u``,
+    consumed in C order, and is ``points[int(u * points.size)]`` (index
+    construction from doubles keeps consumption independent of the
+    constellation size), times ``sigma`` (of ``shape``; None for 1), so
+    drawing a chunk block by block gives the rows of one whole-chunk draw.
+    ``to_grid`` maps a block's symbols to the ``(frames, M, N)``
+    delay-Doppler grids that are modulated.  The uniforms and indices go
+    through buffers kept for the whole stream; the yielded arrays are new.
     """
     block_frames = max(1, _BLOCK_SAMPLES // frame_samples)
+    uniforms = np.empty((min(block_frames, num_frames, _CHUNK_FRAMES), *shape))
+    indices = np.empty(uniforms.shape, dtype=np.intp)
+    # complex * float runs numpy's complex loop on sigma + 0j: the same bits, without a cast per block.
+    scale = None if sigma is None else np.asarray(sigma, dtype=np.complex128)
     for chunk_index in range(-(-num_frames // _CHUNK_FRAMES)):
         rng = _chunk_rng(seed, chunk_index)
         count = min(_CHUNK_FRAMES, num_frames - chunk_index * _CHUNK_FRAMES)
         for lo in range(0, count, block_frames):
             frames = min(block_frames, count - lo)
-            symbols = draw(rng, frames)
+            u, idx = uniforms[:frames], indices[:frames]
+            rng.random(out=u)
+            np.multiply(u, points.size, out=u)
+            np.copyto(idx, u, casting="unsafe")  # truncation, as ``astype(np.intp)``
+            symbols = np.take(points, idx)
+            if scale is not None:
+                np.multiply(symbols, scale, out=symbols)
             yield symbols, _otfs_frames(to_grid(symbols))
+            del symbols  # not alive beside the next block's
 
 
 def stream_chunks(
@@ -337,10 +341,13 @@ def stream_chunks(
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
     if seed is None:
         raise ConfigurationError("a seed is required; wall-clock seeding is not supported")
-    points = constellation_points(constellation)
-    draw = partial(_draw_grid_symbols, sigma=np.sqrt(profile.sigma2), points=points)
     frame_samples = profile.num_delay * profile.num_doppler * oversampling
-    for _, frames in _chunked_frames(num_frames, seed, draw, frame_samples):
+    sigma = np.sqrt(profile.sigma2)
+    # One draw per (frame, delay, doppler) bin; sigma == 0 bins still consume a draw but emit exact 0.
+    for symbols, frames in _chunked_frames(
+        num_frames, seed, constellation_points(constellation), sigma.shape, frame_samples, sigma
+    ):
+        del symbols  # a block keeps its frames only
         yield FrameStream(
             frames=frames,
             num_delay=profile.num_delay,

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -230,6 +231,24 @@ def _split_table(path, block):
     with mock.patch.object(fileio, "_ROW_BLOCK", 1), mock.patch.object(fileio, "_SPLIT_ROW_BLOCKS", 1), \
             mock.patch.object(fileio, "_cpu_count", lambda: 2):
         return fileio._write_table(path, {"format": "test"}, ["n"], [1] * 8, block)
+
+
+def test_a_table_is_written_by_one_process_while_another_thread_runs(tmp_path):
+    """A fork copies only the forking thread, so a lock another thread holds would stay held in the child."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with mock.patch.object(fileio, "_fork_rows", wraps=fileio._fork_rows) as fork_rows:
+            text = _split_table(tmp_path / "t.csv", lambda index: (np.array([index]),)).read_text()
+            with mock.patch.object(fileio, "_cpu_count", lambda: 2):
+                assert fileio._row_ranges(1 << 30) == [(0, 1 << 30)]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and fork_rows.call_count == 0
+    assert text == "# format=test\nn\n" + "".join(f"{n}\n" for n in range(8))
+    assert len(fileio._row_ranges(1 << 30)) == fileio._cpu_count()
 
 
 @pytest.mark.parametrize(

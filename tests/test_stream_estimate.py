@@ -15,7 +15,11 @@ batch buffers and peak within two dense blocks of the one-view estimate,
 and rect must not grow with L.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
+from contextlib import closing
 from functools import partial
 from unittest import mock
 
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from otfspectrum import estimate, presets, waveform
+from otfspectrum import io as fileio
 from otfspectrum.dac import InterpolationFilter, reconstruct
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.estimate import periodogram
@@ -47,7 +52,7 @@ FILTERS = {
 CASES = {
     # 4100 frames: two generation chunks, the second holding 4 frames.
     "multi_chunk": (VarianceProfile.uniform(2, 2), 4100, 1),
-    # 4096-sample frames: a block holds 2**18 // (4096 * L) frames, so 70
+    # 4096-sample frames: a block holds 2**17 // (4096 * L) frames, so 70
     # frames cross a block boundary inside the first chunk; three-frame
     # segments straddle it.
     "block_boundary": (VarianceProfile.uniform(64, 64), 70, 3),
@@ -108,15 +113,16 @@ def test_streamed_estimate_equals_one_shot(case, kind):
     order=st.integers(1, 40),
     segment_frames=st.integers(1, 3),
     block=st.integers(1, 300),
+    cpus=st.integers(1, 3),
 )
 def test_memoryless_estimate_is_bit_identical_for_any_block_size(
-    delays, dopplers, frames, oversampling, order, segment_frames, block
+    delays, dopplers, frames, oversampling, order, segment_frames, block, cpus
 ):
-    """Each filter at any L, and its CEP split, give the same bits for every ``_BLOCK_SAMPLES``.
+    """Each filter at any L, and its CEP split, give the same bits for every ``_BLOCK_SAMPLES`` and CPU count.
 
     Rect, the Dirac and the sinc of ``order``, whose ``2*order`` taps may
-    span many blocks of a few samples each.  Every view also matches its
-    one-shot estimate.
+    span many blocks of a few samples each, drawn inline (one CPU) or on
+    the producer thread.  Every view also matches its one-shot estimate.
     """
     frames = max(frames, segment_frames)
     profile = VarianceProfile.uniform(delays, dopplers)
@@ -126,7 +132,9 @@ def test_memoryless_estimate_is_bit_identical_for_any_block_size(
         dense = 1 if kind == "dirac_delta" else oversampling
         args = (profile, frames, SEED, 1.0, filt, dense, segment_frames, "qpsk")
         whole = _estimates(*args, views)
-        with mock.patch.object(waveform, "_BLOCK_SAMPLES", block):
+        with mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
+            fileio, "_cpu_count", lambda: cpus
+        ):
             blocked = _estimates(*args, views)
         for l, a, b in zip(views, whole, blocked):
             assert a.meta == b.meta
@@ -187,11 +195,11 @@ def test_sinc_estimate_is_the_periodogram_of_the_reconstruction(
 
 
 @settings(max_examples=30, deadline=None)
-@given(**SINC_GEOMETRY, block=st.integers(1, 400), batch=st.integers(1, 2**12))
+@given(**SINC_GEOMETRY, block=st.integers(1, 400), batch=st.integers(1, 2**12), cpus=st.integers(1, 3))
 def test_sinc_estimate_is_bit_identical_for_any_block_and_batch(
-    delays, dopplers, frames, oversampling, order, segment_frames, block, batch
+    delays, dopplers, frames, oversampling, order, segment_frames, block, batch, cpus
 ):
-    """Every view gives the same bytes for every ``_BLOCK_SAMPLES`` and ``_BATCH_SAMPLES``.
+    """Every view gives the same bytes for every ``_BLOCK_SAMPLES``, ``_BATCH_SAMPLES`` and CPU count.
 
     A batch of one segment and a batch of many round each segment's edge
     product alike, and blocks of a few samples carry whole segments, with
@@ -201,7 +209,7 @@ def test_sinc_estimate_is_bit_identical_for_any_block_and_batch(
     whole = _estimates(*args, views)
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
         estimate, "_BATCH_SAMPLES", batch
-    ):
+    ), mock.patch.object(fileio, "_cpu_count", lambda: cpus):
         blocked = _estimates(*args, views)
     for a, b in zip(whole, blocked):
         assert a.meta == b.meta
@@ -322,7 +330,7 @@ def test_cep_split_memory_does_not_grow_with_frames():
 
 
 def test_cep_split_views_share_their_batch_buffers():
-    """16 delays, the truncated sinc at L=1: 2**18-sample dense blocks, eight of them.
+    """16 delays, the truncated sinc at L=1: 2**17-sample dense blocks, sixteen of them.
 
     Above the one-view estimate, the 17 views may hold at most 2 more dense
     blocks: between blocks a view keeps only its sum and its carry, and all
@@ -418,3 +426,140 @@ def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream(tmp_path):
     leak = np.abs(discrete_spectrum(stream.frames)[:, mask.null_bins]).max(axis=1) / norms
     metrics = {record["metric"]: record["value"] for record in read_metrics(tmp_path / "lte_nslp_metrics.json")}
     assert metrics["worst_null_bin_leak"] == float(leak.max()) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the producer thread that builds the next block
+# ---------------------------------------------------------------------------
+
+
+def _cpus(count):
+    return mock.patch.object(fileio, "_cpu_count", lambda: count)
+
+
+@pytest.mark.parametrize("kind", FILTERS)
+def test_the_producer_thread_changes_no_bits(kind):
+    """Blocks built inline (one CPU) and on the producer thread: the same bytes, plain and CEP split.
+
+    2x2 frames in blocks of a few frames, over two generation chunks.
+    """
+    filt, oversampling = FILTERS[kind]
+    profile, frames, segment_frames = CASES["multi_chunk"]
+    results = []
+    for cpus in (1, 2):
+        with _cpus(cpus), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**8), mock.patch.object(
+            threading, "Thread", wraps=threading.Thread
+        ) as thread:
+            curve = estimated_psd(profile, frames, SEED, 1.0, filt, oversampling, segment_frames)
+            whole, parts, summed, metrics = _split(CEP_PROFILE, frames, SEED, 1.0, filt, oversampling)
+        assert thread.call_count == (0 if cpus == 1 else 2)
+        results.append(([c.values.tobytes() for c in (curve, whole, *parts, summed)], metrics))
+    assert results[0] == results[1]
+
+
+class _LingeringThread(threading.Thread):
+    """A thread that stays alive 20 ms after its target returns: only a join waits for it."""
+
+    runs = []
+
+    def run(self):
+        self.runs.append(self.name)
+        super().run()
+        time.sleep(0.02)
+
+
+def _counting_source(error_at=None, error=None):
+    """A 20-frame source in five-frame blocks that raises ``error`` instead of block ``error_at``.
+
+    Returns the source and the list of the block indices at which its
+    generators ended.  The source keeps every generator it makes, so only
+    an explicit ``close`` ends one early.
+    """
+    ended, made = [], []
+
+    def run(factor):
+        index = -1
+        try:
+            for index, block in enumerate(stream_chunks(CEP_PROFILE, 20, SEED, 1.0, "qpsk", factor)):
+                if index == error_at:
+                    raise error
+                yield block
+        finally:
+            ended.append(index)
+
+    def blocks(factor):
+        made.append(run(factor))
+        return made[-1]
+
+    return blocks, ended
+
+
+def _estimate_from(blocks):
+    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 5 * CEP_PROFILE.sigma2.size), mock.patch.object(
+        threading, "Thread", _LingeringThread
+    ):
+        return presets._streamed_estimates(
+            blocks, CEP_PROFILE.sigma2.size, (20,), 1.0, InterpolationFilter.dirac(1.0), 1, 1, (None, 0)
+        )
+
+
+def test_no_thread_outlives_an_estimate_that_returns():
+    before = threading.active_count()
+    blocks, ended = _counting_source()
+    runs = len(_LingeringThread.runs)
+    [[whole, component]] = _estimate_from(blocks)
+    assert ended == [3] and len(_LingeringThread.runs) == runs + 1
+    assert threading.active_count() == before
+    assert whole.meta["num_segments"] == component.meta["num_segments"] == 20
+
+
+def test_an_error_of_the_block_source_reaches_the_caller_as_it_is():
+    """Raised on the producer thread before the third block: the same object, and no thread left."""
+    before = threading.active_count()
+    error = ConfigurationError("the third block cannot be drawn")
+    blocks, ended = _counting_source(error_at=2, error=error)
+    with pytest.raises(ConfigurationError) as caught:
+        _estimate_from(blocks)
+    assert caught.value is error and ended == [2]
+    assert threading.active_count() == before
+
+
+def test_an_error_of_the_consumer_stops_and_joins_the_producer():
+    """The second ``add`` fails: the caller gets its error, and the source is closed mid-stream."""
+    before = threading.active_count()
+    error = ValueError("the averager cannot take this block")
+    adds = []
+    add = estimate.PeriodogramAverager.add
+
+    def failing_add(self, samples):
+        adds.append(len(samples))
+        if len(adds) == 2:
+            raise error
+        add(self, samples)
+
+    blocks, ended = _counting_source()
+    with mock.patch.object(estimate.PeriodogramAverager, "add", failing_add), pytest.raises(ValueError) as caught:
+        _estimate_from(blocks)
+    assert caught.value is error
+    assert ended in ([0], [1])  # closed at the block folded, or at the next if it was being built
+    assert threading.active_count() == before
+
+
+def test_prefetched_items_arrive_in_order_under_frequent_thread_switches():
+    """A switch every microsecond: 2000 items in order, and a close at any point leaves no thread."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _cpus(2):
+            assert list(presets._prefetched(item for item in range(2000))) == list(range(2000))
+            for last in (0, 1, 7, 500):
+                before = threading.active_count()
+                taken = []
+                with closing(presets._prefetched(item for item in range(2000))) as items:
+                    for item in items:
+                        taken.append(item)
+                        if item == last:
+                            break
+                assert taken == list(range(last + 1)) and threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)

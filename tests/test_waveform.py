@@ -1,5 +1,4 @@
 import tracemalloc
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -13,6 +12,7 @@ from otfspectrum.errors import ConfigurationError
 from otfspectrum.precoding import build_precoders, decompose_mask
 from otfspectrum.presets import precoded_stream
 from otfspectrum.waveform import (
+    CONSTELLATIONS,
     BasebandFrame,
     DelayDopplerGrid,
     FrameStream,
@@ -21,7 +21,6 @@ from otfspectrum.waveform import (
     _QPSK,
     _chunk_rng,
     _chunked_frames,
-    _draw_grid_symbols,
     cep_component_stream,
     cep_ofdm_component,
     constellation_points,
@@ -234,13 +233,18 @@ def _assert_block_layout(sizes, num_frames, block_frames):
         assert size == block_frames if end < chunk_end else 1 <= size <= block_frames
 
 
+def _whole_chunk_symbols(rng, count, sigma, points=_QPSK):
+    """``count`` frames of symbols in one draw: a uniform double per bin, in C order, picks a point."""
+    return points[(rng.random((count, *sigma.shape)) * points.size).astype(np.intp)] * sigma
+
+
 def _whole_chunk_frames(profile, num_frames, seed):
     """The stream drawn and modulated one whole 4096-frame chunk at a time (the blocks' reference)."""
     chunks = []
     for lo in range(0, num_frames, _CHUNK_FRAMES):
         count = min(_CHUNK_FRAMES, num_frames - lo)
         rng = _chunk_rng(seed, lo // _CHUNK_FRAMES)
-        symbols = _draw_grid_symbols(rng, count, np.sqrt(profile.sigma2), _QPSK)
+        symbols = _whole_chunk_symbols(rng, count, np.sqrt(profile.sigma2))
         rows = np.fft.ifft(symbols, axis=-1, norm="ortho")
         chunks.append(rows.transpose(0, 2, 1).reshape(count, -1))
     return np.concatenate(chunks)
@@ -293,7 +297,7 @@ def test_streams_are_prefix_stable_across_chunk_boundaries(
 
 
 def test_a_stream_block_stays_far_below_a_chunk():
-    """16x128 grid: one 4096-frame chunk array is 134 MB, one 2**18-sample block 4 MB."""
+    """16x128 grid: one 4096-frame chunk array is 134 MB, one 2**17-sample block 2 MB."""
     prof = VarianceProfile.uniform(16, 128)
     tracemalloc.start()
     try:
@@ -422,13 +426,17 @@ def test_stream_frame_is_a_view_of_its_row(index):
 def test_stream_frames_are_the_otfs_frames_of_their_grids(
     delays, dopplers, sample_interval, block_frames, extra_frames, seed
 ):
-    """One layout: each frame of a multi-block draw is ``otfs_modulate`` of its grid, bit for bit."""
+    """One layout: each frame of a multi-block draw is ``otfs_modulate`` of its grid, bit for bit.
+
+    Every block's symbols are kept to the end: no later block overwrites them.
+    """
     sigma = np.sqrt(np.arange(1.0, delays * dopplers + 1).reshape(delays, dopplers))
-    draw = partial(_draw_grid_symbols, sigma=sigma, points=_QPSK)
     num_frames = block_frames + extra_frames  # at least two blocks
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", block_frames * delays * dopplers):
-        blocks = list(_chunked_frames(num_frames, seed, draw, delays * dopplers))
+        blocks = list(_chunked_frames(num_frames, seed, _QPSK, sigma.shape, delays * dopplers, sigma))
     assert len(blocks) >= 2 and sum(len(frames) for _, frames in blocks) == num_frames
+    drawn = np.concatenate([symbols for symbols, _ in blocks])
+    assert_array_equal(drawn, _whole_chunk_symbols(_chunk_rng(seed, 0), num_frames, sigma))
     for symbols, frames in blocks:
         stream = FrameStream(frames, delays, dopplers, sample_interval, seed)
         components = [cep_component_stream(stream, l) for l in range(delays)]
@@ -441,8 +449,30 @@ def test_stream_frames_are_the_otfs_frames_of_their_grids(
 def test_partial_chunk_draw_is_the_prefix_of_a_full_chunk_draw():
     """Philox fills in C order: drawing k frames equals the first k of 4096."""
     sigma = np.sqrt(np.arange(15.0).reshape(3, 5))
-    full = _draw_grid_symbols(_chunk_rng(9, 2), _CHUNK_FRAMES, sigma, _QPSK)
-    assert_array_equal(_draw_grid_symbols(_chunk_rng(9, 2), 7, sigma, _QPSK), full[:7])
+
+    def symbols(frames):
+        return np.concatenate([s for s, _ in _chunked_frames(frames, 9, _QPSK, sigma.shape, sigma.size, sigma)])
+
+    assert_array_equal(symbols(7), symbols(_CHUNK_FRAMES)[:7])
+
+
+@pytest.mark.parametrize("constellation", CONSTELLATIONS)
+def test_block_draws_are_the_whole_chunk_draws_bit_for_bit(constellation):
+    """Seven-frame blocks drawn through the kept buffers give the bytes of one draw per chunk.
+
+    Zero-variance bins included: a point scaled by 0 keeps the sign of its
+    zeros, as ``points[i] * sigma`` gives them.
+    """
+    points = constellation_points(constellation)
+    sigma = np.sqrt(np.arange(15.0).reshape(3, 5) % 4)
+    frames = _CHUNK_FRAMES + 9
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 7 * sigma.size):
+        drawn = np.concatenate([s for s, _ in _chunked_frames(frames, 9, points, sigma.shape, sigma.size, sigma)])
+    whole = np.concatenate(
+        [_whole_chunk_symbols(_chunk_rng(9, c), n, sigma, points) for c, n in ((0, _CHUNK_FRAMES), (1, 9))]
+    )
+    assert drawn.tobytes() == whole.tobytes()
+    assert np.signbit(drawn.real[:, sigma == 0]).any() and np.signbit(drawn.imag[:, sigma == 0]).any()
 
 
 @example(delays=3, dopplers=2, frames=_CHUNK_FRAMES + 4, seed=0)
