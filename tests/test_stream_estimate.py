@@ -563,3 +563,46 @@ def test_prefetched_items_arrive_in_order_under_frequent_thread_switches():
                 assert taken == list(range(last + 1)) and threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("at", ["result", "submit"])
+def test_an_interrupt_between_taking_an_item_and_starting_the_next_stops_the_producer(at):
+    """Ctrl-C just after the third item is taken, or as the fourth is started: no hang, no thread left.
+
+    The consumer runs on a helper thread joined with a timeout, so a hang
+    fails the test rather than stopping the run.
+    """
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    calls, ended, outcome = [], [], []
+    target = (Future, "result") if at == "result" else (ThreadPoolExecutor, "submit")
+    original = getattr(*target)
+
+    def interrupted(self, *args, **kwargs):
+        value = original(self, *args, **kwargs)
+        calls.append(value)
+        if len(calls) == 3 + (at == "submit"):
+            raise KeyboardInterrupt
+        return value
+
+    def source():
+        try:
+            yield from range(1, 100)
+        finally:
+            ended.append(True)
+
+    def consume():
+        try:
+            for _ in presets._prefetched(source()):
+                pass
+        except KeyboardInterrupt as interrupt:
+            outcome.append(interrupt)
+
+    before = threading.active_count()
+    with _cpus(2), mock.patch.object(*target, interrupted):
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=10)
+    assert not consumer.is_alive()
+    assert len(outcome) == 1 and ended == [True]
+    assert threading.active_count() == before
