@@ -13,7 +13,7 @@ of both curves over a common (optionally band-restricted) grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,6 +115,13 @@ class PeriodogramAverager:
     reach into it.  Moving the time origin ``order*hold`` samples back, a
     phase common to both terms, puts that correction in the first
     ``min(S, 2*order*hold)`` samples.
+
+    ``_on_spectra``, when set, is called with each batch's segment DFTs,
+    before they are squared in place, and with the index of the batch's
+    first segment, so it sees each segment once and in order.  The rows are
+    a buffer of the next batch: it may read them only during the call.  The
+    sinc's last segments, which ``result`` folds from the end-of-stream
+    zeros into a copy at each call, are not handed on.
     """
 
     def __init__(self, segment_len: int, sample_rate: float, hold: int = 1, order: int = 0) -> None:
@@ -132,6 +139,7 @@ class PeriodogramAverager:
         self._acc = np.zeros(self.segment_len if order else n)
         self._carry = np.zeros(self.order, dtype=np.complex128)  # the history before time zero
         self._scratch: dict = {}
+        self._on_spectra: Optional[Callable[[np.ndarray, int], None]] = None
         self.num_segments = 0
         if order:
             kernel, bins = sinc_kernel(self.hold, self.order), self.segment_len
@@ -154,9 +162,11 @@ class PeriodogramAverager:
         # Those whose window starts in the carry are folded from a short copy, the rest in place.
         head = min(count, -(-carry.size // n))
         if head:
-            self._fold(np.concatenate([carry, samples[: head * n + edge - carry.size]]), head, self._acc)
+            window = np.concatenate([carry, samples[: head * n + edge - carry.size]])
+            self._fold(window, head, self._acc, self.num_segments)
         if count > head:
-            self._fold(samples[head * n - carry.size : count * n + edge - carry.size], count - head, self._acc)
+            window = samples[head * n - carry.size : count * n + edge - carry.size]
+            self._fold(window, count - head, self._acc, self.num_segments + head)
         rest = count * n - carry.size
         self._carry = samples[rest:].copy() if rest >= 0 else np.concatenate([carry[count * n :], samples])
         self.num_segments += count
@@ -181,8 +191,12 @@ class PeriodogramAverager:
             columns = self._scratch["columns"] = (at + self._outside, at + self._repeats)
         return columns
 
-    def _fold(self, window: np.ndarray, count: int, acc: np.ndarray) -> None:
-        """Add ``|DFT|^2`` of the ``count`` segments in ``window``, after its first ``order`` inputs, to ``acc``."""
+    def _fold(self, window: np.ndarray, count: int, acc: np.ndarray, first: Optional[int] = None) -> None:
+        """Add ``|DFT|^2`` of the ``count`` segments in ``window``, after its first ``order`` inputs, to ``acc``.
+
+        ``first`` is the index of the first of them in the stream, for
+        ``_on_spectra``; None keeps them from it.
+        """
         n, order, bins = self._len, self.order, acc.size
         batch = min(count, max(1, _BATCH_SAMPLES // bins))
         spectra_buf, rows_buf = self._buffer("spectra", batch, n), self._buffer("rows", batch + 1, bins, float)
@@ -205,6 +219,8 @@ class PeriodogramAverager:
                 np.copyto(edges.reshape(b, self.hold, n), spectra[:, None, :])
                 edges *= self._buffer("kernel_dft", b, bins, fill=self._kernel_dft)
                 spectra = np.add(dense, edges, out=dense)
+            if self._on_spectra is not None and first is not None:
+                self._on_spectra(spectra, first + lo)
             rows = rows_buf[: b + 1]
             rows[0] = acc
             # re*re + im*im, squared in place: no further batch-sized temporaries.
@@ -232,8 +248,9 @@ class PeriodogramAverager:
                 f"got {(self._carry.size - self.order) * self.hold}"
             )
         held = self.segment_len // acc.size  # the sinc's response is in each segment's DFT already
-        response = np.fft.fft(np.ones(held), self.segment_len)
-        acc = np.tile(acc, held) * (response.real**2 + response.imag**2)
+        if held > 1:  # a hold of one has the all-ones response
+            response = np.fft.fft(np.ones(held), self.segment_len)
+            acc = np.tile(acc, held) * (response.real**2 + response.imag**2)
         power = acc / (segments * self.segment_len * self.sample_rate)
         return PsdCurve(
             freqs=_centered_grid(self.segment_len, self.sample_rate),

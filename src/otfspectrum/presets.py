@@ -23,7 +23,7 @@ from .config import ScenarioConfig, _deep_merge, _routed_configs
 from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction
 from .errors import ConfigurationError
 from .estimate import PeriodogramAverager, _averagers, compare_curves
-from .precoding import PrecoderSet, _precode_rows, build_precoders, discrete_spectrum
+from .precoding import PrecoderSet, _precode_rows, build_precoders
 from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
     FrameStream,
@@ -89,6 +89,7 @@ def _streamed_estimates(
     oversampling: int,
     segment_frames: int,
     views: Sequence[Optional[int]] = (None,),
+    on_spectra: Optional[Callable[[np.ndarray, int], None]] = None,
 ) -> List[List[PsdCurve]]:
     """Averaged periodograms of views of a stream of frame blocks at each of ``frame_counts``, in one pass.
 
@@ -103,11 +104,16 @@ def _streamed_estimates(
     those of a pass over that many frames: the estimate of
     ``periodogram(reconstruct(view))`` without the sinc's pre- and
     post-ring, bit for bit for dirac_delta, to rounding for rect and the sinc.
+    ``on_spectra`` becomes the whole-stream view's
+    ``PeriodogramAverager._on_spectra``: it is handed that view's segment
+    DFTs on this thread.
     """
     oversampling = check_reconstruction(filt, oversampling, sample_interval)
     segment_len = frame_samples * oversampling * segment_frames
     order = int(filt.order) if filt.kind == "truncated_sinc" else 0
     averagers = _averagers(len(views), segment_len, oversampling / sample_interval, oversampling, order)
+    if on_spectra is not None:
+        averagers[views.index(None)]._on_spectra = on_spectra
     snapshots: Dict[int, List[PsdCurve]] = {}
     done = 0
 
@@ -362,23 +368,37 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     if mask is None:
         raise ConfigurationError("the NSLP preset needs a mask section")
     precoders = build_precoders(mask, config.precoder_form)
-    leaks = [0.0]
+    norms: Dict[int, float] = {}  # the payload norm of each frame made and not yet checked, by index
+    leak, scale = 0.0, 1 / np.sqrt(mask.num_bins)
+    # Rows checked at a time: their gathered null bins stay near 2**8 values, small beside the producer's block
+    # however the two threads line up.
+    rows = max(1, 2**8 // max(1, mask.null_bins.size))
 
-    def leak_checked(_) -> Generator[FrameStream, None, None]:
-        # The precoded blocks (sized for L = 1, the factor asked), each passed on with its worst leak recorded;
-        # ``_streamed_estimates`` joins the thread that runs this before the writers below fork.
+    def normed(_) -> Generator[FrameStream, None, None]:
+        # The precoded blocks (sized for L = 1, the factor asked), each frame's payload norm recorded before its
+        # block is passed on; ``_streamed_estimates`` joins the thread that runs this before the writers below fork.
+        made = 0
         for block, payload_norms in _precoded_blocks(
             precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
         ):
-            if mask.null_bins.size:
-                spectra = discrete_spectrum(block.frames)  # the array: a one-frame block stays 2-D
-                leaks.append(float((np.abs(spectra[:, mask.null_bins]).max(axis=1) / payload_norms).max()))
+            norms.update(enumerate(payload_norms.tolist(), made))
+            made += len(block)
             yield block
+
+    def check_leak(spectra: np.ndarray, first: int) -> None:
+        # The averager's DFTs of frames ``first`` on (a segment is one frame), scaled before ``abs`` as
+        # ``discrete_spectrum``'s unitary FFT scales them: its null-bin values, bit for bit.
+        nonlocal leak
+        for lo in range(0, len(spectra), rows):
+            nulled = spectra[lo : lo + rows, mask.null_bins]
+            nulled *= scale
+            payload_norms = np.array([norms.pop(frame) for frame in range(first + lo, first + lo + len(nulled))])
+            leak = max(leak, float((np.abs(nulled).max(axis=1, initial=0.0) / payload_norms).max()))
 
     # The one-frame-segment periodogram: the precoded frames are the Dirac DAC's input at L = 1.
     [[curve]] = _streamed_estimates(
-        leak_checked, mask.num_bins, (config.num_frames,), config.sample_interval,
-        InterpolationFilter.dirac(config.sample_interval), 1, 1,
+        normed, mask.num_bins, (config.num_frames,), config.sample_interval,
+        InterpolationFilter.dirac(config.sample_interval), 1, 1, on_spectra=check_leak,
     )
     # Periodogram bins are exactly the spectrum bins (segment = one frame):
     # shift the natural-order null set onto the centered grid, as the averager does.
@@ -398,7 +418,7 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
         [
             ("payload_dimensions", float(precoders.total_payload)),
             ("suppression_db", suppression_db),
-            ("worst_null_bin_leak", max(leaks)),
+            ("worst_null_bin_leak", leak),
         ],
         cfg_hash,
     )

@@ -12,31 +12,36 @@ under any frame blocking and batch size.  A pass read at several frame
 counts gives at each the bits of a pass of that many frames.  Memory must
 stay flat in the frame count, the CEP split's views must share their
 batch buffers and peak within two dense blocks of the one-view estimate,
-and rect must not grow with L.
+and rect must not grow with L.  The whole-stream view hands its raw
+segment DFTs to an optional callback, each once and in order; the NSLP
+preset's leak check reads them there, so a precoded frame takes one
+forward and one inverse FFT.
 """
 
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import closing
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from otfspectrum import estimate, presets, waveform
 from otfspectrum import io as fileio
 from otfspectrum.dac import InterpolationFilter, reconstruct
-from otfspectrum.errors import ConfigurationError
+from otfspectrum.errors import ConfigurationError, SystematicInfeasibleError
 from otfspectrum.estimate import periodogram
 from otfspectrum.io import read_metrics, read_psd_curve
 from otfspectrum.patterns import column_support_profile
-from otfspectrum.precoding import build_precoders, discrete_spectrum
+from otfspectrum.precoding import PRECODER_FORMS, build_precoders, discrete_spectrum
 from otfspectrum.presets import estimated_psd
 from otfspectrum.waveform import VarianceProfile, cep_component_stream, generate_random_stream, stream_chunks
 
@@ -428,6 +433,81 @@ def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream(tmp_path):
     assert metrics["worst_null_bin_leak"] == float(leak.max()) > 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.tuples(st.integers(1, 6), st.integers(1, 24)),
+    bands=st.lists(st.tuples(st.floats(-0.6, 0.5), st.floats(0.02, 1.2)), min_size=1, max_size=2),
+    form=st.sampled_from(PRECODER_FORMS),
+    frames=st.integers(1, 14),
+    block=st.integers(1, 5),
+    cpus=st.sampled_from([1, 2]),
+)
+@example(grid=(1, 97), bands=[(-0.3, 0.7)], form="null_space", frames=11, block=4, cpus=2)  # prime: Bluestein
+@example(grid=(3, 41), bands=[(-0.6, 1.2)], form="systematic", frames=7, block=3, cpus=2)  # nulls no bin
+@example(grid=(5, 12), bands=[(-0.45, 0.3), (0.2, 0.2)], form="systematic", frames=9, block=2, cpus=1)
+def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream_on_any_grid(grid, bands, form, frames, block, cpus):
+    """Any grid, pass bands (as fractions of the sample rate) and form, blocked and threaded any way.
+
+    The written PSD is the one-shot periodogram of ``precoded_stream``, and
+    the worst leak its ``discrete_spectrum`` null bins over the payload
+    norms (0.0 when no bin is nulled), bit for bit.  Mixed-radix and
+    Bluestein frame lengths; the null-space form takes the closed-form
+    path, the systematic form its matrices.
+    """
+    (num_delay, num_doppler), rate = grid, 30.72e6
+    overrides = {
+        "grid": {"num_delay": num_delay, "num_doppler": num_doppler},
+        "stream": {"num_frames": frames},
+        "mask": {"pass_bands_hz": [[lo * rate, (lo + width) * rate] for lo, width in bands]},
+        "precoder": {"form": form},
+    }
+    try:
+        config = presets.preset_config("lte-otfs-nslp", overrides)
+        precoders = build_precoders(config.mask(), form)
+    except (ConfigurationError, SystematicInfeasibleError):  # a band holding no bin, an ill-conditioned form
+        reject()
+    assume(precoders.total_payload > 0)
+    with tempfile.TemporaryDirectory() as outdir, _cpus(cpus), mock.patch.object(
+        waveform, "_BLOCK_SAMPLES", block * num_delay * num_doppler
+    ):
+        presets.run_scenario(config, outdir)
+        written = read_psd_curve(f"{outdir}/lte_nslp_psd.csv")
+        metrics = {record["metric"]: record["value"] for record in read_metrics(f"{outdir}/lte_nslp_metrics.json")}
+    stream, norms = presets.precoded_stream(
+        precoders, frames, config.seed, config.sample_interval, config.constellation
+    )
+    assert written.values.tobytes() == periodogram(stream).values.tobytes()
+    null_bins = precoders.mask.null_bins
+    leak = np.abs(discrete_spectrum(stream.frames)[:, null_bins]).max(axis=1) / norms if null_bins.size else [0.0]
+    assert metrics["worst_null_bin_leak"] == float(np.max(leak))
+
+
+def test_each_nslp_frame_takes_one_forward_and_one_inverse_transform(tmp_path):
+    """8x32, 40 frames in five 8-frame blocks on the producer thread: one 256-point FFT and IFFT row a frame.
+
+    The inverse builds the frame from its closed-form spectrum; the forward
+    one is the averager's, whose rows the leak check reads as well.
+    """
+    counts, lock = Counter(), threading.Lock()
+
+    def counting(name, transform):
+        def counted(a, n=None, axis=-1, norm=None, out=None):
+            a = np.asarray(a)
+            with lock:
+                counts[name, a.shape[axis] if n is None else n] += a.size // a.shape[axis]
+            return transform(a, n, axis, norm, out)
+
+        return counted
+
+    overrides = {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 40}}
+    config = presets.preset_config("lte-otfs-nslp", overrides)
+    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11), mock.patch.object(
+        np.fft, "fft", counting("fft", np.fft.fft)
+    ), mock.patch.object(np.fft, "ifft", counting("ifft", np.fft.ifft)):
+        presets.run_scenario(config, tmp_path)
+    assert counts == {("fft", 256): 40, ("ifft", 256): 40}
+
+
 # ---------------------------------------------------------------------------
 # the producer thread that builds the next block
 # ---------------------------------------------------------------------------
@@ -494,12 +574,12 @@ def _counting_source(error_at=None, error=None):
     return blocks, ended
 
 
-def _estimate_from(blocks):
+def _estimate_from(blocks, on_spectra=None):
     with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 5 * CEP_PROFILE.sigma2.size), mock.patch.object(
         threading, "Thread", _LingeringThread
     ):
         return presets._streamed_estimates(
-            blocks, CEP_PROFILE.sigma2.size, (20,), 1.0, InterpolationFilter.dirac(1.0), 1, 1, (None, 0)
+            blocks, CEP_PROFILE.sigma2.size, (20,), 1.0, InterpolationFilter.dirac(1.0), 1, 1, (None, 0), on_spectra
         )
 
 
@@ -543,6 +623,52 @@ def test_an_error_of_the_consumer_stops_and_joins_the_producer():
     assert caught.value is error
     assert ended in ([0], [1])  # closed at the block folded, or at the next if it was being built
     assert threading.active_count() == before
+
+
+def test_an_error_of_the_spectra_callback_reaches_the_caller_as_it_is():
+    """Raised as the second block is folded: the same object, the source closed, and no thread left."""
+    before = threading.active_count()
+    error = RuntimeError("the leak check fails")
+    firsts = []
+
+    def on_spectra(spectra, first):
+        firsts.append(first)
+        if len(firsts) == 2:
+            raise error
+
+    blocks, ended = _counting_source()
+    with pytest.raises(RuntimeError) as caught:
+        _estimate_from(blocks, on_spectra)
+    assert caught.value is error and firsts == [0, 5]
+    assert ended in ([1], [2])  # closed at the block folded, or at the next if it was being built
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("kind", ["dirac_delta", "rect"])
+@pytest.mark.parametrize("segment_frames", [1, 3])
+def test_the_spectra_callback_sees_each_segment_once_in_order_before_squaring(kind, segment_frames):
+    """20 frames in five-frame blocks, read at 7 and 13: cuts inside blocks, three-frame segments across them.
+
+    The callback gets the whole stream's raw symbol-rate segment DFTs, bit
+    for bit, each once and in order; the CEP view's are not handed on.
+    """
+    filt, oversampling = FILTERS[kind]
+    frame_samples, seen = CEP_PROFILE.sigma2.size, []
+
+    def on_spectra(spectra, first):
+        seen.append((first, spectra.copy()))
+
+    blocks = partial(stream_chunks, CEP_PROFILE, 20, SEED, 1.0, "qpsk")
+    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 5 * frame_samples * oversampling):
+        *_, [whole, _] = presets._streamed_estimates(
+            blocks, frame_samples, (7, 13, 20), 1.0, filt, oversampling, segment_frames, (None, 0), on_spectra
+        )
+    segments, n = 20 // segment_frames, frame_samples * segment_frames
+    frames = generate_random_stream(CEP_PROFILE, 20, SEED, 1.0).frames.ravel()
+    assert [first for first, _ in seen] == list(np.cumsum([0] + [len(rows) for _, rows in seen])[:-1])
+    rows = np.concatenate([rows for _, rows in seen])
+    assert rows.tobytes() == np.fft.fft(frames[: segments * n].reshape(segments, n), axis=1).tobytes()
+    assert whole.meta["num_segments"] == segments
 
 
 def test_prefetched_items_arrive_in_order_under_frequent_thread_switches():
