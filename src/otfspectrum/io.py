@@ -10,10 +10,19 @@ with numpy, about 0.3 us per float where a ``float.__repr__`` call per
 float took 0.8-1.5 us; the few values it cannot decide go to
 ``float.__repr__`` itself.  A large table (at least 64 row blocks of 4096
 rows per process, so never a PSD curve) is formatted by contiguous row
-range across processes, one per CPU, and the ranges are joined in order:
-the bytes are those one process would write.  A table is read back by
-one pass over its header lines and one ``np.loadtxt`` call on the rest of
-the same open file, which gives back every double written, bit for bit.
+range in forked writer processes, one per CPU, and the ranges are joined
+in order: the bytes are those one process would write.  A table is
+started now and finished later (``_start_table``): the writers fork when
+it is started, so the caller can go on with other work while they format
+(the NSLP preset runs its estimate), and the finisher creates the file and
+joins their rows.  Every fork happens at the start, so the start must
+come before the caller starts any thread (a fork copies only the forking
+thread; with another thread alive the finisher writes the table itself);
+threads started after it do not touch the writers.  A table abandoned by
+an exception leaves no writer, no spill file and no file.  A table is
+read back by one pass over its header lines and one ``np.loadtxt`` call on
+the rest of the same open file, which gives back every double written,
+bit for bit.
 
 A JSON record (metric records, masks, the LTE bandwidth report, scenario
 manifests) is one JSON value with sorted keys, a two-space indent and a
@@ -36,8 +45,9 @@ import tempfile
 import threading
 import traceback
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,7 +102,7 @@ def _cpu_count() -> int:
 
 
 def _row_ranges(rows: int) -> List[Tuple[int, int]]:
-    """Contiguous ``(start, stop)`` row ranges, one per writing process.
+    """Contiguous ``(start, stop)`` row ranges, one per forked writer, or one range written inline.
 
     There are at most one per CPU, and only as many as give each process
     ``_SPLIT_ROW_BLOCKS`` row blocks.  There is one where ``os.fork`` is
@@ -129,16 +139,17 @@ def _write_rows(
 def _fork_rows(
     directory: Path, sizes: Sequence[int], block: Callable[[int], Sequence[np.ndarray]], start: int, stop: int
 ) -> Tuple[int, IO[bytes]]:
-    """Fork a child that writes rows ``start`` to ``stop`` into a new unnamed temporary file.
+    """Fork a child that writes rows ``start`` to ``stop`` into a new unnamed temporary file (its spill).
 
-    Returns the child's pid and the file.  The child leaves by ``os._exit``,
+    Returns the child's pid and the spill.  The child leaves by ``os._exit``,
     status 0 once every row is flushed, 1 on any error, so it runs none of
     this process's cleanup.  It only builds and formats rows and writes its
-    own file, so it takes no lock that another thread of this process may
-    have held at the fork.  ``block`` must make no BLAS call either: only
-    the forking thread survives a fork, and forked writers that ran the
-    precoders' small matrix products made the ``nslp-precode`` benchmark
-    take 4.6 s instead of 2.2 s.
+    own file, so it takes no lock, while this process goes on with other
+    work until the table is finished.  The caller forks only while no other
+    thread runs (``_row_ranges``): a lock another thread held at the fork
+    would stay held in the child.  ``block`` must make no BLAS call either:
+    forked writers that ran the precoders' small matrix products made the
+    ``nslp-precode`` benchmark take 4.6 s instead of 2.2 s.
     """
     spill = tempfile.TemporaryFile(dir=directory)
     try:
@@ -160,6 +171,66 @@ def _fork_rows(
     return pid, spill
 
 
+@contextmanager
+def _start_table(
+    path: Union[str, Path],
+    header: Dict[str, object],
+    names: Sequence[str],
+    sizes: Sequence[int],
+    block: Callable[[int], Sequence[np.ndarray]],
+) -> Iterator[Callable[[], Path]]:
+    """Start writing a CSV table now and give back the call that finishes it.
+
+    The table is the header, the ``names`` row, then the rows of
+    ``block(0)``, ``block(1)``, ...  Block ``i`` is a sequence of
+    ``sizes[i]``-row numpy columns, int or float, one per name.  It is built
+    only when its rows are written, and rows are formatted ``_ROW_BLOCK`` at
+    a time, so memory is bounded by that, not by the table.  A large table
+    is cut into contiguous row ranges, one per CPU (see ``_row_ranges``), and
+    starting it forks a writer for each range (``_fork_rows``), so the rows
+    are formatted while this process goes on with other work.  Every fork
+    happens here, so start a table before starting any thread; threads
+    started between the start and the finish do not reach the writers.
+    The finisher creates ``path``, writes the header and the names row,
+    then reaps each writer in order and appends its spill; with one range
+    nothing is forked and it writes the rows itself.  The bytes are those of one process writing
+    every row.  Leaving the ``with`` block, by a return or by any exception,
+    ``KeyboardInterrupt`` included, kills and reaps every writer not yet
+    reaped and closes its spill; ``path`` is created only by the finisher.
+    """
+    path = Path(path)
+    ranges = _row_ranges(sum(sizes))
+    writers: List[Tuple[int, IO[bytes]]] = []
+
+    def finish() -> Path:
+        with path.open("wb") as handle:
+            _write_header(handle, header)
+            handle.write(",".join(names).encode() + b"\n")
+            if len(ranges) == 1:
+                _write_rows(handle, sizes, block, *ranges[0])
+            while writers:
+                pid, spill = writers[0]
+                with spill:
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del writers[0]  # reaped: only its spill is left to close
+                    if status:
+                        raise OSError(f"{path}: the process writing a row range exited with status {status}")
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, handle)
+        return path
+
+    try:
+        if len(ranges) > 1:
+            for start, stop in ranges:
+                writers.append(_fork_rows(path.parent, sizes, block, start, stop))
+        yield finish
+    finally:
+        for pid, spill in writers:  # left only when the table was abandoned or a writer failed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            spill.close()
+
+
 def _write_table(
     path: Union[str, Path],
     header: Dict[str, object],
@@ -167,44 +238,9 @@ def _write_table(
     sizes: Sequence[int],
     block: Callable[[int], Sequence[np.ndarray]],
 ) -> Path:
-    """Write a CSV table: the header, the ``names`` row, then the rows of ``block(0)``, ``block(1)``, ...
-
-    Block ``i`` is a sequence of ``sizes[i]``-row numpy columns, int or
-    float, one per name.  It is built only when its rows are written, and
-    rows are formatted ``_ROW_BLOCK`` at a time, so memory is bounded by
-    that, not by the table.  A large table is cut into contiguous row
-    ranges, one per CPU (see ``_row_ranges``): this process writes the
-    first into ``path``, a forked child writes each other range into a
-    temporary file beside it, and the children's files are appended in
-    order.  The bytes are those of one process writing every row.  Every
-    child has exited and every temporary file is gone when this returns or
-    raises.
-    """
-    path = Path(path)
-    ranges = _row_ranges(sum(sizes))
-    with path.open("wb") as handle:
-        _write_header(handle, header)
-        handle.write(",".join(names).encode() + b"\n")
-        children: List[Tuple[int, IO[bytes]]] = []
-        try:
-            for start, stop in ranges[1:]:
-                children.append(_fork_rows(path.parent, sizes, block, start, stop))
-            _write_rows(handle, sizes, block, *ranges[0])
-            handle.flush()
-            while children:
-                pid, spill = children.pop(0)
-                with spill:
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    if status:
-                        raise OSError(f"{path}: the process writing a row range exited with status {status}")
-                    spill.seek(0)
-                    shutil.copyfileobj(spill, handle)
-        finally:
-            for pid, spill in children:  # left only when this process raised
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                spill.close()
-    return path
+    """Write a CSV table at once: ``_start_table``, then its finisher."""
+    with _start_table(path, header, names, sizes, block) as finish:
+        return finish()
 
 
 def _read_table(path: Union[str, Path], what: str, width: int, fmt: str) -> Tuple[Dict[str, str], np.ndarray]:
@@ -471,6 +507,16 @@ def write_precoder_set(
     extra_header: Optional[Dict[str, object]] = None,
 ) -> Path:
     """Per-subcarrier complex matrix dump: rows of subcarrier,row,col,re,im."""
+    with _start_precoder_set(path, precoders, extra_header) as finish:
+        return finish()
+
+
+def _start_precoder_set(
+    path: Union[str, Path],
+    precoders: PrecoderSet,
+    extra_header: Optional[Dict[str, object]] = None,
+) -> ContextManager[Callable[[], Path]]:
+    """``write_precoder_set``'s table, started now and finished later (``_start_table``)."""
     mask = precoders.mask
     header: Dict[str, object] = {
         "format": "otfspectrum-precoders-v1",
@@ -487,7 +533,7 @@ def write_precoder_set(
         return np.full(matrix.size, k), rows.ravel(), cols.ravel(), matrix.real.ravel(), matrix.imag.ravel()
 
     sizes = [matrix.size for matrix in precoders.matrices]
-    return _write_table(path, header, ("subcarrier", "row", "col", "re", "im"), sizes, subcarrier)
+    return _start_table(path, header, ("subcarrier", "row", "col", "re", "im"), sizes, subcarrier)
 
 
 def write_convergence_table(

@@ -212,7 +212,8 @@ def _precoded_blocks(
     A set with ``spectral_bins`` is synthesized in closed form: the payload
     placed on those bins is the frame's unitary spectrum, so one inverse FFT
     makes the frame.  Any other set goes through its matrices
-    (``precoding._precode_rows``).
+    (``precoding._precode_rows``).  A frame count below 1 and a mask that
+    leaves no payload are refused by the call, before any block is drawn.
     """
     if num_frames < 1:
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
@@ -230,9 +231,10 @@ def _precoded_blocks(
 
     to_grid = partial(_precode_rows, precoders) if precoders.spectral_bins is None else scattered
     points = constellation_points(constellation)
-    for payload, frames in _chunked_frames(num_frames, seed, points, (total,), mask.num_bins, to_grid=to_grid):
-        block = FrameStream(frames, mask.num_delay, mask.num_doppler, sample_interval, seed)
-        yield block, np.linalg.norm(payload, axis=1)
+    return (
+        (FrameStream(frames, mask.num_delay, mask.num_doppler, sample_interval, seed), np.linalg.norm(payload, axis=1))
+        for payload, frames in _chunked_frames(num_frames, seed, points, (total,), mask.num_bins, to_grid=to_grid)
+    )
 
 
 def precoded_stream(
@@ -368,6 +370,7 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     if mask is None:
         raise ConfigurationError("the NSLP preset needs a mask section")
     precoders = build_precoders(mask, config.precoder_form)
+    blocks = _precoded_blocks(precoders, config.num_frames, config.seed, config.sample_interval, config.constellation)
     norms: Dict[int, float] = {}  # the payload norm of each frame made and not yet checked, by index
     leak, scale = 0.0, 1 / np.sqrt(mask.num_bins)
     # Rows checked at a time: their gathered null bins stay near 2**8 values, small beside the producer's block
@@ -376,11 +379,9 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
 
     def normed(_) -> Generator[FrameStream, None, None]:
         # The precoded blocks (sized for L = 1, the factor asked), each frame's payload norm recorded before its
-        # block is passed on; ``_streamed_estimates`` joins the thread that runs this before the writers below fork.
+        # block is passed on.
         made = 0
-        for block, payload_norms in _precoded_blocks(
-            precoders, config.num_frames, config.seed, config.sample_interval, config.constellation
-        ):
+        for block, payload_norms in blocks:
             norms.update(enumerate(payload_norms.tolist(), made))
             made += len(block)
             yield block
@@ -395,11 +396,19 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
             payload_norms = np.array([norms.pop(frame) for frame in range(first + lo, first + lo + len(nulled))])
             leak = max(leak, float((np.abs(nulled).max(axis=1, initial=0.0) / payload_norms).max()))
 
-    # The one-frame-segment periodogram: the precoded frames are the Dirac DAC's input at L = 1.
-    [[curve]] = _streamed_estimates(
-        normed, mask.num_bins, (config.num_frames,), config.sample_interval,
-        InterpolationFilter.dirac(config.sample_interval), 1, 1, on_spectra=check_leak,
-    )
+    header = {"config_hash": cfg_hash}
+    # The precoder dump does not depend on the estimate: its writers fork now (``io._start_table``), after a mask
+    # leaving no payload has been refused and before ``_streamed_estimates`` starts its producer thread, since a
+    # fork copies only the forking thread.  They format while the estimate runs, and the dump is joined after it;
+    # an exception in between, Ctrl-C included, kills them and leaves no precoder file.
+    with fileio._start_precoder_set(outdir / "lte_nslp_precoders.csv", precoders, header) as write_precoders:
+        # The one-frame-segment periodogram: the precoded frames are the Dirac DAC's input at L = 1.
+        [[curve]] = _streamed_estimates(
+            normed, mask.num_bins, (config.num_frames,), config.sample_interval,
+            InterpolationFilter.dirac(config.sample_interval), 1, 1, on_spectra=check_leak,
+        )
+        psd_path = _write_curve(outdir, "lte_nslp_psd.csv", curve, cfg_hash)
+        precoders_path = write_precoders()
     # Periodogram bins are exactly the spectrum bins (segment = one frame):
     # shift the natural-order null set onto the centered grid, as the averager does.
     nulled_centered = np.fft.fftshift(~mask.kept.T.ravel())  # natural order: bin m*N + k
@@ -408,10 +417,9 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     ratio = in_mean / out_max if out_max > 0.0 else np.inf
     suppression_db = min(float(10 * np.log10(ratio)), _SUPPRESSION_CEILING_DB)
 
-    header = {"config_hash": cfg_hash}
     files = {
-        "psd": str(_write_curve(outdir, "lte_nslp_psd.csv", curve, cfg_hash)),
-        "precoders": str(fileio.write_precoder_set(outdir / "lte_nslp_precoders.csv", precoders, header)),
+        "psd": str(psd_path),
+        "precoders": str(precoders_path),
         "mask": str(fileio.write_mask(outdir / "lte_nslp_mask.json", mask, config.sample_interval)),
     }
     metrics = fileio.metric_records(

@@ -72,9 +72,17 @@ _BLOCK_SAMPLES = 2**17
 #: Built-in constellations, selectable by name in a scenario config.
 CONSTELLATIONS = ("qpsk", "qam16")
 
-_QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
+
+def _power_of_two_sized(points: np.ndarray) -> np.ndarray:
+    """``points``, refused unless their number is a power of two: a symbol's index is the top bits of a raw draw."""
+    if points.size & (points.size - 1):
+        raise ValueError(f"a constellation must hold a power-of-two number of points, got {points.size}")
+    return points
+
+
+_QPSK = _power_of_two_sized(np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0))
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0])
-_QAM16 = (_QAM16_LEVELS[:, None] + 1j * _QAM16_LEVELS[None, :]).ravel() / np.sqrt(10.0)
+_QAM16 = _power_of_two_sized((_QAM16_LEVELS[:, None] + 1j * _QAM16_LEVELS[None, :]).ravel() / np.sqrt(10.0))
 
 
 def dft_matrix(size: int) -> np.ndarray:
@@ -290,34 +298,31 @@ def _chunked_frames(
     last block of a chunk may hold fewer), with ``frame_samples`` the dense
     samples per frame.  Chunk ``c`` holds frames ``[c*4096, (c+1)*4096)``,
     drawn block after block from the one generator ``_chunk_rng(seed, c)``.
-    A frame's symbols have ``shape``: each takes one uniform double ``u``,
-    consumed in C order, and is ``points[int(u * points.size)]`` (index
-    construction from doubles keeps consumption independent of the
-    constellation size), times ``sigma`` (of ``shape``; None for 1), so
-    drawing a chunk block by block gives the rows of one whole-chunk draw.
-    ``to_grid`` maps a block's symbols to the ``(frames, M, N)``
-    delay-Doppler grids that are modulated.  The uniforms and indices go
-    through buffers kept for the whole stream; the yielded arrays are new.
+    A frame's symbols have ``shape``: each takes one raw 64-bit draw,
+    consumed in C order, whose top ``log2(points.size)`` bits index
+    ``points`` (a power-of-two number of them), times ``sigma`` (of
+    ``shape``; None for 1), so drawing a chunk block by block gives the rows
+    of one whole-chunk draw.  The index is ``int(u * points.size)`` of the
+    uniform double ``u = (raw >> 11) * 2**-53`` that ``Generator.random``
+    makes of the same draw, bit for bit, so a draw's consumption does not
+    depend on the constellation.  ``to_grid`` maps a block's symbols to the
+    ``(frames, M, N)`` delay-Doppler grids that are modulated.
     """
     block_frames = max(1, _BLOCK_SAMPLES // frame_samples)
-    uniforms = np.empty((min(block_frames, num_frames, _CHUNK_FRAMES), *shape))
-    indices = np.empty(uniforms.shape, dtype=np.intp)
+    shift = np.uint64(65 - points.size.bit_length())  # 64 - log2(size)
     # complex * float runs numpy's complex loop on sigma + 0j: the same bits, without a cast per block.
     scale = None if sigma is None else np.asarray(sigma, dtype=np.complex128)
     for chunk_index in range(-(-num_frames // _CHUNK_FRAMES)):
         rng = _chunk_rng(seed, chunk_index)
         count = min(_CHUNK_FRAMES, num_frames - chunk_index * _CHUNK_FRAMES)
         for lo in range(0, count, block_frames):
-            frames = min(block_frames, count - lo)
-            u, idx = uniforms[:frames], indices[:frames]
-            rng.random(out=u)
-            np.multiply(u, points.size, out=u)
-            np.copyto(idx, u, casting="unsafe")  # truncation, as ``astype(np.intp)``
-            symbols = np.take(points, idx)
+            indices = rng.bit_generator.random_raw((min(block_frames, count - lo), *shape))
+            np.right_shift(indices, shift, out=indices)
+            symbols = np.take(points, indices.view(np.intp))
             if scale is not None:
                 np.multiply(symbols, scale, out=symbols)
             yield symbols, _otfs_frames(to_grid(symbols))
-            del symbols  # not alive beside the next block's
+            del indices, symbols  # not alive beside the next block's
 
 
 def stream_chunks(

@@ -285,7 +285,7 @@ def test_the_producer_thread_writes_the_bytes_of_one_thread(tmp_path):
 
 
 def test_an_nslp_pass_band_holding_no_bin_is_exit_2(tmp_path, capsys):
-    """The refusal is raised on the producer thread that draws the precoded blocks, and reaches the CLI as it is."""
+    """The refusal is raised before the producer thread starts or the precoder dump's writers fork."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"mask": {"pass_bands_hz": [[1.0, 2.0]]}}))
     before = threading.active_count()
@@ -296,7 +296,7 @@ def test_an_nslp_pass_band_holding_no_bin_is_exit_2(tmp_path, capsys):
             "scenario", "--preset", "lte-otfs-nslp", "--config", config, "--num-delay", 4, "--num-doppler", 8,
             "--outdir", tmp_path / "run",
         )
-    assert code == 2 and thread.call_count == 1
+    assert code == 2 and thread.call_count == 0
     assert "the mask leaves no payload dimensions at all" in capsys.readouterr().err
     assert threading.active_count() == before
 

@@ -3,6 +3,7 @@ import os
 import tempfile
 import threading
 import tracemalloc
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from otfspectrum import io as fileio
+from otfspectrum import presets
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.io import (
     config_hash,
@@ -26,6 +28,7 @@ from otfspectrum.io import (
     write_precoder_set,
 )
 from otfspectrum.precoding import PrecoderSet, build_precoders, decompose_mask
+from otfspectrum.presets import preset_config
 from otfspectrum.psd import PsdCurve
 from otfspectrum.waveform import FrameStream, VarianceProfile, generate_random_stream
 
@@ -169,6 +172,7 @@ def _write_peak_bytes(path, frames):
 
 def test_frame_stream_writer_memory_does_not_grow_with_rows(tmp_path):
     """16384 and 65536 rows peak alike: rows are formatted a bounded block at a time."""
+    _write_peak_bytes(tmp_path / "warm.csv", 1)  # modules imported on a first write are not its memory
     assert _write_peak_bytes(tmp_path / "4x.csv", 128) <= 1.05 * _write_peak_bytes(tmp_path / "1x.csv", 32)
 
 
@@ -226,11 +230,21 @@ def test_tables_read_back_every_double_bit_for_bit(tmp_path, samples, points):
     assert _same_doubles(curve.freqs, freqs) and _same_doubles(curve.values, values)
 
 
-def _split_table(path, block):
-    """Write eight one-row blocks as a one-column table cut into two row ranges, one per process."""
-    with mock.patch.object(fileio, "_ROW_BLOCK", 1), mock.patch.object(fileio, "_SPLIT_ROW_BLOCKS", 1), \
-            mock.patch.object(fileio, "_cpu_count", lambda: 2):
+@contextmanager
+def _tables_split(cpus, row_block=1):
+    """``row_block``-row row blocks and no minimum share, so even small tables are cut into one range per CPU."""
+    with mock.patch.object(fileio, "_ROW_BLOCK", row_block), mock.patch.object(fileio, "_SPLIT_ROW_BLOCKS", 1), \
+            mock.patch.object(fileio, "_cpu_count", lambda: cpus):
+        yield
+
+
+def _split_table(path, block, cpus=2):
+    """Write eight one-row blocks as a one-column table cut into row ranges, one per CPU."""
+    with _tables_split(cpus):
         return fileio._write_table(path, {"format": "test"}, ["n"], [1] * 8, block)
+
+
+_EIGHT_ROWS = "# format=test\nn\n" + "".join(f"{n}\n" for n in range(8))
 
 
 def test_a_table_is_written_by_one_process_while_another_thread_runs(tmp_path):
@@ -247,15 +261,35 @@ def test_a_table_is_written_by_one_process_while_another_thread_runs(tmp_path):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive() and fork_rows.call_count == 0
-    assert text == "# format=test\nn\n" + "".join(f"{n}\n" for n in range(8))
+    assert text == _EIGHT_ROWS
     assert len(fileio._row_ranges(1 << 30)) == fileio._cpu_count()
 
 
+@contextmanager
+def _spills():
+    """The list of every spill file ``_fork_rows`` opens in the block, kept to check that each is closed."""
+    files, make = [], tempfile.TemporaryFile
+
+    def opened(*args, **kwargs):
+        files.append(make(*args, **kwargs))
+        return files[-1]
+
+    with mock.patch.object(fileio.tempfile, "TemporaryFile", opened):
+        yield files
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize(
-    "bad_block, error", [(0, ValueError), (7, OSError)], ids=["in-this-process", "in-the-child"]
+    "bad_block, cpus, error, spills",
+    [(0, 2, OSError, 2), (7, 2, OSError, 2), (5, 3, OSError, 3), (3, 1, ValueError, 0)],
+    ids=["first-writer", "last-writer", "middle-writer", "inline"],
 )
-def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_block, error):
-    """A block that cannot be built, among this process's rows or the forked child's."""
+def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_block, cpus, error, spills):
+    """A block that cannot be built, in any forked writer's rows or, with one CPU, in this process's."""
     failing = []
 
     def block(index):
@@ -263,22 +297,41 @@ def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_
             raise ValueError(f"block {index} cannot be built")
         return (np.array([index]),)
 
-    good = _split_table(tmp_path / "good.csv", block).read_text()
-    assert good == "# format=test\nn\n" + "".join(f"{n}\n" for n in range(8))
+    assert _split_table(tmp_path / "good.csv", block, cpus).read_text() == _EIGHT_ROWS
     failing.append(bad_block)
-    spills = []
-
-    def temporary_file(*args, **kwargs):
-        spills.append(make_temporary_file(*args, **kwargs))
-        return spills[-1]
-
-    make_temporary_file = tempfile.TemporaryFile
-    with mock.patch.object(fileio.tempfile, "TemporaryFile", temporary_file), pytest.raises(error):
-        _split_table(tmp_path / "bad.csv", block)
-    assert len(spills) == 1 and spills[0].closed
+    with _spills() as opened, pytest.raises(error):
+        _split_table(tmp_path / "bad.csv", block, cpus)
+    assert len(opened) == spills and all(spill.closed for spill in opened)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.csv", "good.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_started_table_is_written_while_this_process_works_and_threads_run(tmp_path, cpus):
+    """The writers fork at the start; a thread started before the finish does not change the bytes."""
+    path = tmp_path / "t.csv"
+    with _tables_split(cpus), _spills() as opened:
+        with fileio._start_table(path, {"format": "test"}, ["n"], [1] * 8, lambda i: (np.array([i]),)) as finish:
+            assert len(opened) == (cpus if cpus > 1 else 0) and not path.exists()
+            worker = threading.Thread(target=lambda: None)
+            worker.start()
+            worker.join()
+            assert finish() == path
+    assert path.read_text() == _EIGHT_ROWS and all(spill.closed for spill in opened)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("abandon", [KeyboardInterrupt, ValueError, None])
+def test_an_abandoned_table_leaves_no_process_spill_or_file(tmp_path, abandon):
+    """An exception between the start and the finish, or no finish at all: the writers are killed and reaped."""
+    raised = pytest.raises(abandon) if abandon else nullcontext()
+    with _tables_split(2), _spills() as opened, raised:
+        with fileio._start_table(tmp_path / "t.csv", {"format": "test"}, ["n"], [3] * 2000, lambda i: (np.full(3, i),)):
+            if abandon:
+                raise abandon()
+    assert len(opened) == 2 and all(spill.closed for spill in opened)
+    _assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_psd_curve_roundtrip(tmp_path):
@@ -471,3 +524,76 @@ def test_precoder_dump_of_signed_zeros_nan_inf_and_subnormals(tmp_path, shapes):
     body = text.split("subcarrier,row,col,re,im\n", 1)[1]
     assert body == _entry_rows_by_loop(precoders)
     assert "-0.0," in body and "nan," in body and "-inf\n" in body and "5e-324," in body
+
+
+# ---------------------------------------------------------------------------
+# the NSLP precoder dump, formatted by forked writers while the estimate runs
+# ---------------------------------------------------------------------------
+
+_NSLP_SMALL = {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 24}}
+_NSLP_FILES = ("lte_nslp_psd.csv", "lte_nslp_precoders.csv", "lte_nslp_mask.json", "lte_nslp_metrics.json")
+
+
+@pytest.mark.parametrize(
+    "cpus, foreign, writers", [(1, False, 0), (2, False, 4), (3, False, 6), (2, True, 0)],
+    ids=["one-cpu", "two-cpus", "three-cpus", "foreign-thread"],
+)
+def test_nslp_files_keep_their_bytes_however_the_dump_is_written(tmp_path, cpus, foreign, writers):
+    """Forked writers for each CPU, or inline with one CPU or another thread alive: the files of one process.
+
+    The precoder dump and then the PSD curve fork one writer per CPU each,
+    every fork while this thread is the only one: the dump's before the
+    estimate's producer thread starts, the curve's after it is joined.
+    """
+    config = preset_config("lte-otfs-nslp", _NSLP_SMALL)
+    presets.run_scenario(config, tmp_path / "reference")
+    threads_at_forks, fork_rows = [], fileio._fork_rows
+
+    def forked(*args):
+        threads_at_forks.append(threading.active_count())
+        return fork_rows(*args)
+
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if foreign:
+        other.start()
+    try:
+        with _tables_split(cpus, 16), mock.patch.object(fileio, "_fork_rows", forked), _spills() as opened:
+            presets.run_scenario(config, tmp_path / "run")
+    finally:
+        release.set()
+        if foreign:
+            other.join(timeout=10)
+    assert threads_at_forks == [1] * writers and len(opened) == writers
+    assert all(spill.closed for spill in opened)
+    _assert_no_child_left()
+    for name in _NSLP_FILES:
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+def test_an_interrupted_nslp_run_leaves_no_writer_spill_or_precoder_file(tmp_path):
+    """Ctrl-C from the block source while the writers format: they are killed and reaped, and no dump is made."""
+    precoded_blocks = presets._precoded_blocks
+
+    def interrupted(*args):
+        blocks = precoded_blocks(*args)
+        yield next(blocks)
+        raise KeyboardInterrupt
+
+    config = preset_config("lte-otfs-nslp", _NSLP_SMALL)
+    with _tables_split(2, 16), _spills() as opened, mock.patch.object(presets, "_precoded_blocks", interrupted), \
+            pytest.raises(KeyboardInterrupt):
+        presets.run_scenario(config, tmp_path)
+    assert len(opened) == 2 and all(spill.closed for spill in opened)
+    _assert_no_child_left()
+    assert not (tmp_path / "lte_nslp_precoders.csv").exists()
+
+
+def test_an_nslp_run_leaving_no_payload_is_refused_before_any_writer_forks(tmp_path):
+    """The all-null mask is refused first: no writer, no spill, and an empty outdir."""
+    config = preset_config("lte-otfs-nslp", {**_NSLP_SMALL, "mask": {"pass_bands_hz": [[1e9, 2e9]]}})
+    with _tables_split(2, 16), _spills() as opened, pytest.raises(ConfigurationError, match="no payload"):
+        presets.run_scenario(config, tmp_path)
+    assert opened == []
+    _assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []

@@ -268,6 +268,7 @@ def _peak_bytes(frames, estimate=estimated_psd):
 
 def test_streamed_estimate_memory_does_not_grow_with_frames():
     """Two and four generation chunks peak alike: nothing holds the whole stream."""
+    _peak_bytes(16)  # modules imported on a first estimate, such as concurrent.futures, are not its memory
     assert _peak_bytes(16384) <= 1.05 * _peak_bytes(8192)
 
 
@@ -331,6 +332,7 @@ def test_cep_convergence_draws_its_largest_count_once(tmp_path):
 
 def test_cep_split_memory_does_not_grow_with_frames():
     """Four and sixteen generation chunks peak alike: blocks are dropped once every view took them."""
+    _peak_bytes(16, _split)  # modules imported on a first estimate are not its memory
     assert _peak_bytes(65536, _split) <= 1.05 * _peak_bytes(16384, _split)
 
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -458,7 +458,7 @@ def test_partial_chunk_draw_is_the_prefix_of_a_full_chunk_draw():
 
 @pytest.mark.parametrize("constellation", CONSTELLATIONS)
 def test_block_draws_are_the_whole_chunk_draws_bit_for_bit(constellation):
-    """Seven-frame blocks drawn through the kept buffers give the bytes of one draw per chunk.
+    """Seven-frame blocks of raw draws give the bytes of one draw of uniform doubles per chunk.
 
     Zero-variance bins included: a point scaled by 0 keeps the sign of its
     zeros, as ``points[i] * sigma`` gives them.
@@ -473,6 +473,34 @@ def test_block_draws_are_the_whole_chunk_draws_bit_for_bit(constellation):
     )
     assert drawn.tobytes() == whole.tobytes()
     assert np.signbit(drawn.real[:, sigma == 0]).any() and np.signbit(drawn.imag[:, sigma == 0]).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    constellation=st.sampled_from(CONSTELLATIONS),
+    block_frames=st.integers(1, 9),
+    frames=st.one_of(st.integers(1, 40), st.integers(_CHUNK_FRAMES - 8, _CHUNK_FRAMES + 40)),
+    seed=st.integers(0, 2**63 - 1),
+)
+@example(constellation="qam16", block_frames=7, frames=_CHUNK_FRAMES + 3, seed=1)
+def test_raw_bit_indices_are_those_of_the_uniform_doubles(constellation, block_frames, frames, seed):
+    """A symbol's index, the top bits of its raw draw, is ``int(u * size)`` of the draw's uniform double.
+
+    Frame counts past a block boundary, and up to and past a 4096-frame chunk boundary.
+    """
+    points, shape = constellation_points(constellation), (2, 3)
+    frames += block_frames  # at least two blocks
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block_frames * 6):
+        drawn = np.concatenate([symbols for symbols, _ in _chunked_frames(frames, seed, points, shape, 6)])
+    counts = [min(_CHUNK_FRAMES, frames - lo) for lo in range(0, frames, _CHUNK_FRAMES)]
+    uniforms = np.concatenate([_chunk_rng(seed, c).random((n, *shape)) for c, n in enumerate(counts)])
+    assert drawn.tobytes() == points[(uniforms * points.size).astype(np.intp)].tobytes()
+
+
+@pytest.mark.parametrize("size", [3, 6, 12])
+def test_a_constellation_not_sized_a_power_of_two_is_refused(size):
+    with pytest.raises(ValueError, match="power-of-two"):
+        waveform._power_of_two_sized(np.ones(size, dtype=complex))
 
 
 @example(delays=3, dopplers=2, frames=_CHUNK_FRAMES + 4, seed=0)
