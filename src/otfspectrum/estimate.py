@@ -5,9 +5,16 @@ rectangular-window segments, per-segment ``|DFT|^2 / (segment_len * rate)``,
 arithmetic mean across segments, grid shifted to ``[-rate/2, rate/2)``.
 A DAC's output is estimated from its symbol-rate input through the DFT of
 an interpolated sequence (Oppenheim & Schafer, *Discrete-Time Signal
-Processing*), with a short edge correction for the truncated sinc.
-Comparisons against analytic curves are done after peak-one normalization
-of both curves over a common (optionally band-restricted) grid.
+Processing*), with a short edge correction for the truncated sinc.  A
+random stream's one-frame estimate through a memoryless DAC (dirac_delta,
+rect) goes further back, to the symbols: each frame's DFT is an M-point
+FFT a subcarrier of its weighted symbols (``waveform._frame_spectra``),
+folded in by ``PeriodogramAverager._add_spectra``, so no frame is built.
+It is within 1e-12 of the peak of ``periodogram(reconstruct(...))`` (the
+Dirac's frames give those bits exactly), and bit for bit the same under
+any blocking and batch size, as every estimate is.  Comparisons against
+analytic curves are done after peak-one normalization of both curves over
+a common (optionally band-restricted) grid.
 """
 
 from __future__ import annotations
@@ -140,6 +147,7 @@ class PeriodogramAverager:
         self._carry = np.zeros(self.order, dtype=np.complex128)  # the history before time zero
         self._scratch: dict = {}
         self._on_spectra: Optional[Callable[[np.ndarray, int], None]] = None
+        self._layout: Optional[Tuple[int, ...]] = None  # (N, M) once ready spectra are folded in
         self.num_segments = 0
         if order:
             kernel, bins = sinc_kernel(self.hold, self.order), self.segment_len
@@ -199,7 +207,7 @@ class PeriodogramAverager:
         """
         n, order, bins = self._len, self.order, acc.size
         batch = min(count, max(1, _BATCH_SAMPLES // bins))
-        spectra_buf, rows_buf = self._buffer("spectra", batch, n), self._buffer("rows", batch + 1, bins, float)
+        spectra_buf = self._buffer("spectra", batch, n)
         if order:
             outside_at, repeats_at = self._window_columns(batch)
         for lo in range(0, count, batch):
@@ -221,18 +229,41 @@ class PeriodogramAverager:
                 spectra = np.add(dense, edges, out=dense)
             if self._on_spectra is not None and first is not None:
                 self._on_spectra(spectra, first + lo)
-            rows = rows_buf[: b + 1]
-            rows[0] = acc
-            # re*re + im*im, squared in place: no further batch-sized temporaries.
-            np.multiply(spectra.real, spectra.real, out=rows[1:])
-            np.multiply(spectra.imag, spectra.imag, out=spectra.imag)
-            rows[1:] += spectra.imag
-            # Summing along axis 0 adds row after row, except that a lone
-            # column is summed pairwise: accumulate that one explicitly.
-            if bins > 1:
-                np.sum(rows, axis=0, out=acc)
-            else:
-                acc[:] = np.cumsum(rows[:, 0])[-1:]
+            self._sum_squares(spectra, acc)
+
+    def _sum_squares(self, spectra: np.ndarray, acc: np.ndarray) -> None:
+        """Add ``|DFT|^2`` of the ``spectra`` rows to ``acc``, row after row; the rows are squared in place."""
+        rows = self._buffer("rows", len(spectra) + 1, acc.size, float)
+        rows[0] = acc
+        # re*re + im*im, squared in place: no further batch-sized temporaries.
+        np.multiply(spectra.real, spectra.real, out=rows[1:])
+        np.multiply(spectra.imag, spectra.imag, out=spectra.imag)
+        rows[1:] += spectra.imag
+        # Summing along axis 0 adds row after row, except that a lone
+        # column is summed pairwise: accumulate that one explicitly.
+        if acc.size > 1:
+            np.sum(rows, axis=0, out=acc)
+        else:
+            acc[:] = np.cumsum(rows[:, 0])[-1:]
+
+    def _add_spectra(self, spectra: np.ndarray) -> None:
+        """Fold in ready DFTs of whole segments of a memoryless DAC's input, as ``(segments, N, M)`` rows.
+
+        Entry ``[s, k, m]`` is bin ``m*N + k`` of segment s's n-point DFT
+        (n = M*N, ``waveform._frame_spectra``).  The sum is kept in that
+        (k, m) order, and ``result`` permutes it into bin order once; the
+        hold's response is applied there, as for ``add``.  Rows are folded in
+        batches of about ``_BATCH_SAMPLES`` bins and squared in place.  An
+        averager takes its segments from ``add`` or from here, not both.
+        """
+        if self.order or spectra[0].size != self._len:
+            raise ValueError(f"ready spectra are DFTs of a memoryless DAC's {self._len}-input segments")
+        self._layout = spectra.shape[1:]
+        rows = spectra.reshape(len(spectra), -1)
+        batch = max(1, _BATCH_SAMPLES // self._len)
+        for lo in range(0, len(rows), batch):
+            self._sum_squares(rows[lo : lo + batch], self._acc)
+        self.num_segments += len(rows)
 
     def result(self) -> PsdCurve:
         acc, segments = self._acc, self.num_segments
@@ -247,6 +278,8 @@ class PeriodogramAverager:
                 f"need at least one full segment of {self.segment_len} samples, "
                 f"got {(self._carry.size - self.order) * self.hold}"
             )
+        if self._layout is not None:  # ready spectra were summed in (k, m) order
+            acc = acc.reshape(self._layout).T.ravel()
         held = self.segment_len // acc.size  # the sinc's response is in each segment's DFT already
         if held > 1:  # a hold of one has the all-ones response
             response = np.fft.fft(np.ones(held), self.segment_len)

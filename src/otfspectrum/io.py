@@ -14,12 +14,13 @@ range in forked writer processes, one per CPU, and the ranges are joined
 in order: the bytes are those one process would write.  A table is
 started now and finished later (``_start_table``): the writers fork when
 it is started, so the caller can go on with other work while they format
-(the NSLP preset runs its estimate), and the finisher creates the file and
-joins their rows.  Every fork happens at the start, so the start must
-come before the caller starts any thread (a fork copies only the forking
-thread; with another thread alive the finisher writes the table itself);
-threads started after it do not touch the writers.  A table abandoned by
-an exception leaves no writer, no spill file and no file.  A table is
+(the NSLP preset runs its estimate), and the finisher reaps them, then
+creates the file and joins their rows.  Every fork happens at the start,
+so the start must come before the caller starts any thread (a fork copies
+only the forking thread; with another thread alive the finisher writes the
+table itself); threads started after it do not touch the writers.  A table
+abandoned by an exception, or whose rows fail, leaves no writer, no spill
+file and no file.  A table is
 read back by one pass over its header lines and one ``np.loadtxt`` call on
 the rest of the same open file, which gives back every double written,
 bit for bit.
@@ -191,43 +192,53 @@ def _start_table(
     are formatted while this process goes on with other work.  Every fork
     happens here, so start a table before starting any thread; threads
     started between the start and the finish do not reach the writers.
-    The finisher creates ``path``, writes the header and the names row,
-    then reaps each writer in order and appends its spill; with one range
-    nothing is forked and it writes the rows itself.  The bytes are those of one process writing
-    every row.  Leaving the ``with`` block, by a return or by any exception,
-    ``KeyboardInterrupt`` included, kills and reaps every writer not yet
-    reaped and closes its spill; ``path`` is created only by the finisher.
+    The finisher reaps each writer in order and checks its exit status,
+    then creates ``path``, writes the header and the names row and appends
+    the spills; with one range nothing is forked and it writes the rows
+    itself.  The bytes are those of one process writing every row.  A failed
+    writer raises before ``path`` is created, and a file whose rows fail to
+    be written is removed, so a failed table leaves no file.  Leaving the
+    ``with`` block, by a return or by any exception, ``KeyboardInterrupt``
+    included, kills and reaps every writer not yet reaped and closes every
+    spill; ``path`` is created only by the finisher.
     """
     path = Path(path)
     ranges = _row_ranges(sum(sizes))
-    writers: List[Tuple[int, IO[bytes]]] = []
+    pids: List[int] = []  # the writers not yet reaped
+    spills: List[IO[bytes]] = []
 
     def finish() -> Path:
-        with path.open("wb") as handle:
-            _write_header(handle, header)
-            handle.write(",".join(names).encode() + b"\n")
-            if len(ranges) == 1:
-                _write_rows(handle, sizes, block, *ranges[0])
-            while writers:
-                pid, spill = writers[0]
-                with spill:
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    del writers[0]  # reaped: only its spill is left to close
-                    if status:
-                        raise OSError(f"{path}: the process writing a row range exited with status {status}")
+        while pids:
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if status:
+                raise OSError(f"{path}: the process writing a row range exited with status {status}")
+        try:
+            with path.open("wb") as handle:
+                _write_header(handle, header)
+                handle.write(",".join(names).encode() + b"\n")
+                if not spills:
+                    _write_rows(handle, sizes, block, *ranges[0])
+                for spill in spills:
                     spill.seek(0)
                     shutil.copyfileobj(spill, handle)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
         return path
 
     try:
         if len(ranges) > 1:
             for start, stop in ranges:
-                writers.append(_fork_rows(path.parent, sizes, block, start, stop))
+                pid, spill = _fork_rows(path.parent, sizes, block, start, stop)
+                pids.append(pid)
+                spills.append(spill)
         yield finish
     finally:
-        for pid, spill in writers:  # left only when the table was abandoned or a writer failed
+        for pid in pids:  # left only when the table was abandoned or a writer failed
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        for spill in spills:
             spill.close()
 
 

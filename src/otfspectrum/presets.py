@@ -29,6 +29,8 @@ from .waveform import (
     FrameStream,
     VarianceProfile,
     _chunked_frames,
+    _frame_spectra,
+    _stream_symbols,
     cep_component_stream,
     constellation_points,
     stream_chunks,
@@ -80,6 +82,30 @@ def _prefetched(blocks: Generator[_Item, None, None]) -> Iterator[_Item]:
         blocks.close()
 
 
+@dataclass(frozen=True)
+class _RandomStream:
+    """A random OTFS stream as a block source of ``_streamed_estimates``, which may take its symbols instead.
+
+    Called with a factor, it is ``stream_chunks`` with these arguments;
+    ``symbols`` gives the same blocks' symbols (``waveform._stream_symbols``)
+    without building a frame.
+    """
+
+    profile: VarianceProfile
+    num_frames: int
+    seed: int
+    sample_interval: float
+    constellation: str
+
+    def __call__(self, oversampling: int) -> Generator[FrameStream, None, None]:
+        return stream_chunks(
+            self.profile, self.num_frames, self.seed, self.sample_interval, self.constellation, oversampling
+        )
+
+    def symbols(self, oversampling: int) -> Generator[np.ndarray, None, None]:
+        return _stream_symbols(self.profile, self.num_frames, self.seed, self.constellation, oversampling)
+
+
 def _streamed_estimates(
     blocks: Callable[[int], Generator[FrameStream, None, None]],
     frame_samples: int,
@@ -107,6 +133,17 @@ def _streamed_estimates(
     ``on_spectra`` becomes the whole-stream view's
     ``PeriodogramAverager._on_spectra``: it is handed that view's segment
     DFTs on this thread.
+
+    The one-frame periodogram of a random stream (``_RandomStream``), as
+    its only view, through a memoryless DAC (dirac_delta, rect) and with no
+    ``on_spectra``, is taken from the symbols:
+    the producer draws each block's symbols, this thread maps them in place
+    to their frames' DFTs (``waveform._frame_spectra``, an M-point FFT a
+    subcarrier) and the averager folds those rows
+    (``PeriodogramAverager._add_spectra``), so no frame and no M*N-point
+    FFT is made.  Its curves are within 1e-12 of the peak of the one-shot
+    estimate, and bit for bit alike under any blocking, batch size and CPU
+    count, as the time path's are.
     """
     oversampling = check_reconstruction(filt, oversampling, sample_interval)
     segment_len = frame_samples * oversampling * segment_frames
@@ -114,23 +151,34 @@ def _streamed_estimates(
     averagers = _averagers(len(views), segment_len, oversampling / sample_interval, oversampling, order)
     if on_spectra is not None:
         averagers[views.index(None)]._on_spectra = on_spectra
+    # The one place the path is chosen: only here does a run draw symbols and build no frame.
+    from_symbols = (
+        isinstance(blocks, _RandomStream) and order == 0 and segment_frames == 1 and tuple(views) == (None,)
+        and on_spectra is None
+    )
     snapshots: Dict[int, List[PsdCurve]] = {}
     done = 0
 
-    def fold(averager: PeriodogramAverager, frames: np.ndarray, cuts: List[int]) -> None:
+    def fold(averager: PeriodogramAverager, rows: np.ndarray, cuts: List[int]) -> None:
         # A view's frames are dropped on return, before the next view's are made.
-        pieces = np.split(frames, cuts) if cuts else [frames]
+        add = averager._add_spectra if from_symbols else averager.add
+        pieces = np.split(rows, cuts) if cuts else [rows]
         for cut, piece in zip(cuts, pieces):  # ``result`` leaves the averager as it is
-            averager.add(piece)
+            add(piece)
             snapshots.setdefault(done + cut, []).append(averager.result())
         if len(pieces[-1]):
-            averager.add(pieces[-1])
+            add(pieces[-1])
 
-    with closing(_prefetched(blocks(min(oversampling, 4)))) as stream:
+    source = blocks.symbols if from_symbols else blocks
+    sigma = np.sqrt(blocks.profile.sigma2) if from_symbols else None
+    with closing(_prefetched(source(min(oversampling, 4)))) as stream:
         for block in stream:
             cuts = sorted({count - done for count in frame_counts if done < count <= done + len(block)})
-            for averager, l in zip(averagers, views):
-                fold(averager, block.frames if l is None else cep_component_stream(block, l).frames, cuts)
+            if from_symbols:  # symbols drawn on the producer thread, transformed in place on this one
+                fold(averagers[0], _frame_spectra(block, sigma, out=block.transpose(0, 2, 1)), cuts)
+            else:
+                for averager, l in zip(averagers, views):
+                    fold(averager, block.frames if l is None else cep_component_stream(block, l).frames, cuts)
             done += len(block)
     return [snapshots[count] for count in frame_counts]
 
@@ -152,7 +200,7 @@ def estimated_psd(
     is that of ``periodogram(reconstruct(generate_random_stream(...)))``.
     """
     [[curve]] = _streamed_estimates(
-        partial(stream_chunks, profile, num_frames, seed, sample_interval, constellation),
+        _RandomStream(profile, num_frames, seed, sample_interval, constellation),
         profile.num_delay * profile.num_doppler, (num_frames,), sample_interval, filt, oversampling,
         segment_frames,
     )
@@ -189,7 +237,7 @@ def _cep_split(
     """
     splits, nyquist = [], 0.5 / sample_interval
     for whole, *parts in _streamed_estimates(
-        partial(stream_chunks, profile, max(frame_counts), seed, sample_interval, constellation),
+        _RandomStream(profile, max(frame_counts), seed, sample_interval, constellation),
         profile.num_delay * profile.num_doppler, frame_counts, sample_interval, filt, oversampling,
         segment_frames, views=(None, *range(profile.num_delay)),
     ):

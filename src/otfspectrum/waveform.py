@@ -35,6 +35,7 @@ generator, so generation memory depends on the block, not the frame count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -224,6 +225,34 @@ def _otfs_frames(grids: np.ndarray) -> np.ndarray:
     return frames.reshape(len(grids), -1)
 
 
+@lru_cache(maxsize=4)
+def _bin_phases(num_delay: int, num_doppler: int) -> np.ndarray:
+    """``sqrt(N) * exp(-2j*pi*l*k/(M*N))`` at ``[k, l]``: ``_frame_spectra``'s factor for unit variances."""
+    k, l = np.arange(num_doppler)[:, None], np.arange(num_delay)
+    phases = np.sqrt(num_doppler) * np.exp(-2j * np.pi * (k * l) / (num_delay * num_doppler))
+    phases.flags.writeable = False
+    return phases
+
+
+def _frame_spectra(
+    grids: np.ndarray, sigma: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The M*N-point DFT of each ``(F, M, N)`` grid's OTFS frame, from the symbols: ``(F, N, M)`` rows.
+
+    Row ``[f, k]`` holds bins ``m*N + k``, m = 0 .. M-1.  Bin ``m*N + k`` is
+    ``sqrt(N) * sum_l X[l, k] * exp(-2j*pi*l*(m*N + k)/(M*N))``: column k
+    times the per-bin factor ``sqrt(N) * sigma[l, k] * exp(-2j*pi*l*k/(M*N))``
+    (sigma None for 1), then an M-point DFT over l, the last stage of a
+    Cooley-Tukey split of the frame's DFT.  It is
+    ``sqrt(M*N) * subcarrier_transform(k) @ X[:, k]``.  Grids whose memory is
+    in (frame, k, l) order (``_chunked_symbols(spectral=True)``) are read
+    contiguously, and ``out`` may be their own memory.
+    """
+    phases = _bin_phases(*grids.shape[1:])
+    spectra = np.multiply(grids.transpose(0, 2, 1), phases if sigma is None else phases * sigma.T, out=out)
+    return np.fft.fft(spectra, axis=-1, out=spectra)
+
+
 def otfs_modulate(grid: DelayDopplerGrid, sample_interval: float = 1.0) -> BasebandFrame:
     """Modulate a delay-Doppler grid into one OTFS frame.
 
@@ -283,6 +312,41 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _chunked_symbols(
+    num_frames: int, seed: int, points: np.ndarray, shape: Tuple[int, ...], frame_samples: int, spectral: bool = False
+) -> Iterator[np.ndarray]:
+    """Per frame block, the unscaled symbols drawn for its frames, of ``(frames, *shape)``.
+
+    A block holds ``max(1, _BLOCK_SAMPLES // frame_samples)`` frames (the
+    last block of a chunk may hold fewer), with ``frame_samples`` the dense
+    samples per frame.  Chunk ``c`` holds frames ``[c*4096, (c+1)*4096)``,
+    drawn block after block from the one generator ``_chunk_rng(seed, c)``.
+    A frame's symbols have ``shape``: each takes one raw 64-bit draw,
+    consumed in C order, whose top ``log2(points.size)`` bits index
+    ``points`` (a power-of-two number of them), so drawing a chunk block by
+    block gives the rows of one whole-chunk draw.  The index is
+    ``int(u * points.size)`` of the uniform double ``u = (raw >> 11) * 2**-53``
+    that ``Generator.random`` makes of the same draw, bit for bit, so a
+    draw's consumption does not depend on the constellation.  ``spectral``
+    gathers ``(M, N)`` grids into ``(frames, N, M)`` memory, the order
+    ``_frame_spectra`` reads, and yields its ``(frames, M, N)`` view.
+    """
+    block_frames = max(1, _BLOCK_SAMPLES // frame_samples)
+    shift = np.uint64(65 - points.size.bit_length())  # 64 - log2(size)
+    for chunk_index in range(-(-num_frames // _CHUNK_FRAMES)):
+        rng = _chunk_rng(seed, chunk_index)
+        count = min(_CHUNK_FRAMES, num_frames - chunk_index * _CHUNK_FRAMES)
+        for lo in range(0, count, block_frames):
+            indices = rng.bit_generator.random_raw((min(block_frames, count - lo), *shape))
+            np.right_shift(indices, shift, out=indices)
+            indices = indices.view(np.intp)
+            if spectral:
+                yield np.take(points, indices.transpose(0, 2, 1)).transpose(0, 2, 1)
+            else:
+                yield np.take(points, indices)
+            del indices  # not alive beside the next block's
+
+
 def _chunked_frames(
     num_frames: int,
     seed: int,
@@ -292,37 +356,26 @@ def _chunked_frames(
     sigma: Optional[np.ndarray] = None,
     to_grid: Callable = lambda symbols: symbols,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Per frame block: the drawn symbols and the OTFS frames they make.
+    """Per frame block of ``_chunked_symbols``: the symbols drawn, and the OTFS frames they make.
 
-    A block holds ``max(1, _BLOCK_SAMPLES // frame_samples)`` frames (the
-    last block of a chunk may hold fewer), with ``frame_samples`` the dense
-    samples per frame.  Chunk ``c`` holds frames ``[c*4096, (c+1)*4096)``,
-    drawn block after block from the one generator ``_chunk_rng(seed, c)``.
-    A frame's symbols have ``shape``: each takes one raw 64-bit draw,
-    consumed in C order, whose top ``log2(points.size)`` bits index
-    ``points`` (a power-of-two number of them), times ``sigma`` (of
-    ``shape``; None for 1), so drawing a chunk block by block gives the rows
-    of one whole-chunk draw.  The index is ``int(u * points.size)`` of the
-    uniform double ``u = (raw >> 11) * 2**-53`` that ``Generator.random``
-    makes of the same draw, bit for bit, so a draw's consumption does not
-    depend on the constellation.  ``to_grid`` maps a block's symbols to the
-    ``(frames, M, N)`` delay-Doppler grids that are modulated.
+    The symbols are scaled in place by ``sigma`` (of ``shape``; None for 1),
+    and ``to_grid`` maps them to the ``(frames, M, N)`` delay-Doppler grids
+    that are modulated.
     """
-    block_frames = max(1, _BLOCK_SAMPLES // frame_samples)
-    shift = np.uint64(65 - points.size.bit_length())  # 64 - log2(size)
     # complex * float runs numpy's complex loop on sigma + 0j: the same bits, without a cast per block.
     scale = None if sigma is None else np.asarray(sigma, dtype=np.complex128)
-    for chunk_index in range(-(-num_frames // _CHUNK_FRAMES)):
-        rng = _chunk_rng(seed, chunk_index)
-        count = min(_CHUNK_FRAMES, num_frames - chunk_index * _CHUNK_FRAMES)
-        for lo in range(0, count, block_frames):
-            indices = rng.bit_generator.random_raw((min(block_frames, count - lo), *shape))
-            np.right_shift(indices, shift, out=indices)
-            symbols = np.take(points, indices.view(np.intp))
-            if scale is not None:
-                np.multiply(symbols, scale, out=symbols)
-            yield symbols, _otfs_frames(to_grid(symbols))
-            del indices, symbols  # not alive beside the next block's
+    for symbols in _chunked_symbols(num_frames, seed, points, shape, frame_samples):
+        if scale is not None:
+            np.multiply(symbols, scale, out=symbols)
+        yield symbols, _otfs_frames(to_grid(symbols))
+        del symbols  # not alive beside the next block's
+
+
+def _checked_stream(num_frames: int, seed: Optional[int]) -> None:
+    if num_frames < 1:
+        raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
+    if seed is None:
+        raise ConfigurationError("a seed is required; wall-clock seeding is not supported")
 
 
 def stream_chunks(
@@ -342,10 +395,7 @@ def stream_chunks(
     bit-identical to ``generate_random_stream`` with the same arguments;
     memory is bounded by one block, not by ``num_frames``.
     """
-    if num_frames < 1:
-        raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
-    if seed is None:
-        raise ConfigurationError("a seed is required; wall-clock seeding is not supported")
+    _checked_stream(num_frames, seed)
     frame_samples = profile.num_delay * profile.num_doppler * oversampling
     sigma = np.sqrt(profile.sigma2)
     # One draw per (frame, delay, doppler) bin; sigma == 0 bins still consume a draw but emit exact 0.
@@ -360,6 +410,20 @@ def stream_chunks(
             sample_interval=sample_interval,
             seed=seed,
         )
+
+
+def _stream_symbols(
+    profile: VarianceProfile, num_frames: int, seed: int, constellation: str = "qpsk", oversampling: int = 1
+) -> Iterator[np.ndarray]:
+    """The symbols of ``stream_chunks``'s blocks with these arguments, unscaled, in ``_frame_spectra``'s read order.
+
+    Block b's symbols times ``sqrt(profile.sigma2)``, modulated, are block b
+    of ``stream_chunks``: the same blocks and draws, with no frame built.
+    """
+    _checked_stream(num_frames, seed)
+    frame_samples = profile.num_delay * profile.num_doppler * oversampling
+    points = constellation_points(constellation)
+    return _chunked_symbols(num_frames, seed, points, profile.sigma2.shape, frame_samples, spectral=True)
 
 
 def generate_random_stream(

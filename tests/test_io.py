@@ -2,7 +2,6 @@ import json
 import os
 import tempfile
 import threading
-import tracemalloc
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
@@ -160,38 +159,28 @@ def test_frame_stream_header_seed_is_optional(tmp_path):
     assert read_frame_stream(_six_sample_stream_file(tmp_path / "c.csv", {**_GOOD_HEADER, "seed": "7"})).seed == 7
 
 
-def _write_peak_bytes(path, frames):
+def _write_peak_bytes(traced_peak, path, frames):
     stream = generate_random_stream(VarianceProfile(np.ones((8, 64))), num_frames=frames, seed=0)
-    tracemalloc.start()
-    try:
-        write_frame_stream(path, stream)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: write_frame_stream(path, stream))
 
 
-def test_frame_stream_writer_memory_does_not_grow_with_rows(tmp_path):
+def test_frame_stream_writer_memory_does_not_grow_with_rows(tmp_path, traced_peak):
     """16384 and 65536 rows peak alike: rows are formatted a bounded block at a time."""
-    _write_peak_bytes(tmp_path / "warm.csv", 1)  # modules imported on a first write are not its memory
-    assert _write_peak_bytes(tmp_path / "4x.csv", 128) <= 1.05 * _write_peak_bytes(tmp_path / "1x.csv", 32)
+    four = _write_peak_bytes(traced_peak, tmp_path / "4x.csv", 128)
+    assert four <= 1.05 * _write_peak_bytes(traced_peak, tmp_path / "1x.csv", 32)
 
 
-def _read_peak_bytes(path, frames):
+def _read_peak_bytes(traced_peak, path, frames):
     """The read's ``tracemalloc`` peak and the size of the frames it returns."""
     stream = generate_random_stream(VarianceProfile(np.ones((8, 64))), num_frames=frames, seed=0)
     write_frame_stream(path, stream)
-    tracemalloc.start()
-    try:
-        stream = read_frame_stream(path)
-        return tracemalloc.get_traced_memory()[1], stream.frames.nbytes
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: read_frame_stream(path)), stream.frames.nbytes
 
 
 @pytest.mark.parametrize("frames", [32, 128])
-def test_frame_stream_reader_memory_is_the_array_plus_a_constant(tmp_path, frames):
+def test_frame_stream_reader_memory_is_the_array_plus_a_constant(tmp_path, frames, traced_peak):
     """16384 and 65536 rows: ``np.loadtxt`` parses the body into one array, never holding it as text."""
-    peak, returned = _read_peak_bytes(tmp_path / "s.csv", frames)
+    peak, returned = _read_peak_bytes(traced_peak, tmp_path / "s.csv", frames)
     assert peak <= 2 * returned + 2**21
 
 
@@ -302,7 +291,7 @@ def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_
     with _spills() as opened, pytest.raises(error):
         _split_table(tmp_path / "bad.csv", block, cpus)
     assert len(opened) == spills and all(spill.closed for spill in opened)
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.csv", "good.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["good.csv"]
     _assert_no_child_left()
 
 

@@ -74,6 +74,21 @@ def test_spectrum_stride_equals_subcarrier_transform():
         assert_allclose(spec[k::n_dim], transform @ grid.entries[:, k], atol=1e-12)
 
 
+@given(
+    m_dim=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16]),
+    n_dim=st.sampled_from([1, 2, 3, 5, 8, 13, 32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_subcarrier_transform_maps_its_column_to_its_spectrum_bins(m_dim, n_dim, seed):
+    """The paper's symbol-to-spectrum map: bin ``m*N + k`` is row m of ``subcarrier_transform(k) @ X[:, k]``."""
+    grid = _random_grid(np.random.default_rng(seed), m_dim, n_dim)
+    spec = discrete_spectrum(otfs_modulate(grid))
+    for k in range(n_dim):
+        mapped = subcarrier_transform(k, m_dim, n_dim) @ grid.entries[:, k]
+        for m in range(m_dim):
+            assert spec[m * n_dim + k] == pytest.approx(mapped[m], abs=1e-12)
+
+
 def test_discrete_spectrum_of_a_stream_is_one_spectrum_per_frame():
     stream = generate_random_stream(VarianceProfile.uniform(3, 4), 5, seed=2)
     spectra = discrete_spectrum(stream)

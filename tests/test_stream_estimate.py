@@ -8,7 +8,10 @@ DFTs plus an edge correction; no dense sample is built.  Each estimate
 must be that of the whole view reconstructed at once (``dac.reconstruct``
 is the oracle): bit for bit for the Dirac, within 1e-12 of the peak for
 rect and the sinc (whose dense DFTs are never taken), and bit for bit
-under any frame blocking and batch size.  A pass read at several frame
+under any frame blocking and batch size.  A random stream's one-frame
+estimate through a memoryless DAC is folded from its symbols' DFTs, never
+building a frame or taking an M*N-point FFT, so for the Dirac too it
+matches within 1e-12 of the peak.  A pass read at several frame
 counts gives at each the bits of a pass of that many frames.  Memory must
 stay flat in the frame count, the CEP split's views must share their
 batch buffers and peak within two dense blocks of the one-view estimate,
@@ -22,7 +25,6 @@ import sys
 import tempfile
 import threading
 import time
-import tracemalloc
 from collections import Counter
 from contextlib import closing
 from functools import partial
@@ -85,11 +87,11 @@ def _one_shot(profile, frames, filt, oversampling, segment_frames, view=lambda s
     return periodogram(reconstruct(stream, filt, oversampling), segment_len)
 
 
-def _assert_matches_one_shot(streamed, one_shot, kind):
-    """Bit for bit for the Dirac; rect and the sinc never take the dense DFTs, so they match to rounding."""
+def _assert_matches_one_shot(streamed, one_shot, kind, from_symbols=False):
+    """Bit for bit for the Dirac's frames; rect, the sinc and spectra taken from the symbols match to rounding."""
     assert streamed.meta["num_segments"] == one_shot.meta["num_segments"]
     assert_array_equal(streamed.freqs, one_shot.freqs)
-    if kind == "dirac_delta":
+    if kind == "dirac_delta" and not from_symbols:
         assert streamed.values.tobytes() == one_shot.values.tobytes()
     else:
         error = np.abs(streamed.values - one_shot.values).max() / one_shot.values.max()
@@ -106,7 +108,7 @@ def test_streamed_estimate_equals_one_shot(case, kind):
         assert frames > waveform._BLOCK_SAMPLES // per_frame
     streamed = estimated_psd(profile, frames, SEED, 1.0, filt, oversampling, segment_frames)
     one_shot = _one_shot(profile, frames, filt, oversampling, segment_frames)
-    _assert_matches_one_shot(streamed, one_shot, kind)
+    _assert_matches_one_shot(streamed, one_shot, kind, from_symbols=segment_frames == 1)
 
 
 @settings(max_examples=20)
@@ -118,16 +120,19 @@ def test_streamed_estimate_equals_one_shot(case, kind):
     order=st.integers(1, 40),
     segment_frames=st.integers(1, 3),
     block=st.integers(1, 300),
+    batch=st.integers(1, 2**12),
     cpus=st.integers(1, 3),
 )
 def test_memoryless_estimate_is_bit_identical_for_any_block_size(
-    delays, dopplers, frames, oversampling, order, segment_frames, block, cpus
+    delays, dopplers, frames, oversampling, order, segment_frames, block, batch, cpus
 ):
-    """Each filter at any L, and its CEP split, give the same bits for every ``_BLOCK_SAMPLES`` and CPU count.
+    """Each filter at any L, its CEP split and ``estimated_psd`` give the same bits for every blocking and CPU count.
 
     Rect, the Dirac and the sinc of ``order``, whose ``2*order`` taps may
     span many blocks of a few samples each, drawn inline (one CPU) or on
-    the producer thread.  Every view also matches its one-shot estimate.
+    the producer thread, folded in batches of any ``_BATCH_SAMPLES``.
+    ``estimated_psd`` of one-frame segments takes rect and the Dirac from
+    the symbols.  Every view also matches its one-shot estimate.
     """
     frames = max(frames, segment_frames)
     profile = VarianceProfile.uniform(delays, dopplers)
@@ -136,11 +141,15 @@ def test_memoryless_estimate_is_bit_identical_for_any_block_size(
         filt = InterpolationFilter(kind, 1.0, order)
         dense = 1 if kind == "dirac_delta" else oversampling
         args = (profile, frames, SEED, 1.0, filt, dense, segment_frames, "qpsk")
-        whole = _estimates(*args, views)
+        whole, alone = _estimates(*args, views), estimated_psd(*args)
         with mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
-            fileio, "_cpu_count", lambda: cpus
-        ):
-            blocked = _estimates(*args, views)
+            estimate, "_BATCH_SAMPLES", batch
+        ), mock.patch.object(fileio, "_cpu_count", lambda: cpus):
+            blocked, blocked_alone = _estimates(*args, views), estimated_psd(*args)
+        assert alone.meta == blocked_alone.meta
+        assert alone.values.tobytes() == blocked_alone.values.tobytes()
+        one_shot = _one_shot(profile, frames, filt, dense, segment_frames)
+        _assert_matches_one_shot(blocked_alone, one_shot, kind, from_symbols=segment_frames == 1)
         for l, a, b in zip(views, whole, blocked):
             assert a.meta == b.meta
             assert a.values.tobytes() == b.values.tobytes()
@@ -242,7 +251,9 @@ def test_streamed_estimate_refuses_what_reconstruct_refuses(filt, oversampling):
     stream = generate_random_stream(VarianceProfile.uniform(2, 2), 1, SEED, 1.0)
     with pytest.raises(ConfigurationError) as expected:
         reconstruct(stream, filt, oversampling)
-    with mock.patch.object(presets, "stream_chunks", side_effect=AssertionError("drew symbols")):
+    with mock.patch.object(presets, "stream_chunks", side_effect=AssertionError("drew symbols")), mock.patch.object(
+        presets, "_stream_symbols", side_effect=AssertionError("drew symbols")
+    ):
         with pytest.raises(ConfigurationError) as streamed:
             estimated_psd(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, filt, oversampling)
         with pytest.raises(ConfigurationError) as split:
@@ -255,21 +266,25 @@ def test_streamed_dirac_refuses_oversampling():
         estimated_psd(VarianceProfile.uniform(2, 2), 4, SEED, 1.0, InterpolationFilter.dirac(1.0), 2)
 
 
-def _peak_bytes(frames, estimate=estimated_psd):
+def _peak_bytes(traced_peak, frames, estimate=estimated_psd):
     profile = VarianceProfile.uniform(2, 4)
     filt = InterpolationFilter.truncated_sinc(1.0, 4)
-    tracemalloc.start()
-    try:
-        estimate(profile, frames, SEED, 1.0, filt, 2)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: estimate(profile, frames, SEED, 1.0, filt, 2))
 
 
-def test_streamed_estimate_memory_does_not_grow_with_frames():
+def test_streamed_estimate_memory_does_not_grow_with_frames(traced_peak):
     """Two and four generation chunks peak alike: nothing holds the whole stream."""
-    _peak_bytes(16)  # modules imported on a first estimate, such as concurrent.futures, are not its memory
-    assert _peak_bytes(16384) <= 1.05 * _peak_bytes(8192)
+    assert _peak_bytes(traced_peak, 16384) <= 1.05 * _peak_bytes(traced_peak, 8192)
+
+
+def test_symbol_estimate_memory_does_not_grow_with_frames(traced_peak):
+    """Rect at L=4 of one-frame segments, 16x128, from the symbols: 512 and 4096 frames peak alike."""
+    profile, filt = VarianceProfile.uniform(16, 128), InterpolationFilter.rect(1.0)
+
+    def peak(frames):
+        return traced_peak(lambda: estimated_psd(profile, frames, SEED, 1.0, filt, 4))
+
+    assert peak(4096) <= 1.05 * peak(512)
 
 
 # A 3x2 grid with unequal variances: every CEP component has its own spectrum.
@@ -330,13 +345,12 @@ def test_cep_convergence_draws_its_largest_count_once(tmp_path):
     assert draw.call_args.args[1] == 1000
 
 
-def test_cep_split_memory_does_not_grow_with_frames():
+def test_cep_split_memory_does_not_grow_with_frames(traced_peak):
     """Four and sixteen generation chunks peak alike: blocks are dropped once every view took them."""
-    _peak_bytes(16, _split)  # modules imported on a first estimate are not its memory
-    assert _peak_bytes(65536, _split) <= 1.05 * _peak_bytes(16384, _split)
+    assert _peak_bytes(traced_peak, 65536, _split) <= 1.05 * _peak_bytes(traced_peak, 16384, _split)
 
 
-def test_cep_split_views_share_their_batch_buffers():
+def test_cep_split_views_share_their_batch_buffers(traced_peak):
     """16 delays, the truncated sinc at L=1: 2**17-sample dense blocks, sixteen of them.
 
     Above the one-view estimate, the 17 views may hold at most 2 more dense
@@ -348,18 +362,13 @@ def test_cep_split_views_share_their_batch_buffers():
     block_bytes = waveform._BLOCK_SAMPLES * 16
 
     def peak(estimate):
-        tracemalloc.start()
-        try:
-            estimate(profile, 8192, SEED, 1.0, filt, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: estimate(profile, 8192, SEED, 1.0, filt, 1))
 
     extra = peak(_split) - peak(estimated_psd)
     assert extra <= 2 * block_bytes
 
 
-def test_cep_views_copy_blocks_not_chunks():
+def test_cep_views_copy_blocks_not_chunks(traced_peak):
     """Eight component views of 16-frame blocks: the views never copy a whole generation chunk.
 
     A chunk copied per view would alone add eight chunk sizes.
@@ -367,16 +376,11 @@ def test_cep_views_copy_blocks_not_chunks():
     profile = VarianceProfile.uniform(8, 4)
     chunk_bytes = 4096 * profile.num_delay * profile.num_doppler * 16
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", 512):
-        tracemalloc.start()
-        try:
-            _split(profile, 4096, SEED, 1.0, InterpolationFilter.truncated_sinc(1.0, 1), 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _split(profile, 4096, SEED, 1.0, InterpolationFilter.truncated_sinc(1.0, 1), 1))
     assert peak < 5 * chunk_bytes
 
 
-def test_rect_estimate_builds_no_dense_block():
+def test_rect_estimate_builds_no_dense_block(traced_peak):
     """Rect at L=8 peaks as at L=4: both get blocks of the same 2**15 symbols (1024 frames).
 
     For L >= 4 a memoryless block holds the symbols of a dense block at
@@ -388,35 +392,24 @@ def test_rect_estimate_builds_no_dense_block():
     symbol_block = 2**15
 
     def peak(oversampling):
+        filt = InterpolationFilter.rect(1.0)
         with mock.patch.object(waveform, "_BLOCK_SAMPLES", symbol_block * 4):
-            estimated_psd(profile, 1, SEED, 1.0, InterpolationFilter.rect(1.0), oversampling)  # lazy imports
-            tracemalloc.start()
-            try:
-                estimated_psd(profile, 4096, SEED, 1.0, InterpolationFilter.rect(1.0), oversampling)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: estimated_psd(profile, 4096, SEED, 1.0, filt, oversampling))
 
     assert peak(8) <= peak(4) + 2 * symbol_block * 16
 
 
-def _nslp_peak_bytes(tmp_path, frames):
+def _nslp_peak_bytes(traced_peak, tmp_path, frames):
     config = presets.preset_config(
         "lte-otfs-nslp", {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": frames}}
     )
     with mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**12):  # 16-frame blocks
-        tracemalloc.start()
-        try:
-            presets.run_scenario(config, tmp_path / str(frames))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: presets.run_scenario(config, tmp_path / str(frames)))
 
 
-def test_nslp_runner_memory_does_not_grow_with_frames(tmp_path):
+def test_nslp_runner_memory_does_not_grow_with_frames(traced_peak, tmp_path):
     """16 and 64 precoded blocks peak alike: the leak and the periodogram are taken block by block."""
-    _nslp_peak_bytes(tmp_path, 16)  # numpy's lazily imported modules are not the runner's memory
-    assert _nslp_peak_bytes(tmp_path, 1024) <= 1.05 * _nslp_peak_bytes(tmp_path, 256)
+    assert _nslp_peak_bytes(traced_peak, tmp_path, 1024) <= 1.05 * _nslp_peak_bytes(traced_peak, tmp_path, 256)
 
 
 def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream(tmp_path):
@@ -484,13 +477,9 @@ def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream_on_any_grid(grid
     assert metrics["worst_null_bin_leak"] == float(np.max(leak))
 
 
-def test_each_nslp_frame_takes_one_forward_and_one_inverse_transform(tmp_path):
-    """8x32, 40 frames in five 8-frame blocks on the producer thread: one 256-point FFT and IFFT row a frame.
-
-    The inverse builds the frame from its closed-form spectrum; the forward
-    one is the averager's, whose rows the leak check reads as well.
-    """
-    counts, lock = Counter(), threading.Lock()
+def _counting_transforms(counts):
+    """Patches of ``np.fft.fft`` and ``np.fft.ifft`` that add their rows, by name and length, to ``counts``."""
+    lock = threading.Lock()
 
     def counting(name, transform):
         def counted(a, n=None, axis=-1, norm=None, out=None):
@@ -499,15 +488,40 @@ def test_each_nslp_frame_takes_one_forward_and_one_inverse_transform(tmp_path):
                 counts[name, a.shape[axis] if n is None else n] += a.size // a.shape[axis]
             return transform(a, n, axis, norm, out)
 
-        return counted
+        return mock.patch.object(np.fft, name, counted)
 
+    return counting("fft", np.fft.fft), counting("ifft", np.fft.ifft)
+
+
+def test_each_nslp_frame_takes_one_forward_and_one_inverse_transform(tmp_path):
+    """8x32, 40 frames in five 8-frame blocks on the producer thread: one 256-point FFT and IFFT row a frame.
+
+    The inverse builds the frame from its closed-form spectrum; the forward
+    one is the averager's, whose rows the leak check reads as well.
+    """
+    counts = Counter()
+    forward, inverse = _counting_transforms(counts)
     overrides = {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 40}}
     config = presets.preset_config("lte-otfs-nslp", overrides)
-    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11), mock.patch.object(
-        np.fft, "fft", counting("fft", np.fft.fft)
-    ), mock.patch.object(np.fft, "ifft", counting("ifft", np.fft.ifft)):
+    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11), forward, inverse:
         presets.run_scenario(config, tmp_path)
     assert counts == {("fft", 256): 40, ("ifft", 256): 40}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_one_frame_rect_estimate_takes_its_spectra_from_the_symbols(cpus):
+    """16x128, rect at L=4, 40 frames: one 16-point FFT row a subcarrier and frame, and no frame built.
+
+    No 2048-point row is taken, and ``_otfs_frames`` is never called.  The
+    one 8192-point row is the hold's response, taken once by ``result``.
+    """
+    counts = Counter()
+    forward, inverse = _counting_transforms(counts)
+    no_frames = mock.patch.object(waveform, "_otfs_frames", side_effect=AssertionError("built a frame"))
+    with _cpus(cpus), forward, inverse, no_frames:
+        curve = estimated_psd(VarianceProfile.uniform(16, 128), 40, SEED, 1.0, InterpolationFilter.rect(1.0), 4)
+    assert curve.meta["num_segments"] == 40
+    assert counts == {("fft", 16): 40 * 128, ("fft", 8192): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +537,25 @@ def _cpus(count):
 def test_the_producer_thread_changes_no_bits(kind):
     """Blocks built inline (one CPU) and on the producer thread: the same bytes, plain and CEP split.
 
-    2x2 frames in blocks of a few frames, over two generation chunks.
+    2x2 frames in blocks of a few frames, over two generation chunks, folded
+    in batches of two sizes.  The plain estimate of one-frame segments takes
+    rect and the Dirac from the symbols.
     """
     filt, oversampling = FILTERS[kind]
     profile, frames, segment_frames = CASES["multi_chunk"]
     results = []
-    for cpus in (1, 2):
-        with _cpus(cpus), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**8), mock.patch.object(
-            threading, "Thread", wraps=threading.Thread
-        ) as thread:
+    for cpus, block, batch in ((1, 2**8, 2**14), (2, 2**8, 2**14), (2, 2**6, 12)):
+        with _cpus(cpus), mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
+            estimate, "_BATCH_SAMPLES", batch
+        ), mock.patch.object(threading, "Thread", wraps=threading.Thread) as thread, mock.patch.object(
+            presets, "_frame_spectra", wraps=presets._frame_spectra
+        ) as mapped:
             curve = estimated_psd(profile, frames, SEED, 1.0, filt, oversampling, segment_frames)
             whole, parts, summed, metrics = _split(CEP_PROFILE, frames, SEED, 1.0, filt, oversampling)
         assert thread.call_count == (0 if cpus == 1 else 2)
+        assert mapped.called == (kind != "truncated_sinc")
         results.append(([c.values.tobytes() for c in (curve, whole, *parts, summed)], metrics))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 class _LingeringThread(threading.Thread):

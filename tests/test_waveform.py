@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +20,9 @@ from otfspectrum.waveform import (
     _QPSK,
     _chunk_rng,
     _chunked_frames,
+    _frame_spectra,
+    _otfs_frames,
+    _stream_symbols,
     cep_component_stream,
     cep_ofdm_component,
     constellation_points,
@@ -296,17 +298,56 @@ def test_streams_are_prefix_stable_across_chunk_boundaries(
     assert_array_equal(norms[:prefix], short_norms)
 
 
-def test_a_stream_block_stays_far_below_a_chunk():
+def test_a_stream_block_stays_far_below_a_chunk(traced_peak):
     """16x128 grid: one 4096-frame chunk array is 134 MB, one 2**17-sample block 2 MB."""
     prof = VarianceProfile.uniform(16, 128)
-    tracemalloc.start()
-    try:
-        block = next(stream_chunks(prof, _CHUNK_FRAMES, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: next(stream_chunks(prof, _CHUNK_FRAMES, seed=1)))
+    block = next(stream_chunks(prof, _CHUNK_FRAMES, seed=1))
     assert block.num_frames == waveform._BLOCK_SAMPLES // (16 * 128)
     assert peak < 32 * 2**20
+
+
+def _assert_rows_within(actual, expected, share):
+    """Each row of ``actual`` within ``share`` of the peak of the same row of ``expected``."""
+    peaks = np.abs(expected).max(axis=1, initial=0.0)
+    assert np.all(np.abs(actual - expected).max(axis=1, initial=0.0) <= share * peaks)
+
+
+SIZES = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 32])
+
+
+@settings(max_examples=60)
+@given(
+    delays=SIZES,
+    dopplers=SIZES,
+    frames=st.integers(1, 12),
+    block_frames=st.integers(1, 5),
+    nulled=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(delays=16, dopplers=128, frames=9, block_frames=4, nulled=0.3, seed=0)
+def test_frame_spectra_are_the_dfts_of_the_frames(delays, dopplers, frames, block_frames, nulled, seed):
+    """``_frame_spectra`` is ``np.fft.fft`` of the OTFS frames within 1e-13 of each row's peak.
+
+    Complex grids of any M and N (one, primes and powers of two), and a
+    stream's symbol blocks with zero-variance bins, whose frame count
+    crosses block boundaries: the blocks are those of ``stream_chunks``.
+    """
+    rng = np.random.default_rng(seed)
+    grids = rng.normal(size=(frames, delays, dopplers)) + 1j * rng.normal(size=(frames, delays, dopplers))
+    spectra = _frame_spectra(grids).transpose(0, 2, 1).reshape(frames, -1)  # bin m*N + k
+    _assert_rows_within(spectra, np.fft.fft(_otfs_frames(grids), axis=1), 1e-13)
+
+    sigma2 = rng.uniform(0.1, 2.0, (delays, dopplers)) * (rng.uniform(size=(delays, dopplers)) >= nulled)
+    profile = VarianceProfile(sigma2)
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block_frames * delays * dopplers):
+        symbols = list(_stream_symbols(profile, frames, seed))
+        blocks = list(stream_chunks(profile, frames, seed))
+    assert [len(block) for block in symbols] == [len(block) for block in blocks]
+    for block, frames_block in zip(symbols, blocks):
+        spectra = _frame_spectra(block, np.sqrt(sigma2)).transpose(0, 2, 1).reshape(len(block), -1)
+        _assert_rows_within(spectra, np.fft.fft(frames_block.frames, axis=1), 1e-13)
+        assert np.all(spectra.reshape(len(block), delays, dopplers)[:, :, sigma2.sum(axis=0) == 0] == 0)
 
 
 def test_zero_variance_bins_are_exactly_zero():
