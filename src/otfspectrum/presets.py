@@ -180,6 +180,7 @@ def _streamed_estimates(
                 for averager, l in zip(averagers, views):
                     fold(averager, block.frames if l is None else cep_component_stream(block, l).frames, cuts)
             done += len(block)
+            del block  # not alive while the next block is drawn
     return [snapshots[count] for count in frame_counts]
 
 
