@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import __version__
 from . import io as fileio
@@ -82,13 +83,32 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
-def _write_or_print_metrics(metrics: dict, out: Optional[str], cfg_hash: str) -> None:
-    """Write ``metrics`` as records to ``out``, or print them as one JSON object when there is none."""
+def _metrics_output(metrics: dict, out: Optional[str], cfg_hash: str) -> str:
+    """Write ``metrics`` as records to ``out`` and say so, or give them as one JSON object when there is none."""
     if out:
         fileio.write_metrics(out, fileio.metric_records(sorted(metrics.items()), cfg_hash))
-        print(f"wrote comparison metrics to {out}")
-    else:
-        print(fileio.json_text(metrics), end="")
+        return f"wrote comparison metrics to {out}\n"
+    return fileio.json_text(metrics)
+
+
+@contextmanager
+def _written_together() -> Iterator[Callable[[Path], Path]]:
+    """``keep(path)`` for each file a command has written: if the command then fails, each kept file is removed.
+
+    So a command that writes two files leaves both or neither.
+    """
+    written: List[Path] = []
+
+    def keep(path: Path) -> Path:
+        written.append(path)
+        return path
+
+    try:
+        yield keep
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -134,10 +154,11 @@ def _cmd_psd_estimate(args: argparse.Namespace) -> int:
     reference = fileio.read_psd_curve(args.reference) if args.reference else None
     curve = estimated_psd(*config.estimate_args())
     metrics = compare_curves(curve, reference, band=config.band) if reference is not None else None
-    path = fileio.write_psd_curve(args.out, curve, {"config_hash": config.hash()})
+    with _written_together() as keep:
+        path = keep(fileio.write_psd_curve(args.out, curve, {"config_hash": config.hash()}))
+        said = "" if metrics is None else _metrics_output(metrics, args.metrics_out, config.hash())
     print(f"wrote averaged periodogram ({curve.freqs.size} bins) to {path}")
-    if metrics is not None:
-        _write_or_print_metrics(metrics, args.metrics_out, config.hash())
+    print(said, end="")
     return 0
 
 
@@ -150,11 +171,13 @@ def _cmd_precode(args: argparse.Namespace) -> int:
     # The stream first: a stream the precoders cannot make is refused before any file is written.
     stream_args = (config.num_frames, config.seed, config.sample_interval, config.constellation)
     stream = precoded_stream(precoders, *stream_args)[0] if args.stream_out else None
-    path = fileio.write_precoder_set(args.out, precoders, {"config_hash": config.hash()})
+    with _written_together() as keep:
+        path = keep(fileio.write_precoder_set(args.out, precoders, {"config_hash": config.hash()}))
+        if stream is not None:
+            fileio.write_frame_stream(args.stream_out, stream, {"config_hash": config.hash()})
     sizes = ",".join(str(s) for s in precoders.payload_sizes)
     print(f"wrote {len(precoders.matrices)} {config.precoder_form} precoders (payload sizes {sizes}) to {path}")
     if stream is not None:
-        fileio.write_frame_stream(args.stream_out, stream, {"config_hash": config.hash()})
         print(f"wrote {stream.num_frames} precoded frames to {args.stream_out}")
     return 0
 
@@ -167,7 +190,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     run_hash = fileio.config_hash(
         {"estimated": Path(args.estimated).name, "reference": Path(args.reference).name, "band": band}
     )
-    _write_or_print_metrics(metrics, args.out, run_hash)
+    print(_metrics_output(metrics, args.out, run_hash), end="")
     return 0
 
 

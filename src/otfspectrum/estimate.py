@@ -6,10 +6,11 @@ arithmetic mean across segments, grid shifted to ``[-rate/2, rate/2)``.
 A DAC's output is estimated from its symbol-rate input through the DFT of
 an interpolated sequence (Oppenheim & Schafer, *Discrete-Time Signal
 Processing*), with a short edge correction for the truncated sinc.  A
-random stream's one-frame estimate through a memoryless DAC (dirac_delta,
-rect) goes further back, to the symbols: each frame's DFT is an M-point
-FFT a subcarrier of its weighted symbols (``waveform._frame_spectra``),
-folded in by ``PeriodogramAverager._add_spectra``, so no frame is built.
+random or precoded stream's one-frame estimate through a memoryless DAC
+(dirac_delta, rect) goes further back, to the delay-Doppler grids: each
+frame's DFT is an M-point FFT a subcarrier of its weighted grid
+(``waveform._frame_spectra``), folded in by
+``PeriodogramAverager._add_spectra``, so no frame is built.
 It is within 1e-12 of the peak of ``periodogram(reconstruct(...))`` (the
 Dirac's frames give those bits exactly), and bit for bit the same under
 any blocking and batch size, as every estimate is.  Comparisons against
@@ -128,7 +129,9 @@ class PeriodogramAverager:
     first segment, so it sees each segment once and in order.  The rows are
     a buffer of the next batch: it may read them only during the call.  The
     sinc's last segments, which ``result`` folds from the end-of-stream
-    zeros into a copy at each call, are not handed on.
+    zeros into a copy at each call, are not handed on.  Ready spectra
+    (``_add_spectra``) are handed on as they come, as ``(segments, N*M)``
+    rows in their (k, m) order.
     """
 
     def __init__(self, segment_len: int, sample_rate: float, hold: int = 1, order: int = 0) -> None:
@@ -252,14 +255,17 @@ class PeriodogramAverager:
         Entry ``[s, k, m]`` is bin ``m*N + k`` of segment s's n-point DFT
         (n = M*N, ``waveform._frame_spectra``).  The sum is kept in that
         (k, m) order, and ``result`` permutes it into bin order once; the
-        hold's response is applied there, as for ``add``.  Rows are folded in
-        batches of about ``_BATCH_SAMPLES`` bins and squared in place.  An
-        averager takes its segments from ``add`` or from here, not both.
+        hold's response is applied there, as for ``add``.  The rows go to
+        ``_on_spectra`` first, then are folded in batches of about
+        ``_BATCH_SAMPLES`` bins and squared in place.  An averager takes its
+        segments from ``add`` or from here, not both.
         """
         if self.order or spectra[0].size != self._len:
             raise ValueError(f"ready spectra are DFTs of a memoryless DAC's {self._len}-input segments")
         self._layout = spectra.shape[1:]
         rows = spectra.reshape(len(spectra), -1)
+        if self._on_spectra is not None:
+            self._on_spectra(rows, self.num_segments)
         batch = max(1, _BATCH_SAMPLES // self._len)
         for lo in range(0, len(rows), batch):
             self._sum_squares(rows[lo : lo + batch], self._acc)

@@ -16,8 +16,8 @@ nulls).  ``build_precoders`` makes either form from one DFT and one phase
 table, bit for bit as those functions do.  With the identity mixing a
 frame's unitary spectrum is the payload on the kept bins (k, then m
 order): ``build_precoders`` records those bins, so ``precoded_stream``
-makes each frame with one inverse FFT, while every other set goes
-through its matrices, as ``precode_grid`` does.
+makes each grid column with one M-point inverse FFT of its spectrum row,
+while every other set goes through its matrices, as ``precode_grid`` does.
 """
 
 from __future__ import annotations
@@ -302,15 +302,17 @@ def precode_grid(payloads: Sequence[np.ndarray], precoders: PrecoderSet) -> Dela
 def _precode_rows(precoders: PrecoderSet, payload: np.ndarray) -> np.ndarray:
     """Grids (frames x M x N) of payload rows (frames x total payload) through the precoder matrices.
 
-    A one-row product takes BLAS's matrix-vector path, which rounds
-    differently from the matrix-matrix path of longer blocks: a lone frame
-    is padded with a zero row, so every frame is computed alike whatever
-    block it falls in, and a precoded stream stays prefix-stable.
+    The grids are in (frame, k, l) memory, each grid column contiguous, the
+    order ``waveform._frame_spectra`` reads.  A one-row product takes BLAS's
+    matrix-vector path, which rounds differently from the matrix-matrix path
+    of longer blocks: a lone frame is padded with a zero row, so every frame
+    is computed alike whatever block it falls in, and a precoded stream
+    stays prefix-stable.
     """
     mask = precoders.mask
     offsets = np.concatenate([[0], np.cumsum(precoders.payload_sizes)])
     rows = payload if len(payload) > 1 else np.vstack([payload, np.zeros_like(payload)])
-    entries = np.zeros((len(rows), mask.num_delay, mask.num_doppler), dtype=np.complex128)
+    entries = np.zeros((len(rows), mask.num_doppler, mask.num_delay), dtype=np.complex128).transpose(0, 2, 1)
     for k, matrix in enumerate(precoders.matrices):
         entries[:, :, k] = rows[:, offsets[k] : offsets[k + 1]] @ matrix.T
     return entries[: len(payload)]

@@ -11,7 +11,7 @@ byte, and every file but a written mask embeds the configuration hash.
 from __future__ import annotations
 
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
@@ -28,8 +28,10 @@ from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
     FrameStream,
     VarianceProfile,
-    _chunked_frames,
+    _bin_phases,
+    _chunked_symbols,
     _frame_spectra,
+    _otfs_frames,
     _stream_symbols,
     cep_component_stream,
     constellation_points,
@@ -83,31 +85,34 @@ def _prefetched(blocks: Generator[_Item, None, None]) -> Iterator[_Item]:
 
 
 @dataclass(frozen=True)
-class _RandomStream:
-    """A random OTFS stream as a block source of ``_streamed_estimates``, which may take its symbols instead.
+class _GridSource:
+    """A stream's blocks as delay-Doppler grids, a block source ``_streamed_estimates`` may take DFTs from.
 
-    Called with a factor, it is ``stream_chunks`` with these arguments;
-    ``symbols`` gives the same blocks' symbols (``waveform._stream_symbols``)
-    without building a frame.
+    ``grids(L)`` yields each block's ``(frames, M, N)`` grids in (frame, k,
+    l) memory, the order ``waveform._frame_spectra`` reads; times ``sigma``
+    (None for 1) they are the grids the block's frames modulate.
+    ``frames(L)``, where there is one, yields the same blocks as
+    ``FrameStream``s, for the views and DACs that take frames.
     """
 
-    profile: VarianceProfile
-    num_frames: int
-    seed: int
-    sample_interval: float
-    constellation: str
+    grids: Callable[[int], Generator[np.ndarray, None, None]]
+    sigma: Optional[np.ndarray] = None
+    frames: Optional[Callable[[int], Generator[FrameStream, None, None]]] = None
 
-    def __call__(self, oversampling: int) -> Generator[FrameStream, None, None]:
-        return stream_chunks(
-            self.profile, self.num_frames, self.seed, self.sample_interval, self.constellation, oversampling
-        )
 
-    def symbols(self, oversampling: int) -> Generator[np.ndarray, None, None]:
-        return _stream_symbols(self.profile, self.num_frames, self.seed, self.constellation, oversampling)
+def _random_stream(
+    profile: VarianceProfile, num_frames: int, seed: int, sample_interval: float, constellation: str
+) -> _GridSource:
+    """A random OTFS stream as a grid source: its symbols (``waveform._stream_symbols``) and ``stream_chunks``."""
+    return _GridSource(
+        partial(_stream_symbols, profile, num_frames, seed, constellation),
+        np.sqrt(profile.sigma2),
+        partial(stream_chunks, profile, num_frames, seed, sample_interval, constellation),
+    )
 
 
 def _streamed_estimates(
-    blocks: Callable[[int], Generator[FrameStream, None, None]],
+    blocks: Union[_GridSource, Callable[[int], Generator[FrameStream, None, None]]],
     frame_samples: int,
     frame_counts: Sequence[int],
     sample_interval: float,
@@ -134,16 +139,17 @@ def _streamed_estimates(
     ``PeriodogramAverager._on_spectra``: it is handed that view's segment
     DFTs on this thread.
 
-    The one-frame periodogram of a random stream (``_RandomStream``), as
-    its only view, through a memoryless DAC (dirac_delta, rect) and with no
-    ``on_spectra``, is taken from the symbols:
-    the producer draws each block's symbols, this thread maps them in place
-    to their frames' DFTs (``waveform._frame_spectra``, an M-point FFT a
-    subcarrier) and the averager folds those rows
-    (``PeriodogramAverager._add_spectra``), so no frame and no M*N-point
-    FFT is made.  Its curves are within 1e-12 of the peak of the one-shot
-    estimate, and bit for bit alike under any blocking, batch size and CPU
-    count, as the time path's are.
+    The one-frame periodogram of a grid source (``_GridSource``: a random
+    stream, or precoded grids), as its only view, through a memoryless DAC
+    (dirac_delta, rect), is taken from the grids: the producer makes each
+    block's grids, this thread maps them in place to their frames' DFTs
+    (``waveform._frame_spectra``, an M-point FFT a subcarrier) and the
+    averager folds those rows (``PeriodogramAverager._add_spectra``), so no
+    frame and no M*N-point FFT is made; ``on_spectra`` gets the rows in
+    their (k, m) order.  Its curves are within 1e-12 of the peak of the
+    one-shot estimate, and bit for bit alike under any blocking, batch size
+    and CPU count, as the time path's are.  Any other estimate of a grid
+    source reads its ``frames``.
     """
     oversampling = check_reconstruction(filt, oversampling, sample_interval)
     segment_len = frame_samples * oversampling * segment_frames
@@ -151,17 +157,17 @@ def _streamed_estimates(
     averagers = _averagers(len(views), segment_len, oversampling / sample_interval, oversampling, order)
     if on_spectra is not None:
         averagers[views.index(None)]._on_spectra = on_spectra
-    # The one place the path is chosen: only here does a run draw symbols and build no frame.
-    from_symbols = (
-        isinstance(blocks, _RandomStream) and order == 0 and segment_frames == 1 and tuple(views) == (None,)
-        and on_spectra is None
-    )
+    # The one place the path is chosen: only here does a run take its spectra from grids and build no frame.
+    gridded = isinstance(blocks, _GridSource)
+    from_grids = gridded and order == 0 and segment_frames == 1 and tuple(views) == (None,)
+    if gridded and not from_grids and blocks.frames is None:
+        raise ValueError("these grids give no frames: only their one-frame periodogram through a memoryless DAC")
     snapshots: Dict[int, List[PsdCurve]] = {}
     done = 0
 
     def fold(averager: PeriodogramAverager, rows: np.ndarray, cuts: List[int]) -> None:
         # A view's frames are dropped on return, before the next view's are made.
-        add = averager._add_spectra if from_symbols else averager.add
+        add = averager._add_spectra if from_grids else averager.add
         pieces = np.split(rows, cuts) if cuts else [rows]
         for cut, piece in zip(cuts, pieces):  # ``result`` leaves the averager as it is
             add(piece)
@@ -169,13 +175,12 @@ def _streamed_estimates(
         if len(pieces[-1]):
             add(pieces[-1])
 
-    source = blocks.symbols if from_symbols else blocks
-    sigma = np.sqrt(blocks.profile.sigma2) if from_symbols else None
+    source = blocks.grids if from_grids else blocks.frames if gridded else blocks
     with closing(_prefetched(source(min(oversampling, 4)))) as stream:
         for block in stream:
             cuts = sorted({count - done for count in frame_counts if done < count <= done + len(block)})
-            if from_symbols:  # symbols drawn on the producer thread, transformed in place on this one
-                fold(averagers[0], _frame_spectra(block, sigma, out=block.transpose(0, 2, 1)), cuts)
+            if from_grids:  # grids made on the producer thread, transformed in place on this one
+                fold(averagers[0], _frame_spectra(block, blocks.sigma, out=block.transpose(0, 2, 1)), cuts)
             else:
                 for averager, l in zip(averagers, views):
                     fold(averager, block.frames if l is None else cep_component_stream(block, l).frames, cuts)
@@ -201,7 +206,7 @@ def estimated_psd(
     is that of ``periodogram(reconstruct(generate_random_stream(...)))``.
     """
     [[curve]] = _streamed_estimates(
-        _RandomStream(profile, num_frames, seed, sample_interval, constellation),
+        _random_stream(profile, num_frames, seed, sample_interval, constellation),
         profile.num_delay * profile.num_doppler, (num_frames,), sample_interval, filt, oversampling,
         segment_frames,
     )
@@ -238,7 +243,7 @@ def _cep_split(
     """
     splits, nyquist = [], 0.5 / sample_interval
     for whole, *parts in _streamed_estimates(
-        _RandomStream(profile, max(frame_counts), seed, sample_interval, constellation),
+        _random_stream(profile, max(frame_counts), seed, sample_interval, constellation),
         profile.num_delay * profile.num_doppler, frame_counts, sample_interval, filt, oversampling,
         segment_frames, views=(None, *range(profile.num_delay)),
     ):
@@ -251,18 +256,24 @@ def _cep_split(
 
 
 def _precoded_blocks(
-    precoders: PrecoderSet, num_frames: int, seed: int, sample_interval: float, constellation: str
-) -> Iterator[Tuple[FrameStream, np.ndarray]]:
-    """Random-payload OTFS frames through a precoder set, block by block.
+    precoders: PrecoderSet, num_frames: int, seed: int, constellation: str
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Random-payload delay-Doppler grids through a precoder set, block by block.
 
-    Yields each frame block (``waveform._chunked_frames``) with the
-    Euclidean norm of each of its frames' payload vectors.  Payload draws
-    follow the same fixed-chunk Philox indexing as plain stream generation.
-    A set with ``spectral_bins`` is synthesized in closed form: the payload
-    placed on those bins is the frame's unitary spectrum, so one inverse FFT
-    makes the frame.  Any other set goes through its matrices
-    (``precoding._precode_rows``).  A frame count below 1 and a mask that
-    leaves no payload are refused by the call, before any block is drawn.
+    Yields each frame block's ``(frames, M, N)`` grids, in (frame, k, l)
+    memory (``_GridSource``), with the Euclidean norm of each frame's
+    payload vector.  Payload draws follow the same fixed-chunk Philox
+    indexing and frame blocks as plain stream generation
+    (``waveform._chunked_symbols``).  A set with ``spectral_bins`` is
+    synthesized in closed form: the payload placed on those bins is each
+    frame's unitary spectrum, held as ``(frames, k, m)`` rows in a buffer
+    kept between blocks, whose null bins are never written and so stay
+    zero.  Column k of a grid is row k's M-point inverse DFT times
+    ``conj(_bin_phases(M, N)[k]) / sqrt(N)``, that is ``P_k @ payload_k``:
+    ``waveform._frame_spectra`` inverted.  Any other set goes through its
+    matrices (``precoding._precode_rows``).  A frame count below 1 and a
+    mask that leaves no payload are refused by the call, before any block
+    is drawn.
     """
     if num_frames < 1:
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
@@ -270,20 +281,28 @@ def _precoded_blocks(
     total = precoders.total_payload
     if total == 0:
         raise ConfigurationError("the mask leaves no payload dimensions at all")
+    payloads = _chunked_symbols(num_frames, seed, constellation_points(constellation), (total,), mask.num_bins)
+    if precoders.spectral_bins is None:
+        return ((_precode_rows(precoders, payload), np.linalg.norm(payload, axis=1)) for payload in payloads)
+    num_delay, num_doppler = mask.num_delay, mask.num_doppler
+    bins = precoders.spectral_bins
+    kept = bins % num_doppler * num_delay + bins // num_doppler  # bin m*N + k at row k, column m
+    phases = np.conj(_bin_phases(num_delay, num_doppler)) / np.sqrt(num_doppler)
 
-    def scattered(payload: np.ndarray) -> np.ndarray:
-        # The spectra as one-row grids: OTFS-modulating a 1 x MN grid is the
-        # inverse DFT of its row, so ``_chunked_frames`` makes the frames.
-        spectra = np.zeros((len(payload), 1, mask.num_bins), dtype=np.complex128)
-        spectra[:, 0, precoders.spectral_bins] = payload
-        return spectra
+    def synthesized() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        spectra = places = np.zeros(0, dtype=np.complex128)
+        for payload in payloads:
+            if len(spectra) < len(payload):  # the first block is a chunk's largest
+                spectra = np.zeros((len(payload), num_doppler, num_delay), dtype=np.complex128)
+                # Each payload entry's place in the buffer's memory: one flat index, 2-3x faster than (frame, place).
+                places = (np.arange(len(payload))[:, None] * mask.num_bins + kept).ravel()
+            spectra.reshape(-1)[places[: payload.size]] = payload.reshape(-1)
+            grids = np.fft.ifft(spectra[: len(payload)], axis=-1, norm="ortho")
+            grids *= phases
+            yield grids.transpose(0, 2, 1), np.linalg.norm(payload, axis=1)
+            del grids, payload  # not alive beside the next block's
 
-    to_grid = partial(_precode_rows, precoders) if precoders.spectral_bins is None else scattered
-    points = constellation_points(constellation)
-    return (
-        (FrameStream(frames, mask.num_delay, mask.num_doppler, sample_interval, seed), np.linalg.norm(payload, axis=1))
-        for payload, frames in _chunked_frames(num_frames, seed, points, (total,), mask.num_bins, to_grid=to_grid)
-    )
+    return synthesized()
 
 
 def precoded_stream(
@@ -296,12 +315,16 @@ def precoded_stream(
     """Random-payload OTFS stream through a precoder set.
 
     Returns the modulated stream and the Euclidean norm of each frame's
-    payload vector: the ``_precoded_blocks`` concatenated.  Payload draws
-    follow the same fixed-chunk Philox indexing as plain stream generation,
-    so runs are reproducible and prefix-stable in ``num_frames``.
+    payload vector: the OTFS frames of the ``_precoded_blocks`` grids,
+    concatenated.  Payload draws follow the same fixed-chunk Philox
+    indexing as plain stream generation, so runs are reproducible and
+    prefix-stable in ``num_frames``.
     """
-    blocks, norms = zip(*_precoded_blocks(precoders, num_frames, seed, sample_interval, constellation))
-    stream = replace(blocks[0], frames=np.concatenate([block.frames for block in blocks]))
+    frames, norms = zip(
+        *((_otfs_frames(grids), norms) for grids, norms in _precoded_blocks(precoders, num_frames, seed, constellation))
+    )
+    mask = precoders.mask
+    stream = FrameStream(np.concatenate(frames), mask.num_delay, mask.num_doppler, sample_interval, seed)
     return stream, np.concatenate(norms)
 
 
@@ -419,28 +442,29 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     if mask is None:
         raise ConfigurationError("the NSLP preset needs a mask section")
     precoders = build_precoders(mask, config.precoder_form)
-    blocks = _precoded_blocks(precoders, config.num_frames, config.seed, config.sample_interval, config.constellation)
+    blocks = _precoded_blocks(precoders, config.num_frames, config.seed, config.constellation)
     norms: Dict[int, float] = {}  # the payload norm of each frame made and not yet checked, by index
     leak, scale = 0.0, 1 / np.sqrt(mask.num_bins)
+    nulls = np.flatnonzero(~mask.kept)  # the null bins m*N + k at their (k, m) places k*M + m
     # Rows checked at a time: their gathered null bins stay near 2**8 values, small beside the producer's block
     # however the two threads line up.
-    rows = max(1, 2**8 // max(1, mask.null_bins.size))
+    rows = max(1, 2**8 // max(1, nulls.size))
 
-    def normed(_) -> Generator[FrameStream, None, None]:
-        # The precoded blocks (sized for L = 1, the factor asked), each frame's payload norm recorded before its
-        # block is passed on.
+    def normed(_) -> Generator[np.ndarray, None, None]:
+        # The precoded grids (in blocks sized for L = 1, the factor asked), each frame's payload norm recorded
+        # before its block is passed on.
         made = 0
-        for block, payload_norms in blocks:
+        for grids, payload_norms in blocks:
             norms.update(enumerate(payload_norms.tolist(), made))
-            made += len(block)
-            yield block
+            made += len(grids)
+            yield grids
 
     def check_leak(spectra: np.ndarray, first: int) -> None:
-        # The averager's DFTs of frames ``first`` on (a segment is one frame), scaled before ``abs`` as
-        # ``discrete_spectrum``'s unitary FFT scales them: its null-bin values, bit for bit.
+        # The averager's DFTs of frames ``first`` on (a segment is one frame), in (k, m) order, scaled before
+        # ``abs`` as ``discrete_spectrum``'s unitary FFT scales them: the null bins of the grids' own frames.
         nonlocal leak
         for lo in range(0, len(spectra), rows):
-            nulled = spectra[lo : lo + rows, mask.null_bins]
+            nulled = spectra[lo : lo + rows, nulls]
             nulled *= scale
             payload_norms = np.array([norms.pop(frame) for frame in range(first + lo, first + lo + len(nulled))])
             leak = max(leak, float((np.abs(nulled).max(axis=1, initial=0.0) / payload_norms).max()))
@@ -451,9 +475,10 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     # fork copies only the forking thread.  They format while the estimate runs, and the dump is joined after it;
     # an exception in between, Ctrl-C included, kills them and leaves no precoder file.
     with fileio._start_precoder_set(outdir / "lte_nslp_precoders.csv", precoders, header) as write_precoders:
-        # The one-frame-segment periodogram: the precoded frames are the Dirac DAC's input at L = 1.
+        # The one-frame-segment periodogram, taken from the grids: the precoded frames are the Dirac DAC's
+        # input at L = 1.
         [[curve]] = _streamed_estimates(
-            normed, mask.num_bins, (config.num_frames,), config.sample_interval,
+            _GridSource(normed), mask.num_bins, (config.num_frames,), config.sample_interval,
             InterpolationFilter.dirac(config.sample_interval), 1, 1, on_spectra=check_leak,
         )
         psd_path = _write_curve(outdir, "lte_nslp_psd.csv", curve, cfg_hash)

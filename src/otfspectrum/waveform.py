@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -227,7 +227,11 @@ def _otfs_frames(grids: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _bin_phases(num_delay: int, num_doppler: int) -> np.ndarray:
-    """``sqrt(N) * exp(-2j*pi*l*k/(M*N))`` at ``[k, l]``: ``_frame_spectra``'s factor for unit variances."""
+    """``sqrt(N) * exp(-2j*pi*l*k/(M*N))`` at ``[k, l]``: ``_frame_spectra``'s factor for unit variances.
+
+    Conjugated and over ``sqrt(N)``, it is the factor of the inverse map, by
+    which ``presets._precoded_blocks`` makes grids of their spectra.
+    """
     k, l = np.arange(num_doppler)[:, None], np.arange(num_delay)
     phases = np.sqrt(num_doppler) * np.exp(-2j * np.pi * (k * l) / (num_delay * num_doppler))
     phases.flags.writeable = False
@@ -245,8 +249,8 @@ def _frame_spectra(
     (sigma None for 1), then an M-point DFT over l, the last stage of a
     Cooley-Tukey split of the frame's DFT.  It is
     ``sqrt(M*N) * subcarrier_transform(k) @ X[:, k]``.  Grids whose memory is
-    in (frame, k, l) order (``_chunked_symbols(spectral=True)``) are read
-    contiguously, and ``out`` may be their own memory.
+    in (frame, k, l) order (``_chunked_symbols(spectral=True)``, precoded
+    grids) are read contiguously, and ``out`` may be their own memory.
     """
     phases = _bin_phases(*grids.shape[1:])
     spectra = np.multiply(grids.transpose(0, 2, 1), phases if sigma is None else phases * sigma.T, out=out)
@@ -354,20 +358,17 @@ def _chunked_frames(
     shape: Tuple[int, ...],
     frame_samples: int,
     sigma: Optional[np.ndarray] = None,
-    to_grid: Callable = lambda symbols: symbols,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Per frame block of ``_chunked_symbols``: the symbols drawn, and the OTFS frames they make.
+    """Per frame block of ``_chunked_symbols``: the ``(frames, M, N)`` grids drawn, and their OTFS frames.
 
-    The symbols are scaled in place by ``sigma`` (of ``shape``; None for 1),
-    and ``to_grid`` maps them to the ``(frames, M, N)`` delay-Doppler grids
-    that are modulated.
+    The symbols are scaled in place by ``sigma`` (of ``shape``; None for 1).
     """
     # complex * float runs numpy's complex loop on sigma + 0j: the same bits, without a cast per block.
     scale = None if sigma is None else np.asarray(sigma, dtype=np.complex128)
     for symbols in _chunked_symbols(num_frames, seed, points, shape, frame_samples):
         if scale is not None:
             np.multiply(symbols, scale, out=symbols)
-        yield symbols, _otfs_frames(to_grid(symbols))
+        yield symbols, _otfs_frames(symbols)
         del symbols  # not alive beside the next block's
 
 

@@ -205,6 +205,35 @@ def test_precode_refuses_a_stream_with_no_payload_before_writing(tmp_path, capsy
     assert not out.exists() and not stream_out.exists()
 
 
+def test_precode_whose_stream_cannot_be_written_leaves_neither_file(tmp_path, capsys):
+    """The precoders are written first, then the stream's directory is missing: exit 2, and no file is left."""
+    mask_file = tmp_path / "mask.json"
+    mask_file.write_text(json.dumps({"M": 2, "N": 4, "null_bins": [2, 6]}))
+    out, stream_out = tmp_path / "p.csv", tmp_path / "nodir" / "s.csv"
+    code = run(
+        "precode", "--seed", 1, "--num-delay", 2, "--num-doppler", 4, "--sample-interval", 1.0,
+        "--frames", 4, "--mask-file", mask_file, "--out", out, "--stream-out", stream_out,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "wrote" not in captured.out
+    assert not out.exists() and not stream_out.exists()
+
+
+def test_psd_estimate_whose_metrics_cannot_be_written_leaves_neither_file(tmp_path, capsys):
+    """The estimate is written first, then the metrics' directory is missing: exit 2, and no file is left."""
+    base = ["--seed", 5, "--num-delay", 2, "--num-doppler", 8, "--sample-interval", 1.0, "--uniform", 1.0]
+    ref = tmp_path / "ref.csv"
+    assert run("psd-analytic", *base, "--points", 64, "--out", ref) == 0
+    capsys.readouterr()
+    est, metrics = tmp_path / "est.csv", tmp_path / "nodir" / "m.json"
+    code = run("psd-estimate", *base, "--frames", 4, "--out", est, "--reference", ref, "--metrics-out", metrics)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "wrote" not in captured.out
+    assert not est.exists() and not metrics.exists()
+
+
 def test_systematic_infeasible_exit_code(tmp_path, capsys):
     mask_file = tmp_path / "mask.json"
     mask_file.write_text(json.dumps({

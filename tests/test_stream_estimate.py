@@ -13,12 +13,14 @@ estimate through a memoryless DAC is folded from its symbols' DFTs, never
 building a frame or taking an M*N-point FFT, so for the Dirac too it
 matches within 1e-12 of the peak.  A pass read at several frame
 counts gives at each the bits of a pass of that many frames.  Memory must
-stay flat in the frame count, the CEP split's views must share their
-batch buffers and peak within two dense blocks of the one-view estimate,
-and rect must not grow with L.  The whole-stream view hands its raw
-segment DFTs to an optional callback, each once and in order; the NSLP
-preset's leak check reads them there, so a precoded frame takes one
-forward and one inverse FFT.
+stay flat in the frame count, and above the averager's kept batch buffers
+also in the batch size; the CEP split's views must share their batch
+buffers and peak within two dense blocks of the one-view estimate, and
+rect must not grow with L.  The whole-stream view hands its raw segment
+DFTs to an optional callback, each once and in order.  The NSLP preset's
+precoded grids take the symbol path too: a grid column is one M-point
+inverse FFT of its spectrum row, its frame's DFT one M-point FFT back,
+and the leak check reads those rows, so no M*N-point transform is taken.
 """
 
 import sys
@@ -43,7 +45,7 @@ from otfspectrum.errors import ConfigurationError, SystematicInfeasibleError
 from otfspectrum.estimate import periodogram
 from otfspectrum.io import read_metrics, read_psd_curve
 from otfspectrum.patterns import column_support_profile
-from otfspectrum.precoding import PRECODER_FORMS, build_precoders, discrete_spectrum
+from otfspectrum.precoding import PRECODER_FORMS, PrecoderSet, build_precoders, decompose_mask, discrete_spectrum
 from otfspectrum.presets import estimated_psd
 from otfspectrum.waveform import VarianceProfile, cep_component_stream, generate_random_stream, stream_chunks
 
@@ -417,20 +419,115 @@ def test_nslp_runner_memory_does_not_grow_with_frames(traced_peak, tmp_path):
     assert _nslp_peak_bytes(traced_peak, tmp_path, 1024) <= 1.05 * _nslp_peak_bytes(traced_peak, tmp_path, 256)
 
 
+#: An 8x32 stream's sources for the steady-state gate: name -> (grid source of a frame count, DAC, L).
+_STEADY_PROFILE = VarianceProfile.uniform(8, 32)
+_STEADY_PRECODERS = build_precoders(decompose_mask(range(0, 256, 3), 8, 32))
+_STEADY_SOURCES = {
+    **{
+        kind: (lambda frames: presets._random_stream(_STEADY_PROFILE, frames, SEED, 1.0, "qpsk"), filt, oversampling)
+        for kind, (filt, oversampling) in {
+            "dirac_delta": (InterpolationFilter.dirac(1.0), 1),
+            "rect": (InterpolationFilter.rect(1.0), 4),
+            "truncated_sinc": (InterpolationFilter.truncated_sinc(1.0, 4), 2),
+        }.items()
+    },
+    "precoded": (
+        lambda frames: presets._GridSource(
+            lambda _: (grids for grids, _ in presets._precoded_blocks(_STEADY_PRECODERS, frames, SEED, "qpsk"))
+        ),
+        InterpolationFilter.dirac(1.0),
+        1,
+    ),
+}
+
+
+def _kept_bytes(scratch):
+    """The bytes of the batch buffers an averager keeps between batches (``PeriodogramAverager._buffer``)."""
+    return sum(array.nbytes for kept in scratch.values() for array in (kept if isinstance(kept, tuple) else (kept,)))
+
+
+@pytest.mark.parametrize(
+    "source, segment_frames", [(kind, frames) for kind in _STEADY_SOURCES for frames in (1, 8) if kind != "precoded"]
+    + [("precoded", 1)]
+)
+def test_streamed_estimate_memory_above_its_batch_buffers_is_steady(traced_peak, source, segment_frames):
+    """1024 and 4096 frames (2 to 32 blocks), ``_BATCH_SAMPLES`` 2**14, 2**17 and 2**20, blocks drawn inline.
+
+    The whole peak grows with the batch up to a block of rows, which the
+    averager keeps between batches (4.3 -> 5.3 MB for the Dirac, 4.8 ->
+    12.1 MB for the sinc).  Above those kept buffers the traced peak is the
+    same at every batch size and frame count, within 5%: no batch makes a
+    temporary of its own size, and no block outlives its fold.
+    """
+    make, filt, oversampling = _STEADY_SOURCES[source]
+    transient = []
+    for frames in (1024, 4096):
+        for batch in (2**14, 2**17, 2**20):
+            made = []
+
+            def averagers(*args, **kwargs):
+                made.append(estimate._averagers(*args, **kwargs))
+                return made[-1]
+
+            def run():
+                presets._streamed_estimates(make(frames), 256, (frames,), 1.0, filt, oversampling, segment_frames)
+
+            with _cpus(1), mock.patch.object(estimate, "_BATCH_SAMPLES", batch), mock.patch.object(
+                presets, "_averagers", averagers
+            ):
+                transient.append(traced_peak(run) - _kept_bytes(made[-1][0]._scratch))
+    assert max(transient) <= 1.05 * min(transient)
+
+
+def _nslp_outputs(config, outdir, block, batch, cpus):
+    """The PSD curve and metrics the NSLP preset writes into ``outdir`` with these knob settings."""
+    with _cpus(cpus), mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
+        estimate, "_BATCH_SAMPLES", batch
+    ):
+        presets.run_scenario(config, outdir)
+    metrics = {record["metric"]: record["value"] for record in read_metrics(f"{outdir}/lte_nslp_metrics.json")}
+    return read_psd_curve(f"{outdir}/lte_nslp_psd.csv"), metrics
+
+
+def _assert_nslp_is_the_whole_stream(curve, metrics, config, precoders):
+    """Within 1e-12 of the one-shot oracles of ``precoded_stream``: the PSD of its peak, the leak absolutely.
+
+    The oracles are ``periodogram`` of the stream and its ``discrete_spectrum``
+    null bins over the payload norms (0.0 when no bin is nulled).  The
+    stream goes through the set's matrices (a hand-built set takes the
+    matrix path), so a fault of the closed-form synthesis is not in the
+    oracle too.  The preset takes both from M-point transforms of the
+    grids, not from the frames' M*N-point FFTs, so they agree to rounding.
+    """
+    by_matrices = PrecoderSet(precoders.mask, precoders.form, precoders.matrices)
+    stream, norms = presets.precoded_stream(
+        by_matrices, config.num_frames, config.seed, config.sample_interval, config.constellation
+    )
+    one_shot = periodogram(stream).values
+    assert np.abs(curve.values - one_shot).max() <= 1e-12 * one_shot.max()
+    null_bins = precoders.mask.null_bins
+    leak = np.abs(discrete_spectrum(stream.frames)[:, null_bins]).max(axis=1) / norms if null_bins.size else [0.0]
+    assert abs(metrics["worst_null_bin_leak"] - float(np.max(leak))) <= 1e-12
+
+
 def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream(tmp_path):
-    """8x32, 40 frames in five 8-frame blocks: the written PSD and leak are the one-block stream's, bit for bit."""
+    """8x32, 40 frames: the written PSD and leak are the one-shot stream's, and alike however the run is cut.
+
+    Blocks of 8, 1 and all 40 frames; batches of one frame and of 64; the
+    producer thread and inline: the same bytes and the same leak each time.
+    """
     overrides = {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 40}}
     config = presets.preset_config("lte-otfs-nslp", overrides)
-    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11):
-        presets.run_scenario(config, tmp_path)
-    mask = config.mask()
-    stream, norms = presets.precoded_stream(
-        build_precoders(mask, config.precoder_form), 40, config.seed, config.sample_interval, config.constellation
-    )
-    assert read_psd_curve(tmp_path / "lte_nslp_psd.csv").values.tobytes() == periodogram(stream).values.tobytes()
-    leak = np.abs(discrete_spectrum(stream.frames)[:, mask.null_bins]).max(axis=1) / norms
-    metrics = {record["metric"]: record["value"] for record in read_metrics(tmp_path / "lte_nslp_metrics.json")}
-    assert metrics["worst_null_bin_leak"] == float(leak.max()) > 0.0
+    runs = [
+        _nslp_outputs(config, tmp_path / str(index), *knobs)
+        for index, knobs in enumerate([(2**11, 2**14, 2), (2**8, 1, 2), (2**17, 2**14, 1), (2**11, 2**8, 1)])
+    ]
+    curve, metrics = runs[0]
+    for other, other_metrics in runs[1:]:
+        assert other.values.tobytes() == curve.values.tobytes()
+        assert other_metrics == metrics
+    assert metrics["worst_null_bin_leak"] > 0.0
+    _assert_nslp_is_the_whole_stream(curve, metrics, config, build_precoders(config.mask(), config.precoder_form))
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,19 +537,21 @@ def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream(tmp_path):
     form=st.sampled_from(PRECODER_FORMS),
     frames=st.integers(1, 14),
     block=st.integers(1, 5),
+    batch=st.integers(1, 2**9),
     cpus=st.sampled_from([1, 2]),
 )
-@example(grid=(1, 97), bands=[(-0.3, 0.7)], form="null_space", frames=11, block=4, cpus=2)  # prime: Bluestein
-@example(grid=(3, 41), bands=[(-0.6, 1.2)], form="systematic", frames=7, block=3, cpus=2)  # nulls no bin
-@example(grid=(5, 12), bands=[(-0.45, 0.3), (0.2, 0.2)], form="systematic", frames=9, block=2, cpus=1)
-def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream_on_any_grid(grid, bands, form, frames, block, cpus):
-    """Any grid, pass bands (as fractions of the sample rate) and form, blocked and threaded any way.
+@example(grid=(1, 97), bands=[(-0.3, 0.7)], form="null_space", frames=11, block=4, batch=1, cpus=2)  # prime: Bluestein
+@example(grid=(3, 41), bands=[(-0.6, 1.2)], form="systematic", frames=7, block=3, batch=200, cpus=2)  # nulls no bin
+@example(grid=(5, 12), bands=[(-0.45, 0.3), (0.2, 0.2)], form="systematic", frames=9, block=2, batch=61, cpus=1)
+def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream_on_any_grid(
+    grid, bands, form, frames, block, batch, cpus
+):
+    """Any grid, pass bands (as fractions of the sample rate) and form, blocked, batched and threaded any way.
 
-    The written PSD is the one-shot periodogram of ``precoded_stream``, and
-    the worst leak its ``discrete_spectrum`` null bins over the payload
-    norms (0.0 when no bin is nulled), bit for bit.  Mixed-radix and
-    Bluestein frame lengths; the null-space form takes the closed-form
-    path, the systematic form its matrices.
+    The written PSD and leak are those of a run in one block on one CPU, bit
+    for bit, and those of the one-shot stream to rounding.  Mixed-radix and
+    Bluestein grid sizes; the null-space form takes the closed-form path,
+    the systematic form its matrices.
     """
     (num_delay, num_doppler), rate = grid, 30.72e6
     overrides = {
@@ -467,19 +566,27 @@ def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream_on_any_grid(grid
     except (ConfigurationError, SystematicInfeasibleError):  # a band holding no bin, an ill-conditioned form
         reject()
     assume(precoders.total_payload > 0)
-    with tempfile.TemporaryDirectory() as outdir, _cpus(cpus), mock.patch.object(
-        waveform, "_BLOCK_SAMPLES", block * num_delay * num_doppler
-    ):
-        presets.run_scenario(config, outdir)
-        written = read_psd_curve(f"{outdir}/lte_nslp_psd.csv")
-        metrics = {record["metric"]: record["value"] for record in read_metrics(f"{outdir}/lte_nslp_metrics.json")}
-    stream, norms = presets.precoded_stream(
-        precoders, frames, config.seed, config.sample_interval, config.constellation
-    )
-    assert written.values.tobytes() == periodogram(stream).values.tobytes()
-    null_bins = precoders.mask.null_bins
-    leak = np.abs(discrete_spectrum(stream.frames)[:, null_bins]).max(axis=1) / norms if null_bins.size else [0.0]
-    assert metrics["worst_null_bin_leak"] == float(np.max(leak))
+    with tempfile.TemporaryDirectory() as outdir:
+        curve, metrics = _nslp_outputs(config, f"{outdir}/one", 2**17, 2**14, 1)
+        cut, cut_metrics = _nslp_outputs(config, f"{outdir}/cut", block * num_delay * num_doppler, batch, cpus)
+    assert cut.values.tobytes() == curve.values.tobytes()
+    assert cut_metrics == metrics
+    _assert_nslp_is_the_whole_stream(curve, metrics, config, precoders)
+
+
+@pytest.mark.parametrize(
+    "filt, oversampling, segment_frames, views",
+    [
+        (InterpolationFilter.truncated_sinc(1.0, 4), 2, 1, (None,)),
+        (InterpolationFilter.dirac(1.0), 1, 2, (None,)),
+        (InterpolationFilter.rect(1.0), 2, 1, (None, 0)),
+    ],
+)
+def test_grids_without_frames_are_refused_by_estimates_that_take_frames(filt, oversampling, segment_frames, views):
+    """The sinc, multi-frame segments and CEP views read frames: grids that give none are refused before one is made."""
+    source = presets._GridSource(mock.Mock(side_effect=AssertionError("made a grid")))
+    with pytest.raises(ValueError, match="give no frames"):
+        presets._streamed_estimates(source, 4, (4,), 1.0, filt, oversampling, segment_frames, views)
 
 
 def _counting_transforms(counts):
@@ -499,18 +606,23 @@ def _counting_transforms(counts):
 
 
 def test_each_nslp_frame_takes_one_forward_and_one_inverse_transform(tmp_path):
-    """8x32, 40 frames in five 8-frame blocks on the producer thread: one 256-point FFT and IFFT row a frame.
+    """8x32, 40 frames in five 8-frame blocks on the producer thread: one 8-point FFT and IFFT row a subcarrier.
 
-    The inverse builds the frame from its closed-form spectrum; the forward
-    one is the averager's, whose rows the leak check reads as well.
+    The inverse makes each grid column from its spectrum row; the forward
+    one maps the grid back to its frame's DFT for the averager, whose rows
+    the leak check reads as well.  No 256-point row is taken and no frame
+    is built (``_otfs_frames`` is never called).
     """
     counts = Counter()
     forward, inverse = _counting_transforms(counts)
+    built = AssertionError("built a frame")
     overrides = {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 40}}
     config = presets.preset_config("lte-otfs-nslp", overrides)
-    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11), forward, inverse:
+    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11), forward, inverse, mock.patch.object(
+        waveform, "_otfs_frames", side_effect=built
+    ), mock.patch.object(presets, "_otfs_frames", side_effect=built):
         presets.run_scenario(config, tmp_path)
-    assert counts == {("fft", 256): 40, ("ifft", 256): 40}
+    assert counts == {("ifft", 8): 40 * 32, ("fft", 8): 40 * 32}
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
