@@ -290,9 +290,9 @@ def _precoded_blocks(
     phases = np.conj(_bin_phases(num_delay, num_doppler)) / np.sqrt(num_doppler)
 
     def synthesized() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        spectra = places = np.zeros(0, dtype=np.complex128)
+        spectra = places = None
         for payload in payloads:
-            if len(spectra) < len(payload):  # the first block is a chunk's largest
+            if spectra is None:  # the first block is the largest (``waveform._chunked_symbols``)
                 spectra = np.zeros((len(payload), num_doppler, num_delay), dtype=np.complex128)
                 # Each payload entry's place in the buffer's memory: one flat index, 2-3x faster than (frame, place).
                 places = (np.arange(len(payload))[:, None] * mask.num_bins + kept).ravel()
