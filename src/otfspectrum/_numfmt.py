@@ -20,10 +20,13 @@ string for a whole column at once, with numpy:
 4. Lay the digits out as repr does: positional for 1e-4 <= |x| < 1e16,
    with ``.0`` on integral values, otherwise ``d.ddde+XX``.
 
-Every value this cannot decide with margin is handed to ``float.__repr__``:
-zeros, nan, infinities and subnormals, exact powers of two (whose rounding
-interval is not symmetric), and values that lie within ``_MARGIN`` units of
-P's last digit of a rounding tie or of the interval's edge.
+Zeros and the normal powers of two (whose rounding interval is not
+symmetric) take their digits from their reprs, each made once.
+Every other value this cannot decide with margin is handed to
+``float.__repr__``: nan, infinities and subnormals, and values that lie
+within ``_MARGIN`` units of P's last digit of a rounding tie or of the
+interval's edge.  Ints from 0 to 9999 are laid out by one lookup in a table
+of their cells.
 
 Cells are laid out in uint64 words of eight ASCII bytes, byte j of a cell
 in bits 8*(j % 8) of word j // 8, beside a word mask whose bytes are 1
@@ -34,6 +37,7 @@ the row's text.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +65,22 @@ def _normalized(num: int, den: int) -> Tuple[float, float, int]:
     hi = a / b  # int true division rounds correctly
     lo = (a * 2**52 - int(hi * 2**52) * b) / (b * 2**52)
     return hi, lo, f
+
+
+#: The key ``_exact_digits`` takes for zero: no ``np.frexp`` exponent of a double.
+_ZERO = 2**11
+
+
+@lru_cache(maxsize=None)
+def _exact_digits(exponent: int) -> Tuple[int, int]:
+    """``_shortest``'s 17 digits and decimal exponent of ``2**(exponent - 1)`` (its repr's), or of zero (``_ZERO``)."""
+    if exponent == _ZERO:
+        return 0, 0
+    mantissa, _, power = repr(2.0 ** (exponent - 1)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    leading = len(whole + fraction) - len(digits)  # zeros before the first digit, as in "0.0005"
+    return int(digits) * 10 ** (17 - len(digits)), int(power or 0) + len(whole) - 1 - leading
 
 
 def _words(texts: Sequence[str], width: int) -> np.ndarray:
@@ -96,6 +116,7 @@ def _tables() -> Dict[str, np.ndarray]:
             low=low,
             low_ones=low & _BYTE_ONES,
         )
+        _TABLES["small_ints"] = _digit_cells(value)  # the cells of 0 to 9999
     return _TABLES
 
 
@@ -176,9 +197,18 @@ def _float_cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     t = _tables()
     a = np.abs(x)
-    fast = (a >= _SMALLEST_NORMAL) & (a <= _LARGEST) & (np.frexp(a)[0] != 0.5)
-    digits, e, undecided = _shortest(np.where(fast, a, 3.0))  # 3.0: any normal non-power of two
+    mantissa, exponent = np.frexp(a)
+    fast = (a >= _SMALLEST_NORMAL) & (a <= _LARGEST)
+    power = fast & (mantissa == 0.5)
+    zero = a == 0.0
+    digits, e, undecided = _shortest(np.where(fast & ~power, a, 3.0))  # 3.0: any normal non-power of two
+    fast |= zero
     fast &= ~undecided
+    exact = np.flatnonzero(power | zero)  # their digits from their reprs, one per distinct value of |x|
+    if exact.size:
+        keys, key_of = np.unique(np.where(zero[exact], _ZERO, exponent[exact]), return_inverse=True)
+        digits[exact], e[exact] = np.array([_exact_digits(int(key)) for key in keys]).T[:, key_of]
+    del mantissa, exponent, power, zero
     positional = (e >= -4) & (e <= 15)
     scientific = fast & ~positional
     slow = np.flatnonzero(~fast)
@@ -252,9 +282,18 @@ def _float_cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _int_cells(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(chars, valid)`` words, one to three per value: the bytes of ``str(v[i])``, the last byte free.
 
-    Byte 0 is the sign; the digits end just before the last byte.
+    Byte 0 is the sign; the digits end just before the last byte.  Values
+    from 0 to 9999, one word each, are looked up in a table of their cells.
     """
-    t = _tables()
+    if v.size and v.min() >= 0 and v.max() < 10**4:
+        chars, valid = _tables()["small_ints"]
+        return chars.take(v, axis=1), valid.take(v, axis=1)
+    return _digit_cells(v)
+
+
+def _digit_cells(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``_int_cells`` of any values, laid out digit group by digit group."""
+    t = _tables()  # mid-build too: the digit tables are in by the time it lays out the small ints
     negative = v < 0
     magnitude = v.astype(np.uint64)
     np.negative(magnitude, out=magnitude, where=negative)  # exact, even for the int64 minimum

@@ -132,6 +132,13 @@ class PeriodogramAverager:
     zeros into a copy at each call, are not handed on.  Ready spectra
     (``_add_spectra``) are handed on as they come, as ``(segments, N*M)``
     rows in their (k, m) order.
+
+    A stream may be cut into spans folded apart (``presets._streamed_estimates``
+    folds them in forked workers).  An averager starts a span at its first
+    segment with the ``order`` inputs before it (``_start``), and may keep
+    its squared rows (``_keep``) until the running sums of the segments
+    before the span arrive (``_take_sums``), which then adds them in order,
+    as one averager over the whole stream adds them.
     """
 
     def __init__(self, segment_len: int, sample_rate: float, hold: int = 1, order: int = 0) -> None:
@@ -146,11 +153,16 @@ class PeriodogramAverager:
         self.segment_len, self.sample_rate = int(segment_len), float(sample_rate)
         self.hold, self.order = int(hold), int(order)
         n = self._len = self.segment_len // self.hold  # inputs per segment
-        self._acc = np.zeros(self.segment_len if order else n)
+        self._bins = self.segment_len if order else n  # the length of a squared row
+        self._acc = np.zeros(self._bins)
         self._carry = np.zeros(self.order, dtype=np.complex128)  # the history before time zero
         self._scratch: dict = {}
-        self._on_spectra: Optional[Callable[[np.ndarray, int], None]] = None
-        self._layout: Optional[Tuple[int, ...]] = None  # (N, M) once ready spectra are folded in
+        self._on_spectra: Optional[Callable[[np.ndarray, int], object]] = None
+        self._layout: Optional[Tuple[int, ...]] = None  # (N, M) of a stream given as ready spectra (``_start``)
+        self._kept: Optional[_KeptRows] = None  # squared rows waiting for the running sums (``_keep``)
+        # Per result asked for while rows are kept: the rows kept before it, whom to hand it, its closing rows
+        # and its segment count.
+        self._marks: List[Tuple[int, Callable[[PsdCurve], None], _KeptRows, int]] = []
         self.num_segments = 0
         if order:
             kernel, bins = sinc_kernel(self.hold, self.order), self.segment_len
@@ -170,14 +182,15 @@ class PeriodogramAverager:
         samples = np.asarray(samples, dtype=np.complex128).ravel()
         carry, n, edge = self._carry, self._len, 2 * self.order
         count = max(0, (carry.size + samples.size - edge) // n)  # segments with all their inputs
+        into = self._acc if self._kept is None else self._kept
         # Those whose window starts in the carry are folded from a short copy, the rest in place.
         head = min(count, -(-carry.size // n))
         if head:
             window = np.concatenate([carry, samples[: head * n + edge - carry.size]])
-            self._fold(window, head, self._acc, self.num_segments)
+            self._fold(window, head, into, self.num_segments)
         if count > head:
             window = samples[head * n - carry.size : count * n + edge - carry.size]
-            self._fold(window, count - head, self._acc, self.num_segments + head)
+            self._fold(window, count - head, into, self.num_segments + head)
         rest = count * n - carry.size
         self._carry = samples[rest:].copy() if rest >= 0 else np.concatenate([carry[count * n :], samples])
         self.num_segments += count
@@ -202,13 +215,16 @@ class PeriodogramAverager:
             columns = self._scratch["columns"] = (at + self._outside, at + self._repeats)
         return columns
 
-    def _fold(self, window: np.ndarray, count: int, acc: np.ndarray, first: Optional[int] = None) -> None:
-        """Add ``|DFT|^2`` of the ``count`` segments in ``window``, after its first ``order`` inputs, to ``acc``.
+    def _fold(
+        self, window: np.ndarray, count: int, into: Union[np.ndarray, _KeptRows], first: Optional[int] = None
+    ) -> None:
+        """Add ``|DFT|^2`` of the ``count`` segments in ``window``, after its first ``order`` inputs, to ``into``.
 
         ``first`` is the index of the first of them in the stream, for
-        ``_on_spectra``; None keeps them from it.
+        ``_on_spectra``; None keeps them from it.  ``into`` is a sum, or
+        rows kept (``_sum_squares``).
         """
-        n, order, bins = self._len, self.order, acc.size
+        n, order, bins = self._len, self.order, self._bins
         batch = min(count, max(1, _BATCH_SAMPLES // bins))
         spectra_buf = self._buffer("spectra", batch, n)
         if order:
@@ -232,22 +248,23 @@ class PeriodogramAverager:
                 spectra = np.add(dense, edges, out=dense)
             if self._on_spectra is not None and first is not None:
                 self._on_spectra(spectra, first + lo)
-            self._sum_squares(spectra, acc)
+            self._sum_squares(spectra, into)
 
-    def _sum_squares(self, spectra: np.ndarray, acc: np.ndarray) -> None:
-        """Add ``|DFT|^2`` of the ``spectra`` rows to ``acc``, row after row; the rows are squared in place."""
-        rows = self._buffer("rows", len(spectra) + 1, acc.size, float)
-        rows[0] = acc
+    def _sum_squares(self, spectra: np.ndarray, into: Union[np.ndarray, _KeptRows]) -> None:
+        """Add ``|DFT|^2`` of the ``spectra`` rows to the sum ``into`` row after row, or keep them in ``into``.
+
+        The rows are squared in place.
+        """
+        kept = isinstance(into, _KeptRows)
+        rows = into.take(len(spectra)) if kept else self._buffer("rows", len(spectra) + 1, into.size, float)
+        squares = rows if kept else rows[1:]
         # re*re + im*im, squared in place: no further batch-sized temporaries.
-        np.multiply(spectra.real, spectra.real, out=rows[1:])
+        np.multiply(spectra.real, spectra.real, out=squares)
         np.multiply(spectra.imag, spectra.imag, out=spectra.imag)
-        rows[1:] += spectra.imag
-        # Summing along axis 0 adds row after row, except that a lone
-        # column is summed pairwise: accumulate that one explicitly.
-        if acc.size > 1:
-            np.sum(rows, axis=0, out=acc)
-        else:
-            acc[:] = np.cumsum(rows[:, 0])[-1:]
+        squares += spectra.imag
+        if not kept:
+            rows[0] = into
+            _running_sum(rows, into)
 
     def _add_spectra(self, spectra: np.ndarray) -> None:
         """Fold in ready DFTs of whole segments of a memoryless DAC's input, as ``(segments, N, M)`` rows.
@@ -258,32 +275,94 @@ class PeriodogramAverager:
         hold's response is applied there, as for ``add``.  The rows go to
         ``_on_spectra`` first, then are folded in batches of about
         ``_BATCH_SAMPLES`` bins and squared in place.  An averager takes its
-        segments from ``add`` or from here, not both.
+        segments from ``add`` or from here, not both, and takes these only
+        of the ``(N, M)`` layout ``_start`` gave it.
         """
-        if self.order or spectra[0].size != self._len:
-            raise ValueError(f"ready spectra are DFTs of a memoryless DAC's {self._len}-input segments")
-        self._layout = spectra.shape[1:]
+        if self.order or spectra.shape[1:] != self._layout or spectra[0].size != self._len:
+            raise ValueError(
+                f"ready spectra are DFTs of a memoryless DAC's {self._len}-input segments, laid out as {self._layout}"
+            )
         rows = spectra.reshape(len(spectra), -1)
         if self._on_spectra is not None:
             self._on_spectra(rows, self.num_segments)
+        into = self._acc if self._kept is None else self._kept
         batch = max(1, _BATCH_SAMPLES // self._len)
         for lo in range(0, len(rows), batch):
-            self._sum_squares(rows[lo : lo + batch], self._acc)
+            self._sum_squares(rows[lo : lo + batch], into)
         self.num_segments += len(rows)
 
-    def result(self) -> PsdCurve:
-        acc, segments = self._acc, self.num_segments
-        # The sinc's segments still waiting for inputs after them: the stream has ended, so those are zeros.
+    def _start(self, segments: int, history: np.ndarray, layout: Optional[Tuple[int, int]] = None) -> None:
+        """Take a stream from its segment ``segments`` on, whose inputs before that end with ``history``.
+
+        The carry is seeded with the last ``order`` inputs of ``history``,
+        zeros standing in for any it lacks (before the stream's start).
+        ``layout`` is the ``(N, M)`` shape of each segment's ready spectrum,
+        for a stream given as those (``_add_spectra``).
+        """
+        self.num_segments, self._layout = segments, layout
+        self._carry = np.zeros(self.order, dtype=np.complex128)
+        seeded = min(self.order, history.size)
+        if seeded:
+            self._carry[self.order - seeded :] = history[history.size - seeded :]
+
+    def _keep(self, kept: _KeptRows) -> None:
+        """Keep the squared rows in ``kept`` from here on, adding none, until ``_take_sums`` brings the sums."""
+        kept.count = 0
+        self._kept, self._marks = kept, []
+
+    def _take_sums(self, acc: np.ndarray) -> None:
+        """Take ``acc``, the running sums of the segments before the kept ones, and add to it from here on.
+
+        The kept rows are added to it in order, and each result asked for
+        while they were kept (``_snapshot``) is handed on once the rows
+        before it are in.
+        """
+        kept, done = self._kept, 0
+        if kept is not None:
+            for count, record, closing, segments in self._marks:
+                kept.add_to(acc, done, count)
+                done = count
+                record(self._curve(closing.add_to(acc.copy(), 0, closing.count), segments))
+            kept.add_to(acc, done, kept.count)
+        self._acc, self._kept, self._marks = acc, None, []
+
+    def _ending(self) -> Tuple[int, int]:
+        """The sinc's segments still waiting for inputs after them, which the stream's end closes with zeros, and
+        the segment count with them."""
         tail = (self._carry.size - self.order) // self._len
-        if tail:
-            acc = acc.copy()
-            self._fold(np.concatenate([self._carry, np.zeros(self.order)]), tail, acc)
-            segments += tail
-        if segments < 1:
+        if self.num_segments + tail < 1:
             raise ValueError(
                 f"need at least one full segment of {self.segment_len} samples, "
                 f"got {(self._carry.size - self.order) * self.hold}"
             )
+        return tail, self.num_segments + tail
+
+    def _close(self, tail: int, into: Union[np.ndarray, _KeptRows]) -> None:
+        """Fold the ``tail`` segments of ``_ending`` into ``into``: the stream has ended, so the inputs after them
+        are zeros."""
+        if tail:
+            self._fold(np.concatenate([self._carry, np.zeros(self.order)]), tail, into)
+
+    def _snapshot(self, record: Callable[[PsdCurve], None]) -> None:
+        """Hand ``record`` the ``result()`` of the stream so far: now, or, while rows are kept, from ``_take_sums``."""
+        if self._kept is None:
+            record(self.result())
+            return
+        tail, segments = self._ending()
+        closing = _KeptRows(tail, self._bins)
+        self._close(tail, closing)
+        self._marks.append((self._kept.count, record, closing, segments))
+
+    def result(self) -> PsdCurve:
+        tail, segments = self._ending()
+        acc = self._acc
+        if tail:
+            acc = acc.copy()
+            self._close(tail, acc)
+        return self._curve(acc, segments)
+
+    def _curve(self, acc: np.ndarray, segments: int) -> PsdCurve:
+        """The averaged periodogram of ``segments`` segments whose squared rows sum to ``acc``."""
         if self._layout is not None:  # ready spectra were summed in (k, m) order
             acc = acc.reshape(self._layout).T.ravel()
         held = self.segment_len // acc.size  # the sinc's response is in each segment's DFT already
@@ -291,12 +370,51 @@ class PeriodogramAverager:
             response = np.fft.fft(np.ones(held), self.segment_len)
             acc = np.tile(acc, held) * (response.real**2 + response.imag**2)
         power = acc / (segments * self.segment_len * self.sample_rate)
-        return PsdCurve(
-            freqs=_centered_grid(self.segment_len, self.sample_rate),
-            values=np.fft.fftshift(power),
-            normalization="absolute",
-            meta={"segment_len": self.segment_len, "sample_rate": self.sample_rate, "num_segments": segments},
-        )
+        return _periodogram_curve(np.fft.fftshift(power), self.segment_len, self.sample_rate, segments)
+
+
+def _periodogram_curve(values: np.ndarray, segment_len: int, sample_rate: float, segments: int) -> PsdCurve:
+    """The curve of an averaged periodogram's centered ``values``: ``PeriodogramAverager.result``'s, field by field."""
+    return PsdCurve(
+        freqs=_centered_grid(segment_len, sample_rate),
+        values=values,
+        normalization="absolute",
+        meta={"segment_len": segment_len, "sample_rate": sample_rate, "num_segments": segments},
+    )
+
+
+def _running_sum(rows: np.ndarray, out: np.ndarray) -> None:
+    """``out = rows[0] + rows[1] + ...``, added row after row."""
+    # Summing along axis 0 adds row after row, except that a lone
+    # column is summed pairwise: accumulate that one explicitly.
+    if rows.shape[1] > 1:
+        np.sum(rows, axis=0, out=out)
+    else:
+        out[:] = np.cumsum(rows[:, 0])[-1:]
+
+
+class _KeptRows:
+    """Squared segment rows kept in order, for running sums not yet at hand, behind a free first row.
+
+    ``take(count)`` gives the next ``count`` rows to square into.
+    ``add_to(acc, lo, hi)`` adds rows ``lo + 1`` to ``hi`` to ``acc``, in
+    order, by one axis-0 sum whose row ``lo``, free or added already, is set
+    to ``acc``: the additions of one averager adding those rows.
+    """
+
+    def __init__(self, rows: int, cols: int) -> None:
+        self.buffer = np.empty((rows + 1, cols))
+        self.count = 0
+
+    def take(self, count: int) -> np.ndarray:
+        self.count += count
+        return self.buffer[self.count + 1 - count : self.count + 1]
+
+    def add_to(self, acc: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        if hi > lo:
+            self.buffer[lo] = acc
+            _running_sum(self.buffer[lo : hi + 1], acc)
+        return acc
 
 
 def _averagers(count: int, *args, **kwargs) -> List[PeriodogramAverager]:

@@ -14,13 +14,14 @@ range in forked writer processes, one per CPU, and the ranges are joined
 in order: the bytes are those one process would write.  A table is
 started now and finished later (``_start_table``): the writers fork when
 it is started, so the caller can go on with other work while they format
-(the NSLP preset runs its estimate), and the finisher reaps them, then
-creates the file and joins their rows.  Every fork happens at the start,
-so the start must come before the caller starts any thread (a fork copies
-only the forking thread; with another thread alive the finisher writes the
-table itself); threads started after it do not touch the writers.  A table
-abandoned by an exception, or whose rows fail, leaves no writer, no spill
-file and no file.  A table is
+(the NSLP preset runs its estimate, whose fold workers fork in turn), and
+the finisher reaps them, then creates the file and joins their rows.
+Every fork happens at the start, and only while no other thread runs (a
+fork copies only the forking thread; with another thread alive the
+finisher writes the table itself).  The package starts no thread, so only
+a caller's own threads keep the writers from forking.  A table abandoned
+by an exception, or whose rows fail, leaves no writer, no spill file and
+no file.  A table is
 read back by one pass over its header lines and one ``np.loadtxt`` call on
 the rest of the same open file, which gives back every double written,
 bit for bit.
@@ -190,8 +191,8 @@ def _start_table(
     is cut into contiguous row ranges, one per CPU (see ``_row_ranges``), and
     starting it forks a writer for each range (``_fork_rows``), so the rows
     are formatted while this process goes on with other work.  Every fork
-    happens here, so start a table before starting any thread; threads
-    started between the start and the finish do not reach the writers.
+    happens here, and only while no other thread runs; threads started
+    between the start and the finish do not reach the writers.
     The finisher reaps each writer in order and checks its exit status,
     then creates ``path``, writes the header and the names row and appends
     the spills; with one range nothing is forked and it writes the rows

@@ -10,11 +10,16 @@ byte, and every file but a written mask embeds the configuration hash.
 
 from __future__ import annotations
 
+import mmap
+import os
+import select
+import signal
+import threading
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,7 +27,7 @@ from . import io as fileio
 from .config import ScenarioConfig, _deep_merge, _routed_configs
 from .dac import FILTER_KINDS, InterpolationFilter, check_reconstruction
 from .errors import ConfigurationError
-from .estimate import PeriodogramAverager, _averagers, compare_curves
+from .estimate import PeriodogramAverager, _averagers, _KeptRows, _periodogram_curve, compare_curves
 from .precoding import PrecoderSet, _precode_rows, build_precoders
 from .psd import PsdCurve, ofdm_psd, otfs_psd
 from .waveform import (
@@ -53,51 +58,33 @@ __all__ = [
 # stream-level helpers shared by presets, the CLI, and the acceptance tests
 # ---------------------------------------------------------------------------
 
-_Item = TypeVar("_Item")
+#: Periodogram bins of the squared segment rows a fold worker keeps for one frame group, over every view: 4 MB.
+#: A ``rect-stream`` group is 256 frames, a ``sinc-estimate`` one 128 and a 64x512 NSLP one 16.
+_GROUP_BINS = 2**19
 
+#: Groups each fold worker must get before an estimate is split across forked workers.  A fork and its reap
+#: take about 1.5 ms, and a group of a one-frame 16x128 rect estimate takes about 6 ms to fold.
+_SPLIT_GROUPS = 4
 
-def _prefetched(blocks: Generator[_Item, None, None]) -> Iterator[_Item]:
-    """The items of ``blocks`` in order, each built on a producer thread while the caller uses the one before.
-
-    numpy's draws, FFTs and ufunc loops release the GIL, so the next item
-    is built on a second CPU.  The next item is started only once the
-    caller has taken the one before, so two are alive at a time, as when
-    one thread uses an item and then builds the next.  An exception raised
-    by ``blocks`` reaches the caller as it is.  When this generator finishes
-    or is closed, the thread has been joined and ``blocks`` closed.  No
-    item of ``blocks`` may be ``None``.  Where this process may run on one
-    CPU only, ``blocks`` is iterated inline: there the thread only adds
-    switches, and a sinc estimate pinned to one CPU took about 15% longer.
-    """
-    if fileio._cpu_count() == 1:
-        yield from blocks
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    try:
-        with ThreadPoolExecutor(1, thread_name_prefix="frame-block-producer") as producer:
-            upcoming = producer.submit(next, blocks, None)
-            while (item := upcoming.result()) is not None:
-                upcoming = producer.submit(next, blocks, None)
-                yield item
-    finally:  # the ``with`` has joined the thread, so ``blocks`` is not running
-        blocks.close()
+#: Bytes of shared memory a fold worker may report its error in.
+_ERROR_BYTES = 2**16
 
 
 @dataclass(frozen=True)
 class _GridSource:
     """A stream's blocks as delay-Doppler grids, a block source ``_streamed_estimates`` may take DFTs from.
 
-    ``grids(L)`` yields each block's ``(frames, M, N)`` grids in (frame, k,
-    l) memory, the order ``waveform._frame_spectra`` reads; times ``sigma``
-    (None for 1) they are the grids the block's frames modulate.
-    ``frames(L)``, where there is one, yields the same blocks as
-    ``FrameStream``s, for the views and DACs that take frames.
+    ``grids(L, start)`` yields the ``(frames, M, N)`` grids of each block
+    from frame ``start`` on, in (frame, k, l) memory, the order
+    ``waveform._frame_spectra`` reads; times ``sigma`` (None for 1) they are
+    the grids the block's frames modulate.  ``frames(L, start)``, where
+    there is one, yields the same blocks as ``FrameStream``s, for the views
+    and DACs that take frames.
     """
 
-    grids: Callable[[int], Generator[np.ndarray, None, None]]
+    grids: Callable[[int, int], Iterator[np.ndarray]]
     sigma: Optional[np.ndarray] = None
-    frames: Optional[Callable[[int], Generator[FrameStream, None, None]]] = None
+    frames: Optional[Callable[[int, int], Iterator[FrameStream]]] = None
 
 
 def _random_stream(
@@ -112,7 +99,7 @@ def _random_stream(
 
 
 def _streamed_estimates(
-    blocks: Union[_GridSource, Callable[[int], Generator[FrameStream, None, None]]],
+    blocks: Union[_GridSource, Callable[[int, int], Iterator[FrameStream]]],
     frame_samples: int,
     frame_counts: Sequence[int],
     sample_interval: float,
@@ -120,73 +107,337 @@ def _streamed_estimates(
     oversampling: int,
     segment_frames: int,
     views: Sequence[Optional[int]] = (None,),
-    on_spectra: Optional[Callable[[np.ndarray, int], None]] = None,
-) -> List[List[PsdCurve]]:
+    on_spectra: Optional[Callable[[np.ndarray, int], float]] = None,
+) -> Tuple[List[List[PsdCurve]], float]:
     """Averaged periodograms of views of a stream of frame blocks at each of ``frame_counts``, in one pass.
 
-    ``blocks(min(L, 4))`` yields the frame blocks (``stream_chunks`` sizes
-    them for that L) of ``frame_samples`` samples a frame.  It runs on the
-    producer thread of ``_prefetched``, joined before this returns or
-    raises.  A view is ``None`` for the stream or a delay index ``l`` for
-    its CEP component ``cep_component_stream(stream, l)``.  The arguments
-    are checked as ``reconstruct`` checks them before any block is drawn.
-    Each view's averager carries the DAC and takes the blocks at the symbol
-    rate, cut only where a count falls inside.  The curves at a count are
-    those of a pass over that many frames: the estimate of
+    ``blocks(min(L, 4), start)`` yields the frame blocks (``stream_chunks``
+    sizes them for that L) of ``frame_samples`` samples a frame, from frame
+    ``start`` on; the pass reads ``max(frame_counts)`` frames.  A view is
+    ``None`` for the stream or a delay index ``l`` for its CEP component
+    ``cep_component_stream(stream, l)``.  The arguments are checked as
+    ``reconstruct`` checks them before any block is drawn.  Each view's
+    averager carries the DAC and takes the blocks at the symbol rate, cut
+    only where a count falls inside.  The curves at a count are those of a
+    pass over that many frames: the estimate of
     ``periodogram(reconstruct(view))`` without the sinc's pre- and
     post-ring, bit for bit for dirac_delta, to rounding for rect and the sinc.
     ``on_spectra`` becomes the whole-stream view's
     ``PeriodogramAverager._on_spectra``: it is handed that view's segment
-    DFTs on this thread.
+    DFTs, each once, and returns a number; the largest of them (0.0 with
+    none) is returned beside the curves.  The pass is a ``_Relay``: on more
+    than one CPU, forked workers fold frame groups and pass the running
+    sums on in stream order, so the bits are those of one process.
 
     The one-frame periodogram of a grid source (``_GridSource``: a random
     stream, or precoded grids), as its only view, through a memoryless DAC
-    (dirac_delta, rect), is taken from the grids: the producer makes each
-    block's grids, this thread maps them in place to their frames' DFTs
-    (``waveform._frame_spectra``, an M-point FFT a subcarrier) and the
-    averager folds those rows (``PeriodogramAverager._add_spectra``), so no
-    frame and no M*N-point FFT is made; ``on_spectra`` gets the rows in
-    their (k, m) order.  Its curves are within 1e-12 of the peak of the
-    one-shot estimate, and bit for bit alike under any blocking, batch size
-    and CPU count, as the time path's are.  Any other estimate of a grid
-    source reads its ``frames``.
+    (dirac_delta, rect), is taken from the grids: each block's grids are
+    mapped in place to their frames' DFTs (``waveform._frame_spectra``, an
+    M-point FFT a subcarrier) and the averager folds those rows
+    (``PeriodogramAverager._add_spectra``), so no frame and no M*N-point FFT
+    is made; ``on_spectra`` gets the rows in their (k, m) order.  Its
+    curves are within 1e-12 of the peak of the one-shot estimate, and bit
+    for bit alike under any blocking, batch size and worker count, as the
+    time path's are.  Any other estimate of a grid source reads its
+    ``frames``.
     """
     oversampling = check_reconstruction(filt, oversampling, sample_interval)
     segment_len = frame_samples * oversampling * segment_frames
     order = int(filt.order) if filt.kind == "truncated_sinc" else 0
-    averagers = _averagers(len(views), segment_len, oversampling / sample_interval, oversampling, order)
-    if on_spectra is not None:
-        averagers[views.index(None)]._on_spectra = on_spectra
+    rate = oversampling / sample_interval
     # The one place the path is chosen: only here does a run take its spectra from grids and build no frame.
     gridded = isinstance(blocks, _GridSource)
     from_grids = gridded and order == 0 and segment_frames == 1 and tuple(views) == (None,)
     if gridded and not from_grids and blocks.frames is None:
         raise ValueError("these grids give no frames: only their one-frame periodogram through a memoryless DAC")
-    snapshots: Dict[int, List[PsdCurve]] = {}
-    done = 0
-
-    def fold(averager: PeriodogramAverager, rows: np.ndarray, cuts: List[int]) -> None:
-        # A view's frames are dropped on return, before the next view's are made.
-        add = averager._add_spectra if from_grids else averager.add
-        pieces = np.split(rows, cuts) if cuts else [rows]
-        for cut, piece in zip(cuts, pieces):  # ``result`` leaves the averager as it is
-            add(piece)
-            snapshots.setdefault(done + cut, []).append(averager.result())
-        if len(pieces[-1]):
-            add(pieces[-1])
-
     source = blocks.grids if from_grids else blocks.frames if gridded else blocks
-    with closing(_prefetched(source(min(oversampling, 4)))) as stream:
-        for block in stream:
-            cuts = sorted({count - done for count in frame_counts if done < count <= done + len(block)})
-            if from_grids:  # grids made on the producer thread, transformed in place on this one
-                fold(averagers[0], _frame_spectra(block, blocks.sigma, out=block.transpose(0, 2, 1)), cuts)
-            else:
-                for averager, l in zip(averagers, views):
-                    fold(averager, block.frames if l is None else cep_component_stream(block, l).frames, cuts)
-            done += len(block)
-            del block  # not alive while the next block is drawn
-    return [snapshots[count] for count in frame_counts]
+    relay = _Relay(
+        partial(source, min(oversampling, 4)),
+        from_grids,
+        blocks.sigma if from_grids else None,
+        partial(_averagers, len(views), segment_len, rate, oversampling, order),
+        tuple(views),
+        frame_samples,
+        segment_frames,
+        order,
+        segment_len if order else frame_samples * segment_frames,
+        frame_counts,
+        on_spectra,
+    )
+    values, segments, peak = relay.run(segment_len)
+    curves = {}
+    for count, i in relay.index.items():
+        curves[count] = [
+            _periodogram_curve(values[i, v].copy(), segment_len, rate, int(segments[i, v])) for v in range(len(views))
+        ]
+    return [curves[count] for count in frame_counts], peak
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a fold worker, the cause of the error raised for it here."""
+
+
+class _Relay:
+    """One pass of ``_streamed_estimates``, cut into frame groups folded by workers that pass the running sums on.
+
+    The stream's segments are cut into groups of ``group`` segments (the
+    last group takes the rest), and worker w of W folds groups w, w+W, ...
+    in turn, each through averagers started at the group's first segment
+    (``PeriodogramAverager._start``).  It draws the group's blocks by random
+    access (``blocks(start)``), from the frames whose last ``order`` inputs
+    the sinc reads before the group to the ``order`` inputs it reads after
+    it, so its averagers fold exactly the group's segments.  It keeps their
+    squared rows (``_keep``) until it holds the running sums: group 0's
+    worker holds them from the start, and the worker of group g passes
+    them to that of g + 1, in shared memory and with a token on a pipe,
+    once it has added its rows (``_take_sums``).  A worker that holds the
+    sums adds each row as it is made.  So every row is added in stream
+    order, as in one pass, and the curves keep their bits.  A count's
+    curves are recorded by the worker of the group that holds the last
+    segment the count takes from the running sums (``closed``); the later
+    ones are closed with zeros at the count, as ``result`` closes them.
+    ``on_spectra``'s largest value travels with the sums.
+
+    On one CPU, where ``os.fork`` or ``os.pidfd_open`` is missing, while
+    another thread runs (a fork copies only the forking thread), or where
+    the stream holds fewer than ``_SPLIT_GROUPS`` groups a CPU, the pass is
+    one group folded in this process, which holds the sums from the start.
+    Otherwise one worker a CPU is forked, and this process waits for them.
+    A worker's error is raised here with its type and message, and its
+    traceback as the cause.  On any exit, ``KeyboardInterrupt`` included,
+    every worker has exited or been killed, and has been reaped.
+    """
+
+    def __init__(
+        self,
+        blocks: Callable[[int], Iterator[Union[np.ndarray, FrameStream]]],
+        from_grids: bool,
+        sigma: Optional[np.ndarray],
+        averagers: Callable[[], List[PeriodogramAverager]],
+        views: Tuple[Optional[int], ...],
+        frame_inputs: int,
+        segment_frames: int,
+        order: int,
+        bins: int,
+        frame_counts: Sequence[int],
+        on_spectra: Optional[Callable[[np.ndarray, int], float]],
+    ) -> None:
+        self.blocks, self.averagers, self.views = blocks, averagers, views
+        self.from_grids, self.sigma = from_grids, sigma  # blocks of grids (times ``sigma``), or of frames
+        self.frame_inputs, self.segment_frames, self.order, self.bins = frame_inputs, segment_frames, order, bins
+        self.on_spectra = on_spectra
+        self.frames = max(frame_counts)
+        # Per count, in order: the segments its curves take from the running sums, those whose inputs and the
+        # ``order`` inputs after them lie before the count.
+        segment_inputs = frame_inputs * segment_frames
+        self.closed = {
+            count: max(0, count * frame_inputs - order) // segment_inputs for count in sorted(set(frame_counts))
+        }
+        self.index = {count: i for i, count in enumerate(self.closed)}
+        self.group = max(1, _GROUP_BINS // (bins * len(views)))
+        groups = max(1, -(-self.closed[self.frames] // self.group))
+        forkable = hasattr(os, "fork") and hasattr(os, "pidfd_open") and threading.active_count() == 1
+        self.workers = max(1, min(fileio._cpu_count(), groups // _SPLIT_GROUPS)) if forkable else 1
+        self.groups = groups if self.workers > 1 else 1
+        self.inboxes: List[Tuple[int, int]] = []  # per worker, the pipe its groups' sums are announced on
+        self.seen = 0.0  # the largest value ``on_spectra`` returned in the group being folded
+
+    def run(self, segment_len: int) -> Tuple[np.ndarray, np.ndarray, float]:
+        """Per count and view, the curve's values and segment count; and ``on_spectra``'s largest value."""
+        views, counts = len(self.views), len(self.closed)
+        layout = [
+            ("sums", np.float64, (views, self.bins)),
+            ("peak", np.float64, (1,)),
+            ("values", np.float64, (counts, views, segment_len)),
+            ("segments", np.int64, (counts, views)),
+            ("errors", np.uint8, (self.workers, _ERROR_BYTES)),
+        ]
+        size = sum(np.dtype(dtype).itemsize * int(np.prod(shape)) for _, dtype, shape in layout)
+        # Zeros, in memory the forked workers share with this process.
+        memory = bytearray(size) if self.workers == 1 else mmap.mmap(-1, size)
+        offset = 0
+        for name, dtype, shape in layout:
+            setattr(self, name, np.frombuffer(memory, dtype, int(np.prod(shape)), offset).reshape(shape))
+            offset += np.dtype(dtype).itemsize * int(np.prod(shape))
+        if self.workers == 1:
+            self._fold(0)
+        else:
+            self._fork()
+        return self.values, self.segments, float(self.peak[0])
+
+    def _fork(self) -> None:
+        """Fork the workers, wait for them, and raise the error of the first that fails."""
+        running: Dict[int, int] = {}  # pid -> worker, for the workers not yet reaped
+        exits: Dict[int, int] = {}  # pidfd -> pid: readable once the worker has exited
+        self.inboxes = [os.pipe() for _ in range(self.workers)]
+        try:
+            for worker in range(self.workers):
+                pid = os.fork()
+                if pid == 0:
+                    self._work(worker)
+                running[pid] = worker
+                exits[os.pidfd_open(pid)] = pid
+            while running:
+                for ready in select.select(list(exits), [], [])[0]:
+                    pid = exits.pop(ready)
+                    os.close(ready)
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    worker = running.pop(pid)
+                    if status:
+                        raise self._error(worker, status)
+        finally:
+            for pid in running:  # left only when a worker failed or this process was stopped
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for fd in [*exits, *(fd for pipe in self.inboxes for fd in pipe)]:
+                os.close(fd)
+
+    def _work(self, worker: int) -> None:
+        """A forked worker's life: fold its groups, report any error, and leave by ``os._exit``."""
+        status = 1
+        try:
+            self._fold(worker)
+            status = 0
+        except BaseException as error:
+            import pickle
+            import traceback
+
+            text = traceback.format_exc()
+            try:
+                report = pickle.dumps((error, text))
+                pickle.loads(report)
+            except Exception:
+                report = pickle.dumps((RuntimeError(f"{type(error).__name__}: {error}"), text))
+            report = report[: _ERROR_BYTES - 8]  # a report cut short is not read, and a plain error raised
+            self.errors[worker, : 8 + len(report)] = np.frombuffer(len(report).to_bytes(8, "little") + report, np.uint8)
+        finally:
+            os._exit(status)
+
+    def _error(self, worker: int, status: int) -> BaseException:
+        """The error ``worker`` reported, with its traceback as the cause; one naming ``status`` if none is readable."""
+        import pickle
+
+        report = self.errors[worker].tobytes()
+        try:
+            error, text = pickle.loads(report[8 : 8 + int.from_bytes(report[:8], "little")])
+        except Exception:
+            return RuntimeError(f"a fold worker exited with status {status}")
+        error.__cause__ = _WorkerTraceback(text)
+        return error
+
+    def _fold(self, worker: int) -> None:
+        """Fold the groups of ``worker``: its first, and every ``workers``-th after it."""
+        averagers = self.averagers()
+        if self.on_spectra is not None:
+            averagers[self.views.index(None)]._on_spectra = self._seen
+        kept = [_KeptRows(self.group, self.bins) for _ in averagers] if self.groups > 1 else []
+        for group in range(worker, self.groups, self.workers):
+            self._fold_group(group, averagers, kept)
+
+    def _fold_group(self, group: int, averagers: List[PeriodogramAverager], kept: List[_KeptRows]) -> None:
+        """Fold one group's segments, add their rows to the running sums in order, and pass the sums on."""
+        inputs, order = self.frame_inputs, self.order
+        first = group * self.group  # the group's first segment
+        begin = first * self.segment_frames  # and frame
+        after = first + self.group if group < self.groups - 1 else np.inf  # the segment after its last
+        # The input before which it reads: the ``order`` after its last segment, within the stream.
+        end = min(self.frames * inputs, after * self.segment_frames * inputs + order)
+        cuts = [count for count, closed in self.closed.items() if first <= closed < after]
+        frames = -(-end // inputs)
+        history: List[List[np.ndarray]] = [[] for _ in averagers]  # per view, the inputs before ``begin``
+        at = max(0, begin - -(-order // inputs))
+        holding = started = False
+        self.seen = 0.0
+        with closing(self.blocks(at)) as blocks:
+            for block in blocks:
+                count = min(len(block), frames - at)
+                before = min(max(begin - at, 0), count)  # frames of history
+                if not started and before < count:
+                    holding = self._holds(group, wait=False)
+                here = [cut for cut in cuts if cut <= at + count] if before < count else []
+                del cuts[: len(here)]
+                for view, averager in enumerate(averagers):
+                    rows = self._rows(block, view, count)
+                    if before:
+                        history[view].append(rows[:before].reshape(-1))
+                    if before == count:
+                        continue
+                    if not started:
+                        inputs_before = np.concatenate([np.zeros(0, np.complex128), *history[view]])
+                        averager._start(first, inputs_before, rows.shape[1:] if self.from_grids else None)
+                        if holding:
+                            averager._take_sums(self.sums[view])
+                        else:
+                            averager._keep(kept[view])
+                    self._feed(averager, view, rows[before:], at + before, end, here)
+                del block, rows  # not alive while the next block is drawn
+                started |= before < count
+                at += count
+                if started and not holding and self._holds(group, wait=False):
+                    self._take_sums(averagers)
+                    holding = True
+                if at == frames:
+                    break
+        if at < frames:
+            raise ValueError(f"the frame blocks end at frame {at}, not {frames}")
+        if not holding:
+            self._holds(group, wait=True)
+            self._take_sums(averagers)
+        self.peak[0] = max(self.peak[0], self.seen)
+        if group + 1 < self.groups:
+            os.write(self.inboxes[(group + 1) % self.workers][1], (group + 1).to_bytes(8, "little"))
+
+    def _holds(self, group: int, wait: bool) -> bool:
+        """Whether this worker holds the running sums for ``group``, or with ``wait``, once it does.
+
+        Group 0's worker holds them from the start; group g's, once the
+        worker of group g - 1 has passed them on.
+        """
+        if group == 0:
+            return True
+        inbox = self.inboxes[group % self.workers][0]
+        if not wait and not select.select([inbox], [], [], 0)[0]:
+            return False
+        passed = int.from_bytes(os.read(inbox, 8), "little")
+        if passed != group:
+            raise RuntimeError(f"the fold worker of group {group} was passed the sums of group {passed}")
+        return True
+
+    def _take_sums(self, averagers: List[PeriodogramAverager]) -> None:
+        for view, averager in enumerate(averagers):
+            averager._take_sums(self.sums[view])
+
+    def _rows(self, block: Union[np.ndarray, FrameStream], view: int, count: int) -> np.ndarray:
+        """A view's rows of the first ``count`` frames of ``block``: ``(count, N, M)`` DFTs of grids, or inputs."""
+        if self.from_grids:  # mapped in place: the source makes each block anew
+            grids = block[:count]
+            return _frame_spectra(grids, self.sigma, out=grids.transpose(0, 2, 1))
+        l = self.views[view]
+        return (block if l is None else cep_component_stream(block, l)).frames[:count]
+
+    def _feed(
+        self, averager: PeriodogramAverager, view: int, rows: np.ndarray, at: int, end: int, cuts: List[int]
+    ) -> None:
+        """Add ``rows``, the view's rows of frames ``at`` on, up to input ``end``, recording its curves at ``cuts``."""
+        if self.from_grids:
+            add, unit = averager._add_spectra, 1
+        else:
+            add, unit, rows = averager.add, self.frame_inputs, rows.reshape(-1)[: end - at * self.frame_inputs]
+        done = 0
+        for count in cuts:
+            if (count - at) * unit > done:
+                add(rows[done : (count - at) * unit])
+                done = (count - at) * unit
+            averager._snapshot(partial(self._record, count, view))
+        if len(rows) > done:
+            add(rows[done:])
+
+    def _record(self, count: int, view: int, curve: PsdCurve) -> None:
+        self.values[self.index[count], view] = curve.values
+        self.segments[self.index[count], view] = curve.meta["num_segments"]
+
+    def _seen(self, spectra: np.ndarray, first: int) -> None:
+        self.seen = max(self.seen, self.on_spectra(spectra, first))
 
 
 def estimated_psd(
@@ -205,7 +456,7 @@ def estimated_psd(
     component views): memory is bounded by the frame block, and the estimate
     is that of ``periodogram(reconstruct(generate_random_stream(...)))``.
     """
-    [[curve]] = _streamed_estimates(
+    [[curve]], _ = _streamed_estimates(
         _random_stream(profile, num_frames, seed, sample_interval, constellation),
         profile.num_delay * profile.num_doppler, (num_frames,), sample_interval, filt, oversampling,
         segment_frames,
@@ -242,11 +493,12 @@ def _cep_split(
     NMSE/cosine of the sum against the whole over the Nyquist band.
     """
     splits, nyquist = [], 0.5 / sample_interval
-    for whole, *parts in _streamed_estimates(
+    estimates, _ = _streamed_estimates(
         _random_stream(profile, max(frame_counts), seed, sample_interval, constellation),
         profile.num_delay * profile.num_doppler, frame_counts, sample_interval, filt, oversampling,
         segment_frames, views=(None, *range(profile.num_delay)),
-    ):
+    )
+    for whole, *parts in estimates:
         summed = np.zeros_like(whole.values)
         for part in parts:
             summed += part.values
@@ -257,23 +509,23 @@ def _cep_split(
 
 def _precoded_blocks(
     precoders: PrecoderSet, num_frames: int, seed: int, constellation: str
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Random-payload delay-Doppler grids through a precoder set, block by block.
+) -> Callable[[int], Iterator[Tuple[np.ndarray, np.ndarray]]]:
+    """Random-payload delay-Doppler grids through a precoder set, block by block, from any start frame.
 
-    Yields each frame block's ``(frames, M, N)`` grids, in (frame, k, l)
-    memory (``_GridSource``), with the Euclidean norm of each frame's
-    payload vector.  Payload draws follow the same fixed-chunk Philox
-    indexing and frame blocks as plain stream generation
-    (``waveform._chunked_symbols``).  A set with ``spectral_bins`` is
-    synthesized in closed form: the payload placed on those bins is each
-    frame's unitary spectrum, held as ``(frames, k, m)`` rows in a buffer
-    kept between blocks, whose null bins are never written and so stay
-    zero.  Column k of a grid is row k's M-point inverse DFT times
-    ``conj(_bin_phases(M, N)[k]) / sqrt(N)``, that is ``P_k @ payload_k``:
-    ``waveform._frame_spectra`` inverted.  Any other set goes through its
-    matrices (``precoding._precode_rows``).  A frame count below 1 and a
-    mask that leaves no payload are refused by the call, before any block
-    is drawn.
+    The returned ``blocks(start)`` yields, for each frame block from frame
+    ``start`` on, its ``(frames, M, N)`` grids, in (frame, k, l) memory
+    (``_GridSource``), with the Euclidean norm of each frame's payload
+    vector.  Payload draws follow the same fixed-chunk Philox indexing and
+    frame blocks as plain stream generation (``waveform._chunked_symbols``).
+    A set with ``spectral_bins`` is synthesized in closed form: the payload
+    placed on those bins is each frame's unitary spectrum, held as
+    ``(frames, k, m)`` rows in a buffer kept between blocks, whose null bins
+    are never written and so stay zero.  Column k of a grid is row k's
+    M-point inverse DFT times ``conj(_bin_phases(M, N)[k]) / sqrt(N)``, that
+    is ``P_k @ payload_k``: ``waveform._frame_spectra`` inverted.  Any other
+    set goes through its matrices (``precoding._precode_rows``).  A frame
+    count below 1 and a mask that leaves no payload are refused by this
+    call, before any block is drawn.
     """
     if num_frames < 1:
         raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
@@ -281,18 +533,24 @@ def _precoded_blocks(
     total = precoders.total_payload
     if total == 0:
         raise ConfigurationError("the mask leaves no payload dimensions at all")
-    payloads = _chunked_symbols(num_frames, seed, constellation_points(constellation), (total,), mask.num_bins)
+    points = constellation_points(constellation)
+
+    def payloads(start: int) -> Iterator[np.ndarray]:
+        return _chunked_symbols(num_frames, seed, points, (total,), mask.num_bins, start=start)
+
     if precoders.spectral_bins is None:
-        return ((_precode_rows(precoders, payload), np.linalg.norm(payload, axis=1)) for payload in payloads)
+        return lambda start: (
+            (_precode_rows(precoders, payload), np.linalg.norm(payload, axis=1)) for payload in payloads(start)
+        )
     num_delay, num_doppler = mask.num_delay, mask.num_doppler
     bins = precoders.spectral_bins
     kept = bins % num_doppler * num_delay + bins // num_doppler  # bin m*N + k at row k, column m
     phases = np.conj(_bin_phases(num_delay, num_doppler)) / np.sqrt(num_doppler)
 
-    def synthesized() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    def synthesized(start: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         spectra = places = None
-        for payload in payloads:
-            if spectra is None:  # the first block is the largest (``waveform._chunked_symbols``)
+        for payload in payloads(start):
+            if spectra is None or len(payload) > len(spectra):  # from a start inside a chunk, the first may be short
                 spectra = np.zeros((len(payload), num_doppler, num_delay), dtype=np.complex128)
                 # Each payload entry's place in the buffer's memory: one flat index, 2-3x faster than (frame, place).
                 places = (np.arange(len(payload))[:, None] * mask.num_bins + kept).ravel()
@@ -302,7 +560,7 @@ def _precoded_blocks(
             yield grids.transpose(0, 2, 1), np.linalg.norm(payload, axis=1)
             del grids, payload  # not alive beside the next block's
 
-    return synthesized()
+    return synthesized
 
 
 def precoded_stream(
@@ -320,9 +578,8 @@ def precoded_stream(
     indexing as plain stream generation, so runs are reproducible and
     prefix-stable in ``num_frames``.
     """
-    frames, norms = zip(
-        *((_otfs_frames(grids), norms) for grids, norms in _precoded_blocks(precoders, num_frames, seed, constellation))
-    )
+    blocks = _precoded_blocks(precoders, num_frames, seed, constellation)
+    frames, norms = zip(*((_otfs_frames(grids), norms) for grids, norms in blocks(0)))
     mask = precoders.mask
     stream = FrameStream(np.concatenate(frames), mask.num_delay, mask.num_doppler, sample_interval, seed)
     return stream, np.concatenate(norms)
@@ -444,40 +701,40 @@ def _run_lte_nslp(config: ScenarioConfig, outdir: Path) -> Dict[str, object]:
     precoders = build_precoders(mask, config.precoder_form)
     blocks = _precoded_blocks(precoders, config.num_frames, config.seed, config.constellation)
     norms: Dict[int, float] = {}  # the payload norm of each frame made and not yet checked, by index
-    leak, scale = 0.0, 1 / np.sqrt(mask.num_bins)
+    scale = 1 / np.sqrt(mask.num_bins)
     nulls = np.flatnonzero(~mask.kept)  # the null bins m*N + k at their (k, m) places k*M + m
-    # Rows checked at a time: their gathered null bins stay near 2**8 values, small beside the producer's block
-    # however the two threads line up.
+    # Rows checked at a time: their gathered null bins stay near 2**8 values, small beside a block.
     rows = max(1, 2**8 // max(1, nulls.size))
 
-    def normed(_) -> Generator[np.ndarray, None, None]:
-        # The precoded grids (in blocks sized for L = 1, the factor asked), each frame's payload norm recorded
-        # before its block is passed on.
-        made = 0
-        for grids, payload_norms in blocks:
+    def normed(_, start: int) -> Iterator[np.ndarray]:
+        # The precoded grids from frame ``start`` on (in blocks sized for L = 1, the factor asked), each frame's
+        # payload norm recorded before its block is passed on.
+        made = start
+        for grids, payload_norms in blocks(start):
             norms.update(enumerate(payload_norms.tolist(), made))
             made += len(grids)
             yield grids
 
-    def check_leak(spectra: np.ndarray, first: int) -> None:
+    def check_leak(spectra: np.ndarray, first: int) -> float:
         # The averager's DFTs of frames ``first`` on (a segment is one frame), in (k, m) order, scaled before
         # ``abs`` as ``discrete_spectrum``'s unitary FFT scales them: the null bins of the grids' own frames.
-        nonlocal leak
+        # Their largest leak; the largest over the stream is taken by ``_streamed_estimates``.
+        leak = 0.0
         for lo in range(0, len(spectra), rows):
             nulled = spectra[lo : lo + rows, nulls]
             nulled *= scale
             payload_norms = np.array([norms.pop(frame) for frame in range(first + lo, first + lo + len(nulled))])
             leak = max(leak, float((np.abs(nulled).max(axis=1, initial=0.0) / payload_norms).max()))
+        return leak
 
     header = {"config_hash": cfg_hash}
     # The precoder dump does not depend on the estimate: its writers fork now (``io._start_table``), after a mask
-    # leaving no payload has been refused and before ``_streamed_estimates`` starts its producer thread, since a
-    # fork copies only the forking thread.  They format while the estimate runs, and the dump is joined after it;
+    # leaving no payload has been refused.  They format while the estimate runs, and the dump is joined after it;
     # an exception in between, Ctrl-C included, kills them and leaves no precoder file.
     with fileio._start_precoder_set(outdir / "lte_nslp_precoders.csv", precoders, header) as write_precoders:
         # The one-frame-segment periodogram, taken from the grids: the precoded frames are the Dirac DAC's
         # input at L = 1.
-        [[curve]] = _streamed_estimates(
+        [[curve]], leak = _streamed_estimates(
             _GridSource(normed), mask.num_bins, (config.num_frames,), config.sample_interval,
             InterpolationFilter.dirac(config.sample_interval), 1, 1, on_spectra=check_leak,
         )

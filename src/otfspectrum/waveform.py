@@ -30,6 +30,9 @@ chunk is only the seeding schedule (chunk ``c`` draws from one generator
 keyed by ``(seed, c)``); streams are produced in frame blocks of about
 ``_BLOCK_SAMPLES`` samples, drawn one after another from their chunk's
 generator, so generation memory depends on the block, not the frame count.
+Philox is counter-based, so a stream may also be drawn from any start
+frame: its chunk's generator is advanced to the frame's first draw, and
+the blocks from a frame at which a block starts are those blocks.
 """
 
 from __future__ import annotations
@@ -64,10 +67,7 @@ _CHUNK_FRAMES = 4096
 
 #: Samples per frame block at the given oversampling; a block holds whole frames,
 #: at least one, and never crosses a chunk boundary.  The estimate sizes its
-#: symbol-rate blocks with ``min(L, 4)``, and builds the next block on a second
-#: thread while it folds this one, so two blocks are alive.  2**17 keeps that
-#: below one thread with 2**18-sample blocks: the ``sinc-estimate`` benchmark
-#: peaks at 42.8-43.0 MB RSS, against 46.7 MB (46.9 MB at 2**18 on two threads).
+#: symbol-rate blocks with ``min(L, 4)``.
 _BLOCK_SAMPLES = 2**17
 
 #: Built-in constellations, selectable by name in a scenario config.
@@ -317,9 +317,15 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _chunked_symbols(
-    num_frames: int, seed: int, points: np.ndarray, shape: Tuple[int, ...], frame_samples: int, spectral: bool = False
+    num_frames: int,
+    seed: int,
+    points: np.ndarray,
+    shape: Tuple[int, ...],
+    frame_samples: int,
+    spectral: bool = False,
+    start: int = 0,
 ) -> Iterator[np.ndarray]:
-    """Per frame block, the unscaled symbols drawn for its frames, of ``(frames, *shape)``.
+    """Per frame block from frame ``start`` on, the unscaled symbols drawn for its frames, of ``(frames, *shape)``.
 
     A block holds ``max(1, _BLOCK_SAMPLES // frame_samples)`` frames (the
     last block of a chunk may hold fewer), with ``frame_samples`` the dense
@@ -334,13 +340,22 @@ def _chunked_symbols(
     draw's consumption does not depend on the constellation.  ``spectral``
     gathers ``(M, N)`` grids into ``(frames, N, M)`` memory, the order
     ``_frame_spectra`` reads, and yields its ``(frames, M, N)`` view.
+    From a ``start`` inside a chunk, its generator is advanced past the
+    draws of the frames before (Philox makes four a counter step), and
+    blocks are cut from ``start`` on: from the first frame of a block,
+    they are that block and the ones after it.
     """
     block_frames = max(1, _BLOCK_SAMPLES // frame_samples)
     shift = np.uint64(65 - points.size.bit_length())  # 64 - log2(size)
-    for chunk_index in range(-(-num_frames // _CHUNK_FRAMES)):
+    for chunk_index in range(start // _CHUNK_FRAMES, -(-num_frames // _CHUNK_FRAMES)):
         rng = _chunk_rng(seed, chunk_index)
         count = min(_CHUNK_FRAMES, num_frames - chunk_index * _CHUNK_FRAMES)
-        for lo in range(0, count, block_frames):
+        first = max(0, start - chunk_index * _CHUNK_FRAMES)
+        if first:
+            skipped = first * int(np.prod(shape))
+            rng.bit_generator.advance(skipped // 4)
+            rng.bit_generator.random_raw(skipped % 4)
+        for lo in range(first, count, block_frames):
             indices = rng.bit_generator.random_raw((min(block_frames, count - lo), *shape))
             np.right_shift(indices, shift, out=indices)
             indices = indices.view(np.intp)
@@ -358,6 +373,7 @@ def _chunked_frames(
     shape: Tuple[int, ...],
     frame_samples: int,
     sigma: Optional[np.ndarray] = None,
+    start: int = 0,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Per frame block of ``_chunked_symbols``: the ``(frames, M, N)`` grids drawn, and their OTFS frames.
 
@@ -365,7 +381,7 @@ def _chunked_frames(
     """
     # complex * float runs numpy's complex loop on sigma + 0j: the same bits, without a cast per block.
     scale = None if sigma is None else np.asarray(sigma, dtype=np.complex128)
-    for symbols in _chunked_symbols(num_frames, seed, points, shape, frame_samples):
+    for symbols in _chunked_symbols(num_frames, seed, points, shape, frame_samples, start=start):
         if scale is not None:
             np.multiply(symbols, scale, out=symbols)
         yield symbols, _otfs_frames(symbols)
@@ -386,6 +402,7 @@ def stream_chunks(
     sample_interval: float = 1.0,
     constellation: str = "qpsk",
     oversampling: int = 1,
+    start: int = 0,
 ) -> Iterator[FrameStream]:
     """Yield the OTFS stream in frame blocks of about ``_BLOCK_SAMPLES`` dense samples.
 
@@ -394,14 +411,16 @@ def stream_chunks(
     fewer; no block crosses a chunk boundary.  The estimate passes
     ``min(L, 4)`` for a DAC's factor L.  Concatenating the blocks is
     bit-identical to ``generate_random_stream`` with the same arguments;
-    memory is bounded by one block, not by ``num_frames``.
+    memory is bounded by one block, not by ``num_frames``.  The blocks
+    begin at frame ``start`` (``_chunked_symbols``): from the first frame of
+    a block, they are that block and the ones after it.
     """
     _checked_stream(num_frames, seed)
     frame_samples = profile.num_delay * profile.num_doppler * oversampling
     sigma = np.sqrt(profile.sigma2)
     # One draw per (frame, delay, doppler) bin; sigma == 0 bins still consume a draw but emit exact 0.
     for symbols, frames in _chunked_frames(
-        num_frames, seed, constellation_points(constellation), sigma.shape, frame_samples, sigma
+        num_frames, seed, constellation_points(constellation), sigma.shape, frame_samples, sigma, start
     ):
         del symbols  # a block keeps its frames only
         yield FrameStream(
@@ -414,7 +433,12 @@ def stream_chunks(
 
 
 def _stream_symbols(
-    profile: VarianceProfile, num_frames: int, seed: int, constellation: str = "qpsk", oversampling: int = 1
+    profile: VarianceProfile,
+    num_frames: int,
+    seed: int,
+    constellation: str = "qpsk",
+    oversampling: int = 1,
+    start: int = 0,
 ) -> Iterator[np.ndarray]:
     """The symbols of ``stream_chunks``'s blocks with these arguments, unscaled, in ``_frame_spectra``'s read order.
 
@@ -424,7 +448,7 @@ def _stream_symbols(
     _checked_stream(num_frames, seed)
     frame_samples = profile.num_delay * profile.num_doppler * oversampling
     points = constellation_points(constellation)
-    return _chunked_symbols(num_frames, seed, points, profile.sigma2.shape, frame_samples, spectral=True)
+    return _chunked_symbols(num_frames, seed, points, profile.sigma2.shape, frame_samples, True, start)
 
 
 def generate_random_stream(

@@ -1,10 +1,13 @@
-"""Shared test setup: one derandomized, database-free hypothesis profile, and the memory gates' peak.
+"""Shared test setup: one derandomized, database-free hypothesis profile, the memory gates' peak, and a reaper check.
 
 Every property runs the same examples on every run, so Tier-1 stays
 deterministic; a test that needs more examples overrides ``max_examples``
-with ``@settings`` on top of this profile.
+with ``@settings`` on top of this profile.  Every test must leave no child
+process behind, running or unreaped: the forked table writers and fold
+workers are reaped on every exit.
 """
 
+import os
 import tracemalloc
 
 import pytest
@@ -35,3 +38,15 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture(autouse=True)
+def no_child_is_left():
+    """Fail a test that leaves a child process running, or exited and not reaped (which this then reaps)."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    left = "running" if pid == 0 else f"exited with status {os.waitstatus_to_exitcode(status)}, not reaped"
+    pytest.fail(f"the test left a child process {left}")

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -14,6 +13,7 @@ import pytest
 
 import otfspectrum
 from otfspectrum import io as fileio
+from otfspectrum import presets
 from otfspectrum.cli import _overrides, build_parser, main
 from otfspectrum.dac import FILTER_KINDS
 from otfspectrum.errors import ConfigurationError
@@ -299,35 +299,37 @@ def test_a_preset_pool_writes_the_bytes_of_one_process(tmp_path):
     assert len(tree) == 15 and _tree(tmp_path / "pooled") == tree
 
 
-def test_the_producer_thread_writes_the_bytes_of_one_thread(tmp_path):
-    """Every preset at 64 frames (counts 16, 32 and 64 for ``cep-convergence``), blocks built inline and on a thread."""
+def test_fold_workers_write_the_bytes_of_one_process(tmp_path):
+    """Every preset at 64 frames (counts 16, 32 and 64 for ``cep-convergence``), folded here and by three workers.
+
+    The workers take groups of 2**10 kept bins, from a few frames to a few
+    segments of ``lte-otfs-columns``' sinc: five presets fork them.
+    """
     overrides = {"stream": {"num_frames": 64, "frame_counts": [16, 32, 64]}}
     trees = {}
-    for cpus in (1, 2):
+    for cpus in (1, 3):
         with mock.patch.object(fileio, "_cpu_count", lambda: cpus), mock.patch.object(
-            threading, "Thread", wraps=threading.Thread
-        ) as thread:
+            presets, "_SPLIT_GROUPS", 1
+        ), mock.patch.object(presets, "_GROUP_BINS", 2**10), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             run_presets(PRESET_NAMES, tmp_path / str(cpus), overrides=overrides)
-        assert (thread.call_count > 0) == (cpus > 1)
+        assert fork.call_count == (0 if cpus == 1 else 5 * 3)
         trees[cpus] = _tree(tmp_path / str(cpus))
-    assert len(trees[1]) == 35 and trees[2] == trees[1]
+    assert len(trees[1]) == 35 and trees[3] == trees[1]
 
 
 def test_an_nslp_pass_band_holding_no_bin_is_exit_2(tmp_path, capsys):
-    """The refusal is raised before the producer thread starts or the precoder dump's writers fork."""
+    """The refusal is raised before any fold worker or writer of the precoder dump forks."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"mask": {"pass_bands_hz": [[1.0, 2.0]]}}))
-    before = threading.active_count()
     with mock.patch.object(fileio, "_cpu_count", lambda: 2), mock.patch.object(
-        threading, "Thread", wraps=threading.Thread
-    ) as thread:
+        presets, "_SPLIT_GROUPS", 1
+    ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         code = run(
             "scenario", "--preset", "lte-otfs-nslp", "--config", config, "--num-delay", 4, "--num-doppler", 8,
             "--outdir", tmp_path / "run",
         )
-    assert code == 2 and thread.call_count == 0
+    assert code == 2 and fork.call_count == 0
     assert "the mask leaves no payload dimensions at all" in capsys.readouterr().err
-    assert threading.active_count() == before
 
 
 def test_scenario_single_preset_writes_manifest(tmp_path, capsys):

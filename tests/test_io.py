@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from otfspectrum import io as fileio
-from otfspectrum import presets
+from otfspectrum import presets, waveform
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.io import (
     config_hash,
@@ -566,12 +566,16 @@ def test_an_interrupted_nslp_run_leaves_no_writer_spill_or_precoder_file(tmp_pat
 
     def interrupted(*args):
         blocks = precoded_blocks(*args)
-        yield next(blocks)
-        raise KeyboardInterrupt
+
+        def interrupting(start):
+            yield next(blocks(start))
+            raise KeyboardInterrupt
+
+        return interrupting
 
     config = preset_config("lte-otfs-nslp", _NSLP_SMALL)
     with _tables_split(2, 16), _spills() as opened, mock.patch.object(presets, "_precoded_blocks", interrupted), \
-            pytest.raises(KeyboardInterrupt):
+            mock.patch.object(waveform, "_BLOCK_SAMPLES", 4 * 8 * 32), pytest.raises(KeyboardInterrupt):
         presets.run_scenario(config, tmp_path)
     assert len(opened) == 2 and all(spill.closed for spill in opened)
     _assert_no_child_left()

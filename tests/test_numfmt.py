@@ -7,11 +7,14 @@ most likely to slip: powers of two and of ten and their neighbours, the
 edges of the positional layout, and the ends of the double range.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from otfspectrum import _numfmt
 from otfspectrum._numfmt import format_rows
 
 
@@ -39,6 +42,28 @@ _BITS = st.integers(0, 2**64 - 1) | st.integers(0, 2**12 - 1).map(lambda top: to
 def test_floats_from_any_bit_pattern_are_written_as_float_repr_writes_them(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     assert _floats_text(values) == _oracle(values)
+
+
+#: Signed zeros and powers of two, normal and subnormal, whose digits the formatter takes from a table or from repr.
+_EXACT = st.sampled_from([0.0, -0.0]) | st.builds(
+    lambda sign, k: sign * 2.0**k, st.sampled_from([1.0, -1.0]), st.integers(-1074, 1023)
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(_EXACT | st.floats(), max_size=200))
+def test_zeros_and_powers_of_two_among_any_doubles_are_written_as_float_repr_writes_them(values):
+    assert _floats_text(values) == _oracle(values)
+
+
+def test_zeros_and_normal_powers_of_two_are_laid_out_without_float_repr():
+    """Only a value that falls back is written by ``float.__repr__``, through ``_words``; subnormals still do."""
+    values = [0.0, -0.0] + [sign * 2.0**k for k in range(-1022, 1024) for sign in (1.0, -1.0)]
+    _floats_text([1.0])  # the tables, whose making lays out texts of its own
+    with mock.patch.object(_numfmt, "_words", side_effect=AssertionError("fell back to float.__repr__")):
+        assert _floats_text(values) == _oracle(values)
+        with pytest.raises(AssertionError, match="fell back"):
+            _floats_text([2.0**-1074])
 
 
 def test_random_doubles_match_float_repr():
@@ -86,6 +111,26 @@ def test_layout_edges_and_range_ends(value):
 @settings(max_examples=100)
 @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300))
 def test_ints_are_written_as_str_writes_them(values):
+    text = format_rows([np.array(values, dtype=np.int64)]).tobytes().decode()
+    assert text == "".join(f"{value}\n" for value in values)
+
+
+#: Ints on both sides of the small-int table's ends (0 and 9999), negatives, and the int64 minimum.
+_TABLE_EDGE_INTS = st.one_of(
+    st.integers(-3, 3), st.integers(9990, 10010), st.integers(-(2**63), -(2**63) + 3), st.integers(-(2**63), 2**63 - 1)
+)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.integers(0, 9999), max_size=300)
+    | st.lists(st.integers(9990, 10010), max_size=20)
+    | st.lists(_TABLE_EDGE_INTS, max_size=60)
+)
+@example([10000])
+@example([0, 9999])
+def test_ints_at_the_small_table_s_ends_are_written_as_str_writes_them(values):
+    """Blocks wholly inside 0..9999 take the table; a block holding any other value is laid out digit by digit."""
     text = format_rows([np.array(values, dtype=np.int64)]).tobytes().decode()
     assert text == "".join(f"{value}\n" for value in values)
 

@@ -21,14 +21,21 @@ DFTs to an optional callback, each once and in order.  The NSLP preset's
 precoded grids take the symbol path too: a grid column is one M-point
 inverse FFT of its spectrum row, its frame's DFT one M-point FFT back,
 and the leak check reads those rows, so no M*N-point transform is taken.
+On more than one CPU the pass is a relay of forked fold workers that add
+their frame groups' rows to the running sums in stream order: the bits
+are those of one process for any worker count and group size, a worker's
+error reaches the caller with its type and message, and no worker is left
+after a return, an error or an interrupt.
 """
 
-import sys
+import os
+import select
+import signal
 import tempfile
 import threading
 import time
 from collections import Counter
-from contextlib import closing
+from contextlib import contextmanager
 from functools import partial
 from unittest import mock
 
@@ -71,7 +78,7 @@ CASES = {
 def _estimates(profile, frames, seed, sample_interval, filt, oversampling, segment_frames, constellation, views):
     """``_streamed_estimates`` of the views of a random stream, at its end."""
     blocks = partial(stream_chunks, profile, frames, seed, sample_interval, constellation)
-    [curves] = presets._streamed_estimates(
+    [curves], _ = presets._streamed_estimates(
         blocks, profile.num_delay * profile.num_doppler, (frames,), sample_interval, filt, oversampling,
         segment_frames, views,
     )
@@ -123,16 +130,15 @@ def test_streamed_estimate_equals_one_shot(case, kind):
     segment_frames=st.integers(1, 3),
     block=st.integers(1, 300),
     batch=st.integers(1, 2**12),
-    cpus=st.integers(1, 3),
 )
 def test_memoryless_estimate_is_bit_identical_for_any_block_size(
-    delays, dopplers, frames, oversampling, order, segment_frames, block, batch, cpus
+    delays, dopplers, frames, oversampling, order, segment_frames, block, batch
 ):
-    """Each filter at any L, its CEP split and ``estimated_psd`` give the same bits for every blocking and CPU count.
+    """Each filter at any L, its CEP split and ``estimated_psd`` give the same bits for every blocking.
 
     Rect, the Dirac and the sinc of ``order``, whose ``2*order`` taps may
-    span many blocks of a few samples each, drawn inline (one CPU) or on
-    the producer thread, folded in batches of any ``_BATCH_SAMPLES``.
+    span many blocks of a few samples each, folded in batches of any
+    ``_BATCH_SAMPLES`` (fold workers: ``test_the_relay_changes_no_bits``).
     ``estimated_psd`` of one-frame segments takes rect and the Dirac from
     the symbols.  Every view also matches its one-shot estimate.
     """
@@ -146,7 +152,7 @@ def test_memoryless_estimate_is_bit_identical_for_any_block_size(
         whole, alone = _estimates(*args, views), estimated_psd(*args)
         with mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
             estimate, "_BATCH_SAMPLES", batch
-        ), mock.patch.object(fileio, "_cpu_count", lambda: cpus):
+        ):
             blocked, blocked_alone = _estimates(*args, views), estimated_psd(*args)
         assert alone.meta == blocked_alone.meta
         assert alone.values.tobytes() == blocked_alone.values.tobytes()
@@ -211,11 +217,11 @@ def test_sinc_estimate_is_the_periodogram_of_the_reconstruction(
 
 
 @settings(max_examples=30, deadline=None)
-@given(**SINC_GEOMETRY, block=st.integers(1, 400), batch=st.integers(1, 2**12), cpus=st.integers(1, 3))
+@given(**SINC_GEOMETRY, block=st.integers(1, 400), batch=st.integers(1, 2**12))
 def test_sinc_estimate_is_bit_identical_for_any_block_and_batch(
-    delays, dopplers, frames, oversampling, order, segment_frames, block, batch, cpus
+    delays, dopplers, frames, oversampling, order, segment_frames, block, batch
 ):
-    """Every view gives the same bytes for every ``_BLOCK_SAMPLES``, ``_BATCH_SAMPLES`` and CPU count.
+    """Every view gives the same bytes for every ``_BLOCK_SAMPLES`` and ``_BATCH_SAMPLES``.
 
     A batch of one segment and a batch of many round each segment's edge
     product alike, and blocks of a few samples carry whole segments, with
@@ -223,9 +229,7 @@ def test_sinc_estimate_is_bit_identical_for_any_block_and_batch(
     """
     args, views = _sinc_views(delays, dopplers, frames, oversampling, order, segment_frames)
     whole = _estimates(*args, views)
-    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
-        estimate, "_BATCH_SAMPLES", batch
-    ), mock.patch.object(fileio, "_cpu_count", lambda: cpus):
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(estimate, "_BATCH_SAMPLES", batch):
         blocked = _estimates(*args, views)
     for a, b in zip(whole, blocked):
         assert a.meta == b.meta
@@ -271,7 +275,8 @@ def test_streamed_dirac_refuses_oversampling():
 def _peak_bytes(traced_peak, frames, estimate=estimated_psd):
     profile = VarianceProfile.uniform(2, 4)
     filt = InterpolationFilter.truncated_sinc(1.0, 4)
-    return traced_peak(lambda: estimate(profile, frames, SEED, 1.0, filt, 2))
+    with _cpus(1):  # the fold in this process, whose allocations are traced
+        return traced_peak(lambda: estimate(profile, frames, SEED, 1.0, filt, 2))
 
 
 def test_streamed_estimate_memory_does_not_grow_with_frames(traced_peak):
@@ -282,8 +287,8 @@ def test_streamed_estimate_memory_does_not_grow_with_frames(traced_peak):
 def test_symbol_estimate_memory_does_not_grow_with_frames(traced_peak):
     """Rect at L=4 of one-frame segments, 16x128, from the symbols: 512 and 4096 frames peak alike.
 
-    Blocks are drawn inline (one CPU): with the producer thread, a peak of
-    about 1.8 MB moves by 7% with how the two threads happen to interleave.
+    Folded in this process (one CPU): forked fold workers' allocations are
+    not traced here.
     """
     profile, filt = VarianceProfile.uniform(16, 128), InterpolationFilter.rect(1.0)
 
@@ -369,7 +374,8 @@ def test_cep_split_views_share_their_batch_buffers(traced_peak):
     block_bytes = waveform._BLOCK_SAMPLES * 16
 
     def peak(estimate):
-        return traced_peak(lambda: estimate(profile, 8192, SEED, 1.0, filt, 1))
+        with _cpus(1):
+            return traced_peak(lambda: estimate(profile, 8192, SEED, 1.0, filt, 1))
 
     extra = peak(_split) - peak(estimated_psd)
     assert extra <= 2 * block_bytes
@@ -382,7 +388,7 @@ def test_cep_views_copy_blocks_not_chunks(traced_peak):
     """
     profile = VarianceProfile.uniform(8, 4)
     chunk_bytes = 4096 * profile.num_delay * profile.num_doppler * 16
-    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 512):
+    with _cpus(1), mock.patch.object(waveform, "_BLOCK_SAMPLES", 512):
         peak = traced_peak(lambda: _split(profile, 4096, SEED, 1.0, InterpolationFilter.truncated_sinc(1.0, 1), 1))
     assert peak < 5 * chunk_bytes
 
@@ -400,7 +406,7 @@ def test_rect_estimate_builds_no_dense_block(traced_peak):
 
     def peak(oversampling):
         filt = InterpolationFilter.rect(1.0)
-        with mock.patch.object(waveform, "_BLOCK_SAMPLES", symbol_block * 4):
+        with _cpus(1), mock.patch.object(waveform, "_BLOCK_SAMPLES", symbol_block * 4):
             return traced_peak(lambda: estimated_psd(profile, 4096, SEED, 1.0, filt, oversampling))
 
     assert peak(8) <= peak(4) + 2 * symbol_block * 16
@@ -410,7 +416,7 @@ def _nslp_peak_bytes(traced_peak, tmp_path, frames):
     config = presets.preset_config(
         "lte-otfs-nslp", {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": frames}}
     )
-    with mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**12):  # 16-frame blocks
+    with _cpus(1), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**12):  # 16-frame blocks
         return traced_peak(lambda: presets.run_scenario(config, tmp_path / str(frames)))
 
 
@@ -427,9 +433,8 @@ def _random_grids(frames):
 
 
 def _precoded_grids(frames):
-    return presets._GridSource(
-        lambda _: (grids for grids, _ in presets._precoded_blocks(_STEADY_PRECODERS, frames, SEED, "qpsk"))
-    )
+    blocks = presets._precoded_blocks(_STEADY_PRECODERS, frames, SEED, "qpsk")
+    return presets._GridSource(lambda _, start: (grids for grids, _ in blocks(start)))
 
 
 #: The steady-state gate's 8x32 streams: name -> (grid source of a frame count, DAC, L).
@@ -479,11 +484,14 @@ def test_streamed_estimate_memory_above_its_batch_buffers_is_steady(traced_peak,
     assert max(transient) <= 1.05 * min(transient)
 
 
-def _nslp_outputs(config, outdir, block, batch, cpus):
-    """The PSD curve and metrics the NSLP preset writes into ``outdir`` with these knob settings."""
-    with _cpus(cpus), mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
-        estimate, "_BATCH_SAMPLES", batch
-    ):
+def _nslp_outputs(config, outdir, block, batch, workers, group=1):
+    """The PSD curve and metrics the NSLP preset writes into ``outdir`` with these knob settings.
+
+    ``workers`` fold workers are forked for groups of ``group`` frames, up to one a group.
+    """
+    with _relay(workers, group * config.num_delay * config.num_doppler), mock.patch.object(
+        waveform, "_BLOCK_SAMPLES", block
+    ), mock.patch.object(estimate, "_BATCH_SAMPLES", batch):
         presets.run_scenario(config, outdir)
     metrics = {record["metric"]: record["value"] for record in read_metrics(f"{outdir}/lte_nslp_metrics.json")}
     return read_psd_curve(f"{outdir}/lte_nslp_psd.csv"), metrics
@@ -513,14 +521,15 @@ def _assert_nslp_is_the_whole_stream(curve, metrics, config, precoders):
 def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream(tmp_path):
     """8x32, 40 frames: the written PSD and leak are the one-shot stream's, and alike however the run is cut.
 
-    Blocks of 8, 1 and all 40 frames; batches of one frame and of 64; the
-    producer thread and inline: the same bytes and the same leak each time.
+    Blocks of 8, 1 and all 40 frames; batches of one frame and of 64; two
+    and three fold workers of 3- and 7-frame groups, and this process alone:
+    the same bytes and the same leak each time.
     """
     overrides = {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 40}}
     config = presets.preset_config("lte-otfs-nslp", overrides)
     runs = [
         _nslp_outputs(config, tmp_path / str(index), *knobs)
-        for index, knobs in enumerate([(2**11, 2**14, 2), (2**8, 1, 2), (2**17, 2**14, 1), (2**11, 2**8, 1)])
+        for index, knobs in enumerate([(2**11, 2**14, 2, 3), (2**8, 1, 3, 7), (2**17, 2**14, 1), (2**11, 2**8, 1)])
     ]
     curve, metrics = runs[0]
     for other, other_metrics in runs[1:]:
@@ -538,15 +547,15 @@ def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream(tmp_path):
     frames=st.integers(1, 14),
     block=st.integers(1, 5),
     batch=st.integers(1, 2**9),
-    cpus=st.sampled_from([1, 2]),
+    workers=st.sampled_from([1, 2]),
 )
-@example(grid=(1, 97), bands=[(-0.3, 0.7)], form="null_space", frames=11, block=4, batch=1, cpus=2)  # prime: Bluestein
-@example(grid=(3, 41), bands=[(-0.6, 1.2)], form="systematic", frames=7, block=3, batch=200, cpus=2)  # nulls no bin
-@example(grid=(5, 12), bands=[(-0.45, 0.3), (0.2, 0.2)], form="systematic", frames=9, block=2, batch=61, cpus=1)
+@example(grid=(1, 97), bands=[(-0.3, 0.7)], form="null_space", frames=11, block=4, batch=1, workers=2)  # Bluestein
+@example(grid=(3, 41), bands=[(-0.6, 1.2)], form="systematic", frames=7, block=3, batch=200, workers=2)  # nulls no bin
+@example(grid=(5, 12), bands=[(-0.45, 0.3), (0.2, 0.2)], form="systematic", frames=9, block=2, batch=61, workers=1)
 def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream_on_any_grid(
-    grid, bands, form, frames, block, batch, cpus
+    grid, bands, form, frames, block, batch, workers
 ):
-    """Any grid, pass bands (as fractions of the sample rate) and form, blocked, batched and threaded any way.
+    """Any grid, pass bands (as fractions of the sample rate) and form, blocked, batched and split any way.
 
     The written PSD and leak are those of a run in one block on one CPU, bit
     for bit, and those of the one-shot stream to rounding.  Mixed-radix and
@@ -568,7 +577,7 @@ def test_nslp_preset_psd_and_leak_are_those_of_the_whole_stream_on_any_grid(
     assume(precoders.total_payload > 0)
     with tempfile.TemporaryDirectory() as outdir:
         curve, metrics = _nslp_outputs(config, f"{outdir}/one", 2**17, 2**14, 1)
-        cut, cut_metrics = _nslp_outputs(config, f"{outdir}/cut", block * num_delay * num_doppler, batch, cpus)
+        cut, cut_metrics = _nslp_outputs(config, f"{outdir}/cut", block * num_delay * num_doppler, batch, workers, 2)
     assert cut.values.tobytes() == curve.values.tobytes()
     assert cut_metrics == metrics
     _assert_nslp_is_the_whole_stream(curve, metrics, config, precoders)
@@ -591,13 +600,11 @@ def test_grids_without_frames_are_refused_by_estimates_that_take_frames(filt, ov
 
 def _counting_transforms(counts):
     """Patches of ``np.fft.fft`` and ``np.fft.ifft`` that add their rows, by name and length, to ``counts``."""
-    lock = threading.Lock()
 
     def counting(name, transform):
         def counted(a, n=None, axis=-1, norm=None, out=None):
             a = np.asarray(a)
-            with lock:
-                counts[name, a.shape[axis] if n is None else n] += a.size // a.shape[axis]
+            counts[name, a.shape[axis] if n is None else n] += a.size // a.shape[axis]
             return transform(a, n, axis, norm, out)
 
         return mock.patch.object(np.fft, name, counted)
@@ -606,7 +613,7 @@ def _counting_transforms(counts):
 
 
 def test_each_nslp_frame_takes_one_forward_and_one_inverse_transform(tmp_path):
-    """8x32, 40 frames in five 8-frame blocks on the producer thread: one 8-point FFT and IFFT row a subcarrier.
+    """8x32, 40 frames in five 8-frame blocks: one 8-point FFT and IFFT row a subcarrier.
 
     The inverse makes each grid column from its spectrum row; the forward
     one maps the grid back to its frame's DFT for the averager, whose rows
@@ -618,7 +625,7 @@ def test_each_nslp_frame_takes_one_forward_and_one_inverse_transform(tmp_path):
     built = AssertionError("built a frame")
     overrides = {"grid": {"num_delay": 8, "num_doppler": 32}, "stream": {"num_frames": 40}}
     config = presets.preset_config("lte-otfs-nslp", overrides)
-    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11), forward, inverse, mock.patch.object(
+    with _cpus(1), mock.patch.object(waveform, "_BLOCK_SAMPLES", 2**11), forward, inverse, mock.patch.object(
         waveform, "_otfs_frames", side_effect=built
     ), mock.patch.object(presets, "_otfs_frames", side_effect=built):
         presets.run_scenario(config, tmp_path)
@@ -642,7 +649,7 @@ def test_a_one_frame_rect_estimate_takes_its_spectra_from_the_symbols(cpus):
 
 
 # ---------------------------------------------------------------------------
-# the producer thread that builds the next block
+# the fold workers that pass the running sums on
 # ---------------------------------------------------------------------------
 
 
@@ -650,223 +657,275 @@ def _cpus(count):
     return mock.patch.object(fileio, "_cpu_count", lambda: count)
 
 
+@contextmanager
+def _relay(workers, group_bins):
+    """Up to ``workers`` fold workers, one a group of ``group_bins`` kept bins; one CPU folds in this process.
+
+    A pass still running after 60 s raises ``TimeoutError`` here (its
+    workers are then killed), so sums that never arrive fail the test
+    rather than hang the run.
+    """
+
+    def expire(*_):
+        raise TimeoutError("the fold relay ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        with _cpus(workers), mock.patch.object(presets, "_SPLIT_GROUPS", 1), mock.patch.object(
+            presets, "_GROUP_BINS", group_bins
+        ):
+            yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("kind", FILTERS)
-def test_the_producer_thread_changes_no_bits(kind):
-    """Blocks built inline (one CPU) and on the producer thread: the same bytes, plain and CEP split.
+def test_fold_workers_change_no_bits(kind):
+    """This process alone, two workers and three: the same bytes, plain and CEP split, and no thread started.
 
     2x2 frames in blocks of a few frames, over two generation chunks, folded
-    in batches of two sizes.  The plain estimate of one-frame segments takes
-    rect and the Dirac from the symbols.
+    in batches of two sizes and in groups of many sizes, each worker forked
+    once a pass.  The plain estimate of one-frame segments takes rect and
+    the Dirac from the symbols.
     """
     filt, oversampling = FILTERS[kind]
     profile, frames, segment_frames = CASES["multi_chunk"]
     results = []
-    for cpus, block, batch in ((1, 2**8, 2**14), (2, 2**8, 2**14), (2, 2**6, 12)):
-        with _cpus(cpus), mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
+    for workers, block, batch, group_bins in ((1, 2**8, 2**14, 2**19), (2, 2**8, 2**14, 2**12), (3, 2**6, 12, 500)):
+        with _relay(workers, group_bins), mock.patch.object(waveform, "_BLOCK_SAMPLES", block), mock.patch.object(
             estimate, "_BATCH_SAMPLES", batch
-        ), mock.patch.object(threading, "Thread", wraps=threading.Thread) as thread, mock.patch.object(
-            presets, "_frame_spectra", wraps=presets._frame_spectra
-        ) as mapped:
+        ), mock.patch.object(os, "fork", wraps=os.fork) as fork, mock.patch.object(threading, "Thread") as thread:
             curve = estimated_psd(profile, frames, SEED, 1.0, filt, oversampling, segment_frames)
             whole, parts, summed, metrics = _split(CEP_PROFILE, frames, SEED, 1.0, filt, oversampling)
-        assert thread.call_count == (0 if cpus == 1 else 2)
-        assert mapped.called == (kind != "truncated_sinc")
+        assert fork.call_count == (0 if workers == 1 else 2 * workers) and not thread.called
+        _assert_no_child_left()
         results.append(([c.values.tobytes() for c in (curve, whole, *parts, summed)], metrics))
     assert results[0] == results[1] == results[2]
 
 
-class _LingeringThread(threading.Thread):
-    """A thread that stays alive 20 ms after its target returns: only a join waits for it."""
-
-    runs = []
-
-    def run(self):
-        self.runs.append(self.name)
-        super().run()
-        time.sleep(0.02)
+#: 3x2 null bins for a precoded grid source of the same geometry as ``CEP_PROFILE``.
+_SMALL_PRECODERS = build_precoders(decompose_mask([1, 4], 3, 2))
 
 
-def _counting_source(error_at=None, error=None):
-    """A 20-frame source in five-frame blocks that raises ``error`` instead of block ``error_at``.
+def _first_bins(spectra, first):
+    """An ``on_spectra`` of the NSLP leak's kind: a statistic whose largest value does not depend on the rows' cut."""
+    return float(np.abs(spectra[:, 0]).max(initial=0.0))
 
-    Returns the source and the list of the block indices at which its
-    generators ended.  The source keeps every generator it makes, so only
-    an explicit ``close`` ends one early.
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.sampled_from(["3x2", "1x2", "precoded"]),
+    kind=st.sampled_from(sorted(FILTERS)),
+    segment_frames=st.sampled_from([1, 8]),
+    split=st.booleans(),
+    counts=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+    workers=st.integers(1, 3),
+    group=st.integers(1, 9),
+    block=st.integers(1, 120),
+    batch=st.integers(1, 2**10),
+)
+@example(source="1x2", kind="truncated_sinc", segment_frames=1, split=True, counts=[2, 9, 31], workers=3, group=1,
+         block=3, batch=5)
+def test_the_relay_changes_no_bits(source, kind, segment_frames, split, counts, workers, group, block, batch):
+    """Workers, group sizes, blocks and batches of any size: every view at every count, and the leak, bit for bit.
+
+    Each filter, one- and eight-frame segments, the CEP views, counts inside
+    groups and on their ends, and the sinc's order-6 taps reaching over the
+    frames of several one-segment groups (the 1x2 stream has two inputs a
+    frame); a precoded grid source with an ``on_spectra`` reduction, as the
+    NSLP leak check is.  The reference is the pass in this process with the
+    default knobs.
     """
-    ended, made = [], []
+    if source == "precoded":  # grids take only the one-frame Dirac periodogram of the whole stream
+        kind, segment_frames, split = "dirac_delta", 1, False
+    filt, oversampling = FILTERS[kind]
+    profile = CEP_PROFILE if source == "3x2" else VarianceProfile.uniform(1, 2)
+    counts = [max(count, segment_frames) for count in counts]
+    if source == "precoded":
+        precoded = presets._precoded_blocks(_SMALL_PRECODERS, max(counts), SEED, "qpsk")
+        blocks = presets._GridSource(lambda _, start: (grids for grids, _ in precoded(start)))
+        profile = CEP_PROFILE
+    else:
+        blocks = presets._random_stream(profile, max(counts), SEED, 1.0, "qpsk")
+    views = (None, *range(profile.num_delay)) if split else (None,)
+    frame_samples = profile.sigma2.size
 
-    def run(factor):
-        index = -1
-        try:
-            for index, block in enumerate(stream_chunks(CEP_PROFILE, 20, SEED, 1.0, "qpsk", factor)):
-                if index == error_at:
-                    raise error
-                yield block
-        finally:
-            ended.append(index)
+    def run():
+        curves, peak = presets._streamed_estimates(
+            blocks, frame_samples, counts, 1.0, filt, oversampling, segment_frames, views, _first_bins
+        )
+        return [[(curve.meta, curve.values.tobytes()) for curve in at_count] for at_count in curves], peak
 
-    def blocks(factor):
-        made.append(run(factor))
-        return made[-1]
-
-    return blocks, ended
+    alone = run()
+    bins = frame_samples * segment_frames * (oversampling if kind == "truncated_sinc" else 1)
+    with _relay(workers, group * bins * len(views)), mock.patch.object(
+        waveform, "_BLOCK_SAMPLES", block * frame_samples
+    ), mock.patch.object(estimate, "_BATCH_SAMPLES", batch):
+        assert run() == alone
+    _assert_no_child_left()
 
 
-def _estimate_from(blocks, on_spectra=None):
-    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 5 * CEP_PROFILE.sigma2.size), mock.patch.object(
-        threading, "Thread", _LingeringThread
-    ):
+def _source(fail_at=None, error=None):
+    """20 frames of ``CEP_PROFILE`` from any start frame, whose block holding frame ``fail_at`` raises ``error``."""
+
+    def blocks(factor, start):
+        for block in stream_chunks(CEP_PROFILE, 20, SEED, 1.0, "qpsk", factor, start):
+            if fail_at is not None and start <= fail_at < start + len(block):
+                raise error
+            start += len(block)
+            yield block
+
+    return blocks
+
+
+def _estimate_from(blocks, workers, on_spectra=None, group=5):
+    """The whole stream and component 0 of ``blocks`` at 20 frames: five-frame blocks, ``group``-frame groups."""
+    frame_samples = CEP_PROFILE.sigma2.size
+    with _relay(workers, group * frame_samples * 2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 5 * frame_samples):
         return presets._streamed_estimates(
-            blocks, CEP_PROFILE.sigma2.size, (20,), 1.0, InterpolationFilter.dirac(1.0), 1, 1, (None, 0), on_spectra
+            blocks, frame_samples, (20,), 1.0, InterpolationFilter.dirac(1.0), 1, 1, (None, 0), on_spectra
         )
 
 
-def test_no_thread_outlives_an_estimate_that_returns():
-    before = threading.active_count()
-    blocks, ended = _counting_source()
-    runs = len(_LingeringThread.runs)
-    [[whole, component]] = _estimate_from(blocks)
-    assert ended == [3] and len(_LingeringThread.runs) == runs + 1
-    assert threading.active_count() == before
-    assert whole.meta["num_segments"] == component.meta["num_segments"] == 20
+def test_the_sums_pass_in_stream_order_however_the_workers_are_timed():
+    """Three workers of one-frame groups, each started after an uneven delay: the bytes of this process alone."""
+    fold_group = presets._Relay._fold_group
+
+    def late(self, group, *args):
+        time.sleep(group * 7 % 5 * 1e-3)
+        fold_group(self, group, *args)
+
+    [curves], _ = _estimate_from(_source(), 1)
+    with mock.patch.object(presets._Relay, "_fold_group", late):
+        [relayed], _ = _estimate_from(_source(), 3, group=1)
+    assert [curve.values.tobytes() for curve in relayed] == [curve.values.tobytes() for curve in curves]
+    _assert_no_child_left()
 
 
-def test_an_error_of_the_block_source_reaches_the_caller_as_it_is():
-    """Raised on the producer thread before the third block: the same object, and no thread left."""
-    before = threading.active_count()
-    error = ConfigurationError("the third block cannot be drawn")
-    blocks, ended = _counting_source(error_at=2, error=error)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_error_of_the_block_source_reaches_the_caller_with_its_type_and_message(workers):
+    """Raised drawing frame 12, in this process (the same object) or in its group's worker; no worker is left."""
+    error = ConfigurationError("frame 12 cannot be drawn")
     with pytest.raises(ConfigurationError) as caught:
-        _estimate_from(blocks)
-    assert caught.value is error and ended == [2]
-    assert threading.active_count() == before
+        _estimate_from(_source(12, error), workers)
+    assert str(caught.value) == "frame 12 cannot be drawn"
+    if workers == 1:
+        assert caught.value is error
+    else:  # the worker's traceback is the cause
+        assert isinstance(caught.value.__cause__, presets._WorkerTraceback)
+        assert "Traceback" in str(caught.value.__cause__) and "frame 12 cannot be drawn" in str(caught.value.__cause__)
+    _assert_no_child_left()
 
 
-def test_an_error_of_the_consumer_stops_and_joins_the_producer():
-    """The second ``add`` fails: the caller gets its error, and the source is closed mid-stream."""
-    before = threading.active_count()
-    error = ValueError("the averager cannot take this block")
-    adds = []
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_error_of_an_averager_reaches_the_caller_with_its_type_and_message(workers):
     add = estimate.PeriodogramAverager.add
 
     def failing_add(self, samples):
-        adds.append(len(samples))
-        if len(adds) == 2:
-            raise error
+        if self.num_segments >= 10:
+            raise ValueError("the averager cannot take segment 10")
         add(self, samples)
 
-    blocks, ended = _counting_source()
     with mock.patch.object(estimate.PeriodogramAverager, "add", failing_add), pytest.raises(ValueError) as caught:
-        _estimate_from(blocks)
-    assert caught.value is error
-    assert ended in ([0], [1])  # closed at the block folded, or at the next if it was being built
-    assert threading.active_count() == before
+        _estimate_from(_source(), workers)
+    assert str(caught.value) == "the averager cannot take segment 10"
+    _assert_no_child_left()
 
 
-def test_an_error_of_the_spectra_callback_reaches_the_caller_as_it_is():
-    """Raised as the second block is folded: the same object, the source closed, and no thread left."""
-    before = threading.active_count()
-    error = RuntimeError("the leak check fails")
-    firsts = []
-
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_error_of_the_spectra_callback_reaches_the_caller_with_its_type_and_message(workers):
     def on_spectra(spectra, first):
-        firsts.append(first)
-        if len(firsts) == 2:
-            raise error
+        if first + len(spectra) > 10:
+            raise RuntimeError("the leak check fails at segment 10")
+        return 0.0
 
-    blocks, ended = _counting_source()
     with pytest.raises(RuntimeError) as caught:
-        _estimate_from(blocks, on_spectra)
-    assert caught.value is error and firsts == [0, 5]
-    assert ended in ([1], [2])  # closed at the block folded, or at the next if it was being built
-    assert threading.active_count() == before
+        _estimate_from(_source(), workers, on_spectra)
+    assert str(caught.value) == "the leak check fails at segment 10"
+    _assert_no_child_left()
 
 
+class _TwoPartError(Exception):
+    """An error its own pickle cannot rebuild: its constructor takes two arguments, its ``args`` one."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def test_an_error_a_worker_cannot_send_whole_reaches_the_caller_by_its_name_and_message():
+    with pytest.raises(RuntimeError, match=r"^_TwoPartError: no block at frame 12$"):
+        _estimate_from(_source(12, _TwoPartError("no block", "frame 12")), 2)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupt_in_a_worker_reaches_the_caller_and_leaves_no_worker(workers):
+    with pytest.raises(KeyboardInterrupt):
+        _estimate_from(_source(12, KeyboardInterrupt()), workers)
+    _assert_no_child_left()
+
+
+def test_an_interrupt_while_the_workers_fold_kills_and_reaps_them():
+    """Ctrl-C as this process starts to wait for its three workers: each is killed and reaped, with no hang."""
+    parent, wait = os.getpid(), select.select
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return wait(*args)
+
+    with mock.patch.object(select, "select", interrupted), pytest.raises(KeyboardInterrupt):
+        _estimate_from(_source(), 3)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("kind", ["dirac_delta", "rect"])
 @pytest.mark.parametrize("segment_frames", [1, 3])
-def test_the_spectra_callback_sees_each_segment_once_in_order_before_squaring(kind, segment_frames):
+def test_the_spectra_callback_sees_each_segment_once_in_order_before_squaring(tmp_path, workers, kind, segment_frames):
     """20 frames in five-frame blocks, read at 7 and 13: cuts inside blocks, three-frame segments across them.
 
-    The callback gets the whole stream's raw symbol-rate segment DFTs, bit
-    for bit, each once and in order; the CEP view's are not handed on.
+    In this process or in three workers of two-segment groups, the callback
+    gets the whole stream's raw symbol-rate segment DFTs, bit for bit, each
+    once, and in order within a process; the CEP view's are not handed on.
+    The pass returns the largest value it returned.
     """
     filt, oversampling = FILTERS[kind]
-    frame_samples, seen = CEP_PROFILE.sigma2.size, []
+    frame_samples = CEP_PROFILE.sigma2.size
 
     def on_spectra(spectra, first):
-        seen.append((first, spectra.copy()))
+        with open(tmp_path / f"{os.getpid()}.npy", "ab") as log:
+            np.save(log, np.array([first]))
+            np.save(log, spectra)
+        return float(first + len(spectra))
 
     blocks = partial(stream_chunks, CEP_PROFILE, 20, SEED, 1.0, "qpsk")
-    with _cpus(2), mock.patch.object(waveform, "_BLOCK_SAMPLES", 5 * frame_samples * oversampling):
-        *_, [whole, _] = presets._streamed_estimates(
+    with _relay(workers, 2 * 2 * frame_samples * segment_frames), mock.patch.object(
+        waveform, "_BLOCK_SAMPLES", 5 * frame_samples * oversampling
+    ):
+        (*_, [whole, _]), peak = presets._streamed_estimates(
             blocks, frame_samples, (7, 13, 20), 1.0, filt, oversampling, segment_frames, (None, 0), on_spectra
         )
+    seen = []
+    for path in tmp_path.iterdir():
+        with open(path, "rb") as log:
+            calls = []
+            while log.peek(1):
+                calls.append((int(np.load(log)[0]), np.load(log)))
+        assert [first for first, _ in calls] == sorted(first for first, _ in calls)
+        seen += calls
+    assert len(list(tmp_path.iterdir())) == (1 if workers == 1 else 3)
+    seen.sort(key=lambda call: call[0])
     segments, n = 20 // segment_frames, frame_samples * segment_frames
     frames = generate_random_stream(CEP_PROFILE, 20, SEED, 1.0).frames.ravel()
     assert [first for first, _ in seen] == list(np.cumsum([0] + [len(rows) for _, rows in seen])[:-1])
     rows = np.concatenate([rows for _, rows in seen])
     assert rows.tobytes() == np.fft.fft(frames[: segments * n].reshape(segments, n), axis=1).tobytes()
-    assert whole.meta["num_segments"] == segments
-
-
-def test_prefetched_items_arrive_in_order_under_frequent_thread_switches():
-    """A switch every microsecond: 2000 items in order, and a close at any point leaves no thread."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with _cpus(2):
-            assert list(presets._prefetched(item for item in range(2000))) == list(range(2000))
-            for last in (0, 1, 7, 500):
-                before = threading.active_count()
-                taken = []
-                with closing(presets._prefetched(item for item in range(2000))) as items:
-                    for item in items:
-                        taken.append(item)
-                        if item == last:
-                            break
-                assert taken == list(range(last + 1)) and threading.active_count() == before
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("at", ["result", "submit"])
-def test_an_interrupt_between_taking_an_item_and_starting_the_next_stops_the_producer(at):
-    """Ctrl-C just after the third item is taken, or as the fourth is started: no hang, no thread left.
-
-    The consumer runs on a helper thread joined with a timeout, so a hang
-    fails the test rather than stopping the run.
-    """
-    from concurrent.futures import Future, ThreadPoolExecutor
-
-    calls, ended, outcome = [], [], []
-    target = (Future, "result") if at == "result" else (ThreadPoolExecutor, "submit")
-    original = getattr(*target)
-
-    def interrupted(self, *args, **kwargs):
-        value = original(self, *args, **kwargs)
-        calls.append(value)
-        if len(calls) == 3 + (at == "submit"):
-            raise KeyboardInterrupt
-        return value
-
-    def source():
-        try:
-            yield from range(1, 100)
-        finally:
-            ended.append(True)
-
-    def consume():
-        try:
-            for _ in presets._prefetched(source()):
-                pass
-        except KeyboardInterrupt as interrupt:
-            outcome.append(interrupt)
-
-    before = threading.active_count()
-    with _cpus(2), mock.patch.object(*target, interrupted):
-        consumer = threading.Thread(target=consume, daemon=True)
-        consumer.start()
-        consumer.join(timeout=10)
-    assert not consumer.is_alive()
-    assert len(outcome) == 1 and ended == [True]
-    assert threading.active_count() == before
+    assert whole.meta["num_segments"] == segments and peak == segments

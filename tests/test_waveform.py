@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from otfspectrum import waveform
+from otfspectrum import presets, waveform
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.precoding import build_precoders, decompose_mask
 from otfspectrum.presets import precoded_stream
@@ -536,6 +536,48 @@ def test_raw_bit_indices_are_those_of_the_uniform_doubles(constellation, block_f
     counts = [min(_CHUNK_FRAMES, frames - lo) for lo in range(0, frames, _CHUNK_FRAMES)]
     uniforms = np.concatenate([_chunk_rng(seed, c).random((n, *shape)) for c, n in enumerate(counts)])
     assert drawn.tobytes() == points[(uniforms * points.size).astype(np.intp)].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    delays=st.integers(1, 4),
+    dopplers=st.integers(1, 4),
+    constellation=st.sampled_from(CONSTELLATIONS),
+    frames=st.one_of(st.integers(1, 60), st.integers(_CHUNK_FRAMES - 5, _CHUNK_FRAMES + 600)),
+    blocks=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+)
+@example(delays=3, dopplers=3, constellation="qam16", frames=_CHUNK_FRAMES + 50, blocks=5, seed=2, picks=(5, 4099))
+def test_blocks_drawn_from_a_frame_are_those_of_the_whole_draw(
+    delays, dopplers, constellation, frames, blocks, seed, picks
+):
+    """Symbols, ``stream_chunks`` frames and precoded grids with their norms, drawn from a frame by random access.
+
+    From the first frame of sequential block i, the blocks are block i and
+    the ones after it, bit for bit; from any frame, they hold the frames
+    from there on.  Random geometries, both constellations, and frame
+    counts across the 4096-frame chunk boundary, where a draw from inside
+    a chunk advances its generator past a count of draws that need not be
+    a whole Philox counter step.
+    """
+    profile = VarianceProfile(np.arange(1.0, delays * dopplers + 1).reshape(delays, dopplers))
+    precoders = build_precoders(decompose_mask([0] if delays * dopplers > 1 else [], delays, dopplers))
+    precoded = presets._precoded_blocks(precoders, frames, seed, constellation)
+    sources = {
+        "symbols": lambda start: _stream_symbols(profile, frames, seed, constellation, 1, start),
+        "frames": lambda start: (b.frames for b in stream_chunks(profile, frames, seed, 1.0, constellation, 1, start)),
+        "grids": lambda start: (np.concatenate([g.reshape(len(g), -1), n[:, None]], 1) for g, n in precoded(start)),
+    }
+    block_frames = max(1, min(frames, _CHUNK_FRAMES) // blocks)
+    with mock.patch.object(waveform, "_BLOCK_SAMPLES", block_frames * delays * dopplers):
+        for name, draw in sources.items():
+            whole = list(draw(0))
+            index = picks[0] % len(whole)
+            offset = sum(map(len, whole[:index]))
+            assert [block.tobytes() for block in draw(offset)] == [block.tobytes() for block in whole[index:]], name
+            start = picks[1] % frames
+            assert np.concatenate(list(draw(start))).tobytes() == np.concatenate(whole)[start:].tobytes(), name
 
 
 @pytest.mark.parametrize("size", [3, 6, 12])
