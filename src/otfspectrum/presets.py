@@ -173,6 +173,22 @@ def _streamed_estimates(
     return [curves[count] for count in frame_counts], peak
 
 
+def _has_children() -> bool:
+    """Whether this process has a child, running or not yet reaped, which is left as it is.
+
+    Such as the forked writers of the NSLP preset's precoder dump
+    (``io._start_table``): they keep every CPU busy while the estimate
+    runs, and fold workers beside them only compete for the CPUs.  The
+    64x512 NSLP run took 0.56-0.64 s folded in this process, against
+    0.63-0.70 s with two workers (medians of 8 and 10 runs).
+    """
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
 class _WorkerTraceback(Exception):
     """The traceback of an error raised in a fold worker, the cause of the error raised for it here."""
 
@@ -199,9 +215,10 @@ class _Relay:
     ``on_spectra``'s largest value travels with the sums.
 
     On one CPU, where ``os.fork`` or ``os.pidfd_open`` is missing, while
-    another thread runs (a fork copies only the forking thread), or where
-    the stream holds fewer than ``_SPLIT_GROUPS`` groups a CPU, the pass is
-    one group folded in this process, which holds the sums from the start.
+    another thread runs (a fork copies only the forking thread), while this
+    process has another child (``_has_children``), or where the stream
+    holds fewer than ``_SPLIT_GROUPS`` groups a CPU, the pass is one group
+    folded in this process, which holds the sums from the start.
     Otherwise one worker a CPU is forked, and this process waits for them.
     A worker's error is raised here with its type and message, and its
     traceback as the cause.  On any exit, ``KeyboardInterrupt`` included,
@@ -236,7 +253,7 @@ class _Relay:
         self.index = {count: i for i, count in enumerate(self.closed)}
         self.group = max(1, _GROUP_BINS // (bins * len(views)))
         groups = max(1, -(-self.closed[self.frames] // self.group))
-        forkable = hasattr(os, "fork") and hasattr(os, "pidfd_open") and threading.active_count() == 1
+        forkable = hasattr(os, "pidfd_open") and threading.active_count() == 1 and not _has_children()
         self.workers = max(1, min(fileio._cpu_count(), groups // _SPLIT_GROUPS)) if forkable else 1
         self.groups = groups if self.workers > 1 else 1
         self.inboxes: List[Tuple[int, int]] = []  # per worker, the pipe its groups' sums are announced on

@@ -809,6 +809,26 @@ def test_the_sums_pass_in_stream_order_however_the_workers_are_timed():
     _assert_no_child_left()
 
 
+def test_the_fold_stays_in_this_process_while_it_has_another_child():
+    """A child of this process (the NSLP dump's writers, say) keeps a CPU: no worker is forked beside it."""
+    [alone], _ = _estimate_from(_source(), 1)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # waits for a byte, then leaves
+        os.read(read, 1)
+        os._exit(0)
+    try:
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            [beside], _ = _estimate_from(_source(), 3)
+        assert fork.call_count == 0
+    finally:
+        os.write(write, b"x")
+        os.waitpid(pid, 0)
+        os.close(read)
+        os.close(write)
+    assert [curve.values.tobytes() for curve in beside] == [curve.values.tobytes() for curve in alone]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_an_error_of_the_block_source_reaches_the_caller_with_its_type_and_message(workers):
     """Raised drawing frame 12, in this process (the same object) or in its group's worker; no worker is left."""
