@@ -257,11 +257,10 @@ class PeriodogramAverager:
         """
         kept = isinstance(into, _KeptRows)
         rows = into.take(len(spectra)) if kept else self._buffer("rows", len(spectra) + 1, into.size, float)
-        squares = rows if kept else rows[1:]
-        # re*re + im*im, squared in place: no further batch-sized temporaries.
-        np.multiply(spectra.real, spectra.real, out=squares)
-        np.multiply(spectra.imag, spectra.imag, out=spectra.imag)
-        squares += spectra.imag
+        # re*re + im*im: both parts squared in place in one pass, then each pair added; no batch-sized temporary.
+        parts = spectra.view(np.float64)
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=rows if kept else rows[1:])
         if not kept:
             rows[0] = into
             _running_sum(rows, into)
