@@ -37,10 +37,10 @@ from .waveform import (
     _chunked_symbols,
     _frame_spectra,
     _otfs_frames,
+    _stream_chunks,
     _stream_symbols,
     cep_component_stream,
     constellation_points,
-    stream_chunks,
 )
 
 __all__ = [
@@ -90,11 +90,11 @@ class _GridSource:
 def _random_stream(
     profile: VarianceProfile, num_frames: int, seed: int, sample_interval: float, constellation: str
 ) -> _GridSource:
-    """A random OTFS stream as a grid source: its symbols (``waveform._stream_symbols``) and ``stream_chunks``."""
+    """A random OTFS stream as a grid source: its symbols (``waveform._stream_symbols``) and frame blocks."""
     return _GridSource(
         partial(_stream_symbols, profile, num_frames, seed, constellation),
         np.sqrt(profile.sigma2),
-        partial(stream_chunks, profile, num_frames, seed, sample_interval, constellation),
+        partial(_stream_chunks, profile, num_frames, seed, sample_interval, constellation),
     )
 
 
@@ -286,16 +286,26 @@ class _Relay:
         """Fork the workers, wait for them, and raise the error of the first that fails."""
         running: Dict[int, int] = {}  # pid -> worker, for the workers not yet reaped
         exits: Dict[int, int] = {}  # pidfd -> pid: readable once the worker has exited
+        waiting = select.poll()  # not ``select.select``, which takes no descriptor from FD_SETSIZE (1024) on
         self.inboxes = [os.pipe() for _ in range(self.workers)]
         try:
-            for worker in range(self.workers):
-                pid = os.fork()
-                if pid == 0:
-                    self._work(worker)
-                running[pid] = worker
-                exits[os.pidfd_open(pid)] = pid
+            # Ctrl-C is held off while a worker is forked and recorded, so none is left unrecorded to run on.
+            unmasked = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                for worker in range(self.workers):
+                    pid = os.fork()
+                    if pid == 0:
+                        self._work(worker, unmasked)
+                    running[pid] = worker
+                    pidfd = os.pidfd_open(pid)
+                    exits[pidfd] = pid
+                    waiting.register(pidfd, select.POLLIN)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, unmasked)
             while running:
-                for ready in select.select(list(exits), [], [])[0]:
+                for ready, _ in waiting.poll():
+                    waiting.unregister(ready)
                     pid = exits.pop(ready)
                     os.close(ready)
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -309,10 +319,14 @@ class _Relay:
             for fd in [*exits, *(fd for pipe in self.inboxes for fd in pipe)]:
                 os.close(fd)
 
-    def _work(self, worker: int) -> None:
-        """A forked worker's life: fold its groups, report any error, and leave by ``os._exit``."""
+    def _work(self, worker: int, unmasked: set) -> None:
+        """A forked worker's life: fold its groups, report any error, and leave by ``os._exit``.
+
+        ``unmasked`` is the signal mask from before the fork, which held Ctrl-C off.
+        """
         status = 1
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, unmasked)
             self._fold(worker)
             status = 0
         except BaseException as error:
@@ -413,8 +427,11 @@ class _Relay:
         if group == 0:
             return True
         inbox = self.inboxes[group % self.workers][0]
-        if not wait and not select.select([inbox], [], [], 0)[0]:
-            return False
+        if not wait:
+            ready = select.poll()
+            ready.register(inbox, select.POLLIN)
+            if not ready.poll(0):
+                return False
         passed = int.from_bytes(os.read(inbox, 8), "little")
         if passed != group:
             raise RuntimeError(f"the fold worker of group {group} was passed the sums of group {passed}")

@@ -402,7 +402,6 @@ def stream_chunks(
     sample_interval: float = 1.0,
     constellation: str = "qpsk",
     oversampling: int = 1,
-    start: int = 0,
 ) -> Iterator[FrameStream]:
     """Yield the OTFS stream in frame blocks of about ``_BLOCK_SAMPLES`` dense samples.
 
@@ -411,9 +410,23 @@ def stream_chunks(
     fewer; no block crosses a chunk boundary.  The estimate passes
     ``min(L, 4)`` for a DAC's factor L.  Concatenating the blocks is
     bit-identical to ``generate_random_stream`` with the same arguments;
-    memory is bounded by one block, not by ``num_frames``.  The blocks
-    begin at frame ``start`` (``_chunked_symbols``): from the first frame of
-    a block, they are that block and the ones after it.
+    memory is bounded by one block, not by ``num_frames``.
+    """
+    yield from _stream_chunks(profile, num_frames, seed, sample_interval, constellation, oversampling, 0)
+
+
+def _stream_chunks(
+    profile: VarianceProfile,
+    num_frames: int,
+    seed: int,
+    sample_interval: float,
+    constellation: str,
+    oversampling: int,
+    start: int,
+) -> Iterator[FrameStream]:
+    """The blocks of ``stream_chunks`` from frame ``start`` on (``_chunked_symbols``).
+
+    From the first frame of a block, they are that block and the ones after it.
     """
     _checked_stream(num_frames, seed)
     frame_samples = profile.num_delay * profile.num_doppler * oversampling

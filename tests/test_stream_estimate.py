@@ -35,7 +35,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from unittest import mock
 
@@ -54,7 +54,7 @@ from otfspectrum.io import read_metrics, read_psd_curve
 from otfspectrum.patterns import column_support_profile
 from otfspectrum.precoding import PRECODER_FORMS, PrecoderSet, build_precoders, decompose_mask, discrete_spectrum
 from otfspectrum.presets import estimated_psd
-from otfspectrum.waveform import VarianceProfile, cep_component_stream, generate_random_stream, stream_chunks
+from otfspectrum.waveform import VarianceProfile, _stream_chunks, cep_component_stream, generate_random_stream
 
 SEED = 11
 
@@ -77,7 +77,7 @@ CASES = {
 
 def _estimates(profile, frames, seed, sample_interval, filt, oversampling, segment_frames, constellation, views):
     """``_streamed_estimates`` of the views of a random stream, at its end."""
-    blocks = partial(stream_chunks, profile, frames, seed, sample_interval, constellation)
+    blocks = partial(_stream_chunks, profile, frames, seed, sample_interval, constellation)
     [curves], _ = presets._streamed_estimates(
         blocks, profile.num_delay * profile.num_doppler, (frames,), sample_interval, filt, oversampling,
         segment_frames, views,
@@ -257,7 +257,7 @@ def test_streamed_estimate_refuses_what_reconstruct_refuses(filt, oversampling):
     stream = generate_random_stream(VarianceProfile.uniform(2, 2), 1, SEED, 1.0)
     with pytest.raises(ConfigurationError) as expected:
         reconstruct(stream, filt, oversampling)
-    with mock.patch.object(presets, "stream_chunks", side_effect=AssertionError("drew symbols")), mock.patch.object(
+    with mock.patch.object(presets, "_stream_chunks", side_effect=AssertionError("drew symbols")), mock.patch.object(
         presets, "_stream_symbols", side_effect=AssertionError("drew symbols")
     ):
         with pytest.raises(ConfigurationError) as streamed:
@@ -351,7 +351,7 @@ def test_each_count_of_one_pass_is_a_separate_run_of_that_many_frames(kind, segm
 
 def test_cep_convergence_draws_its_largest_count_once(tmp_path):
     config = presets.preset_config("cep-convergence", {"stream": {"frame_counts": [10, 100, 1000]}})
-    with mock.patch.object(presets, "stream_chunks", wraps=waveform.stream_chunks) as draw:
+    with mock.patch.object(presets, "_stream_chunks", wraps=waveform._stream_chunks) as draw:
         presets.run_scenario(config, tmp_path)
     assert draw.call_count == 1
     assert draw.call_args.args[1] == 1000
@@ -772,17 +772,37 @@ def test_the_relay_changes_no_bits(source, kind, segment_frames, split, counts, 
     _assert_no_child_left()
 
 
-def _source(fail_at=None, error=None):
-    """20 frames of ``CEP_PROFILE`` from any start frame, whose block holding frame ``fail_at`` raises ``error``."""
+def _source(fail_at=None, error=None, log=None):
+    """20 frames of ``CEP_PROFILE`` from any start frame, whose block holding frame ``fail_at`` raises ``error``.
+
+    With ``log``, a directory, each block generator made notes its start
+    frame once it is made and once it is closed or ends, in a file of the
+    process it runs in (``_sources``).
+    """
+
+    def note(what, start):
+        if log is not None:
+            with open(log / f"{os.getpid()}.{what}", "a") as notes:
+                notes.write(f"{start}\n")
 
     def blocks(factor, start):
-        for block in stream_chunks(CEP_PROFILE, 20, SEED, 1.0, "qpsk", factor, start):
-            if fail_at is not None and start <= fail_at < start + len(block):
-                raise error
-            start += len(block)
-            yield block
+        first = start
+        note("made", first)
+        try:
+            for block in _stream_chunks(CEP_PROFILE, 20, SEED, 1.0, "qpsk", factor, start):
+                if fail_at is not None and start <= fail_at < start + len(block):
+                    raise error
+                start += len(block)
+                yield block
+        finally:
+            note("closed", first)
 
     return blocks
+
+
+def _sources(log, what):
+    """The start frames of the block generators ``_source`` noted as ``what`` ("made" or "closed"), in every process."""
+    return sorted(int(line) for path in log.glob(f"*.{what}") for line in path.read_text().split())
 
 
 def _estimate_from(blocks, workers, on_spectra=None, group=5):
@@ -794,8 +814,11 @@ def _estimate_from(blocks, workers, on_spectra=None, group=5):
         )
 
 
-def test_the_sums_pass_in_stream_order_however_the_workers_are_timed():
-    """Three workers of one-frame groups, each started after an uneven delay: the bytes of this process alone."""
+def test_the_sums_pass_in_stream_order_however_the_workers_are_timed(tmp_path):
+    """Three workers of one-frame groups, each started after an uneven delay: the bytes of this process alone.
+
+    Each group's blocks are drawn from its frame, and closed once folded.
+    """
     fold_group = presets._Relay._fold_group
 
     def late(self, group, *args):
@@ -804,8 +827,9 @@ def test_the_sums_pass_in_stream_order_however_the_workers_are_timed():
 
     [curves], _ = _estimate_from(_source(), 1)
     with mock.patch.object(presets._Relay, "_fold_group", late):
-        [relayed], _ = _estimate_from(_source(), 3, group=1)
+        [relayed], _ = _estimate_from(_source(log=tmp_path), 3, group=1)
     assert [curve.values.tobytes() for curve in relayed] == [curve.values.tobytes() for curve in curves]
+    assert _sources(tmp_path, "made") == _sources(tmp_path, "closed") == list(range(20))  # a group's blocks each
     _assert_no_child_left()
 
 
@@ -829,46 +853,67 @@ def test_the_fold_stays_in_this_process_while_it_has_another_child():
     assert [curve.values.tobytes() for curve in beside] == [curve.values.tobytes() for curve in alone]
 
 
+def _assert_closed(log, workers):
+    """The blocks whose fold failed, at frame 10 or 12, were closed: this process's one pass's, or those from 10 on.
+
+    ``_estimate_from``'s five-frame groups are drawn from their first
+    frame; a worker killed as another fails closes nothing.
+    """
+    if workers == 1:
+        assert _sources(log, "made") == _sources(log, "closed") == [0]
+    else:
+        assert 10 in _sources(log, "closed") and 10 in _sources(log, "made")
+
+
+def _failing_add(error):
+    """A ``PeriodogramAverager.add`` that raises ``error`` when handed frame 10: only its group's fold fails."""
+    add = estimate.PeriodogramAverager.add
+
+    def failing_add(self, samples):
+        if 10 <= self.num_segments < 15:
+            raise error
+        add(self, samples)
+
+    return mock.patch.object(estimate.PeriodogramAverager, "add", failing_add)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_an_error_of_the_block_source_reaches_the_caller_with_its_type_and_message(workers):
+def test_an_error_of_the_block_source_reaches_the_caller_with_its_type_and_message(tmp_path, workers):
     """Raised drawing frame 12, in this process (the same object) or in its group's worker; no worker is left."""
     error = ConfigurationError("frame 12 cannot be drawn")
     with pytest.raises(ConfigurationError) as caught:
-        _estimate_from(_source(12, error), workers)
+        _estimate_from(_source(12, error, tmp_path), workers)
     assert str(caught.value) == "frame 12 cannot be drawn"
     if workers == 1:
         assert caught.value is error
     else:  # the worker's traceback is the cause
         assert isinstance(caught.value.__cause__, presets._WorkerTraceback)
         assert "Traceback" in str(caught.value.__cause__) and "frame 12 cannot be drawn" in str(caught.value.__cause__)
+    _assert_closed(tmp_path, workers)
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_an_error_of_an_averager_reaches_the_caller_with_its_type_and_message(workers):
-    add = estimate.PeriodogramAverager.add
-
-    def failing_add(self, samples):
-        if self.num_segments >= 10:
-            raise ValueError("the averager cannot take segment 10")
-        add(self, samples)
-
-    with mock.patch.object(estimate.PeriodogramAverager, "add", failing_add), pytest.raises(ValueError) as caught:
-        _estimate_from(_source(), workers)
+def test_an_error_of_an_averager_reaches_the_caller_with_its_type_and_message(tmp_path, workers):
+    """Raised folding segment 10: the caller gets it, the blocks being folded were closed, and no worker is left."""
+    with _failing_add(ValueError("the averager cannot take segment 10")), pytest.raises(ValueError) as caught:
+        _estimate_from(_source(log=tmp_path), workers)
     assert str(caught.value) == "the averager cannot take segment 10"
+    _assert_closed(tmp_path, workers)
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_an_error_of_the_spectra_callback_reaches_the_caller_with_its_type_and_message(workers):
+def test_an_error_of_the_spectra_callback_reaches_the_caller_with_its_type_and_message(tmp_path, workers):
     def on_spectra(spectra, first):
-        if first + len(spectra) > 10:
+        if first <= 10 < first + len(spectra):
             raise RuntimeError("the leak check fails at segment 10")
         return 0.0
 
     with pytest.raises(RuntimeError) as caught:
-        _estimate_from(_source(), workers, on_spectra)
+        _estimate_from(_source(log=tmp_path), workers, on_spectra)
     assert str(caught.value) == "the leak check fails at segment 10"
+    _assert_closed(tmp_path, workers)
     _assert_no_child_left()
 
 
@@ -886,22 +931,37 @@ def test_an_error_a_worker_cannot_send_whole_reaches_the_caller_by_its_name_and_
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_an_interrupt_in_a_worker_reaches_the_caller_and_leaves_no_worker(workers):
-    with pytest.raises(KeyboardInterrupt):
-        _estimate_from(_source(12, KeyboardInterrupt()), workers)
+@pytest.mark.parametrize("where", ["source", "averager"])
+def test_an_interrupt_in_a_worker_reaches_the_caller_and_leaves_no_worker(tmp_path, workers, where):
+    """Ctrl-C as frame 12 is drawn or segment 10 folded: raised here, the blocks being folded closed, none left."""
+    if where == "source":
+        source, fold = _source(12, KeyboardInterrupt(), tmp_path), nullcontext()
+    else:
+        source, fold = _source(log=tmp_path), _failing_add(KeyboardInterrupt())
+    with fold, pytest.raises(KeyboardInterrupt):
+        _estimate_from(source, workers)
+    _assert_closed(tmp_path, workers)
     _assert_no_child_left()
 
 
 def test_an_interrupt_while_the_workers_fold_kills_and_reaps_them():
-    """Ctrl-C as this process starts to wait for its three workers: each is killed and reaped, with no hang."""
-    parent, wait = os.getpid(), select.select
+    """Ctrl-C as this process starts to wait for its three workers: each is killed and reaped, with no hang.
 
-    def interrupted(*args):
-        if os.getpid() == parent:
+    A killed worker closes nothing; Ctrl-C at a terminal reaches the
+    workers too, which then stop as ``test_an_interrupt_in_a_worker_...`` does.
+    """
+    parent, poll = os.getpid(), select.poll
+
+    class Interrupted:
+        def register(self, *args):
+            pass
+
+        def poll(self, *args):
             raise KeyboardInterrupt
-        return wait(*args)
 
-    with mock.patch.object(select, "select", interrupted), pytest.raises(KeyboardInterrupt):
+    with mock.patch.object(select, "poll", lambda: poll() if os.getpid() != parent else Interrupted()), pytest.raises(
+        KeyboardInterrupt
+    ):
         _estimate_from(_source(), 3)
     _assert_no_child_left()
 
@@ -926,7 +986,7 @@ def test_the_spectra_callback_sees_each_segment_once_in_order_before_squaring(tm
             np.save(log, spectra)
         return float(first + len(spectra))
 
-    blocks = partial(stream_chunks, CEP_PROFILE, 20, SEED, 1.0, "qpsk")
+    blocks = partial(_stream_chunks, CEP_PROFILE, 20, SEED, 1.0, "qpsk")
     with _relay(workers, 2 * 2 * frame_samples * segment_frames), mock.patch.object(
         waveform, "_BLOCK_SAMPLES", 5 * frame_samples * oversampling
     ):

@@ -22,6 +22,7 @@ from otfspectrum.waveform import (
     _chunked_frames,
     _frame_spectra,
     _otfs_frames,
+    _stream_chunks,
     _stream_symbols,
     cep_component_stream,
     cep_ofdm_component,
@@ -566,7 +567,7 @@ def test_blocks_drawn_from_a_frame_are_those_of_the_whole_draw(
     precoded = presets._precoded_blocks(precoders, frames, seed, constellation)
     sources = {
         "symbols": lambda start: _stream_symbols(profile, frames, seed, constellation, 1, start),
-        "frames": lambda start: (b.frames for b in stream_chunks(profile, frames, seed, 1.0, constellation, 1, start)),
+        "frames": lambda start: (b.frames for b in _stream_chunks(profile, frames, seed, 1.0, constellation, 1, start)),
         "grids": lambda start: (np.concatenate([g.reshape(len(g), -1), n[:, None]], 1) for g, n in precoded(start)),
     }
     block_frames = max(1, min(frames, _CHUNK_FRAMES) // blocks)
