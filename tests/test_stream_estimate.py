@@ -29,6 +29,7 @@ after a return, an error or an interrupt.
 """
 
 import os
+import resource
 import select
 import signal
 import tempfile
@@ -963,6 +964,25 @@ def test_an_interrupt_while_the_workers_fold_kills_and_reaps_them():
         KeyboardInterrupt
     ):
         _estimate_from(_source(), 3)
+    _assert_no_child_left()
+
+
+def test_workers_are_waited_for_on_descriptors_above_fd_setsize():
+    """Every descriptor below 1100 taken: the workers' pidfds and pipes lie above FD_SETSIZE (1024), and still work."""
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("this process may not open 1200 files")
+    [alone], _ = _estimate_from(_source(), 1)
+    taken = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        while taken[-1] < 1100:
+            taken.append(os.dup(taken[0]))
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            [relayed], _ = _estimate_from(_source(), 2)
+        assert fork.call_count == 2
+    finally:
+        for fd in taken:
+            os.close(fd)
+    assert [curve.values.tobytes() for curve in relayed] == [curve.values.tobytes() for curve in alone]
     _assert_no_child_left()
 
 
