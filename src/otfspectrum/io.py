@@ -14,17 +14,19 @@ range in forked writer processes, one per CPU, and the ranges are joined
 in order: the bytes are those one process would write.  A table is
 started now and finished later (``_start_table``): the writers fork when
 it is started, so the caller can go on with other work while they format
-(the NSLP preset runs its estimate, whose fold workers fork in turn), and
-the finisher reaps them, then creates the file and joins their rows.
-Every fork happens at the start, and only while no other thread runs (a
-fork copies only the forking thread; with another thread alive the
-finisher writes the table itself).  The package starts no thread, so only
-a caller's own threads keep the writers from forking.  A table abandoned
-by an exception, or whose rows fail, leaves no writer, no spill file and
-no file.  A table is
-read back by one pass over its header lines and one ``np.loadtxt`` call on
-the rest of the same open file, which gives back every double written,
-bit for bit.
+(the NSLP preset runs its estimate), and the finisher waits for them,
+then creates the file and joins their rows.  A table abandoned by an
+exception, or whose rows fail, leaves no writer, no spill file and no
+file.  A table is read back by one pass over its header lines and one
+``np.loadtxt`` call on the rest of the same open file, which gives back
+every double written, bit for bit.
+
+Every process the package forks, a table's writers and the estimate's
+fold workers (``presets._Relay``), is forked by ``_forked`` under one
+policy (``_processes``): one process a CPU, and only while no other
+thread runs (a fork copies only the forking thread) and this process has
+no other child.  The package starts no thread, so only a caller's own
+threads keep them from forking.
 
 A JSON record (metric records, masks, the LTE bandwidth report, scenario
 manifests) is one JSON value with sorted keys, a two-space indent and a
@@ -40,14 +42,16 @@ import itertools
 import json
 import math
 import os
+import pickle
+import select
 import shutil
 import signal
-import sys
 import tempfile
 import threading
 import traceback
 import warnings
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import IO, Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -106,25 +110,127 @@ def _cpu_count() -> int:
 def _row_ranges(rows: int) -> List[Tuple[int, int]]:
     """Contiguous ``(start, stop)`` row ranges, one per forked writer, or one range written inline.
 
-    There are at most one per CPU, and only as many as give each process
-    ``_SPLIT_ROW_BLOCKS`` row blocks.  There is one where ``os.fork`` is
-    missing, and one while another thread runs: a fork copies only the
-    forking thread, so a lock another thread holds would stay held in the child.
+    There are as many as ``_processes`` gives for ``_SPLIT_ROW_BLOCKS`` row blocks a process.
     """
-    share = _SPLIT_ROW_BLOCKS * _ROW_BLOCK
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    parts = max(1, min(_cpu_count(), rows // share)) if forkable else 1
+    parts = _processes(rows, _SPLIT_ROW_BLOCKS * _ROW_BLOCK)
     bounds = [rows * part // parts for part in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def _has_children() -> bool:
+    """Whether this process has a child, running or not yet reaped, which is left as it is."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def _processes(work: int, share: int) -> int:
+    """How many processes to split ``work`` units of work across: one a CPU, each taking at least ``share`` units.
+
+    1, this process alone, where ``os.pidfd_open`` or ``os.memfd_create``
+    is missing (``_forked`` waits on the one and reports errors in the
+    other), while another thread runs (a fork copies only the forking
+    thread, so a lock another thread holds would stay held in the child),
+    or while this process has another child (``_has_children``).  Such a
+    child is the NSLP preset's precoder dump writers: they keep every CPU
+    busy while the estimate runs, and workers forked beside them only
+    compete for the CPUs.  The 64x512 NSLP run took 0.56-0.64 s folded in
+    this process, against 0.63-0.70 s with two fold workers (medians of 8
+    and 10 runs).
+    """
+    processes = min(_cpu_count(), work // share)
+    forkable = hasattr(os, "pidfd_open") and hasattr(os, "memfd_create") and threading.active_count() == 1
+    return processes if processes > 1 and forkable and not _has_children() else 1
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a forked child, the cause of the error raised for it here."""
+
+
+@contextmanager
+def _forked(jobs: Sequence[Callable[[], object]]) -> Iterator[Callable[[], None]]:
+    """Fork a child for each of ``jobs`` and give back the call that waits for them all.
+
+    Ctrl-C is held off while the children are forked and recorded, so none
+    is left unrecorded to run on.  A child runs its job and leaves by
+    ``os._exit``, status 0 once the job returns and 1 on any error, so it
+    runs none of this process's cleanup; its job must flush what it writes.
+    The wait (``join()``) polls each child's pidfd, not ``select.select``,
+    which takes no descriptor from FD_SETSIZE (1024) on.  A child's error
+    is raised there with its type and message, and its traceback as the
+    cause (``_WorkerTraceback``); an error its own pickle cannot rebuild is
+    raised as ``RuntimeError("Name: message")``.  Leaving the ``with``
+    block, by a return or by any exception, ``KeyboardInterrupt`` included,
+    kills and reaps every child not yet reaped and closes every descriptor
+    opened here.
+    """
+    running: Dict[int, int] = {}  # pid -> the descriptor it reports its error in, for the children not yet reaped
+    exits: Dict[int, int] = {}  # pidfd -> pid: readable once the child has exited
+    reports: List[int] = []
+    waiting = select.poll()
+
+    def join() -> None:
+        while running:
+            for ready, _ in waiting.poll():
+                waiting.unregister(ready)
+                pid = exits.pop(ready)
+                os.close(ready)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                report = running.pop(pid)
+                if status:
+                    try:
+                        error, text = pickle.loads(os.pread(report, os.fstat(report).st_size, 0))
+                    except Exception:  # killed, or stopped before its report was whole
+                        raise RuntimeError(f"a forked process exited with status {status}") from None
+                    raise error from _WorkerTraceback(text)
+
+    try:
+        unmasked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for job in jobs:
+                reports.append(os.memfd_create("error"))
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, unmasked)
+                        job()
+                        status = 0
+                    except BaseException as error:
+                        text = traceback.format_exc()
+                        try:
+                            report = pickle.dumps((error, text))
+                            pickle.loads(report)
+                        except Exception:
+                            report = pickle.dumps((RuntimeError(f"{type(error).__name__}: {error}"), text))
+                        os.write(reports[-1], report)
+                    finally:
+                        os._exit(status)
+                running[pid] = reports[-1]
+                pidfd = os.pidfd_open(pid)
+                exits[pidfd] = pid
+                waiting.register(pidfd, select.POLLIN)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, unmasked)
+        yield join
+    finally:
+        for pid in running:  # left only when a child failed or the block was left before ``join()`` returned
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in [*exits, *reports]:
+            os.close(fd)
 
 
 def _write_rows(
     handle: IO[bytes], sizes: Sequence[int], block: Callable[[int], Sequence[np.ndarray]], start: int, stop: int
 ) -> None:
-    """Write rows ``start`` to ``stop`` of the table, ``_ROW_BLOCK`` at a time, one ``write`` each.
+    """Write rows ``start`` to ``stop`` of the table, ``_ROW_BLOCK`` at a time, one ``write`` each, and flush.
 
     Only the blocks holding some of those rows are built.  ``format_rows``
-    lays out each row block's bytes in one numpy pass.
+    lays out each row block's bytes in one numpy pass.  The flush is for a
+    forked writer, which leaves by ``os._exit``.
     """
     end = 0
     for index, size in enumerate(sizes):
@@ -136,41 +242,7 @@ def _write_rows(
         for lo in range(first, last, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, last)
             handle.write(format_rows([column[lo:hi] for column in columns]))
-
-
-def _fork_rows(
-    directory: Path, sizes: Sequence[int], block: Callable[[int], Sequence[np.ndarray]], start: int, stop: int
-) -> Tuple[int, IO[bytes]]:
-    """Fork a child that writes rows ``start`` to ``stop`` into a new unnamed temporary file (its spill).
-
-    Returns the child's pid and the spill.  The child leaves by ``os._exit``,
-    status 0 once every row is flushed, 1 on any error, so it runs none of
-    this process's cleanup.  It only builds and formats rows and writes its
-    own file, so it takes no lock, while this process goes on with other
-    work until the table is finished.  The caller forks only while no other
-    thread runs (``_row_ranges``): a lock another thread held at the fork
-    would stay held in the child.  ``block`` must make no BLAS call either:
-    forked writers that ran the precoders' small matrix products made the
-    ``nslp-precode`` benchmark take 4.6 s instead of 2.2 s.
-    """
-    spill = tempfile.TemporaryFile(dir=directory)
-    try:
-        pid = os.fork()
-    except BaseException:
-        spill.close()
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            _write_rows(spill, sizes, block, start, stop)
-            spill.flush()
-            status = 0
-        except BaseException:
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-    return pid, spill
+    handle.flush()
 
 
 @contextmanager
@@ -188,57 +260,52 @@ def _start_table(
     ``sizes[i]``-row numpy columns, int or float, one per name.  It is built
     only when its rows are written, and rows are formatted ``_ROW_BLOCK`` at
     a time, so memory is bounded by that, not by the table.  A large table
-    is cut into contiguous row ranges, one per CPU (see ``_row_ranges``), and
-    starting it forks a writer for each range (``_fork_rows``), so the rows
-    are formatted while this process goes on with other work.  Every fork
-    happens here, and only while no other thread runs; threads started
-    between the start and the finish do not reach the writers.
-    The finisher reaps each writer in order and checks its exit status,
-    then creates ``path``, writes the header and the names row and appends
-    the spills; with one range nothing is forked and it writes the rows
-    itself.  The bytes are those of one process writing every row.  A failed
-    writer raises before ``path`` is created, and a file whose rows fail to
-    be written is removed, so a failed table leaves no file.  Leaving the
+    is cut into contiguous row ranges, one per process (see ``_row_ranges``),
+    and starting it forks a writer for each range (``_forked``), which
+    writes its rows into a new unnamed temporary file (its spill), so the
+    rows are formatted while this process goes on with other work.  Every
+    fork happens here; threads started between the start and the finish do
+    not reach the writers.  ``block`` must make no BLAS call: forked writers
+    that ran the precoders' small matrix products made the ``nslp-precode``
+    benchmark take 4.6 s instead of 2.2 s.  The finisher waits for every
+    writer, raising the error of the first that fails, then creates
+    ``path``, writes the header and the names row and appends the spills in
+    order; with one range nothing is forked and it writes the rows itself.
+    The bytes are those of one process writing every row.  A failed writer
+    raises before ``path`` is created, and a file whose rows fail to be
+    written is removed, so a failed table leaves no file.  Leaving the
     ``with`` block, by a return or by any exception, ``KeyboardInterrupt``
     included, kills and reaps every writer not yet reaped and closes every
     spill; ``path`` is created only by the finisher.
     """
     path = Path(path)
     ranges = _row_ranges(sum(sizes))
-    pids: List[int] = []  # the writers not yet reaped
     spills: List[IO[bytes]] = []
-
-    def finish() -> Path:
-        while pids:
-            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            del pids[0]
-            if status:
-                raise OSError(f"{path}: the process writing a row range exited with status {status}")
-        try:
-            with path.open("wb") as handle:
-                _write_header(handle, header)
-                handle.write(",".join(names).encode() + b"\n")
-                if not spills:
-                    _write_rows(handle, sizes, block, *ranges[0])
-                for spill in spills:
-                    spill.seek(0)
-                    shutil.copyfileobj(spill, handle)
-        except BaseException:
-            path.unlink(missing_ok=True)
-            raise
-        return path
-
     try:
         if len(ranges) > 1:
-            for start, stop in ranges:
-                pid, spill = _fork_rows(path.parent, sizes, block, start, stop)
-                pids.append(pid)
-                spills.append(spill)
-        yield finish
+            for _ in ranges:
+                spills.append(tempfile.TemporaryFile(dir=path.parent))
+        writers = [partial(_write_rows, spill, sizes, block, *rows) for spill, rows in zip(spills, ranges)]
+        with _forked(writers) as join:
+
+            def finish() -> Path:
+                join()
+                try:
+                    with path.open("wb") as handle:
+                        _write_header(handle, header)
+                        handle.write(",".join(names).encode() + b"\n")
+                        if not spills:
+                            _write_rows(handle, sizes, block, *ranges[0])
+                        for spill in spills:
+                            spill.seek(0)
+                            shutil.copyfileobj(spill, handle)
+                except BaseException:
+                    path.unlink(missing_ok=True)
+                    raise
+                return path
+
+            yield finish
     finally:
-        for pid in pids:  # left only when the table was abandoned or a writer failed
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         for spill in spills:
             spill.close()
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import mmap
 import os
 import select
-import signal
-import threading
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -65,9 +63,6 @@ _GROUP_BINS = 2**19
 #: Groups each fold worker must get before an estimate is split across forked workers.  A fork and its reap
 #: take about 1.5 ms, and a group of a one-frame 16x128 rect estimate takes about 6 ms to fold.
 _SPLIT_GROUPS = 4
-
-#: Bytes of shared memory a fold worker may report its error in.
-_ERROR_BYTES = 2**16
 
 
 @dataclass(frozen=True)
@@ -173,26 +168,6 @@ def _streamed_estimates(
     return [curves[count] for count in frame_counts], peak
 
 
-def _has_children() -> bool:
-    """Whether this process has a child, running or not yet reaped, which is left as it is.
-
-    Such as the forked writers of the NSLP preset's precoder dump
-    (``io._start_table``): they keep every CPU busy while the estimate
-    runs, and fold workers beside them only compete for the CPUs.  The
-    64x512 NSLP run took 0.56-0.64 s folded in this process, against
-    0.63-0.70 s with two workers (medians of 8 and 10 runs).
-    """
-    try:
-        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-    except ChildProcessError:
-        return False
-    return True
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of an error raised in a fold worker, the cause of the error raised for it here."""
-
-
 class _Relay:
     """One pass of ``_streamed_estimates``, cut into frame groups folded by workers that pass the running sums on.
 
@@ -214,15 +189,13 @@ class _Relay:
     ones are closed with zeros at the count, as ``result`` closes them.
     ``on_spectra``'s largest value travels with the sums.
 
-    On one CPU, where ``os.fork`` or ``os.pidfd_open`` is missing, while
-    another thread runs (a fork copies only the forking thread), while this
-    process has another child (``_has_children``), or where the stream
-    holds fewer than ``_SPLIT_GROUPS`` groups a CPU, the pass is one group
-    folded in this process, which holds the sums from the start.
-    Otherwise one worker a CPU is forked, and this process waits for them.
-    A worker's error is raised here with its type and message, and its
-    traceback as the cause.  On any exit, ``KeyboardInterrupt`` included,
-    every worker has exited or been killed, and has been reaped.
+    The workers are as many as ``io._processes`` gives for ``_SPLIT_GROUPS``
+    groups a process; where that is one, the pass is one group folded in
+    this process, which holds the sums from the start.  Otherwise they are
+    forked by ``io._forked``, and this process waits for them: a worker's
+    error is raised here with its type and message, and on any exit,
+    ``KeyboardInterrupt`` included, every worker has exited or been killed,
+    and has been reaped.
     """
 
     def __init__(
@@ -253,8 +226,7 @@ class _Relay:
         self.index = {count: i for i, count in enumerate(self.closed)}
         self.group = max(1, _GROUP_BINS // (bins * len(views)))
         groups = max(1, -(-self.closed[self.frames] // self.group))
-        forkable = hasattr(os, "pidfd_open") and threading.active_count() == 1 and not _has_children()
-        self.workers = max(1, min(fileio._cpu_count(), groups // _SPLIT_GROUPS)) if forkable else 1
+        self.workers = fileio._processes(groups, _SPLIT_GROUPS)
         self.groups = groups if self.workers > 1 else 1
         self.inboxes: List[Tuple[int, int]] = []  # per worker, the pipe its groups' sums are announced on
         self.seen = 0.0  # the largest value ``on_spectra`` returned in the group being folded
@@ -267,7 +239,6 @@ class _Relay:
             ("peak", np.float64, (1,)),
             ("values", np.float64, (counts, views, segment_len)),
             ("segments", np.int64, (counts, views)),
-            ("errors", np.uint8, (self.workers, _ERROR_BYTES)),
         ]
         size = sum(np.dtype(dtype).itemsize * int(np.prod(shape)) for _, dtype, shape in layout)
         # Zeros, in memory the forked workers share with this process.
@@ -279,82 +250,14 @@ class _Relay:
         if self.workers == 1:
             self._fold(0)
         else:
-            self._fork()
-        return self.values, self.segments, float(self.peak[0])
-
-    def _fork(self) -> None:
-        """Fork the workers, wait for them, and raise the error of the first that fails."""
-        running: Dict[int, int] = {}  # pid -> worker, for the workers not yet reaped
-        exits: Dict[int, int] = {}  # pidfd -> pid: readable once the worker has exited
-        waiting = select.poll()  # not ``select.select``, which takes no descriptor from FD_SETSIZE (1024) on
-        self.inboxes = [os.pipe() for _ in range(self.workers)]
-        try:
-            # Ctrl-C is held off while a worker is forked and recorded, so none is left unrecorded to run on.
-            unmasked = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            self.inboxes = [os.pipe() for _ in range(self.workers)]
             try:
-                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-                for worker in range(self.workers):
-                    pid = os.fork()
-                    if pid == 0:
-                        self._work(worker, unmasked)
-                    running[pid] = worker
-                    pidfd = os.pidfd_open(pid)
-                    exits[pidfd] = pid
-                    waiting.register(pidfd, select.POLLIN)
+                with fileio._forked([partial(self._fold, worker) for worker in range(self.workers)]) as join:
+                    join()
             finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, unmasked)
-            while running:
-                for ready, _ in waiting.poll():
-                    waiting.unregister(ready)
-                    pid = exits.pop(ready)
-                    os.close(ready)
-                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    worker = running.pop(pid)
-                    if status:
-                        raise self._error(worker, status)
-        finally:
-            for pid in running:  # left only when a worker failed or this process was stopped
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for fd in [*exits, *(fd for pipe in self.inboxes for fd in pipe)]:
-                os.close(fd)
-
-    def _work(self, worker: int, unmasked: set) -> None:
-        """A forked worker's life: fold its groups, report any error, and leave by ``os._exit``.
-
-        ``unmasked`` is the signal mask from before the fork, which held Ctrl-C off.
-        """
-        status = 1
-        try:
-            signal.pthread_sigmask(signal.SIG_SETMASK, unmasked)
-            self._fold(worker)
-            status = 0
-        except BaseException as error:
-            import pickle
-            import traceback
-
-            text = traceback.format_exc()
-            try:
-                report = pickle.dumps((error, text))
-                pickle.loads(report)
-            except Exception:
-                report = pickle.dumps((RuntimeError(f"{type(error).__name__}: {error}"), text))
-            report = report[: _ERROR_BYTES - 8]  # a report cut short is not read, and a plain error raised
-            self.errors[worker, : 8 + len(report)] = np.frombuffer(len(report).to_bytes(8, "little") + report, np.uint8)
-        finally:
-            os._exit(status)
-
-    def _error(self, worker: int, status: int) -> BaseException:
-        """The error ``worker`` reported, with its traceback as the cause; one naming ``status`` if none is readable."""
-        import pickle
-
-        report = self.errors[worker].tobytes()
-        try:
-            error, text = pickle.loads(report[8 : 8 + int.from_bytes(report[:8], "little")])
-        except Exception:
-            return RuntimeError(f"a fold worker exited with status {status}")
-        error.__cause__ = _WorkerTraceback(text)
-        return error
+                for fd in (fd for pipe in self.inboxes for fd in pipe):
+                    os.close(fd)
+        return self.values, self.segments, float(self.peak[0])
 
     def _fold(self, worker: int) -> None:
         """Fold the groups of ``worker``: its first, and every ``workers``-th after it."""

@@ -1,10 +1,11 @@
-"""Shared test setup: one derandomized, database-free hypothesis profile, the memory gates' peak, and a reaper check.
+"""Shared test setup: a derandomized, database-free hypothesis profile, the memory gates' peak, reaper and fd checks.
 
 Every property runs the same examples on every run, so Tier-1 stays
 deterministic; a test that needs more examples overrides ``max_examples``
 with ``@settings`` on top of this profile.  Every test must leave no child
 process behind, running or unreaped: the forked table writers and fold
-workers are reaped on every exit.
+workers are reaped on every exit.  A test of the forked processes may also
+ask that it leave no descriptor open that it did not find open.
 """
 
 import os
@@ -50,3 +51,13 @@ def no_child_is_left():
         return
     left = "running" if pid == 0 else f"exited with status {os.waitstatus_to_exitcode(status)}, not reaped"
     pytest.fail(f"the test left a child process {left}")
+
+
+@pytest.fixture
+def descriptors_kept():
+    """Fail a test that leaves this process's set of open descriptors other than it found it (pidfds, pipes, spills)."""
+    before = set(os.listdir("/proc/self/fd"))
+    yield
+    after = set(os.listdir("/proc/self/fd"))
+    if after != before:
+        pytest.fail(f"the test left descriptors {sorted(after - before)} open and {sorted(before - after)} closed")

@@ -7,6 +7,7 @@ JSON writers were merged into one table writer and one JSON writer.
 """
 
 import hashlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -130,9 +131,9 @@ def test_tables_split_across_processes_keep_their_bytes(tmp_path, artifact, proc
     write, digest = GOLDEN[artifact]
     with mock.patch.object(fileio, "_ROW_BLOCK", 1), mock.patch.object(fileio, "_SPLIT_ROW_BLOCKS", 1), \
             mock.patch.object(fileio, "_cpu_count", lambda: processes), \
-            mock.patch.object(fileio, "_fork_rows", wraps=fileio._fork_rows) as fork_rows:
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
         path = write(tmp_path / "artifact")
-    assert fork_rows.call_count >= processes - 1
+    assert fork.call_count >= processes - 1
     with open(path, "rb") as handle:
         assert hashlib.sha256(handle.read()).hexdigest() == digest
 

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import tempfile
 import threading
 from contextlib import contextmanager, nullcontext
@@ -13,6 +14,7 @@ from numpy.testing import assert_array_equal
 
 from otfspectrum import io as fileio
 from otfspectrum import presets, waveform
+from otfspectrum.dac import InterpolationFilter
 from otfspectrum.errors import ConfigurationError
 from otfspectrum.io import (
     config_hash,
@@ -242,21 +244,21 @@ def test_a_table_is_written_by_one_process_while_another_thread_runs(tmp_path):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        with mock.patch.object(fileio, "_fork_rows", wraps=fileio._fork_rows) as fork_rows:
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
             text = _split_table(tmp_path / "t.csv", lambda index: (np.array([index]),)).read_text()
             with mock.patch.object(fileio, "_cpu_count", lambda: 2):
                 assert fileio._row_ranges(1 << 30) == [(0, 1 << 30)]
     finally:
         release.set()
         other.join(timeout=10)
-    assert not other.is_alive() and fork_rows.call_count == 0
+    assert not other.is_alive() and fork.call_count == 0
     assert text == _EIGHT_ROWS
     assert len(fileio._row_ranges(1 << 30)) == fileio._cpu_count()
 
 
 @contextmanager
 def _spills():
-    """The list of every spill file ``_fork_rows`` opens in the block, kept to check that each is closed."""
+    """The list of every spill file a table's writers open in the block, kept to check that each is closed."""
     files, make = [], tempfile.TemporaryFile
 
     def opened(*args, **kwargs):
@@ -272,29 +274,55 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class _TwoPartError(Exception):
+    """An error its own pickle cannot rebuild: its constructor takes two arguments, its ``args`` one."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.usefixtures("descriptors_kept")
 @pytest.mark.parametrize(
     "bad_block, cpus, error, spills",
-    [(0, 2, OSError, 2), (7, 2, OSError, 2), (5, 3, OSError, 3), (3, 1, ValueError, 0)],
-    ids=["first-writer", "last-writer", "middle-writer", "inline"],
+    [
+        (0, 2, ValueError("block 0 cannot be built"), 2),
+        (7, 2, ValueError("block 7 cannot be built"), 2),
+        (5, 3, ValueError("block 5 cannot be built"), 3),
+        (3, 1, ValueError("block 3 cannot be built"), 0),
+        (3, 2, _TwoPartError("no block", "row 3"), 2),
+    ],
+    ids=["first-writer", "last-writer", "middle-writer", "inline", "unpicklable-writer"],
 )
 def test_a_failing_row_range_raises_and_leaves_no_process_or_file(tmp_path, bad_block, cpus, error, spills):
-    """A block that cannot be built, in any forked writer's rows or, with one CPU, in this process's."""
+    """A block that cannot be built, in any forked writer's rows or, with one CPU, in this process's.
+
+    A writer's error is raised here with its type and message, as this
+    process's own is, and its traceback as the cause; one its pickle cannot
+    rebuild, by its name and message.
+    """
     failing = []
 
     def block(index):
         if index in failing:
-            raise ValueError(f"block {index} cannot be built")
+            raise error
         return (np.array([index]),)
 
     assert _split_table(tmp_path / "good.csv", block, cpus).read_text() == _EIGHT_ROWS
     failing.append(bad_block)
-    with _spills() as opened, pytest.raises(error):
+    with _spills() as opened, pytest.raises(Exception) as caught:
         _split_table(tmp_path / "bad.csv", block, cpus)
+    expected = RuntimeError(f"_TwoPartError: {error}") if isinstance(error, _TwoPartError) else error
+    assert type(caught.value) is type(expected) and str(caught.value) == str(expected)
+    if cpus == 1:
+        assert caught.value is error
+    else:
+        assert isinstance(caught.value.__cause__, fileio._WorkerTraceback) and str(error) in str(caught.value.__cause__)
     assert len(opened) == spills and all(spill.closed for spill in opened)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["good.csv"]
     _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_a_started_table_is_written_while_this_process_works_and_threads_run(tmp_path, cpus):
     """The writers fork at the start; a thread started before the finish does not change the bytes."""
@@ -310,6 +338,7 @@ def test_a_started_table_is_written_while_this_process_works_and_threads_run(tmp
     _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 @pytest.mark.parametrize("abandon", [KeyboardInterrupt, ValueError, None])
 def test_an_abandoned_table_leaves_no_process_spill_or_file(tmp_path, abandon):
     """An exception between the start and the finish, or no finish at all: the writers are killed and reaped."""
@@ -321,6 +350,46 @@ def test_an_abandoned_table_leaves_no_process_spill_or_file(tmp_path, abandon):
     assert len(opened) == 2 and all(spill.closed for spill in opened)
     _assert_no_child_left()
     assert list(tmp_path.iterdir()) == []
+
+
+def _write_split_table(tmp_path):
+    with _tables_split(2):
+        fileio._write_table(tmp_path / "t.csv", {"format": "test"}, ["n"], [3] * 2000, lambda i: (np.full(3, i),))
+
+
+def _estimate_in_two_workers(tmp_path):
+    with mock.patch.object(fileio, "_cpu_count", lambda: 2), mock.patch.object(presets, "_SPLIT_GROUPS", 1), \
+            mock.patch.object(presets, "_GROUP_BINS", 2**10):
+        presets.estimated_psd(VarianceProfile.uniform(4, 8), 256, 7, 1.0, InterpolationFilter.dirac(1.0), 1)
+
+
+@pytest.mark.usefixtures("descriptors_kept")
+@pytest.mark.parametrize("run", [_write_split_table, _estimate_in_two_workers], ids=["table-writers", "fold-workers"])
+def test_ctrl_c_right_after_a_fork_leaves_no_child(tmp_path, run):
+    """SIGINT as each fork returns to this process: it is held off until the child is recorded, then killed."""
+    fork, forks = os.fork, []
+
+    def interrupted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    with mock.patch.object(os, "fork", interrupted), pytest.raises(KeyboardInterrupt):
+        run(tmp_path)
+    assert len(forks) == 2
+    _assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.usefixtures("descriptors_kept")
+def test_a_child_that_leaves_no_report_is_named_by_its_exit_status():
+    """A forked child stopped before it could report its error (killed, say): its exit status is raised."""
+    with pytest.raises(RuntimeError, match=r"^a forked process exited with status 3$"):
+        with fileio._forked([lambda: os._exit(3)]) as join:
+            join()
+    _assert_no_child_left()
 
 
 def test_psd_curve_roundtrip(tmp_path):
@@ -524,30 +593,31 @@ _NSLP_FILES = ("lte_nslp_psd.csv", "lte_nslp_precoders.csv", "lte_nslp_mask.json
 
 
 @pytest.mark.parametrize(
-    "cpus, foreign, writers", [(1, False, 0), (2, False, 4), (3, False, 6), (2, True, 0)],
+    "cpus, foreign, writers", [(1, False, 0), (2, False, 2), (3, False, 3), (2, True, 0)],
     ids=["one-cpu", "two-cpus", "three-cpus", "foreign-thread"],
 )
 def test_nslp_files_keep_their_bytes_however_the_dump_is_written(tmp_path, cpus, foreign, writers):
     """Forked writers for each CPU, or inline with one CPU or another thread alive: the files of one process.
 
-    The precoder dump and then the PSD curve fork one writer per CPU each,
-    every fork while this thread is the only one: the dump's before the
-    estimate's producer thread starts, the curve's after it is joined.
+    The precoder dump forks one writer per CPU, while this thread is the
+    only one, before the estimate starts.  Its writers are still children
+    of this process when the estimate runs and when the PSD curve is
+    written, so both stay in this process (``io._processes``).
     """
     config = preset_config("lte-otfs-nslp", _NSLP_SMALL)
     presets.run_scenario(config, tmp_path / "reference")
-    threads_at_forks, fork_rows = [], fileio._fork_rows
+    threads_at_forks, fork = [], os.fork
 
-    def forked(*args):
+    def forked():
         threads_at_forks.append(threading.active_count())
-        return fork_rows(*args)
+        return fork()
 
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     if foreign:
         other.start()
     try:
-        with _tables_split(cpus, 16), mock.patch.object(fileio, "_fork_rows", forked), _spills() as opened:
+        with _tables_split(cpus, 16), mock.patch.object(os, "fork", forked), _spills() as opened:
             presets.run_scenario(config, tmp_path / "run")
     finally:
         release.set()
@@ -560,6 +630,7 @@ def test_nslp_files_keep_their_bytes_however_the_dump_is_written(tmp_path, cpus,
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 def test_an_interrupted_nslp_run_leaves_no_writer_spill_or_precoder_file(tmp_path):
     """Ctrl-C from the block source while the writers format: they are killed and reaped, and no dump is made."""
     precoded_blocks = presets._precoded_blocks

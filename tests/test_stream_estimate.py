@@ -24,8 +24,8 @@ and the leak check reads those rows, so no M*N-point transform is taken.
 On more than one CPU the pass is a relay of forked fold workers that add
 their frame groups' rows to the running sums in stream order: the bits
 are those of one process for any worker count and group size, a worker's
-error reaches the caller with its type and message, and no worker is left
-after a return, an error or an interrupt.
+error reaches the caller with its type and message, and no worker and no
+descriptor is left after a return, an error or an interrupt.
 """
 
 import os
@@ -687,6 +687,7 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 @pytest.mark.parametrize("kind", FILTERS)
 def test_fold_workers_change_no_bits(kind):
     """This process alone, two workers and three: the same bytes, plain and CEP split, and no thread started.
@@ -815,6 +816,7 @@ def _estimate_from(blocks, workers, on_spectra=None, group=5):
         )
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 def test_the_sums_pass_in_stream_order_however_the_workers_are_timed(tmp_path):
     """Three workers of one-frame groups, each started after an uneven delay: the bytes of this process alone.
 
@@ -878,6 +880,7 @@ def _failing_add(error):
     return mock.patch.object(estimate.PeriodogramAverager, "add", failing_add)
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_an_error_of_the_block_source_reaches_the_caller_with_its_type_and_message(tmp_path, workers):
     """Raised drawing frame 12, in this process (the same object) or in its group's worker; no worker is left."""
@@ -888,12 +891,13 @@ def test_an_error_of_the_block_source_reaches_the_caller_with_its_type_and_messa
     if workers == 1:
         assert caught.value is error
     else:  # the worker's traceback is the cause
-        assert isinstance(caught.value.__cause__, presets._WorkerTraceback)
+        assert isinstance(caught.value.__cause__, fileio._WorkerTraceback)
         assert "Traceback" in str(caught.value.__cause__) and "frame 12 cannot be drawn" in str(caught.value.__cause__)
     _assert_closed(tmp_path, workers)
     _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 @pytest.mark.parametrize("workers", [1, 3])
 def test_an_error_of_an_averager_reaches_the_caller_with_its_type_and_message(tmp_path, workers):
     """Raised folding segment 10: the caller gets it, the blocks being folded were closed, and no worker is left."""
@@ -904,6 +908,7 @@ def test_an_error_of_an_averager_reaches_the_caller_with_its_type_and_message(tm
     _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 @pytest.mark.parametrize("workers", [1, 3])
 def test_an_error_of_the_spectra_callback_reaches_the_caller_with_its_type_and_message(tmp_path, workers):
     def on_spectra(spectra, first):
@@ -925,12 +930,14 @@ class _TwoPartError(Exception):
         super().__init__(f"{what} at {where}")
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 def test_an_error_a_worker_cannot_send_whole_reaches_the_caller_by_its_name_and_message():
     with pytest.raises(RuntimeError, match=r"^_TwoPartError: no block at frame 12$"):
         _estimate_from(_source(12, _TwoPartError("no block", "frame 12")), 2)
     _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("where", ["source", "averager"])
 def test_an_interrupt_in_a_worker_reaches_the_caller_and_leaves_no_worker(tmp_path, workers, where):
@@ -945,6 +952,7 @@ def test_an_interrupt_in_a_worker_reaches_the_caller_and_leaves_no_worker(tmp_pa
     _assert_no_child_left()
 
 
+@pytest.mark.usefixtures("descriptors_kept")
 def test_an_interrupt_while_the_workers_fold_kills_and_reaps_them():
     """Ctrl-C as this process starts to wait for its three workers: each is killed and reaped, with no hang.
 
